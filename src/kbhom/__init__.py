@@ -27,7 +27,7 @@ from .engine import (
     kb_double_complex,
     kb_homology,
 )
-from .linalg import Matrix, Subspace, kernel_basis, rank, subspace_arithmetic
+from .linalg import Matrix, Subspace, kernel_basis, rank
 from .models import (
     DolbeaultPoissonModel,
     KoszulDifferential,

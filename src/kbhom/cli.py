@@ -49,7 +49,7 @@ from .stein import (
     SliceCapError,
     stein_homology,
 )
-from .zoo import ModelFileError, read_model
+from .zoo import ModelFileError, _is_int, read_model
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -101,7 +101,7 @@ def _int_keyed(raw, path, what):
             k = int(key)
         except (TypeError, ValueError):
             raise TableError(f"{path}: {what} key {key!r} is not an integer") from None
-        if not isinstance(value, int) or value < 0:
+        if not _is_int(value) or value < 0:
             raise TableError(f"{path}: {what}[{key}] must be a nonnegative integer")
         out[k] = value
     return out
@@ -111,7 +111,7 @@ def _parse_kb_table(path) -> KBDims:
     data = _load_json(path)
     _expect_keys(data, {"n", "dims"}, path)
     n = data.get("n")
-    if not isinstance(n, int) or n < 0:
+    if not _is_int(n) or n < 0:
         raise TableError(f"{path}: 'n' must be a nonnegative integer")
     try:
         return KBDims(n, _int_keyed(data.get("dims", {}), path, "dims"))
@@ -129,7 +129,7 @@ def _parse_diamond(path) -> HodgeDiamond:
     data = _load_json(path)
     _expect_keys(data, {"n", "h"}, path)
     n = data.get("n")
-    if not isinstance(n, int) or n < 0:
+    if not _is_int(n) or n < 0:
         raise TableError(f"{path}: 'n' must be a nonnegative integer")
     raw = data.get("h", {})
     if not isinstance(raw, dict):
@@ -140,7 +140,7 @@ def _parse_diamond(path) -> HodgeDiamond:
             p, q = (int(x) for x in key.split(","))
         except ValueError:
             raise TableError(f"{path}: h key {key!r} is not 'p,q'") from None
-        if not isinstance(value, int) or value < 0:
+        if not _is_int(value) or value < 0:
             raise TableError(f"{path}: h[{key!r}] must be a nonnegative integer")
         h[(p, q)] = value
     try:
@@ -229,7 +229,7 @@ def cmd_compute(args) -> int:
     lines = [f"model: {model.name}  (n={model.n})"]
     lines += _kb_lines(dims)
     lines.append(f"euler characteristic: {euler_char(dims)}")
-    if args.pages:
+    if args.pages is not None:
         sp = spectral_pages(kb_double_complex(model), args.pages)
         results["pages"] = {
             str(r): {f"{p},{q}": d for (p, q), d in sorted(page.items())}

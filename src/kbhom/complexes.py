@@ -20,14 +20,12 @@ from dataclasses import dataclass, field
 from .linalg import (
     Matrix,
     Subspace,
+    _reduce,
     complement_in,
     image_subspace,
     kernel_basis,
-    preimage_subspace,
     rank,
     solve,
-    subspace_intersection,
-    subspace_sum,
 )
 
 
@@ -318,18 +316,20 @@ class SpectralPages:
 
 
 def spectral_pages(dc: DoubleComplex, r_max: int) -> SpectralPages:
-    """Pages E_1..E_r_max plus the limit page, by exact subspace arithmetic.
+    """Pages E_1..E_r_max plus the limit page, read off persistence pairs.
 
-    The filtration is by columns (first index).  With k = p+q and
-    F^p = the span of cells with first index >= p inside the total degree,
-    the page dimensions are computed from approximate-cycle spaces
+    The filtration is by columns (first index): F^p, the span of the cells
+    with first index >= p, is a suffix of each total degree's coordinates.
+    Each total differential is column-reduced with rows and columns
+    reversed, so that every F^p is a prefix.  A pivot then pairs a
+    coordinate in column p_j with one in column p_i >= p_j; both survive
+    to page ℓ = p_i - p_j, where d_ℓ kills them.  Hence
 
-        Z_r(p,k) = F^p ∩ D^{-1} F^{p+r}
+        dim E_r^{p,q} = (unpaired coordinates in (p,q))
+                        + (pair ends in (p,q) with ℓ >= r),
 
-    as dim E_r^{p,q} = dim Z_r(p,k) - dim( Z_{r-1}(p+1,k) + D Z_{r-1}(p-r+1,k-1) ).
-    The limit page is taken at r = width+1, where no differential can
-    move between occupied columns any more; there it agrees with the
-    graded pieces of total homology.
+    and the sequence degenerates at page 1 + max ℓ.  The limit page is
+    recorded at r = width+1, past every pair.
     """
     if r_max < 1:
         raise ValueError("r_max must be >= 1")
@@ -337,76 +337,32 @@ def spectral_pages(dc: DoubleComplex, r_max: int) -> SpectralPages:
     if not dc.spaces:
         return SpectralPages(pages=[(r, {}) for r in range(1, r_max + 1)],
                              degeneration_page=1)
-    diffs = _total_differentials(dc, layouts)
+    cell_of = {k: [cell for cell, _ in lay for _ in range(dc.spaces[cell])]
+               for k, (lay, _) in layouts.items()}
+    unpaired = dict(dc.spaces)
+    lengths: dict = {cell: [] for cell in dc.spaces}
+    for k, d in _total_differentials(dc, layouts).items():
+        reversed_d = Matrix(d.rows, d.cols, {(d.rows - 1 - i, d.cols - 1 - j): v
+                                             for (i, j), v in d.entries.items()})
+        for i, j in _reduce(reversed_d)[0].items():
+            src = cell_of[k][d.cols - 1 - j]
+            tgt = cell_of[k + 1][d.rows - 1 - i]
+            for cell in (src, tgt):
+                unpaired[cell] -= 1
+                lengths[cell].append(tgt[0] - src[0])
+
+    def page(r: int) -> dict:
+        dims = {cell: unpaired[cell] + sum(ell >= r for ell in lengths[cell])
+                for cell in dc.cells()}
+        return {cell: d for cell, d in dims.items() if d}
+
     p_values = [p for (p, _) in dc.spaces]
-    width = max(p_values) - min(p_values) + 1
-    r_lim = width + 1
-    r_top = max(r_max, r_lim)
-
-    def dim_total(k: int) -> int:
-        lay = layouts.get(k)
-        return lay[1] if lay else 0
-
-    def differential(k: int) -> Matrix:
-        m = diffs.get(k)
-        return m if m is not None else Matrix.zero(dim_total(k + 1), dim_total(k))
-
-    filt_cache: dict = {}
-
-    def filtration(p: int, k: int) -> Subspace:
-        key = (p, k)
-        if key not in filt_cache:
-            lay = layouts.get(k)
-            if lay is None:
-                filt_cache[key] = Subspace.zero(0)
-            else:
-                coords = []
-                for (cp, _cq), off in lay[0]:
-                    if cp >= p:
-                        coords.extend(range(off, off + dc.spaces[(cp, _cq)]))
-                filt_cache[key] = Subspace(
-                    lay[1],
-                    Matrix(lay[1], len(coords),
-                           {(c, j): 1 for j, c in enumerate(coords)}),
-                    _checked=True)
-        return filt_cache[key]
-
-    z_cache: dict = {}
-
-    def approx_cycles(p: int, k: int, r: int) -> Subspace:
-        key = (p, k, r)
-        if key not in z_cache:
-            if r == 0:
-                z_cache[key] = filtration(p, k)
-            else:
-                pre = preimage_subspace(differential(k), filtration(p + r, k + 1))
-                z_cache[key] = subspace_intersection(filtration(p, k), pre)
-        return z_cache[key]
-
-    all_pages = []
-    for r in range(1, r_top + 1):
-        dims = {}
-        for (p, q) in dc.cells():
-            k = p + q
-            z = approx_cycles(p, k, r)
-            stay = approx_cycles(p + 1, k, r - 1)
-            hit = image_subspace(differential(k - 1),
-                                 approx_cycles(p - r + 1, k - 1, r - 1))
-            boundary = subspace_sum(stay, hit)
-            if not z.contains(boundary):
-                raise AssertionError(f"spectral subquotient broken at {(p, q)}, page {r}")
-            d = z.dim - boundary.dim
-            if d:
-                dims[(p, q)] = d
-        all_pages.append(dims)
-
-    limit = all_pages[r_lim - 1]
-    degeneration = next(r for r, dims in enumerate(all_pages, start=1)
-                        if dims == limit)
-    pages = [(r, all_pages[r - 1]) for r in range(1, r_max + 1)]
+    r_lim = max(p_values) - min(p_values) + 2
+    pages = [(r, page(r)) for r in range(1, r_max + 1)]
     if r_lim > r_max:
-        pages.append((r_lim, limit))
-    return SpectralPages(pages=pages, degeneration_page=degeneration)
+        pages.append((r_lim, page(r_lim)))
+    longest = max((ell for ells in lengths.values() for ell in ells), default=0)
+    return SpectralPages(pages=pages, degeneration_page=longest + 1)
 
 
 class ChainMap:

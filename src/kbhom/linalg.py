@@ -1,20 +1,24 @@
 """Exact sparse linear algebra over the rationals.
 
-Everything downstream (homology ranks, spectral subquotients, snake-lemma
-maps) reduces to the three primitives here: rank, kernel and subspace
-arithmetic.  All arithmetic is done with ``fractions.Fraction``; there is
-no floating point anywhere and identical inputs give identical outputs.
+Everything downstream (homology ranks, spectral pages, snake-lemma maps)
+reduces to one sparse column reduction, ``_reduce``; rank, kernel, solve
+and subspace bases are short reads of its result.  All arithmetic is done
+with ``fractions.Fraction``; there is no floating point anywhere and
+identical inputs give identical outputs.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 Q = Fraction
 
 def _q(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, (bool, float)):
+        raise TypeError(f"matrix entries must be exact, not {type(x).__name__}")
+    return Fraction(x)
 
 
 class Matrix:
@@ -175,142 +179,90 @@ class Matrix:
         return out
 
 
-def _integer_rows(m: Matrix) -> list:
-    """Dense integer rows of m after clearing denominators row by row.
+def _reduce(m: Matrix):
+    """Column reduction of m over Q, left to right.
 
-    Row scaling changes neither the rank nor the kernel.
+    The pivot of a column is its last nonzero row; while an earlier
+    reduced column owns that pivot, a multiple of the owner is subtracted.
+    Returns ``(owner, reduced, combo)``: ``owner`` maps each pivot row to
+    the column owning it, ``reduced[j]`` is column j after reduction as a
+    sparse ``{row: value}`` dict, empty iff column j depends on the columns
+    before it, and ``combo[j]`` writes ``reduced[j]`` as
+    ``{original column: coefficient}``.  So the pivot columns are the
+    greedy leftmost independent columns, and ``combo[j]`` is supported on
+    j and pivot columns only.
     """
-    sparse_rows: list[dict] = [{} for _ in range(m.rows)]
+    reduced = [{} for _ in range(m.cols)]
     for (i, j), v in m.entries.items():
-        sparse_rows[i][j] = v
-    out = []
-    for r in sparse_rows:
-        mult = 1
-        for v in r.values():
-            mult = lcm(mult, v.denominator)
-        dense = [0] * m.cols
-        for j, v in r.items():
-            dense[j] = int(v * mult)
-        out.append(dense)
-    return out
+        reduced[j][i] = v
+    owner = {}
+    combo = []
+    for j, col in enumerate(reduced):
+        comb = {j: Q(1)}
+        while col:
+            piv = max(col)
+            k = owner.get(piv)
+            if k is None:
+                owner[piv] = j
+                break
+            f = col[piv] / reduced[k][piv]
+            for src, dst in ((reduced[k], col), (combo[k], comb)):
+                for i, v in src.items():
+                    w = dst.get(i, 0) - f * v
+                    if w:
+                        dst[i] = w
+                    else:
+                        del dst[i]
+        combo.append(comb)
+    return owner, reduced, combo
 
 
-def _echelon(m: Matrix):
-    """Fraction-free (Bareiss) forward elimination.
-
-    Returns ``(rows, pivot_cols)``: integer echelon rows and the pivot
-    column of each.  Pivoting is deterministic: columns left to right,
-    smallest remaining row index first.
-    """
-    rows = _integer_rows(m)
-    nrows, ncols = m.rows, m.cols
-    pivot_cols = []
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        sel = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if sel is None:
-            continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        piv = rows[r][c]
-        for i in range(r + 1, nrows):
-            # every row below the pivot is updated, even when x == 0: the
-            # one-step Bareiss division is only exact if the rescaling by
-            # piv/prev is applied uniformly
-            x = rows[i][c]
-            src = rows[r]
-            dst = rows[i]
-            for j in range(c, ncols):
-                num = piv * dst[j] - x * src[j]
-                q, rem = divmod(num, prev)
-                if rem:
-                    raise ArithmeticError("inexact division in Bareiss step")
-                dst[j] = q
-        pivot_cols.append(c)
-        prev = piv
-        r += 1
-    return rows[:len(pivot_cols)], pivot_cols
+def _select_columns(m: Matrix, cols) -> Matrix:
+    """The columns of m listed in cols, in that order."""
+    new = {j: n for n, j in enumerate(cols)}
+    return Matrix(m.rows, len(new),
+                  {(i, new[j]): v for (i, j), v in m.entries.items() if j in new})
 
 
 def rank(m: Matrix) -> int:
     """Exact rank of m over Q."""
-    return len(_echelon(m)[1])
+    return len(_reduce(m)[0])
 
 
 def kernel_basis(m: Matrix) -> "Subspace":
     """Right kernel of m as a subspace of Q^cols.
 
-    The basis has one column per free column of the echelon form, with a
-    unit entry in that coordinate, so the columns are independent by
-    construction and the order is deterministic.
+    The basis has one column per column of m that depends on the columns
+    before it, with a unit entry in that coordinate and zeros at the other
+    such coordinates, so the columns are independent by construction and
+    the order is deterministic.
     """
-    rows, pivot_cols = _echelon(m)
-    pivot_set = set(pivot_cols)
-    free = [c for c in range(m.cols) if c not in pivot_set]
-    entries = {}
-    for idx, f in enumerate(free):
-        x = [Q(0)] * m.cols
-        x[f] = Q(1)
-        for i in reversed(range(len(pivot_cols))):
-            c = pivot_cols[i]
-            s = Q(0)
-            row = rows[i]
-            for j in range(c + 1, m.cols):
-                if row[j] and x[j]:
-                    s += Q(row[j]) * x[j]
-            x[c] = -s / row[c]
-        for coord, v in enumerate(x):
-            if v:
-                entries[(coord, idx)] = v
-    return Subspace(m.cols, Matrix(m.cols, len(free), entries))
+    _, reduced, combo = _reduce(m)
+    free = [j for j in range(m.cols) if not reduced[j]]
+    entries = {(c, idx): v for idx, j in enumerate(free) for c, v in combo[j].items()}
+    return Subspace(m.cols, Matrix(m.cols, len(free), entries), _checked=True)
 
 
 def solve(m: Matrix, b) -> list | None:
-    """One solution x of m*x = b (free variables set to 0), or None.
+    """The solution x of m*x = b supported on the pivot columns, or None.
 
     ``b`` may be a list of length m.rows or a single-column Matrix.
     """
     if isinstance(b, Matrix):
         if b.cols != 1 or b.rows != m.rows:
             raise ValueError("right-hand side shape mismatch")
-        b = b.column(0)
     elif len(b) != m.rows:
         raise ValueError("right-hand side length mismatch")
-    aug = [[Q(0)] * (m.cols + 1) for _ in range(m.rows)]
-    for (i, j), v in m.entries.items():
-        aug[i][j] = v
-    for i, v in enumerate(b):
-        aug[i][m.cols] = _q(v)
-    pivot_cols = []
-    r = 0
-    for c in range(m.cols):
-        if r == len(aug):
-            break
-        sel = next((i for i in range(r, len(aug)) if aug[i][c]), None)
-        if sel is None:
-            continue
-        aug[r], aug[sel] = aug[sel], aug[r]
-        piv = aug[r][c]
-        for i in range(r + 1, len(aug)):
-            x = aug[i][c]
-            if x:
-                for j in range(c, m.cols + 1):
-                    aug[i][j] -= x / piv * aug[r][j]
-        pivot_cols.append(c)
-        r += 1
-    for i in range(r, len(aug)):
-        if aug[i][m.cols]:
-            return None
+    else:
+        b = Matrix(m.rows, 1, {(i, 0): v for i, v in enumerate(b)})
+    _, reduced, combo = _reduce(Matrix.hstack(m, b))
+    if reduced[m.cols]:
+        return None
+    # 0 = reduced b = b + m*y, with y the entries of combo below m.cols; so x = -y
     x = [Q(0)] * m.cols
-    for i in reversed(range(len(pivot_cols))):
-        c = pivot_cols[i]
-        s = aug[i][m.cols]
-        for j in range(c + 1, m.cols):
-            if aug[i][j] and x[j]:
-                s -= aug[i][j] * x[j]
-        x[c] = s / aug[i][c]
+    for c, v in combo[m.cols].items():
+        if c < m.cols:
+            x[c] = -v
     return x
 
 
@@ -341,13 +293,8 @@ class Subspace:
     @classmethod
     def spanned_by(cls, m: Matrix) -> "Subspace":
         """The column space of m, with the pivot columns as basis."""
-        _, cols = _echelon(m)
-        entries = {}
-        for new_j, j in enumerate(cols):
-            for i, v in enumerate(m.column(j)):
-                if v:
-                    entries[(i, new_j)] = v
-        return cls(m.rows, Matrix(m.rows, len(cols), entries), _checked=True)
+        pivots = sorted(_reduce(m)[0].values())
+        return cls(m.rows, _select_columns(m, pivots), _checked=True)
 
     @property
     def dim(self) -> int:
@@ -363,50 +310,11 @@ class Subspace:
     def __repr__(self):
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
 
-    def contains_vector(self, v) -> bool:
-        stacked = Matrix.hstack(self.basis, Matrix.from_column(v))
-        return rank(stacked) == self.dim
-
     def contains(self, other: "Subspace") -> bool:
         if other.ambient_dim != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
         stacked = Matrix.hstack(self.basis, other.basis)
         return rank(stacked) == self.dim
-
-
-def subspace_arithmetic(u: Subspace, v: Subspace):
-    """(dim(U+V), dim(U∩V), dim((U+V)/V)) for subspaces of the same Q^n."""
-    if u.ambient_dim != v.ambient_dim:
-        raise ValueError("ambient dimension mismatch")
-    sum_dim = rank(Matrix.hstack(u.basis, v.basis))
-    intersection_dim = u.dim + v.dim - sum_dim
-    quotient_dim = sum_dim - v.dim
-    return sum_dim, intersection_dim, quotient_dim
-
-
-def coordinate_subspace(ambient_dim: int, coords) -> Subspace:
-    """Span of the unit vectors e_c for c in coords."""
-    coords = sorted(set(coords))
-    entries = {(c, j): Q(1) for j, c in enumerate(coords)}
-    return Subspace(ambient_dim, Matrix(ambient_dim, len(coords), entries),
-                    _checked=True)
-
-
-def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
-    if u.ambient_dim != v.ambient_dim:
-        raise ValueError("ambient dimension mismatch")
-    return Subspace.spanned_by(Matrix.hstack(u.basis, v.basis))
-
-
-def subspace_intersection(u: Subspace, v: Subspace) -> Subspace:
-    """U ∩ V from the kernel of [U | -V]."""
-    if u.ambient_dim != v.ambient_dim:
-        raise ValueError("ambient dimension mismatch")
-    paired = kernel_basis(Matrix.hstack(u.basis, -v.basis))
-    top = Matrix(u.dim, paired.dim,
-                 {(i, j): val for (i, j), val in paired.basis.entries.items()
-                  if i < u.dim})
-    return Subspace(u.ambient_dim, u.basis * top, _checked=True)
 
 
 def complement_in(sub: Subspace, within: Subspace) -> Matrix:
@@ -415,15 +323,9 @@ def complement_in(sub: Subspace, within: Subspace) -> Matrix:
     Requires sub ⊆ within; the returned columns represent a basis of the
     quotient within/sub, chosen deterministically.
     """
-    combined = Matrix.hstack(sub.basis, within.basis)
-    _, pivots = _echelon(combined)
-    chosen = [p - sub.dim for p in pivots if p >= sub.dim]
-    entries = {}
-    for new_j, j in enumerate(chosen):
-        for i, v in enumerate(within.basis.column(j)):
-            if v:
-                entries[(i, new_j)] = v
-    return Matrix(within.ambient_dim, len(chosen), entries)
+    owner = _reduce(Matrix.hstack(sub.basis, within.basis))[0]
+    chosen = sorted(p - sub.dim for p in owner.values() if p >= sub.dim)
+    return _select_columns(within.basis, chosen)
 
 
 def image_subspace(m: Matrix, s: Subspace) -> Subspace:
@@ -431,16 +333,3 @@ def image_subspace(m: Matrix, s: Subspace) -> Subspace:
     if s.ambient_dim != m.cols:
         raise ValueError("subspace does not live in the domain of m")
     return Subspace.spanned_by(m * s.basis)
-
-
-def preimage_subspace(m: Matrix, s: Subspace) -> Subspace:
-    """m^{-1}(S) as a subspace of Q^cols.
-
-    Uses the annihilator of S: if the rows of C cut out S, then the
-    preimage is the kernel of C*m.
-    """
-    if s.ambient_dim != m.rows:
-        raise ValueError("subspace does not live in the codomain of m")
-    annihilator = kernel_basis(s.basis.transpose())
-    cutter = annihilator.basis.transpose()
-    return kernel_basis(cutter * m)

@@ -143,12 +143,15 @@ def _matrix_to_strings(m: Matrix) -> list:
     return [[str(v) for v in row] for row in m.to_rows()]
 
 
+def _is_int(x) -> bool:
+    """A JSON integer: bool is a subclass of int but never one here."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _parse_rational(s, where: str) -> Fraction:
-    if isinstance(s, int):
+    if (isinstance(s, str) and _RATIONAL_RE.match(s)) or _is_int(s):
         return Fraction(s)
-    if not isinstance(s, str) or not _RATIONAL_RE.match(s):
-        raise ModelFileError(f"{where}: {s!r} is not a rational 'a/b' or integer string")
-    return Fraction(s)
+    raise ModelFileError(f"{where}: {s!r} is not a rational 'a/b' or integer string")
 
 
 def save_model(m: DolbeaultPoissonModel) -> dict:
@@ -193,7 +196,7 @@ def load_model(data: dict, lax: bool = False,
         if unknown:
             raise ModelFileError(f"unknown fields: {sorted(unknown)}")
     n = data.get("n")
-    if not isinstance(n, int) or n < 0:
+    if not _is_int(n) or n < 0:
         raise ModelFileError("field 'n' must be a nonnegative integer")
     raw_basis = data.get("basis")
     if not isinstance(raw_basis, dict):
@@ -222,7 +225,7 @@ def load_model(data: dict, lax: bool = False,
                     f"{where}: unknown fields {sorted(set(entry) - {'from', 'matrix'})}")
             src = entry.get("from")
             if (not isinstance(src, list) or len(src) != 2
-                    or not all(isinstance(x, int) for x in src)):
+                    or not all(_is_int(x) for x in src)):
                 raise ModelFileError(f"{where}: 'from' must be [p, q]")
             rows = entry.get("matrix")
             if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):

@@ -1,14 +1,27 @@
-"""Shared generators for randomized tests.
+"""Shared generators and slow oracles for randomized tests.
 
 Random complexes are built with honest d∘d = 0: the differential is
 factored as d^k = R_{k+1} S_k where the columns of R_{k+1} are drawn from
 the kernel of S_{k+1}, so consecutive compositions vanish identically.
+
+The oracles are the original dense algorithms: fraction-free (Bareiss)
+row elimination for rank, kernel and column space, a dense Fraction
+elimination for solve, and spectral pages by subspace arithmetic on
+approximate cycles.  They share no elimination code with ``kbhom.linalg``.
 """
 
 from fractions import Fraction
+from math import lcm
 
-from kbhom.complexes import Complex, DoubleComplex, tensor_double
-from kbhom.linalg import Matrix, kernel_basis
+from kbhom.complexes import (
+    Complex,
+    DoubleComplex,
+    SpectralPages,
+    _total_differentials,
+    _total_layout,
+    tensor_double,
+)
+from kbhom.linalg import Matrix, Subspace, kernel_basis
 
 
 def random_matrix(rng, rows, cols, density=0.5, span=3):
@@ -109,3 +122,285 @@ def random_split_ses(rng, lo=0, hi=2, max_dim=3):
         g_k1 = lift.get(k + 1, Matrix.zero(a.dim(k + 1), c.dim(k + 1)))
         twist[k] = a.d(k) * g_k - g_k1 * c.d(k)
     return split_ses(a, c, twist)
+
+
+def _integer_rows(m: Matrix) -> list:
+    """Dense integer rows of m after clearing denominators row by row.
+
+    Row scaling changes neither the rank nor the kernel.
+    """
+    sparse_rows: list[dict] = [{} for _ in range(m.rows)]
+    for (i, j), v in m.entries.items():
+        sparse_rows[i][j] = v
+    out = []
+    for r in sparse_rows:
+        mult = 1
+        for v in r.values():
+            mult = lcm(mult, v.denominator)
+        dense = [0] * m.cols
+        for j, v in r.items():
+            dense[j] = int(v * mult)
+        out.append(dense)
+    return out
+
+
+def _echelon(m: Matrix):
+    """Fraction-free (Bareiss) forward elimination.
+
+    Returns ``(rows, pivot_cols)``: integer echelon rows and the pivot
+    column of each.  Pivoting is deterministic: columns left to right,
+    smallest remaining row index first.
+    """
+    rows = _integer_rows(m)
+    nrows, ncols = m.rows, m.cols
+    pivot_cols = []
+    prev = 1
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        sel = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        piv = rows[r][c]
+        for i in range(r + 1, nrows):
+            # every row below the pivot is updated, even when x == 0: the
+            # one-step Bareiss division is only exact if the rescaling by
+            # piv/prev is applied uniformly
+            x = rows[i][c]
+            src = rows[r]
+            dst = rows[i]
+            for j in range(c, ncols):
+                num = piv * dst[j] - x * src[j]
+                q, rem = divmod(num, prev)
+                if rem:
+                    raise ArithmeticError("inexact division in Bareiss step")
+                dst[j] = q
+        pivot_cols.append(c)
+        prev = piv
+        r += 1
+    return rows[:len(pivot_cols)], pivot_cols
+
+
+def oracle_rank(m: Matrix) -> int:
+    return len(_echelon(m)[1])
+
+
+def oracle_kernel_basis(m: Matrix) -> Subspace:
+    """Unit-at-free-column kernel basis by back-substitution."""
+    rows, pivot_cols = _echelon(m)
+    pivot_set = set(pivot_cols)
+    free = [c for c in range(m.cols) if c not in pivot_set]
+    entries = {}
+    for idx, f in enumerate(free):
+        x = [Fraction(0)] * m.cols
+        x[f] = Fraction(1)
+        for i in reversed(range(len(pivot_cols))):
+            c = pivot_cols[i]
+            s = Fraction(0)
+            row = rows[i]
+            for j in range(c + 1, m.cols):
+                if row[j] and x[j]:
+                    s += Fraction(row[j]) * x[j]
+            x[c] = -s / row[c]
+        for coord, v in enumerate(x):
+            if v:
+                entries[(coord, idx)] = v
+    return Subspace(m.cols, Matrix(m.cols, len(free), entries), _checked=True)
+
+
+def oracle_solve(m: Matrix, b) -> list | None:
+    """One solution of m*x = b with the free variables set to 0, or None."""
+    aug = [[Fraction(0)] * (m.cols + 1) for _ in range(m.rows)]
+    for (i, j), v in m.entries.items():
+        aug[i][j] = v
+    for i, v in enumerate(b):
+        aug[i][m.cols] = Fraction(v)
+    pivot_cols = []
+    r = 0
+    for c in range(m.cols):
+        if r == len(aug):
+            break
+        sel = next((i for i in range(r, len(aug)) if aug[i][c]), None)
+        if sel is None:
+            continue
+        aug[r], aug[sel] = aug[sel], aug[r]
+        piv = aug[r][c]
+        for i in range(r + 1, len(aug)):
+            x = aug[i][c]
+            if x:
+                for j in range(c, m.cols + 1):
+                    aug[i][j] -= x / piv * aug[r][j]
+        pivot_cols.append(c)
+        r += 1
+    for i in range(r, len(aug)):
+        if aug[i][m.cols]:
+            return None
+    x = [Fraction(0)] * m.cols
+    for i in reversed(range(len(pivot_cols))):
+        c = pivot_cols[i]
+        s = aug[i][m.cols]
+        for j in range(c + 1, m.cols):
+            if aug[i][j] and x[j]:
+                s -= aug[i][j] * x[j]
+        x[c] = s / aug[i][c]
+    return x
+
+
+def _columns(m: Matrix, cols) -> Matrix:
+    entries = {}
+    for new_j, j in enumerate(cols):
+        for i, v in enumerate(m.column(j)):
+            if v:
+                entries[(i, new_j)] = v
+    return Matrix(m.rows, len(cols), entries)
+
+
+def oracle_spanned_by(m: Matrix) -> Subspace:
+    """The column space of m, with the echelon pivot columns as basis."""
+    return Subspace(m.rows, _columns(m, _echelon(m)[1]), _checked=True)
+
+
+def oracle_complement_in(sub: Subspace, within: Subspace) -> Matrix:
+    _, pivots = _echelon(Matrix.hstack(sub.basis, within.basis))
+    return _columns(within.basis, [p - sub.dim for p in pivots if p >= sub.dim])
+
+
+def oracle_contains(outer: Subspace, inner: Subspace) -> bool:
+    return oracle_rank(Matrix.hstack(outer.basis, inner.basis)) == outer.dim
+
+
+def subspace_arithmetic(u: Subspace, v: Subspace):
+    """(dim(U+V), dim(U∩V), dim((U+V)/V)) for subspaces of the same Q^n."""
+    if u.ambient_dim != v.ambient_dim:
+        raise ValueError("ambient dimension mismatch")
+    sum_dim = oracle_rank(Matrix.hstack(u.basis, v.basis))
+    intersection_dim = u.dim + v.dim - sum_dim
+    quotient_dim = sum_dim - v.dim
+    return sum_dim, intersection_dim, quotient_dim
+
+
+def coordinate_subspace(ambient_dim: int, coords) -> Subspace:
+    """Span of the unit vectors e_c for c in coords."""
+    coords = sorted(set(coords))
+    entries = {(c, j): Fraction(1) for j, c in enumerate(coords)}
+    return Subspace(ambient_dim, Matrix(ambient_dim, len(coords), entries),
+                    _checked=True)
+
+
+def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
+    if u.ambient_dim != v.ambient_dim:
+        raise ValueError("ambient dimension mismatch")
+    return oracle_spanned_by(Matrix.hstack(u.basis, v.basis))
+
+
+def subspace_intersection(u: Subspace, v: Subspace) -> Subspace:
+    """U ∩ V from the kernel of [U | -V]."""
+    if u.ambient_dim != v.ambient_dim:
+        raise ValueError("ambient dimension mismatch")
+    paired = oracle_kernel_basis(Matrix.hstack(u.basis, -v.basis))
+    top = Matrix(u.dim, paired.dim,
+                 {(i, j): val for (i, j), val in paired.basis.entries.items()
+                  if i < u.dim})
+    return Subspace(u.ambient_dim, u.basis * top, _checked=True)
+
+
+def preimage_subspace(m: Matrix, s: Subspace) -> Subspace:
+    """m^{-1}(S) as the kernel of C*m, where the rows of C cut out S."""
+    if s.ambient_dim != m.rows:
+        raise ValueError("subspace does not live in the codomain of m")
+    annihilator = oracle_kernel_basis(s.basis.transpose())
+    cutter = annihilator.basis.transpose()
+    return oracle_kernel_basis(cutter * m)
+
+
+def oracle_spectral_pages(dc: DoubleComplex, r_max: int) -> SpectralPages:
+    """Spectral pages by subspace arithmetic on approximate cycles.
+
+    With k = p+q and F^p the span of the cells with first index >= p,
+
+        Z_r(p,k) = F^p ∩ D^{-1} F^{p+r},
+        dim E_r^{p,q} = dim Z_r(p,k) - dim( Z_{r-1}(p+1,k) + D Z_{r-1}(p-r+1,k-1) ).
+
+    The limit page is taken at r = width+1.
+    """
+    if r_max < 1:
+        raise ValueError("r_max must be >= 1")
+    layouts = _total_layout(dc)
+    if not dc.spaces:
+        return SpectralPages(pages=[(r, {}) for r in range(1, r_max + 1)],
+                             degeneration_page=1)
+    diffs = _total_differentials(dc, layouts)
+    p_values = [p for (p, _) in dc.spaces]
+    r_lim = max(p_values) - min(p_values) + 2
+    r_top = max(r_max, r_lim)
+
+    def dim_total(k: int) -> int:
+        lay = layouts.get(k)
+        return lay[1] if lay else 0
+
+    def differential(k: int) -> Matrix:
+        m = diffs.get(k)
+        return m if m is not None else Matrix.zero(dim_total(k + 1), dim_total(k))
+
+    def filtration(p: int, k: int) -> Subspace:
+        lay = layouts.get(k)
+        if lay is None:
+            return Subspace.zero(0)
+        coords = []
+        for cell, off in lay[0]:
+            if cell[0] >= p:
+                coords.extend(range(off, off + dc.spaces[cell]))
+        return coordinate_subspace(lay[1], coords)
+
+    z_cache: dict = {}
+
+    def approx_cycles(p: int, k: int, r: int) -> Subspace:
+        key = (p, k, r)
+        if key not in z_cache:
+            if r == 0:
+                z_cache[key] = filtration(p, k)
+            else:
+                pre = preimage_subspace(differential(k), filtration(p + r, k + 1))
+                z_cache[key] = subspace_intersection(filtration(p, k), pre)
+        return z_cache[key]
+
+    all_pages = []
+    for r in range(1, r_top + 1):
+        dims = {}
+        for (p, q) in dc.cells():
+            k = p + q
+            z = approx_cycles(p, k, r)
+            stay = approx_cycles(p + 1, k, r - 1)
+            hit = oracle_spanned_by(differential(k - 1)
+                                    * approx_cycles(p - r + 1, k - 1, r - 1).basis)
+            boundary = subspace_sum(stay, hit)
+            if not oracle_contains(z, boundary):
+                raise AssertionError(f"spectral subquotient broken at {(p, q)}, page {r}")
+            d = z.dim - boundary.dim
+            if d:
+                dims[(p, q)] = d
+        all_pages.append(dims)
+
+    limit = all_pages[r_lim - 1]
+    degeneration = next(r for r, dims in enumerate(all_pages, start=1)
+                        if dims == limit)
+    pages = [(r, all_pages[r - 1]) for r in range(1, r_max + 1)]
+    if r_lim > r_max:
+        pages.append((r_lim, limit))
+    return SpectralPages(pages=pages, degeneration_page=degeneration)
+
+
+def staircase_double_complex() -> DoubleComplex:
+    """Six lines (0,2),(1,2),(1,1),(2,1),(2,0),(3,0) joined by unit maps.
+
+    The zigzag (0,2) -> (1,2) <- (1,1) -> (2,1) <- (2,0) -> (3,0) is
+    acyclic, but E_1 keeps (0,2) and (3,0), which only d_3 connects: the
+    sequence degenerates at page 4.
+    """
+    one = Matrix(1, 1, {(0, 0): 1})
+    cells = [(0, 2), (1, 2), (1, 1), (2, 1), (2, 0), (3, 0)]
+    return DoubleComplex({cell: 1 for cell in cells},
+                         d1={(0, 2): one, (1, 1): one, (2, 0): one},
+                         d2={(1, 1): one, (2, 0): one})

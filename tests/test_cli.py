@@ -252,6 +252,26 @@ def test_table_with_unknown_field_exits_1(tmp_path, capsys):
     assert main(["blowup-point", bad]) == 1
 
 
+@pytest.mark.parametrize("command, table", [
+    ("blowup-point", {"n": True, "dims": {}}),
+    ("blowup-point", {"n": 1, "dims": {"0": True}}),
+    ("leray-hirsch", {"dims": {"0": True}}),
+    ("pbundle", {"n": True, "h": {}}),
+    ("pbundle", {"n": 0, "h": {"0,0": True}}),
+])
+def test_table_rejects_booleans_exits_1(tmp_path, capsys, command, table):
+    path = write_json(tmp_path / "bool.json", table)
+    extra = {"leray-hirsch": ["--classes", "0,0"], "pbundle": ["-r", "2"]}
+    assert main([command, path] + extra.get(command, [])) == 1
+    assert "must be a nonnegative integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("pages", ["0", "-1"])
+def test_compute_rejects_nonpositive_pages(torus1_file, capsys, pages):
+    assert main(["compute", torus1_file, "--pages", pages]) == 1
+    assert "r_max must be >= 1" in capsys.readouterr().err
+
+
 def test_unknown_command_exits_1(capsys):
     assert main(["frobnicate"]) == 1
 

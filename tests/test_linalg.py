@@ -6,12 +6,14 @@ import pytest
 from kbhom.linalg import (
     Matrix,
     Subspace,
-    coordinate_subspace,
     image_subspace,
     kernel_basis,
-    preimage_subspace,
     rank,
     solve,
+)
+from support import (
+    coordinate_subspace,
+    preimage_subspace,
     subspace_arithmetic,
     subspace_intersection,
     subspace_sum,
@@ -46,6 +48,14 @@ def random_matrix(rng, rows, cols, density=0.6):
             if rng.random() < density:
                 entries[(i, j)] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
     return Matrix(rows, cols, entries)
+
+
+@pytest.mark.parametrize("bad", [0.1, 1.0, True, False])
+def test_matrix_rejects_float_and_bool_entries(bad):
+    with pytest.raises(TypeError):
+        Matrix(1, 1, {(0, 0): bad})
+    with pytest.raises(TypeError):
+        Matrix.from_rows([[bad]])
 
 
 def test_rank_empty():
@@ -100,7 +110,7 @@ def test_rank_stress_larger_and_rank_deficient():
     for _ in range(10):
         rows, cols = rng.randint(8, 12), rng.randint(8, 12)
         m = random_matrix(rng, rows, cols, density=0.8)
-        # adjoin dependent rows to force deficiency through the Bareiss path
+        # adjoin multiples of existing rows: more rows, same rank
         extra = {}
         base = m.to_rows()
         for i in range(rows):

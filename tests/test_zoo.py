@@ -156,6 +156,27 @@ def test_load_rejects_float_entries():
         load_model(data)
 
 
+def test_load_rejects_boolean_n():
+    data = save_model(torus(1))
+    data["n"] = True
+    with pytest.raises(ModelFileError, match="'n'"):
+        load_model(data)
+
+
+def test_load_rejects_boolean_matrix_entry():
+    data = save_model(torus(1))
+    data["contraction"] = [{"from": [1, 0], "matrix": [[True]]}]
+    with pytest.raises(ModelFileError, match="rational"):
+        load_model(data)
+
+
+def test_load_rejects_boolean_from_index():
+    data = save_model(torus(1))
+    data["contraction"] = [{"from": [True, 0], "matrix": [["0"]]}]
+    with pytest.raises(ModelFileError, match="'from'"):
+        load_model(data)
+
+
 def test_load_rejects_bad_shape():
     data = save_model(torus(1))
     data["delbar"] = [{"from": [0, 0], "matrix": [["1", "1"]]}]
