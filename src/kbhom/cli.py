@@ -14,11 +14,9 @@ in the report metadata.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 from datetime import datetime, timezone
-from pathlib import Path
 
 from . import __version__
 from .complexes import spectral_pages
@@ -49,7 +47,7 @@ from .stein import (
     SliceCapError,
     stein_homology,
 )
-from .zoo import ModelFileError, _is_int, read_model
+from .zoo import ModelFileError, _is_int, load_model, read_json
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -68,20 +66,12 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_PARSE)
 
 
-def _sha256(path) -> str:
-    try:
-        return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-    except OSError as exc:
-        raise TableError(f"{path}: {exc.strerror or exc}") from None
-
-
-def _load_json(path):
-    try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise TableError(f"{path}: line {exc.lineno}: {exc.msg}") from None
-    except OSError as exc:
-        raise TableError(f"{path}: {exc.strerror or exc}") from None
+def _load_json(path, inputs: list):
+    """Parse one input file and record its path and the sha256 of the
+    bytes parsed in ``inputs``, the report's input list."""
+    data, digest = read_json(path)
+    inputs.append({"path": str(path), "sha256": digest})
+    return data
 
 
 def _expect_keys(data, keys, path):
@@ -107,8 +97,8 @@ def _int_keyed(raw, path, what):
     return out
 
 
-def _parse_kb_table(path) -> KBDims:
-    data = _load_json(path)
+def _parse_kb_table(path, inputs) -> KBDims:
+    data = _load_json(path, inputs)
     _expect_keys(data, {"n", "dims"}, path)
     n = data.get("n")
     if not _is_int(n) or n < 0:
@@ -119,14 +109,14 @@ def _parse_kb_table(path) -> KBDims:
         raise TableError(f"{path}: {exc}") from None
 
 
-def _parse_hh_table(path) -> HHDims:
-    data = _load_json(path)
+def _parse_hh_table(path, inputs) -> HHDims:
+    data = _load_json(path, inputs)
     _expect_keys(data, {"dims"}, path)
     return HHDims(_int_keyed(data.get("dims", {}), path, "dims"))
 
 
-def _parse_diamond(path) -> HodgeDiamond:
-    data = _load_json(path)
+def _parse_diamond(path, inputs) -> HodgeDiamond:
+    data = _load_json(path, inputs)
     _expect_keys(data, {"n", "h"}, path)
     n = data.get("n")
     if not _is_int(n) or n < 0:
@@ -172,7 +162,7 @@ def _emit(args, command, inputs, results, metadata=None, lines=None) -> None:
     report = {
         "command": command,
         "engine": {"name": "kbhom", "version": __version__},
-        "inputs": [{"path": str(p), "sha256": _sha256(p)} for p in inputs],
+        "inputs": inputs,
         "metadata": metadata or {},
         "results": results,
     }
@@ -200,7 +190,9 @@ def _hypotheses(args) -> dict:
 
 
 def cmd_check(args) -> int:
-    model = read_model(args.path, lax=args.lax, validate=False)
+    inputs = []
+    model = load_model(_load_json(args.path, inputs),
+                       lax=args.lax, validate=False)
     report = validate_model(model)
     results = {
         "model": model.name,
@@ -217,12 +209,13 @@ def cmd_check(args) -> int:
         else:
             lines.append(f"  FAIL  {c.identity}  at bidegree {c.bidegree}")
     lines.append("result: PASS" if report.ok else "result: FAIL")
-    _emit(args, "check", [args.path], results, lines=lines)
+    _emit(args, "check", inputs, results, lines=lines)
     return EXIT_OK if report.ok else EXIT_INVALID
 
 
 def cmd_compute(args) -> int:
-    model = read_model(args.path, lax=args.lax)
+    inputs = []
+    model = load_model(_load_json(args.path, inputs), lax=args.lax)
     dims = kb_homology(model)
     results = {"model": model.name, "kb": _kb_out(dims),
                "euler_characteristic": euler_char(dims)}
@@ -240,7 +233,7 @@ def cmd_compute(args) -> int:
             for (p, q), d in sorted(page.items()):
                 lines.append(f"  ({p},{q})  {d}")
         lines.append(f"degeneration page: {sp.degeneration_page}")
-    _emit(args, "compute", [args.path], results, lines=lines)
+    _emit(args, "compute", inputs, results, lines=lines)
     return EXIT_OK
 
 
@@ -259,7 +252,8 @@ def _parse_weights(text: str) -> list:
 
 
 def cmd_stein(args) -> int:
-    raw = _load_json(args.pi)
+    inputs = []
+    raw = _load_json(args.pi, inputs)
     if not isinstance(raw, list):
         raise TableError(f"{args.pi}: bivector file must be a JSON list of terms")
     try:
@@ -280,23 +274,25 @@ def cmd_stein(args) -> int:
     for w in sorted(per_weight):
         for k in sorted(per_weight[w]):
             lines.append(f"  {w}  {k}  {per_weight[w][k]}")
-    _emit(args, "stein", [args.pi], results, lines=lines)
+    _emit(args, "stein", inputs, results, lines=lines)
     return EXIT_OK
 
 
 def cmd_kunneth(args) -> int:
-    a = _parse_kb_table(args.x)
-    b = _parse_kb_table(args.y)
+    inputs = []
+    a = _parse_kb_table(args.x, inputs)
+    b = _parse_kb_table(args.y, inputs)
     result = kunneth_dims(a, b)
     results = {"kb": _kb_out(result), "euler_characteristic": euler_char(result)}
     lines = [f"n: {result.n}"] + _kb_lines(result)
-    _emit(args, "kunneth", [args.x, args.y], results,
+    _emit(args, "kunneth", inputs, results,
           metadata=_hypotheses(args), lines=lines)
     return EXIT_OK
 
 
 def cmd_leray_hirsch(args) -> int:
-    hh = _parse_hh_table(args.table)
+    inputs = []
+    hh = _parse_hh_table(args.table, inputs)
     try:
         classes = []
         for chunk in args.classes.replace(";", " ").split():
@@ -312,7 +308,7 @@ def cmd_leray_hirsch(args) -> int:
                "classes": [list(c) for c in classes]}
     lines = ["  k  dim HH_k"]
     lines += [f"  {k}  {v}" for k, v in sorted(result.dims.items())]
-    _emit(args, "leray-hirsch", [args.table], results, lines=lines)
+    _emit(args, "leray-hirsch", inputs, results, lines=lines)
     return EXIT_OK
 
 
@@ -325,41 +321,45 @@ def cmd_flag(args) -> int:
 
 
 def cmd_pbundle(args) -> int:
-    hy = _parse_diamond(args.diamond)
+    inputs = []
+    hy = _parse_diamond(args.diamond, inputs)
     result = projective_bundle_hodge(hy, args.r)
     results = {"hodge": _diamond_out(result)}
     lines = [f"n: {result.n}", "  (p,q)  h^{p,q}"]
     lines += [f"  ({p},{q})  {v}" for (p, q), v in sorted(result.h.items())]
-    _emit(args, "pbundle", [args.diamond], results, lines=lines)
+    _emit(args, "pbundle", inputs, results, lines=lines)
     return EXIT_OK
 
 
 def cmd_blowup(args) -> int:
-    data = BlowupData(args.r, _parse_kb_table(args.x),
-                      _parse_kb_table(args.y), _parse_kb_table(args.e))
+    inputs = []
+    data = BlowupData(args.r, _parse_kb_table(args.x, inputs),
+                      _parse_kb_table(args.y, inputs), _parse_kb_table(args.e, inputs))
     result = blowup_kb(data)
     results = {"kb": _kb_out(result), "euler_characteristic": euler_char(result)}
     lines = [f"n: {result.n}  codimension: {args.r}"] + _kb_lines(result)
-    _emit(args, "blowup", [args.x, args.y, args.e], results,
+    _emit(args, "blowup", inputs, results,
           metadata=_hypotheses(args), lines=lines)
     return EXIT_OK
 
 
 def cmd_blowup_point(args) -> int:
-    x = _parse_kb_table(args.x)
+    inputs = []
+    x = _parse_kb_table(args.x, inputs)
     result = blowup_point_kb(x)
     results = {"kb": _kb_out(result), "euler_characteristic": euler_char(result)}
     lines = [f"n: {result.n}"] + _kb_lines(result)
-    _emit(args, "blowup-point", [args.x], results,
+    _emit(args, "blowup-point", inputs, results,
           metadata=_hypotheses(args), lines=lines)
     return EXIT_OK
 
 
 def cmd_mv_check(args) -> int:
-    u = _parse_kb_table(args.u)
-    v = _parse_kb_table(args.v)
-    uv = _parse_kb_table(args.uv)
-    union = _parse_kb_table(args.union)
+    inputs = []
+    u = _parse_kb_table(args.u, inputs)
+    v = _parse_kb_table(args.v, inputs)
+    uv = _parse_kb_table(args.uv, inputs)
+    union = _parse_kb_table(args.union, inputs)
     verdict = mv_euler_check(u, v, uv, union)
     results = {"consistent": verdict,
                "euler": {"u": euler_char(u), "v": euler_char(v),
@@ -367,8 +367,7 @@ def cmd_mv_check(args) -> int:
     lines = [f"chi(U)={euler_char(u)}  chi(V)={euler_char(v)}  "
              f"chi(U∩V)={euler_char(uv)}  chi(U∪V)={euler_char(union)}",
              f"verdict: {'consistent' if verdict else 'inconsistent'}"]
-    _emit(args, "mv-check", [args.u, args.v, args.uv, args.union],
-          results, lines=lines)
+    _emit(args, "mv-check", inputs, results, lines=lines)
     return EXIT_OK if verdict else EXIT_INCONSISTENT
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from types import MappingProxyType
 
 from .linalg import Matrix
 
@@ -148,10 +149,15 @@ def normalize_bivector_coeffs(n: int, coeffs) -> dict:
 
 
 class DolbeaultPoissonModel:
-    """Immutable finite model; operators are sparse blocks per bidegree."""
+    """Immutable finite model; operators are sparse blocks per bidegree.
+
+    The first ``validate_model`` call stores its report and the derived
+    Koszul differential in ``_validated``; the model cannot change, so
+    later calls reuse them.
+    """
 
     __slots__ = ("n", "basis", "del_blocks", "delbar_blocks",
-                 "contraction_blocks", "wedge", "name", "metadata")
+                 "contraction_blocks", "wedge", "name", "metadata", "_validated")
 
     def __init__(self, n, basis, del_blocks=None, delbar_blocks=None,
                  contraction_blocks=None, wedge=None, name="model", metadata=None):
@@ -164,15 +170,17 @@ class DolbeaultPoissonModel:
                     raise ValueError(f"basis bidegree {(p, q)} outside [0,{n}]²")
                 clean_basis[(p, q)] = tuple(labels)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "basis", clean_basis)
+        # read-only views, so the stored validation cannot go stale
+        object.__setattr__(self, "basis", MappingProxyType(clean_basis))
         object.__setattr__(self, "del_blocks", self._clean(del_blocks, 1, 0))
         object.__setattr__(self, "delbar_blocks", self._clean(delbar_blocks, 0, 1))
         object.__setattr__(self, "contraction_blocks", self._clean(contraction_blocks, -2, 0))
         object.__setattr__(self, "wedge", wedge)
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "metadata", dict(metadata or {}))
+        object.__setattr__(self, "_validated", None)
 
-    def _clean(self, blocks, dp, dq) -> dict:
+    def _clean(self, blocks, dp, dq) -> MappingProxyType:
         out = {}
         for (p, q), m in (blocks or {}).items():
             expected = (self.dim(p + dp, q + dq), self.dim(p, q))
@@ -181,7 +189,7 @@ class DolbeaultPoissonModel:
                     f"operator block at {(p, q)} has shape {m.shape}, expected {expected}")
             if not m.is_zero():
                 out[(p, q)] = m
-        return out
+        return MappingProxyType(out)
 
     def __setattr__(self, name, value):
         raise AttributeError("model is immutable")
@@ -300,7 +308,13 @@ IDENTITY_NAMES = (
 
 def validate_model(m: DolbeaultPoissonModel) -> ValidationReport:
     """Check all five operator identities, reporting the first offending
-    bidegree and the matrix residual per identity."""
+    bidegree and the matrix residual per identity.
+
+    The identities are checked once per model; later calls return the
+    stored report.
+    """
+    if m._validated is not None:
+        return m._validated[0]
     kos = KoszulDifferential(_koszul_blocks(m))
 
     def delpi(p, q):
@@ -327,18 +341,19 @@ def validate_model(m: DolbeaultPoissonModel) -> ValidationReport:
                 failure = CheckResult(name, False, (p, q), residual)
                 break
         checks.append(failure or CheckResult(name, True))
-    return ValidationReport(checks)
+    report = ValidationReport(checks)
+    object.__setattr__(m, "_validated", (report, kos))
+    return report
 
 
 def koszul_differential(m: DolbeaultPoissonModel) -> KoszulDifferential:
-    """The derived Koszul differential, validated on construction."""
-    report = validate_model(m)
-    bad = report.first_failure()
+    """The derived Koszul differential of a model that passes validation."""
+    bad = validate_model(m).first_failure()
     if bad is not None:
         raise ModelValidationError(
             f"not a valid holomorphic Poisson model: {bad.identity} fails at "
             f"bidegree {bad.bidegree}", identity=bad.identity, bidegree=bad.bidegree)
-    return KoszulDifferential(_koszul_blocks(m))
+    return m._validated[1]
 
 
 def product_model(mx: DolbeaultPoissonModel,

@@ -16,6 +16,8 @@ is provenance recorded in metadata, never used in computation.
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
 import re
 from fractions import Fraction
@@ -140,7 +142,10 @@ def hodge_formal(h: HodgeDiamond) -> DolbeaultPoissonModel:
 
 
 def _matrix_to_strings(m: Matrix) -> list:
-    return [[str(v) for v in row] for row in m.to_rows()]
+    rows = [["0"] * m.cols for _ in range(m.rows)]
+    for (i, j), v in m.entries.items():
+        rows[i][j] = str(v)
+    return rows
 
 
 def _is_int(x) -> bool:
@@ -236,6 +241,8 @@ def load_model(data: dict, lax: bool = False,
                 if len(row) != ncols:
                     raise ModelFileError(f"{where}: ragged matrix rows")
                 for j, s in enumerate(row):
+                    if s == "0":  # most entries; absent from the sparse matrix
+                        continue
                     v = _parse_rational(s, f"{where}.matrix[{i}][{j}]")
                     if v:
                         entries[(i, j)] = v
@@ -277,12 +284,24 @@ def write_model(m: DolbeaultPoissonModel, path) -> None:
     Path(path).write_text(model_to_json(m), encoding="utf-8")
 
 
-def read_model(path, lax: bool = False,
-               validate: bool = True) -> DolbeaultPoissonModel:
+def read_json(path) -> tuple:
+    """Parse the UTF-8 JSON file at path, reading it once.
+
+    Returns the data and the sha256 hex digest of the bytes parsed.
+    Unreadable files and JSON syntax errors raise ``ModelFileError``.
+    """
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        raw = Path(path).read_bytes()
+        # decoded as read_text would: strict UTF-8, universal newlines
+        text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").read()
+        return json.loads(text), hashlib.sha256(raw).hexdigest()
     except json.JSONDecodeError as exc:
         raise ModelFileError(f"{path}: line {exc.lineno}: {exc.msg}") from None
     except OSError as exc:
         raise ModelFileError(f"{path}: {exc.strerror or exc}") from None
+
+
+def read_model(path, lax: bool = False,
+               validate: bool = True) -> DolbeaultPoissonModel:
+    data, _ = read_json(path)
     return load_model(data, lax=lax, validate=validate)

@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -53,6 +55,37 @@ def test_check_bad_json(tmp_path, capsys):
 
 def test_check_missing_file(tmp_path, capsys):
     assert main(["check", str(tmp_path / "nope.json")]) == 1
+
+
+def test_reported_sha256_is_of_the_input_bytes(torus1_file, torus1_table,
+                                               surface_table, capsys):
+    for argv, paths in ((["compute", torus1_file], [torus1_file]),
+                        (["kunneth", torus1_table, surface_table],
+                         [torus1_table, surface_table])):
+        rc, report = run_json(capsys, argv)
+        assert rc == 0
+        assert report["inputs"] == [
+            {"path": p, "sha256": hashlib.sha256(Path(p).read_bytes()).hexdigest()}
+            for p in paths]
+
+
+@pytest.mark.parametrize("command", ["check", "kunneth"])
+def test_missing_input_names_path_and_exits_1(tmp_path, torus1_table, capsys,
+                                              command):
+    missing = str(tmp_path / "nope.json")
+    argv = [command, missing] + ([torus1_table] if command == "kunneth" else [])
+    assert main(argv) == 1
+    assert f"{missing}: No such file or directory" in capsys.readouterr().err
+
+
+def test_utf16_inputs_exit_1(tmp_path, torus1_table, capsys):
+    model = tmp_path / "m16.json"
+    model.write_text(json.dumps(save_model(torus(1))), encoding="utf-16")
+    table = tmp_path / "t16.json"
+    table.write_text(Path(torus1_table).read_text(encoding="utf-8"),
+                     encoding="utf-16")
+    assert main(["check", str(model)]) == 1
+    assert main(["kunneth", str(table), torus1_table]) == 1
 
 
 def test_check_corrupted_matrix_shape_exits_1(tmp_path, capsys):

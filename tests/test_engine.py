@@ -10,6 +10,8 @@ from kbhom.engine import (
     kb_double_complex,
     kb_homology,
 )
+from kbhom.linalg import Matrix
+from kbhom.models import DolbeaultPoissonModel, ModelValidationError
 from kbhom.zoo import hodge_formal, parallelizable, point, torus
 
 
@@ -32,6 +34,21 @@ def test_kb_double_complex_heisenberg_has_nonzero_d1():
     dc = kb_double_complex(heisenberg3({(1, 2): 1}))
     assert dc.d1
     dc.validate()
+
+
+def test_kb_homology_rejects_model_with_nonzero_delpi_square():
+    # del² = 0 and delbar = 0, but delpi∘delpi ≠ 0 at (2,0); the bicomplex
+    # is built unchecked, so the model validation must catch it
+    m = DolbeaultPoissonModel(
+        3, {(0, 0): ["e"], (1, 0): ["x"], (2, 0): ["y1", "y2"], (3, 0): ["w"]},
+        del_blocks={(1, 0): Matrix(2, 1, {(0, 0): 1}),
+                    (2, 0): Matrix(1, 2, {(0, 1): 1})},
+        contraction_blocks={(2, 0): Matrix(1, 2, {(0, 0): 1}),
+                            (3, 0): Matrix(1, 1, {(0, 0): 1})})
+    with pytest.raises(ModelValidationError) as err:
+        kb_homology(m)
+    assert err.value.identity == "delpi∘delpi"
+    assert err.value.bidegree == (2, 0)
 
 
 def test_kb_homology_torus1():

@@ -155,6 +155,19 @@ def test_koszul_differential_raises_on_invalid_model():
         koszul_differential(m)
 
 
+@pytest.mark.parametrize("field", [
+    "basis", "del_blocks", "delbar_blocks", "contraction_blocks"])
+def test_model_mappings_are_read_only_after_validation(field):
+    # the stored validation report must describe the model's current blocks
+    m = torus(2)
+    assert validate_model(m).ok
+    with pytest.raises(TypeError):
+        getattr(m, field)[(0, 0)] = Matrix(2, 1, {(0, 0): 1})
+    with pytest.raises(AttributeError):
+        getattr(m, field).clear()
+    assert validate_model(m).ok
+
+
 def test_product_with_point_is_isomorphic_copy():
     m = heisenberg3({(1, 2): 1})
     prod = product_model(m, point())

@@ -5,7 +5,13 @@ from math import comb
 import pytest
 
 from kbhom.engine import HodgeDiamond, kb_homology
-from kbhom.models import ModelValidationError, koszul_differential, validate_model
+from kbhom import models
+from kbhom.models import (
+    ModelValidationError,
+    koszul_differential,
+    product_model,
+    validate_model,
+)
 from kbhom.zoo import (
     ModelFileError,
     StructureConstantError,
@@ -177,6 +183,37 @@ def test_load_rejects_boolean_from_index():
         load_model(data)
 
 
+def _one_entry_delbar(entry):
+    # torus(1) with a single 1x1 delbar block (0,0) -> (0,1)
+    data = save_model(torus(1))
+    data["delbar"] = [{"from": [0, 0], "matrix": [[entry]]}]
+    return data
+
+
+@pytest.mark.parametrize("entry", ["0", "-0", "+0", "00", "0/7", 0])
+def test_load_reads_zero_spellings_as_absent(entry):
+    m = load_model(_one_entry_delbar(entry))
+    assert m.delbar_blocks == {}
+
+
+@pytest.mark.parametrize("entry", ["0.0", " 0", 0.0, False])
+def test_load_rejects_inexact_zero_spellings(entry):
+    with pytest.raises(ModelFileError, match="rational"):
+        load_model(_one_entry_delbar(entry))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: parallelizable(3, {(1, 2, 3): 1}, {(1, 2): 1}),
+    lambda: product_model(torus(1), parallelizable(3, {(1, 2, 3): 1}, {(1, 2): 1})),
+], ids=["heis3", "t1xheis3"])
+def test_load_of_save_gives_identical_blocks(build):
+    m = build()
+    loaded = load_model(save_model(m))
+    assert loaded.basis == m.basis
+    for field in ("del_blocks", "delbar_blocks", "contraction_blocks"):
+        assert getattr(loaded, field) == getattr(m, field), field
+
+
 def test_load_rejects_bad_shape():
     data = save_model(torus(1))
     data["delbar"] = [{"from": [0, 0], "matrix": [["1", "1"]]}]
@@ -189,6 +226,21 @@ def test_read_reports_json_parse_errors(tmp_path):
     path.write_text("{not json", encoding="utf-8")
     with pytest.raises(ModelFileError, match="line"):
         read_model(path)
+
+
+def test_kb_homology_of_read_model_builds_koszul_blocks_once(tmp_path, monkeypatch):
+    path = tmp_path / "m.json"
+    write_model(parallelizable(3, {(1, 2, 3): 1}, {(1, 2): 1}), path)
+    calls = []
+    build = models._koszul_blocks
+
+    def counted(m):
+        calls.append(m)
+        return build(m)
+
+    monkeypatch.setattr(models, "_koszul_blocks", counted)
+    kb_homology(read_model(path))
+    assert len(calls) == 1
 
 
 def test_save_is_deterministic():
