@@ -26,6 +26,7 @@ from .engine import (
     hodge_diamond,
     kb_double_complex,
     kb_homology,
+    kb_spectral,
 )
 from .linalg import Matrix, Subspace, kernel_basis, rank
 from .models import (

@@ -2,7 +2,9 @@
 
 Commands: check, compute, stein, kunneth, leray-hirsch, flag, pbundle,
 blowup, blowup-point, mv-check.  Exit codes are stable: 0 success,
-1 parse/usage error, 2 validation or model error, 3 inconsistency.
+1 parse/usage error, 2 validation or model error, 3 inconsistency,
+4 internal error (a failed internal consistency check or an arithmetic
+fault, i.e. a bug in kbhom rather than in the input).
 JSON and text output carry the same numbers; --json --no-timestamp
 output is byte-identical across runs on identical inputs.
 
@@ -19,14 +21,13 @@ import sys
 from datetime import datetime, timezone
 
 from . import __version__
-from .complexes import spectral_pages
 from .engine import (
     HHDims,
     HodgeDiamond,
     KBDims,
     euler_char,
-    kb_double_complex,
     kb_homology,
+    kb_spectral,
 )
 from .models import ModelValidationError, validate_model
 from .rules import (
@@ -53,6 +54,7 @@ EXIT_OK = 0
 EXIT_PARSE = 1
 EXIT_INVALID = 2
 EXIT_INCONSISTENT = 3
+EXIT_INTERNAL = 4
 
 
 class TableError(ValueError):
@@ -216,14 +218,16 @@ def cmd_check(args) -> int:
 def cmd_compute(args) -> int:
     inputs = []
     model = load_model(_load_json(args.path, inputs), lax=args.lax)
-    dims = kb_homology(model)
+    if args.pages is None:
+        dims = kb_homology(model)
+    else:
+        dims, sp = kb_spectral(model, args.pages)
     results = {"model": model.name, "kb": _kb_out(dims),
                "euler_characteristic": euler_char(dims)}
     lines = [f"model: {model.name}  (n={model.n})"]
     lines += _kb_lines(dims)
     lines.append(f"euler characteristic: {euler_char(dims)}")
     if args.pages is not None:
-        sp = spectral_pages(kb_double_complex(model), args.pages)
         results["pages"] = {
             str(r): {f"{p},{q}": d for (p, q), d in sorted(page.items())}
             for r, page in sp.pages}
@@ -260,7 +264,7 @@ def cmd_stein(args) -> int:
         pi = PolyBivector.from_terms(args.n, raw)
     except NonHomogeneousBivector:
         raise
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
         raise TableError(f"{args.pi}: {exc}") from None
     weights = _parse_weights(args.weights)
     table = stein_homology(args.n, pi, weights, cap=args.cap)
@@ -480,6 +484,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"kbhom: error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except (AssertionError, ArithmeticError) as exc:
+        print(f"kbhom: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -21,7 +21,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .complexes import Complex, DoubleComplex, homology_dims, total_complex
+from .complexes import (
+    Complex,
+    DoubleComplex,
+    SpectralPages,
+    homology_dims,
+    spectral_pages,
+    total_complex,
+)
 from .models import DolbeaultPoissonModel, koszul_differential
 
 
@@ -140,6 +147,22 @@ def kb_homology(m: DolbeaultPoissonModel) -> KBDims:
     total = total_complex(kb_double_complex(m))
     h = homology_dims(total)
     return KBDims(m.n, {k: h.get(k - m.n, 0) for k in range(2 * m.n + 1)})
+
+
+def kb_spectral(m: DolbeaultPoissonModel, r_max: int) -> tuple[KBDims, SpectralPages]:
+    """``kb_homology(m)`` and the pages E_1..E_r_max of its bicomplex, from
+    one bicomplex and one persistence reduction per total degree.
+
+    The limit page counts the coordinates left unpaired by the reduction,
+    so it sums over p + q = k - n to dim H_k.
+    """
+    dc = kb_double_complex(m)
+    total_complex(dc)  # checks D² = 0, as kb_homology does
+    sp = spectral_pages(dc, r_max)
+    dims: dict = {}
+    for (p, q), d in sp.infinity.items():
+        dims[p + q + m.n] = dims.get(p + q + m.n, 0) + d
+    return KBDims(m.n, dims), sp
 
 
 def hodge_diamond(m: DolbeaultPoissonModel) -> HodgeDiamond:

@@ -2,14 +2,17 @@
 
 Everything downstream (homology ranks, spectral pages, snake-lemma maps)
 reduces to one sparse column reduction, ``_reduce``; rank, kernel, solve
-and subspace bases are short reads of its result.  All arithmetic is done
-with ``fractions.Fraction``; there is no floating point anywhere and
-identical inputs give identical outputs.
+and subspace bases are short reads of its result.  Entries are
+``fractions.Fraction``; the reduction and the matrix product clear
+denominators once per column (or row) and run their inner loops on
+Python ints, which is still exact.  There is no floating point and no
+modular arithmetic anywhere, and identical inputs give identical outputs.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 Q = Fraction
 
@@ -19,6 +22,18 @@ def _q(x) -> Fraction:
     if isinstance(x, (bool, float)):
         raise TypeError(f"matrix entries must be exact, not {type(x).__name__}")
     return Fraction(x)
+
+
+def _denominator_lcms(entries: dict, axis: int) -> dict:
+    """Per row (axis 0) or column (axis 1): the lcm of the denominators of
+    its entries, for the lines where that is not 1."""
+    out: dict = {}
+    for key, v in entries.items():
+        d = v.denominator
+        if d != 1:
+            line = key[axis]
+            out[line] = lcm(out.get(line, 1), d)
+    return out
 
 
 class Matrix:
@@ -150,14 +165,24 @@ class Matrix:
             if self.cols != other.rows:
                 raise ValueError(
                     f"shape mismatch in product: {self.shape} * {other.shape}")
+            if not self.entries or not other.entries:
+                return Matrix(self.rows, other.cols)
+            # row i of self times r[i] and column j of other times c[j] are
+            # integral; lines absent from r or c are integral already
+            r = _denominator_lcms(self.entries, 0)
+            c = _denominator_lcms(other.entries, 1)
             by_row: dict[int, list] = {}
             for (k, j), v in other.entries.items():
-                by_row.setdefault(k, []).append((j, v))
-            acc: dict[tuple, Fraction] = {}
+                by_row.setdefault(k, []).append(
+                    (j, v.numerator * (c.get(j, 1) // v.denominator)))
+            acc: dict[tuple, int] = {}
             for (i, k), a in self.entries.items():
+                a = a.numerator * (r.get(i, 1) // a.denominator)
                 for j, b in by_row.get(k, ()):
-                    acc[(i, j)] = acc.get((i, j), Q(0)) + a * b
-            return Matrix(self.rows, other.cols, acc)
+                    acc[(i, j)] = acc.get((i, j), 0) + a * b
+            return Matrix(self.rows, other.cols,
+                          {(i, j): Fraction(v, r.get(i, 1) * c.get(j, 1))
+                           for (i, j), v in acc.items() if v})
         return NotImplemented
 
     def __rmul__(self, scalar) -> "Matrix":
@@ -179,42 +204,96 @@ class Matrix:
         return out
 
 
-def _reduce(m: Matrix):
-    """Column reduction of m over Q, left to right.
+def _integer_columns(m: Matrix):
+    """``(cols, scales)``: column j of m times ``scales[j]``, the lcm of its
+    denominators, as a sparse ``{row: int}`` dict."""
+    cols = [{} for _ in range(m.cols)]
+    for (i, j), v in m.entries.items():
+        cols[j][i] = v
+    scales = []
+    for j, col in enumerate(cols):
+        scale = 1
+        for v in col.values():
+            if v.denominator != 1:
+                scale = lcm(scale, v.denominator)
+        cols[j] = {i: v.numerator * (scale // v.denominator) for i, v in col.items()}
+        scales.append(scale)
+    return cols, scales
+
+
+def _combine(dst: dict, a: int, b: int, src: dict) -> None:
+    """dst <- a*dst - b*src in place, dropping entries that cancel."""
+    if a != 1:
+        for i in dst:
+            dst[i] *= a
+    for i, v in src.items():
+        w = dst.get(i, 0) - b * v
+        if w:
+            dst[i] = w
+        else:
+            del dst[i]
+
+
+def _divide_content(col: dict, g: int) -> None:
+    if g > 1:
+        for i in col:
+            col[i] //= g
+
+
+def _reduce(m: Matrix, track: bool = False):
+    """Fraction-free column reduction of m, left to right.
 
     The pivot of a column is its last nonzero row; while an earlier
-    reduced column owns that pivot, a multiple of the owner is subtracted.
+    reduced column owns that pivot, the column is replaced by
+    ``a*col - b*owner``, with ``a``, ``b`` the two pivot entries divided
+    by their gcd, and then divided by its content.  All arithmetic is on
+    Python ints: each column is first scaled by the lcm of its
+    denominators, so every reduced column is a nonzero rational multiple
+    of the one an elimination over Q would give, and the owners, pivot
+    columns and persistence pairs are the same.
+
     Returns ``(owner, reduced, combo)``: ``owner`` maps each pivot row to
     the column owning it, ``reduced[j]`` is column j after reduction as a
-    sparse ``{row: value}`` dict, empty iff column j depends on the columns
-    before it, and ``combo[j]`` writes ``reduced[j]`` as
-    ``{original column: coefficient}``.  So the pivot columns are the
-    greedy leftmost independent columns, and ``combo[j]`` is supported on
-    j and pivot columns only.
+    sparse ``{row: int}`` dict, empty iff column j depends on the columns
+    before it.  With ``track``, ``combo[j]`` writes ``reduced[j]`` as
+    ``{original column: int coefficient}`` (content is then divided out of
+    column and combination together); it is supported on j and pivot
+    columns only, so a dependent column's combination is unique up to
+    scale.  Without ``track``, ``combo`` is None and nothing is tracked.
     """
-    reduced = [{} for _ in range(m.cols)]
-    for (i, j), v in m.entries.items():
-        reduced[j][i] = v
+    reduced, scales = _integer_columns(m)
     owner = {}
-    combo = []
+    combo = [] if track else None
     for j, col in enumerate(reduced):
-        comb = {j: Q(1)}
+        if track:
+            comb = {j: scales[j]}
         while col:
             piv = max(col)
             k = owner.get(piv)
             if k is None:
                 owner[piv] = j
                 break
-            f = col[piv] / reduced[k][piv]
-            for src, dst in ((reduced[k], col), (combo[k], comb)):
-                for i, v in src.items():
-                    w = dst.get(i, 0) - f * v
-                    if w:
-                        dst[i] = w
-                    else:
-                        del dst[i]
-        combo.append(comb)
+            own = reduced[k]
+            p, q = own[piv], col[piv]
+            g = gcd(p, q)
+            a, b = p // g, q // g
+            _combine(col, a, b, own)
+            if track:
+                _combine(comb, a, b, combo[k])
+                g = gcd(*col.values(), *comb.values())
+                _divide_content(comb, g)
+            else:
+                g = gcd(*col.values())
+            _divide_content(col, g)
+        if track:
+            combo.append(comb)
     return owner, reduced, combo
+
+
+def _unit_at(comb: dict, j: int) -> dict:
+    """A tracked combination as Fractions, scaled to coefficient 1 at j."""
+    d = comb[j]
+    return {c: Fraction(v, d) for c, v in comb.items()}
 
 
 def _select_columns(m: Matrix, cols) -> Matrix:
@@ -237,9 +316,10 @@ def kernel_basis(m: Matrix) -> "Subspace":
     such coordinates, so the columns are independent by construction and
     the order is deterministic.
     """
-    _, reduced, combo = _reduce(m)
+    _, reduced, combo = _reduce(m, track=True)
     free = [j for j in range(m.cols) if not reduced[j]]
-    entries = {(c, idx): v for idx, j in enumerate(free) for c, v in combo[j].items()}
+    entries = {(c, idx): v for idx, j in enumerate(free)
+               for c, v in _unit_at(combo[j], j).items()}
     return Subspace(m.cols, Matrix(m.cols, len(free), entries), _checked=True)
 
 
@@ -255,12 +335,12 @@ def solve(m: Matrix, b) -> list | None:
         raise ValueError("right-hand side length mismatch")
     else:
         b = Matrix(m.rows, 1, {(i, 0): v for i, v in enumerate(b)})
-    _, reduced, combo = _reduce(Matrix.hstack(m, b))
+    _, reduced, combo = _reduce(Matrix.hstack(m, b), track=True)
     if reduced[m.cols]:
         return None
     # 0 = reduced b = b + m*y, with y the entries of combo below m.cols; so x = -y
     x = [Q(0)] * m.cols
-    for c, v in combo[m.cols].items():
+    for c, v in _unit_at(combo[m.cols], m.cols).items():
         if c < m.cols:
             x[c] = -v
     return x

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 from .complexes import Complex, ComplexInvariantError, homology_dims
 from .linalg import Matrix
@@ -149,12 +150,29 @@ def _del_monomial(alpha, i_set):
         sign = -1 if pos % 2 else 1
         new_alpha = alpha[:i0] + (e - 1,) + alpha[i0 + 1:]
         new_set = tuple(sorted(i_set + (gen,)))
-        yield Q(sign * e), (new_alpha, new_set)
+        yield sign * e, (new_alpha, new_set)
 
 
-def _contract_monomial(pi: PolyBivector, alpha, i_set):
-    """l_pi(z^α dz_I): remove a dz-pair, multiply by the coefficient poly."""
-    for (i, j), poly in pi.terms.items():
+def _integer_terms(pi: PolyBivector):
+    """``(terms, L)``: the coefficients of pi times their common denominator
+    L, as ints, keyed like ``pi.terms``."""
+    scale = 1
+    for poly in pi.terms.values():
+        for c in poly.values():
+            scale = lcm(scale, c.denominator)
+    terms = {ij: {beta: c.numerator * (scale // c.denominator)
+                  for beta, c in poly.items()}
+             for ij, poly in pi.terms.items()}
+    return terms, scale
+
+
+def _contract_monomial(terms: dict, alpha, i_set):
+    """l_pi(z^α dz_I): remove a dz-pair, multiply by the coefficient poly.
+
+    ``terms`` are the integer terms of ``_integer_terms``, so the result is
+    l_pi scaled by their common denominator.
+    """
+    for (i, j), poly in terms.items():
         if i in i_set and j in i_set:
             pos_i = i_set.index(i)
             pos_j = i_set.index(j)
@@ -165,14 +183,15 @@ def _contract_monomial(pi: PolyBivector, alpha, i_set):
                 yield sign * c, (new_alpha, reduced)
 
 
-def _delpi_monomial(pi: PolyBivector, alpha, i_set) -> dict:
+def _delpi_monomial(terms: dict, alpha, i_set) -> dict:
+    """delpi(z^α dz_I) with integer coefficients, scaled like ``terms``."""
     acc: dict = {}
     for c1, mono in _del_monomial(alpha, i_set):
-        for c2, mono2 in _contract_monomial(pi, *mono):
-            acc[mono2] = acc.get(mono2, Q(0)) + c1 * c2
-    for c1, mono in _contract_monomial(pi, alpha, i_set):
+        for c2, mono2 in _contract_monomial(terms, *mono):
+            acc[mono2] = acc.get(mono2, 0) + c1 * c2
+    for c1, mono in _contract_monomial(terms, alpha, i_set):
         for c2, mono2 in _del_monomial(*mono):
-            acc[mono2] = acc.get(mono2, Q(0)) - c1 * c2
+            acc[mono2] = acc.get(mono2, 0) - c1 * c2
     return {m: c for m, c in acc.items() if c}
 
 
@@ -187,11 +206,14 @@ def _as_bivector(n: int, pi) -> PolyBivector:
 def stein_complex(n: int, pi, w: int, cap: int = 8) -> Complex:
     """The weight-w slice as a complex with Ω^p placed in degree -p.
 
-    delpi is computed symbolically monomial by monomial; the slice is
+    delpi is computed symbolically monomial by monomial, in integers
+    after scaling the bivector by the common denominator L of its
+    coefficients (each entry is then c/L, still exact); the slice is
     checked to be closed under it and delpi∘delpi = 0 is verified,
     failing with "bivector not Poisson at weight w" otherwise.
     """
     pi = _as_bivector(n, pi)
+    terms, scale = _integer_terms(pi)
     basis = slice_basis(n, pi.degree, w, cap)
     index = {p: {m: i for i, m in enumerate(monos)} for p, monos in basis.items()}
     spaces = {-p: len(monos) for p, monos in basis.items()}
@@ -202,13 +224,13 @@ def stein_complex(n: int, pi, w: int, cap: int = 8) -> Complex:
         target = index.get(p - 1, {})
         entries = {}
         for col, (alpha, i_set) in enumerate(monos):
-            for mono, c in _delpi_monomial(pi, alpha, i_set).items():
+            for mono, c in _delpi_monomial(terms, alpha, i_set).items():
                 row = target.get(mono)
                 if row is None:
                     raise AssertionError(
                         f"delpi left the weight-{w} slice at {mono}; "
                         "weight bookkeeping is broken")
-                entries[(row, col)] = c
+                entries[(row, col)] = Fraction(c, scale)
         m = Matrix(len(basis.get(p - 1, ())), len(monos), entries)
         if not m.is_zero():
             diffs[-p] = m

@@ -6,8 +6,11 @@ the kernel of S_{k+1}, so consecutive compositions vanish identically.
 
 The oracles are the original dense algorithms: fraction-free (Bareiss)
 row elimination for rank, kernel and column space, a dense Fraction
-elimination for solve, and spectral pages by subspace arithmetic on
-approximate cycles.  They share no elimination code with ``kbhom.linalg``.
+elimination for solve, a dense Fraction matrix product, spectral pages
+by subspace arithmetic on approximate cycles, and the Stein slice
+builder with Fraction coefficients.  They share no elimination or
+product code with ``kbhom.linalg`` and no integer scaling with
+``kbhom.stein``.
 """
 
 from fractions import Fraction
@@ -22,6 +25,7 @@ from kbhom.complexes import (
     tensor_double,
 )
 from kbhom.linalg import Matrix, Subspace, kernel_basis
+from kbhom.stein import slice_basis
 
 
 def random_matrix(rng, rows, cols, density=0.5, span=3):
@@ -181,6 +185,20 @@ def _echelon(m: Matrix):
         prev = piv
         r += 1
     return rows[:len(pivot_cols)], pivot_cols
+
+
+def oracle_product(a: Matrix, b: Matrix) -> Matrix:
+    """a*b by the dense triple loop over Fractions."""
+    if a.cols != b.rows:
+        raise ValueError("shape mismatch in product")
+    left, right = a.to_rows(), b.to_rows()
+    entries = {}
+    for i in range(a.rows):
+        for j in range(b.cols):
+            v = sum((left[i][k] * right[k][j] for k in range(a.cols)), Fraction(0))
+            if v:
+                entries[(i, j)] = v
+    return Matrix(a.rows, b.cols, entries)
 
 
 def oracle_rank(m: Matrix) -> int:
@@ -404,3 +422,61 @@ def staircase_double_complex() -> DoubleComplex:
     return DoubleComplex({cell: 1 for cell in cells},
                          d1={(0, 2): one, (1, 1): one, (2, 0): one},
                          d2={(1, 1): one, (2, 0): one})
+
+
+def _oracle_del_monomial(alpha, i_set):
+    for i0, e in enumerate(alpha):
+        if not e:
+            continue
+        gen = i0 + 1
+        if gen in i_set:
+            continue
+        pos = sum(1 for x in i_set if x < gen)
+        sign = -1 if pos % 2 else 1
+        new_alpha = alpha[:i0] + (e - 1,) + alpha[i0 + 1:]
+        new_set = tuple(sorted(i_set + (gen,)))
+        yield Fraction(sign * e), (new_alpha, new_set)
+
+
+def _oracle_contract_monomial(pi, alpha, i_set):
+    for (i, j), poly in pi.terms.items():
+        if i in i_set and j in i_set:
+            pos_i = i_set.index(i)
+            pos_j = i_set.index(j)
+            sign = -1 if (pos_i + pos_j + 1) % 2 else 1
+            reduced = tuple(x for x in i_set if x != i and x != j)
+            for beta, c in poly.items():
+                new_alpha = tuple(a + b for a, b in zip(alpha, beta))
+                yield sign * c, (new_alpha, reduced)
+
+
+def _oracle_delpi_monomial(pi, alpha, i_set) -> dict:
+    acc: dict = {}
+    for c1, mono in _oracle_del_monomial(alpha, i_set):
+        for c2, mono2 in _oracle_contract_monomial(pi, *mono):
+            acc[mono2] = acc.get(mono2, Fraction(0)) + c1 * c2
+    for c1, mono in _oracle_contract_monomial(pi, alpha, i_set):
+        for c2, mono2 in _oracle_del_monomial(*mono):
+            acc[mono2] = acc.get(mono2, Fraction(0)) - c1 * c2
+    return {m: c for m, c in acc.items() if c}
+
+
+def oracle_stein_differentials(pi, w: int, cap: int) -> dict:
+    """The weight-w slice differentials {-p: delpi on Ω^p}, built with
+    Fraction coefficients straight from ``pi.terms`` (a PolyBivector);
+    zero maps are omitted and nothing is checked."""
+    basis = slice_basis(pi.n, pi.degree, w, cap)
+    index = {p: {m: i for i, m in enumerate(monos)} for p, monos in basis.items()}
+    diffs = {}
+    for p, monos in basis.items():
+        if p == 0:
+            continue
+        target = index.get(p - 1, {})
+        entries = {}
+        for col, (alpha, i_set) in enumerate(monos):
+            for mono, c in _oracle_delpi_monomial(pi, alpha, i_set).items():
+                entries[(target[mono], col)] = c
+        m = Matrix(len(basis.get(p - 1, ())), len(monos), entries)
+        if not m.is_zero():
+            diffs[-p] = m
+    return diffs

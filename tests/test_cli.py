@@ -4,8 +4,10 @@ from pathlib import Path
 
 import pytest
 
+from kbhom import cli, engine
 from kbhom.cli import main
 from kbhom.engine import HodgeDiamond, hodge_diamond, kb_homology
+from kbhom.models import product_model
 from kbhom.zoo import hodge_formal, parallelizable, save_model, torus, write_model
 
 
@@ -303,6 +305,66 @@ def test_table_rejects_booleans_exits_1(tmp_path, capsys, command, table):
 def test_compute_rejects_nonpositive_pages(torus1_file, capsys, pages):
     assert main(["compute", torus1_file, "--pages", pages]) == 1
     assert "r_max must be >= 1" in capsys.readouterr().err
+
+
+PAGED_MODELS = {
+    "heis3": lambda: parallelizable(3, {(1, 2, 3): 1}, {(1, 2): 1}),
+    "torus3": lambda: torus(3, {(1, 2): 1}),
+    "t1xheis3": lambda: product_model(torus(1),
+                                      parallelizable(3, {(1, 2, 3): 1}, {(1, 2): 1})),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PAGED_MODELS))
+def test_compute_pages_prints_the_same_kb_table(tmp_path, capsys, name):
+    path = tmp_path / f"{name}.json"
+    write_model(PAGED_MODELS[name](), path)
+    _, plain = run_json(capsys, ["compute", str(path)])
+    _, paged = run_json(capsys, ["compute", str(path), "--pages", "2"])
+    for key in ("model", "kb", "euler_characteristic"):
+        assert paged["results"][key] == plain["results"][key]
+    assert main(["compute", str(path)]) == 0
+    plain_text = capsys.readouterr().out
+    assert main(["compute", str(path), "--pages", "2"]) == 0
+    paged_text = capsys.readouterr().out
+    assert paged_text.split("page E_1:")[0] == plain_text
+
+
+def test_compute_pages_builds_the_bicomplex_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    build = engine.kb_double_complex
+
+    def counting(model):
+        calls.append(model.name)
+        return build(model)
+
+    monkeypatch.setattr(engine, "kb_double_complex", counting)
+    monkeypatch.setattr(cli, "kb_double_complex", counting, raising=False)
+    path = tmp_path / "heis3.json"
+    write_model(PAGED_MODELS["heis3"](), path)
+    assert main(["compute", str(path), "--pages", "2"]) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("fault", [AssertionError("delpi left the slice"),
+                                   ZeroDivisionError("division by zero")])
+def test_internal_faults_exit_4(tmp_path, capsys, monkeypatch, fault):
+    def broken(*args, **kwargs):
+        raise fault
+
+    monkeypatch.setattr(cli, "stein_homology", broken)
+    pi = write_json(tmp_path / "pi0.json", [])
+    assert main(["stein", pi, "--n", "1", "--weights", "0"]) == cli.EXIT_INTERNAL == 4
+    err = capsys.readouterr().err
+    assert err.startswith("kbhom: internal error: ")
+    assert str(fault) in err
+
+
+def test_stein_zero_denominator_is_a_parse_error(tmp_path, capsys):
+    pi = write_json(tmp_path / "pi.json",
+                    [{"i": 1, "j": 2, "coeff": "1/0", "alpha": [0, 0]}])
+    assert main(["stein", pi, "--n", "2", "--weights", "0"]) == 1
+    assert "parse error" in capsys.readouterr().err
 
 
 def test_unknown_command_exits_1(capsys):

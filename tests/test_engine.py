@@ -9,6 +9,7 @@ from kbhom.engine import (
     hodge_diamond,
     kb_double_complex,
     kb_homology,
+    kb_spectral,
 )
 from kbhom.linalg import Matrix
 from kbhom.models import DolbeaultPoissonModel, ModelValidationError
@@ -109,6 +110,18 @@ def test_first_page_equals_hodge_diamond(model):
     sp = spectral_pages(kb_double_complex(model), 1)
     expected = {(-p, q): v for (p, q), v in diamond.h.items()}
     assert sp.page(1) == expected
+
+
+@pytest.mark.parametrize("model", [
+    point(), torus(2), heisenberg3(), heisenberg3({(1, 2): 1}),
+    parallelizable(4, {(1, 2, 3): 1}, {(1, 2): 1}),
+])
+def test_kb_spectral_matches_kb_homology_and_spectral_pages(model):
+    dims, sp = kb_spectral(model, 2)
+    assert dims == kb_homology(model)
+    expected = spectral_pages(kb_double_complex(model), 2)
+    assert sp.pages == expected.pages
+    assert sp.degeneration_page == expected.degeneration_page
 
 
 @pytest.mark.parametrize("pi", [None, {(1, 2): 1}, {(1, 2): 2, (1, 3): -1},

@@ -1,9 +1,10 @@
-"""The sparse column reduction against the dense oracles in support.py.
+"""The integer fast paths against the dense Fraction oracles in support.py.
 
 Every output compared here is unique (rank, the unit-at-free-column kernel
 basis, the greedy leftmost pivot columns, the solution supported on the
-pivot columns, page dimensions), so the two implementations must agree
-entry for entry.
+pivot columns, page dimensions, matrix products, slice differentials in
+the fixed monomial order), so the implementations must agree entry for
+entry.
 """
 
 import random
@@ -15,14 +16,17 @@ from hypothesis import strategies as st
 from kbhom.complexes import spectral_pages, tensor_double
 from kbhom.engine import kb_double_complex
 from kbhom.linalg import Matrix, Subspace, complement_in, kernel_basis, rank, solve
+from kbhom.stein import PolyBivector, stein_complex
 from kbhom.zoo import parallelizable, torus
 from support import (
     oracle_complement_in,
     oracle_kernel_basis,
+    oracle_product,
     oracle_rank,
     oracle_solve,
     oracle_spanned_by,
     oracle_spectral_pages,
+    oracle_stein_differentials,
     random_double_complex,
     staircase_double_complex,
 )
@@ -78,6 +82,88 @@ def test_complement_matches_oracle(data):
     mix = data.draw(sparse_matrices(m.cols, data.draw(st.integers(0, 4))))
     sub = Subspace.spanned_by(m * mix)
     assert complement_in(sub, within) == oracle_complement_in(sub, within)
+
+
+big_rationals = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 97))
+
+
+def dense_matrix(draw, rows, cols, values):
+    return Matrix(rows, cols, {(i, j): draw(values)
+                               for i in range(rows) for j in range(cols)})
+
+
+def hilbert_like(rows, cols, shift):
+    return Matrix(rows, cols, {(i, j): Fraction(1, i + j + 1 + shift)
+                               for i in range(rows) for j in range(cols)})
+
+
+@st.composite
+def growth_matrices(draw):
+    """Dense 10..14-square matrices whose eliminations grow coefficients:
+    big entries, products of rank r < size, and Hilbert-like factors."""
+    rows, cols = draw(st.integers(10, 14)), draw(st.integers(10, 14))
+    kind = draw(st.sampled_from(["dense", "product", "hilbert"]))
+    if kind == "dense":
+        return dense_matrix(draw, rows, cols, big_rationals)
+    inner = draw(st.integers(1, min(rows, cols)))
+    if kind == "product":
+        left = dense_matrix(draw, rows, inner, big_rationals)
+    else:
+        left = hilbert_like(rows, inner, draw(st.integers(0, 3)))
+    return oracle_product(left, dense_matrix(draw, inner, cols, big_rationals))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_coefficient_growth_matches_oracle(data):
+    m = data.draw(growth_matrices())
+    assert rank(m) == oracle_rank(m)
+    assert kernel_basis(m).basis == oracle_kernel_basis(m).basis
+    x = data.draw(st.lists(big_rationals, min_size=m.cols, max_size=m.cols))
+    consistent = oracle_product(m, Matrix.from_column(x)).column(0)
+    arbitrary = data.draw(st.lists(big_rationals, min_size=m.rows, max_size=m.rows))
+    for b in (consistent, arbitrary):
+        assert solve(m, b) == oracle_solve(m, b)
+
+
+@st.composite
+def mixed_matrices(draw, rows, cols):
+    """Each row and each column is integral or not; an entry may have a
+    denominator only where both its row and its column may."""
+    frac_rows = draw(st.lists(st.booleans(), min_size=rows, max_size=rows))
+    frac_cols = draw(st.lists(st.booleans(), min_size=cols, max_size=cols))
+    density = draw(st.sampled_from([0.0, 0.3, 1.0]))
+    entries = {}
+    for i in range(rows):
+        for j in range(cols):
+            if draw(st.floats(0, 1)) < density:
+                den = draw(st.integers(1, 6)) if frac_rows[i] and frac_cols[j] else 1
+                entries[(i, j)] = Fraction(draw(st.integers(-5, 5)), den)
+    return Matrix(rows, cols, entries)
+
+
+@SETTINGS
+@given(st.data())
+def test_product_matches_oracle(data):
+    rows, inner, cols = (data.draw(st.integers(0, 6)) for _ in range(3))
+    a = data.draw(mixed_matrices(rows, inner))
+    b = data.draw(mixed_matrices(inner, cols))
+    assert a * b == oracle_product(a, b)
+
+
+SO3 = [(1, 2, 1, (0, 0, 1)), (2, 3, 1, (1, 0, 0)), (3, 1, 1, (0, 1, 0))]
+QUADRATIC = [(1, 2, 1, (1, 1))]
+RATIONAL = [(1, 2, "1/2", (0, 0, 1)), (2, 3, "-2/3", (1, 0, 0))]
+
+
+def test_stein_slices_match_fraction_builder():
+    for n, terms, weights, cap in ((3, SO3, range(0, 9), 40),
+                                   (2, QUADRATIC, range(-2, 9), 8),
+                                   (3, RATIONAL, range(0, 7), 40)):
+        pi = PolyBivector.from_terms(n, terms)
+        for w in weights:
+            assert stein_complex(n, pi, w, cap).diffs == \
+                oracle_stein_differentials(pi, w, cap), (terms, w)
 
 
 def assert_pages_match(dc, r_max):
