@@ -21,6 +21,7 @@ import sys
 from datetime import datetime, timezone
 
 from . import __version__
+from .complexes import ComplexInvariantError
 from .engine import (
     HHDims,
     HodgeDiamond,
@@ -481,12 +482,14 @@ def main(argv=None) -> int:
     except (InconsistentBlowupError, SliceCapError) as exc:
         print(f"kbhom: inconsistency: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
+    except (ComplexInvariantError, AssertionError, ArithmeticError) as exc:
+        # every input is validated before a complex is built from it, so a
+        # broken complex invariant is a bug, like a failed assertion
+        print(f"kbhom: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except ValueError as exc:
         print(f"kbhom: error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (AssertionError, ArithmeticError) as exc:
-        print(f"kbhom: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -22,10 +22,9 @@ from .linalg import (
     Subspace,
     _reduce,
     complement_in,
-    image_subspace,
     kernel_basis,
     rank,
-    solve,
+    solve_columns,
 )
 
 
@@ -414,17 +413,17 @@ class LongExactSequence:
     maps: list = field(default_factory=list)
 
     def check_exact(self) -> bool:
+        ranks = [rank(m) for m in self.maps]
         for i, m in enumerate(self.maps):
             if i + 1 < len(self.maps):
-                nxt = self.maps[i + 1]
-                if not (nxt * m).is_zero():
+                if not (self.maps[i + 1] * m).is_zero():
                     return False
-                if rank(m) + rank(nxt) != self.entries[i + 1][1]:
+                if ranks[i] + ranks[i + 1] != self.entries[i + 1][1]:
                     return False
         if self.maps:
-            if rank(self.maps[0]) != self.entries[0][1]:
+            if ranks[0] != self.entries[0][1]:
                 return False
-            if rank(self.maps[-1]) != self.entries[-1][1]:
+            if ranks[-1] != self.entries[-1][1]:
                 return False
         elif any(dim for _, dim in self.entries):
             return False
@@ -437,20 +436,34 @@ class LongExactSequence:
 def _homology_basis(c: Complex, k: int):
     """(cycles, boundaries, representative columns) at degree k."""
     cycles = kernel_basis(c.d(k))
-    boundaries = image_subspace(c.d(k - 1), Subspace.full(c.dim(k - 1)))
+    boundaries = Subspace.spanned_by(c.d(k - 1))
     reps = complement_in(boundaries, cycles)
     return cycles, boundaries, reps
 
 
-def _class_coords(boundaries: Subspace, reps: Matrix, vector) -> list:
-    """Coordinates of a cycle's homology class in the representative basis."""
+def _solved(m: Matrix, rhs: Matrix, failure: str) -> Matrix:
+    """The pivot-supported solution X of m*X = rhs, one reduction of m for
+    all columns; AssertionError(failure) when some column has none."""
+    entries = {}
+    for j, x in enumerate(solve_columns(m, rhs)):
+        if x is None:
+            raise AssertionError(failure)
+        for i, v in enumerate(x):
+            if v:
+                entries[(i, j)] = v
+    return Matrix(m.cols, rhs.cols, entries)
+
+
+def _class_coords(boundaries: Subspace, reps: Matrix, vectors: Matrix) -> Matrix:
+    """Coordinates of the homology classes of the cycles in the columns of
+    vectors, in the representative basis: one column per vector."""
     if reps.cols == 0:
-        return []
-    stacked = Matrix.hstack(boundaries.basis, reps)
-    x = solve(stacked, vector)
-    if x is None:
-        raise AssertionError("vector is not a cycle modulo boundaries")
-    return x[boundaries.dim:]
+        return Matrix(0, vectors.cols)
+    x = _solved(Matrix.hstack(boundaries.basis, reps), vectors,
+                "vector is not a cycle modulo boundaries")
+    nb = boundaries.dim
+    return Matrix(reps.cols, vectors.cols,
+                  {(i - nb, j): v for (i, j), v in x.entries.items() if i >= nb})
 
 
 def les_from_ses(f: ChainMap, g: ChainMap) -> LongExactSequence:
@@ -459,6 +472,8 @@ def les_from_ses(f: ChainMap, g: ChainMap) -> LongExactSequence:
     The input maps are verified to form a degreewise short exact sequence
     of complexes; the connecting homomorphism is realized by lifting
     through g, applying d, and pulling back through f (the snake lemma).
+    Each map is reduced once and all of its right-hand sides (homology
+    representatives, lifts, class coordinates) are solved against it.
     """
     a, b, c = f.source, f.target, g.target
     if g.source != b:
@@ -484,37 +499,14 @@ def les_from_ses(f: ChainMap, g: ChainMap) -> LongExactSequence:
     def induced(mat: Matrix, src, tgt) -> Matrix:
         _, _, src_reps = src
         _, tgt_bound, tgt_reps = tgt
-        cols = {}
-        for j in range(src_reps.cols):
-            image = mat * Matrix(src_reps.rows, 1,
-                                 {(i, 0): v for (i, jj), v in src_reps.entries.items()
-                                  if jj == j})
-            coords = _class_coords(tgt_bound, tgt_reps, image.column(0))
-            for i, v in enumerate(coords):
-                if v:
-                    cols[(i, j)] = v
-        return Matrix(tgt_reps.cols, src_reps.cols, cols)
+        return _class_coords(tgt_bound, tgt_reps, mat * src_reps)
 
     def connecting(k: int) -> Matrix:
         _, _, c_reps = data[k]["C"]
-        if k + 1 in data:
-            _, a_bound, a_reps = data[k + 1]["A"]
-        else:
-            a_bound, a_reps = Subspace.zero(0), Matrix.zero(0, 0)
-        cols = {}
-        for j in range(c_reps.cols):
-            lift = solve(g.at(k), c_reps.column(j))
-            if lift is None:
-                raise AssertionError("g is surjective but lift failed")
-            w = (b.d(k) * Matrix.from_column(lift)).column(0)
-            back = solve(f.at(k + 1), w)
-            if back is None:
-                raise AssertionError("snake image missed the subcomplex")
-            coords = _class_coords(a_bound, a_reps, back)
-            for i, v in enumerate(coords):
-                if v:
-                    cols[(i, j)] = v
-        return Matrix(a_reps.cols, c_reps.cols, cols)
+        _, a_bound, a_reps = data[k + 1]["A"]
+        lifts = _solved(g.at(k), c_reps, "g is surjective but lift failed")
+        back = _solved(f.at(k + 1), b.d(k) * lifts, "snake image missed the subcomplex")
+        return _class_coords(a_bound, a_reps, back)
 
     entries = []
     maps = []

@@ -2,9 +2,10 @@
 
 Everything downstream (homology ranks, spectral pages, snake-lemma maps)
 reduces to one sparse column reduction, ``_reduce``; rank, kernel, solve
-and subspace bases are short reads of its result.  Entries are
-``fractions.Fraction``; the reduction and the matrix product clear
-denominators once per column (or row) and run their inner loops on
+and subspace bases are short reads of its result, and ``solve_columns``
+reduces many right-hand sides against one reduction of the matrix.
+Entries are ``fractions.Fraction``; the reduction and the matrix product
+clear denominators once per column (or row) and run their inner loops on
 Python ints, which is still exact.  There is no floating point and no
 modular arithmetic anywhere, and identical inputs give identical outputs.
 """
@@ -240,24 +241,53 @@ def _divide_content(col: dict, g: int) -> None:
             col[i] //= g
 
 
-def _reduce(m: Matrix, track: bool = False):
-    """Fraction-free column reduction of m, left to right.
+def _eliminate(col: dict, comb, owner: dict, reduced: list, combo) -> int | None:
+    """Reduce one integer column in place against the owned pivots.
 
     The pivot of a column is its last nonzero row; while an earlier
     reduced column owns that pivot, the column is replaced by
     ``a*col - b*owner``, with ``a``, ``b`` the two pivot entries divided
-    by their gcd, and then divided by its content.  All arithmetic is on
-    Python ints: each column is first scaled by the lcm of its
-    denominators, so every reduced column is a nonzero rational multiple
-    of the one an elimination over Q would give, and the owners, pivot
-    columns and persistence pairs are the same.
+    by their gcd, and then divided by its content.  With a combination
+    ``comb`` (a dict), the same steps are applied to it with the owners'
+    combinations ``combo[k]``, and content is divided out of column and
+    combination together.  Returns the unowned pivot the column ends on,
+    or None when it reduces to zero.
+    """
+    while col:
+        piv = max(col)
+        k = owner.get(piv)
+        if k is None:
+            return piv
+        own = reduced[k]
+        p, q = own[piv], col[piv]
+        g = gcd(p, q)
+        a, b = p // g, q // g
+        _combine(col, a, b, own)
+        if comb is not None:
+            _combine(comb, a, b, combo[k])
+            g = gcd(*col.values(), *comb.values())
+            _divide_content(comb, g)
+        else:
+            g = gcd(*col.values())
+        _divide_content(col, g)
+    return None
+
+
+def _reduce(m: Matrix, track: bool = False):
+    """Fraction-free column reduction of m, left to right.
+
+    Each column is reduced by ``_eliminate`` against the columns before
+    it and owns the pivot it ends on.  All arithmetic is on Python ints:
+    each column is first scaled by the lcm of its denominators, so every
+    reduced column is a nonzero rational multiple of the one an
+    elimination over Q would give, and the owners, pivot columns and
+    persistence pairs are the same.
 
     Returns ``(owner, reduced, combo)``: ``owner`` maps each pivot row to
     the column owning it, ``reduced[j]`` is column j after reduction as a
     sparse ``{row: int}`` dict, empty iff column j depends on the columns
     before it.  With ``track``, ``combo[j]`` writes ``reduced[j]`` as
-    ``{original column: int coefficient}`` (content is then divided out of
-    column and combination together); it is supported on j and pivot
+    ``{original column: int coefficient}``; it is supported on j and pivot
     columns only, so a dependent column's combination is unique up to
     scale.  Without ``track``, ``combo`` is None and nothing is tracked.
     """
@@ -265,26 +295,10 @@ def _reduce(m: Matrix, track: bool = False):
     owner = {}
     combo = [] if track else None
     for j, col in enumerate(reduced):
-        if track:
-            comb = {j: scales[j]}
-        while col:
-            piv = max(col)
-            k = owner.get(piv)
-            if k is None:
-                owner[piv] = j
-                break
-            own = reduced[k]
-            p, q = own[piv], col[piv]
-            g = gcd(p, q)
-            a, b = p // g, q // g
-            _combine(col, a, b, own)
-            if track:
-                _combine(comb, a, b, combo[k])
-                g = gcd(*col.values(), *comb.values())
-                _divide_content(comb, g)
-            else:
-                g = gcd(*col.values())
-            _divide_content(col, g)
+        comb = {j: scales[j]} if track else None
+        piv = _eliminate(col, comb, owner, reduced, combo)
+        if piv is not None:
+            owner[piv] = j
         if track:
             combo.append(comb)
     return owner, reduced, combo
@@ -323,6 +337,35 @@ def kernel_basis(m: Matrix) -> "Subspace":
     return Subspace(m.cols, Matrix(m.cols, len(free), entries), _checked=True)
 
 
+def solve_columns(m: Matrix, rhs: Matrix) -> list[list | None]:
+    """For each column b of rhs: the solution x of m*x = b supported on the
+    pivot columns of m, as a list of length m.cols, or None.
+
+    m is reduced once; each column of rhs is then reduced against m's
+    pivot owners only, so no right-hand side ever becomes an owner and
+    each answer is the one a single-column solve would give.
+    """
+    if rhs.rows != m.rows:
+        raise ValueError("right-hand side shape mismatch")
+    if not rhs.cols:
+        return []
+    owner, reduced, combo = _reduce(m, track=True)
+    out = []
+    for col, scale in zip(*_integer_columns(rhs)):
+        # the column is tracked under key m.cols: at the end
+        # 0 = c*b + m*y with c = comb[m.cols], y the rest of comb; x = -y/c
+        comb = {m.cols: scale}
+        if _eliminate(col, comb, owner, reduced, combo) is not None:
+            out.append(None)
+            continue
+        x = [Q(0)] * m.cols
+        for c, v in _unit_at(comb, m.cols).items():
+            if c < m.cols:
+                x[c] = -v
+        out.append(x)
+    return out
+
+
 def solve(m: Matrix, b) -> list | None:
     """The solution x of m*x = b supported on the pivot columns, or None.
 
@@ -335,15 +378,7 @@ def solve(m: Matrix, b) -> list | None:
         raise ValueError("right-hand side length mismatch")
     else:
         b = Matrix(m.rows, 1, {(i, 0): v for i, v in enumerate(b)})
-    _, reduced, combo = _reduce(Matrix.hstack(m, b), track=True)
-    if reduced[m.cols]:
-        return None
-    # 0 = reduced b = b + m*y, with y the entries of combo below m.cols; so x = -y
-    x = [Q(0)] * m.cols
-    for c, v in _unit_at(combo[m.cols], m.cols).items():
-        if c < m.cols:
-            x[c] = -v
-    return x
+    return solve_columns(m, b)[0]
 
 
 class Subspace:

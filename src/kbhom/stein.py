@@ -59,7 +59,9 @@ class PolyBivector:
 
         Indices are 1-based; i > j is normalized by antisymmetry; all
         monomials must share one degree |alpha| (the default degree of
-        the zero bivector is 0 unless given).
+        the zero bivector is 0 unless given).  Inputs are strictly typed:
+        indices and exponents are ints, coefficients are ints, Fractions
+        or rational strings, and bools and floats are rejected (TypeError).
         """
         terms: dict = {}
         seen_degree = None
@@ -70,7 +72,13 @@ class PolyBivector:
             else:
                 i, j, coeff, alpha = raw
                 alpha = tuple(alpha)
-            coeff = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
+            if isinstance(coeff, (bool, float)):
+                raise TypeError(f"bivector coefficient {coeff!r} is not an exact rational")
+            coeff = Fraction(coeff)
+            for x in (i, j, *alpha):
+                if not isinstance(x, int) or isinstance(x, bool):
+                    raise TypeError(
+                        f"bivector indices and exponents must be integers, not {x!r}")
             if i == j:
                 raise ValueError("bivector term with i == j")
             sign = 1

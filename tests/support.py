@@ -7,8 +7,9 @@ the kernel of S_{k+1}, so consecutive compositions vanish identically.
 The oracles are the original dense algorithms: fraction-free (Bareiss)
 row elimination for rank, kernel and column space, a dense Fraction
 elimination for solve, a dense Fraction matrix product, spectral pages
-by subspace arithmetic on approximate cycles, and the Stein slice
-builder with Fraction coefficients.  They share no elimination or
+by subspace arithmetic on approximate cycles, the snake-lemma LES with
+one solve per column, and the Stein slice builder with Fraction
+coefficients.  They share no elimination or
 product code with ``kbhom.linalg`` and no integer scaling with
 ``kbhom.stein``.
 """
@@ -19,6 +20,7 @@ from math import lcm
 from kbhom.complexes import (
     Complex,
     DoubleComplex,
+    LongExactSequence,
     SpectralPages,
     _total_differentials,
     _total_layout,
@@ -408,6 +410,95 @@ def oracle_spectral_pages(dc: DoubleComplex, r_max: int) -> SpectralPages:
     if r_lim > r_max:
         pages.append((r_lim, limit))
     return SpectralPages(pages=pages, degeneration_page=degeneration)
+
+
+def oracle_les_from_ses(f, g) -> LongExactSequence:
+    """The homology LES of 0 -> A -> B -> C -> 0, one solve per column.
+
+    The per-column snake-lemma construction: every homology
+    representative, lift and pull-back is solved on its own, with the
+    dense oracles for kernels, column spaces, complements, products and
+    solves.  The maps are unique (pivot-supported solutions in fixed
+    representative bases), so ``les_from_ses`` must agree entry for entry.
+    """
+    a, b, c = f.source, f.target, g.target
+    degrees = sorted(set(a.spaces) | set(b.spaces) | set(c.spaces))
+    if not degrees:
+        return LongExactSequence(entries=[], maps=[])
+    for k in degrees:
+        assert oracle_rank(f.at(k)) == a.dim(k)
+        assert oracle_rank(g.at(k)) == c.dim(k)
+        assert oracle_product(g.at(k), f.at(k)).is_zero()
+        assert a.dim(k) + c.dim(k) == b.dim(k)
+
+    def homology_basis(x, k):
+        boundaries = oracle_spanned_by(x.d(k - 1))
+        return boundaries, oracle_complement_in(boundaries, oracle_kernel_basis(x.d(k)))
+
+    def class_coords(boundaries, reps, vector) -> list:
+        if reps.cols == 0:
+            return []
+        coords = oracle_solve(Matrix.hstack(boundaries.basis, reps), vector)
+        assert coords is not None, "vector is not a cycle modulo boundaries"
+        return coords[boundaries.dim:]
+
+    def from_columns(rows, columns) -> Matrix:
+        return Matrix(rows, len(columns), {(i, j): v for j, col in enumerate(columns)
+                                           for i, v in enumerate(col) if v})
+
+    data = {k: {name: homology_basis(x, k) for name, x in (("A", a), ("B", b), ("C", c))}
+            for k in range(degrees[0], degrees[-1] + 1)}
+
+    def induced(mat, src, tgt) -> Matrix:
+        _, src_reps = src
+        tgt_bound, tgt_reps = tgt
+        return from_columns(tgt_reps.cols, [
+            class_coords(tgt_bound, tgt_reps,
+                         oracle_product(mat, Matrix.from_column(src_reps.column(j))).column(0))
+            for j in range(src_reps.cols)])
+
+    def connecting(k) -> Matrix:
+        _, c_reps = data[k]["C"]
+        a_bound, a_reps = data[k + 1]["A"]
+        columns = []
+        for j in range(c_reps.cols):
+            lift = oracle_solve(g.at(k), c_reps.column(j))
+            assert lift is not None, "g is surjective but lift failed"
+            w = oracle_product(b.d(k), Matrix.from_column(lift)).column(0)
+            back = oracle_solve(f.at(k + 1), w)
+            assert back is not None, "snake image missed the subcomplex"
+            columns.append(class_coords(a_bound, a_reps, back))
+        return from_columns(a_reps.cols, columns)
+
+    entries, maps = [], []
+    for k in sorted(data):
+        for name in ("A", "B", "C"):
+            entries.append((f"H^{k}({name})", data[k][name][1].cols))
+        maps.append(induced(f.at(k), data[k]["A"], data[k]["B"]))
+        maps.append(induced(g.at(k), data[k]["B"], data[k]["C"]))
+        if k < degrees[-1]:
+            maps.append(connecting(k))
+    return LongExactSequence(entries=entries, maps=maps)
+
+
+def twisted_ses(rng, a: Complex, c: Complex):
+    """0 -> A -> B -> C -> 0, degreewise split, B twisted by h: C^k -> Z^{k+1}(A).
+
+    The construction of the benchmark's LES input.  C must have zero
+    differential, so d_A h = 0 is all that d_B² = 0 needs; the connecting
+    map of the sequence is then [h], which is not zero.  h takes dense ±1
+    coefficients on a basis of the cycles.
+    """
+    assert not c.diffs, "the twist needs a complex C with zero differential"
+    twist = {}
+    for k in sorted(set(a.spaces) | set(c.spaces)):
+        cycles = kernel_basis(a.d(k + 1)).basis
+        if cycles.cols and c.dim(k):
+            twist[k] = cycles * Matrix(cycles.cols, c.dim(k),
+                                       {(i, j): rng.choice((-1, 1))
+                                        for i in range(cycles.cols)
+                                        for j in range(c.dim(k))})
+    return split_ses(a, c, twist)
 
 
 def staircase_double_complex() -> DoubleComplex:

@@ -6,6 +6,7 @@ import pytest
 
 from kbhom import cli, engine
 from kbhom.cli import main
+from kbhom.complexes import ComplexInvariantError
 from kbhom.engine import HodgeDiamond, hodge_diamond, kb_homology
 from kbhom.models import product_model
 from kbhom.zoo import hodge_formal, parallelizable, save_model, torus, write_model
@@ -358,6 +359,27 @@ def test_internal_faults_exit_4(tmp_path, capsys, monkeypatch, fault):
     err = capsys.readouterr().err
     assert err.startswith("kbhom: internal error: ")
     assert str(fault) in err
+
+
+def test_complex_invariant_error_exits_4(capsys, monkeypatch, torus1_file):
+    def broken(*args, **kwargs):
+        raise ComplexInvariantError("negative homology at degree 0")
+
+    monkeypatch.setattr(cli, "kb_homology", broken)
+    assert main(["compute", torus1_file]) == cli.EXIT_INTERNAL == 4
+    err = capsys.readouterr().err
+    assert err.startswith("kbhom: internal error: ComplexInvariantError: ")
+    assert "negative homology at degree 0" in err
+
+
+@pytest.mark.parametrize("change", [{"coeff": 0.1}, {"coeff": True},
+                                    {"alpha": [True, False, False]}, {"i": True}],
+                         ids=["float-coeff", "true-coeff", "bool-alpha", "bool-index"])
+def test_stein_inexact_terms_are_parse_errors(tmp_path, capsys, change):
+    term = {"i": 1, "j": 2, "coeff": "1", "alpha": [0, 0, 1]} | change
+    pi = write_json(tmp_path / "pi.json", [term])
+    assert main(["stein", pi, "--n", "3", "--weights", "0"]) == 1
+    assert "parse error" in capsys.readouterr().err
 
 
 def test_stein_zero_denominator_is_a_parse_error(tmp_path, capsys):

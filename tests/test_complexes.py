@@ -15,7 +15,10 @@ from kbhom.complexes import (
     tensor_double,
     total_complex,
 )
+from kbhom import complexes, linalg
+from kbhom.engine import kb_double_complex
 from kbhom.linalg import Matrix, rank
+from kbhom.zoo import parallelizable, torus
 
 from support import (
     convolve,
@@ -23,6 +26,7 @@ from support import (
     random_double_complex,
     random_split_ses,
     split_ses,
+    twisted_ses,
 )
 
 
@@ -298,3 +302,40 @@ def test_les_handles_negative_degrees():
         les = les_from_ses(f, g)
         assert les.check_exact()
         assert les.alternating_sum() == 0
+
+
+def counting(monkeypatch, module, name):
+    """Replace module.name by a wrapper that counts its calls."""
+    calls = []
+    real = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_les_reduces_a_bounded_number_of_matrices_per_degree(monkeypatch):
+    """Per degree: 2 SES rank checks, 3 reductions for each of the 3
+    homology bases, 5 for the maps (two induced maps, lift, pull-back and
+    class coordinates of the connecting map) and 3 ranks in check_exact,
+    however many homology classes the degree has (130 in all here)."""
+    heis3 = parallelizable(3, {(1, 2, 3): 1}, {(1, 2): 1})
+    a = total_complex(kb_double_complex(heis3))
+    c = total_complex(kb_double_complex(torus(3, {(1, 2): 1})))
+    f, g = twisted_ses(random.Random(0), a, c)
+    calls = counting(monkeypatch, linalg, "_reduce")
+    les = les_from_ses(f, g)
+    degrees = {int(label[2:label.index("(")]) for label, _ in les.entries}
+    assert sum(dim for _, dim in les.entries) == 130
+    assert len(calls) <= 19 * len(degrees)
+
+
+def test_check_exact_ranks_each_map_once(monkeypatch):
+    f, g = random_split_ses(random.Random(53))
+    les = les_from_ses(f, g)
+    calls = counting(monkeypatch, complexes, "rank")
+    assert les.check_exact()
+    assert len(calls) == len(les.maps)

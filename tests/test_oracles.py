@@ -13,22 +13,40 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kbhom.complexes import spectral_pages, tensor_double
+from kbhom.complexes import (
+    Complex,
+    les_from_ses,
+    spectral_pages,
+    tensor_double,
+    total_complex,
+)
 from kbhom.engine import kb_double_complex
-from kbhom.linalg import Matrix, Subspace, complement_in, kernel_basis, rank, solve
+from kbhom.linalg import (
+    Matrix,
+    Subspace,
+    complement_in,
+    kernel_basis,
+    rank,
+    solve,
+    solve_columns,
+)
 from kbhom.stein import PolyBivector, stein_complex
 from kbhom.zoo import parallelizable, torus
 from support import (
     oracle_complement_in,
     oracle_kernel_basis,
+    oracle_les_from_ses,
     oracle_product,
     oracle_rank,
     oracle_solve,
     oracle_spanned_by,
     oracle_spectral_pages,
     oracle_stein_differentials,
+    random_complex,
     random_double_complex,
+    random_split_ses,
     staircase_double_complex,
+    twisted_ses,
 )
 
 SETTINGS = settings(max_examples=150, deadline=None)
@@ -72,6 +90,36 @@ def test_solve_matches_oracle(data):
     arbitrary = data.draw(st.lists(rationals, min_size=m.rows, max_size=m.rows))
     for b in (consistent, arbitrary):
         assert solve(m, b) == oracle_solve(m, b)
+
+
+@SETTINGS
+@given(st.data())
+def test_solve_columns_matches_oracle_column_by_column(data):
+    """Rank-deficient m with denominators (zero rows or columns included),
+    against right-hand sides mixing columns in the image of m with
+    arbitrary ones, zero columns of rhs included."""
+    m = data.draw(deficient_matrices())
+    columns = []
+    for _ in range(data.draw(st.integers(0, 4))):
+        if data.draw(st.booleans()):
+            x = data.draw(st.lists(rationals, min_size=m.cols, max_size=m.cols))
+            columns.append(oracle_product(m, Matrix.from_column(x)).column(0)
+                           if m.cols else [Fraction(0)] * m.rows)
+        else:
+            columns.append(data.draw(st.lists(rationals, min_size=m.rows, max_size=m.rows)))
+    rhs = Matrix(m.rows, len(columns), {(i, j): v for j, col in enumerate(columns)
+                                        for i, v in enumerate(col)})
+    assert solve_columns(m, rhs) == [oracle_solve(m, col) for col in columns]
+
+
+def test_solve_columns_edge_shapes():
+    m = Matrix.from_rows([[1, 2, 3], [2, 4, 6]])          # rank 1, dependent columns
+    rhs = Matrix.from_rows([[1, 1, 0], [2, 3, 0]])         # solvable, not, zero
+    assert solve_columns(m, rhs) == [oracle_solve(m, rhs.column(j)) for j in range(3)]
+    assert solve_columns(m, rhs)[1] is None
+    assert solve_columns(m, Matrix(2, 0)) == []
+    assert solve_columns(Matrix(0, 3), Matrix(0, 2)) == [[Fraction(0)] * 3] * 2
+    assert solve_columns(Matrix(2, 0), Matrix.from_rows([[0, 0], [0, 1]])) == [[], None]
 
 
 @SETTINGS
@@ -199,3 +247,35 @@ def test_pages_match_oracle_on_kb_models():
     heis3 = parallelizable(3, {(1, 2, 3): 1}, {(1, 2): 1})
     for model in (heis3, torus(3, {(1, 2): 1})):
         assert_pages_match(kb_double_complex(model), 2)
+
+
+def assert_les_matches(f, g):
+    new, old = les_from_ses(f, g), oracle_les_from_ses(f, g)
+    assert new.entries == old.entries
+    assert new.maps == old.maps
+
+
+def test_les_matches_per_column_oracle_on_twisted_heis3_torus3():
+    """The benchmark's LES: heis3 twisted by cycles over torus3."""
+    heis3 = parallelizable(3, {(1, 2, 3): 1}, {(1, 2): 1})
+    a = total_complex(kb_double_complex(heis3))
+    c = total_complex(kb_double_complex(torus(3, {(1, 2): 1})))
+    for seed in range(3):
+        f, g = twisted_ses(random.Random(seed), a, c)
+        assert_les_matches(f, g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([(0, 2), (-2, 1), (0, 3)]),
+       st.booleans())
+def test_les_matches_per_column_oracle_on_random_split_ses(seed, degrees, twisted):
+    """Split sequences twisted by a coboundary (zero connecting maps) and
+    by cycles of A over a C with zero differential (nonzero ones)."""
+    rng = random.Random(seed)
+    if twisted:
+        lo, hi = degrees
+        c = Complex({k: rng.randint(0, 3) for k in range(lo, hi + 1)})
+        f, g = twisted_ses(rng, random_complex(rng, lo, hi), c)
+    else:
+        f, g = random_split_ses(rng, *degrees)
+    assert_les_matches(f, g)

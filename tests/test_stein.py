@@ -94,6 +94,14 @@ def test_antisymmetry_normalization():
     assert cancel.is_zero()
 
 
+@pytest.mark.parametrize("term", [(1, 2, 0.1, (0, 0)), (1, 2, True, (0, 0)),
+                                  (1, 2, 1, (True, False)), (True, 2, 1, (0, 0)),
+                                  (1, 2.0, 1, (0, 0)), (1, 2, 1, (0.0, 1))])
+def test_from_terms_rejects_inexact_and_boolean_terms(term):
+    with pytest.raises(TypeError):
+        PolyBivector.from_terms(2, [term])
+
+
 def test_from_dict_terms():
     pi = PolyBivector.from_terms(
         2, [{"i": 1, "j": 2, "coeff": "1/2", "alpha": [1, 0]}])
