@@ -6,8 +6,9 @@ Conventions fixed here, once, for the whole package:
 * a ``DoubleComplex`` has two anticommuting differentials,
   ``d1: (p,q) -> (p+1,q)`` and ``d2: (p,q) -> (p,q+1)``, and its total
   complex carries ``D = d1 + d2`` with no extra signs;
-* tensor products insert the Koszul sign ``(-1)^{deg}`` of the left
-  factor in front of the right differential, which keeps the
+* tensor products (one routine, ``koszul_tensor``) insert the Koszul
+  sign ``(-1)^{deg}`` of the left factor in front of the right factor's
+  operator when that operator has odd degree, which keeps the
   anticommuting convention (checked after every construction);
 * shifts relocate differentials without sign flips (dimension-level
   output is sign-insensitive).
@@ -218,65 +219,81 @@ def shift(dc: DoubleComplex, m: int, n: int) -> DoubleComplex:
     return DoubleComplex(spaces, d1, d2, check=False)
 
 
-def tensor_double(a: DoubleComplex, b: DoubleComplex) -> DoubleComplex:
-    """Tensor product of double complexes with Koszul signs.
+def tensor_layout(dims_a: dict, dims_b: dict) -> tuple:
+    """The cells of A ⊗ B, from the cell dimensions of A and B.
 
-    The component of the result at (p,q) is the direct sum of
-    A(a1,a2) ⊗ B(b1,b2) over a1+b1=p, a2+b2=q, ordered by the A-cell and
-    then the B-cell; within one summand the index is row-major in
-    (A index, B index).  Differentials are d_A ⊗ 1 + (-1)^{|A|} 1 ⊗ d_B,
-    applied to d1 and d2 separately.
+    Returns ``(pairs, offsets, dims)``: ``pairs[cell]`` lists the
+    (A-cell, B-cell) pairs summing to cell, ordered by the A-cell and
+    then the B-cell; ``offsets`` gives each pair's first index in its
+    cell and ``dims`` each cell's dimension.  Within one pair the index
+    is row-major in (A index, B index).
     """
-    pair_lists: dict[tuple, list] = {}
-    for ca in a.cells():
-        for cb in b.cells():
-            cell = (ca[0] + cb[0], ca[1] + cb[1])
-            pair_lists.setdefault(cell, []).append((ca, cb))
-    spaces = {}
+    pairs: dict[tuple, list] = {}
+    for ca in sorted(dims_a):
+        for cb in sorted(dims_b):
+            pairs.setdefault((ca[0] + cb[0], ca[1] + cb[1]), []).append((ca, cb))
+    pairs = dict(sorted(pairs.items()))
     offsets = {}
-    for cell in sorted(pair_lists):
+    dims = {}
+    for cell, cell_pairs in pairs.items():
         off = 0
-        for ca, cb in pair_lists[cell]:
+        for ca, cb in cell_pairs:
             offsets[(ca, cb)] = off
-            off += a.spaces[ca] * b.spaces[cb]
-        if off:
-            spaces[cell] = off
+            off += dims_a[ca] * dims_b[cb]
+        dims[cell] = off
+    return pairs, offsets, dims
 
-    def build(which: int) -> dict:
-        dp, dq = (1, 0) if which == 1 else (0, 1)
-        blocks = {}
-        for cell in sorted(pair_lists):
-            entries: dict[tuple, object] = {}
-            for ca, cb in pair_lists[cell]:
-                src_off = offsets[(ca, cb)]
-                dim_a, dim_b = a.spaces[ca], b.spaces[cb]
-                # d_A ⊗ 1
-                ta = (ca[0] + dp, ca[1] + dq)
-                block_a = a.block1(*ca) if which == 1 else a.block2(*ca)
-                if (ta, cb) in offsets and not block_a.is_zero():
-                    tgt_off = offsets[(ta, cb)]
-                    for (i2, i1), v in block_a.entries.items():
-                        for j in range(dim_b):
-                            entries[(tgt_off + i2 * dim_b + j,
-                                     src_off + i1 * dim_b + j)] = v
-                # (-1)^{|A|} 1 ⊗ d_B
-                tb = (cb[0] + dp, cb[1] + dq)
-                block_b = b.block1(*cb) if which == 1 else b.block2(*cb)
-                if (ca, tb) in offsets and not block_b.is_zero():
-                    sign = -1 if (ca[0] + ca[1]) % 2 else 1
-                    tgt_off = offsets[(ca, tb)]
-                    dim_tb = b.spaces[tb]
-                    for (j2, j1), v in block_b.entries.items():
-                        for i in range(dim_a):
-                            entries[(tgt_off + i * dim_tb + j2,
-                                     src_off + i * dim_b + j1)] = sign * v
-            if entries:
-                tgt_cell = (cell[0] + dp, cell[1] + dq)
-                blocks[cell] = Matrix(spaces.get(tgt_cell, 0),
-                                      spaces.get(cell, 0), entries)
-        return blocks
 
-    return DoubleComplex(spaces, build(1), build(2))
+def koszul_tensor(dims_a: dict, blocks_a: dict, dims_b: dict, blocks_b: dict,
+                  bidegree: tuple) -> dict:
+    """The blocks of f_A ⊗ 1 + (-1)^{(dp+dq)(p_A+q_A)} 1 ⊗ f_B on A ⊗ B.
+
+    ``dims_a``, ``dims_b`` are the cell dimensions of the factors and
+    ``blocks_a``, ``blocks_b`` the nonzero blocks of an operator of
+    bidegree (dp, dq) on each, keyed by source cell; the result is laid
+    out by :func:`tensor_layout`.  The Koszul sign comes from the
+    bidegree alone: an odd operator picks up the parity of the left
+    factor's cell, an even one (a contraction, bidegree (-2, 0)) none.
+    """
+    dp, dq = bidegree
+    odd = (dp + dq) % 2
+    pairs, offsets, dims = tensor_layout(dims_a, dims_b)
+    blocks = {}
+    for cell, cell_pairs in pairs.items():
+        entries: dict[tuple, object] = {}
+        for ca, cb in cell_pairs:
+            src = offsets[(ca, cb)]
+            dim_a, dim_b = dims_a[ca], dims_b[cb]
+            # f_A ⊗ 1
+            block = blocks_a.get(ca)
+            tgt = offsets.get(((ca[0] + dp, ca[1] + dq), cb))
+            if block is not None and tgt is not None:
+                for (i2, i1), v in block.entries.items():
+                    for j in range(dim_b):
+                        entries[(tgt + i2 * dim_b + j, src + i1 * dim_b + j)] = v
+            # (-1)^{(dp+dq)(p_A+q_A)} 1 ⊗ f_B
+            tb = (cb[0] + dp, cb[1] + dq)
+            block = blocks_b.get(cb)
+            tgt = offsets.get((ca, tb))
+            if block is not None and tgt is not None:
+                sign = -1 if odd and (ca[0] + ca[1]) % 2 else 1
+                dim_tb = dims_b[tb]
+                for (j2, j1), v in block.entries.items():
+                    for i in range(dim_a):
+                        entries[(tgt + i * dim_tb + j2, src + i * dim_b + j1)] = sign * v
+        if entries:
+            blocks[cell] = Matrix(dims.get((cell[0] + dp, cell[1] + dq), 0),
+                                  dims[cell], entries)
+    return blocks
+
+
+def tensor_double(a: DoubleComplex, b: DoubleComplex) -> DoubleComplex:
+    """Tensor product of double complexes with Koszul signs: the cells
+    of :func:`tensor_layout`, and d1 and d2 each extended by
+    :func:`koszul_tensor` as d_A ⊗ 1 + (-1)^{|A|} 1 ⊗ d_B."""
+    return DoubleComplex(tensor_layout(a.spaces, b.spaces)[2],
+                         koszul_tensor(a.spaces, a.d1, b.spaces, b.d1, (1, 0)),
+                         koszul_tensor(a.spaces, a.d2, b.spaces, b.d2, (0, 1)))
 
 
 def homology_dims(c: Complex) -> dict:

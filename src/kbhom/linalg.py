@@ -107,21 +107,6 @@ class Matrix:
             off += m.cols
         return cls(rows, off, entries)
 
-    @classmethod
-    def vstack(cls, *mats: "Matrix") -> "Matrix":
-        if not mats:
-            raise ValueError("vstack of nothing")
-        cols = mats[0].cols
-        entries = {}
-        off = 0
-        for m in mats:
-            if m.cols != cols:
-                raise ValueError("vstack column mismatch")
-            for (i, j), v in m.entries.items():
-                entries[(i + off, j)] = v
-            off += m.rows
-        return cls(off, cols, entries)
-
     @property
     def shape(self):
         return (self.rows, self.cols)

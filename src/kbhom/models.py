@@ -22,6 +22,7 @@ from fractions import Fraction
 from itertools import combinations
 from types import MappingProxyType
 
+from .complexes import koszul_tensor, tensor_layout
 from .linalg import Matrix
 
 Q = Fraction
@@ -36,20 +37,15 @@ class ModelValidationError(ValueError):
         self.bidegree = bidegree
 
 
-def _sort_sign(seq):
-    """Sign of the permutation sorting seq, or 0 on a repeated generator."""
-    lst = list(seq)
-    sign = 1
-    for i in range(1, len(lst)):
-        j = i
-        while j > 0 and lst[j - 1] > lst[j]:
-            lst[j - 1], lst[j] = lst[j], lst[j - 1]
-            sign = -sign
-            j -= 1
-    for a, b in zip(lst, lst[1:]):
-        if a == b:
-            return 0, ()
-    return sign, tuple(lst)
+def _wedge(a: tuple, b: tuple):
+    """dz^a ∧ dz^b for sorted generator tuples a and b: ``(sign, merged)``
+    with dz^a ∧ dz^b = sign · dz^merged, or ``(0, ())`` on a repeated
+    generator."""
+    merged = tuple(sorted(a + b))
+    if len(set(merged)) < len(merged):
+        return 0, ()
+    # sorting moves each generator of a past the smaller ones of b
+    return (-1) ** sum(x > y for x in a for y in b), merged
 
 
 def monomial_label(mono) -> str:
@@ -59,64 +55,86 @@ def monomial_label(mono) -> str:
 
 
 class WedgeBasis:
-    """Wedge-monomial structure: at (p,q) the monomials (I, J) with
-    I ⊆ {1..n} holomorphic and J ⊆ {1..n} antiholomorphic indices."""
+    """Wedge monomials on n generators, as the tensor product of a
+    holomorphic and an antiholomorphic factor Λ(n).
 
-    __slots__ = ("n", "monomials", "index")
+    ``factor[k]`` lists the sorted k-subsets of {1..n}, and ``index[k]``
+    numbers them.  At (p,q) the monomials are the pairs (I, J) with
+    I ∈ factor[p] holomorphic and J ∈ factor[q] antiholomorphic,
+    row-major in (I, J): the layout of (p,0) ⊗ (0,q) in
+    :func:`~kbhom.complexes.tensor_layout`.
+    """
 
-    def __init__(self, n: int, monomials: dict):
+    __slots__ = ("n", "factor", "index")
+
+    def __init__(self, n: int):
         self.n = n
-        self.monomials = monomials
-        self.index = {cell: {m: i for i, m in enumerate(ms)}
-                      for cell, ms in monomials.items()}
+        self.factor = {k: list(combinations(range(1, n + 1), k)) for k in range(n + 1)}
+        self.index = {k: {m: i for i, m in enumerate(ms)} for k, ms in self.factor.items()}
 
     @classmethod
     def exterior(cls, n: int) -> "WedgeBasis":
-        mono = {}
-        for p in range(n + 1):
-            for q in range(n + 1):
-                mono[(p, q)] = [(i_set, j_set)
-                                for i_set in combinations(range(1, n + 1), p)
-                                for j_set in combinations(range(1, n + 1), q)]
-        return cls(n, mono)
+        return cls(n)
 
     def labels(self, p: int, q: int) -> list:
-        return [monomial_label(m) for m in self.monomials[(p, q)]]
+        return [monomial_label((i_set, j_set))
+                for i_set in self.factor[p] for j_set in self.factor[q]]
+
+    def tensor(self, hol: dict, anti: dict, bidegree: tuple) -> dict:
+        """Model blocks of the Koszul tensor f ⊗ 1 ± 1 ⊗ g of an operator
+        of the given bidegree, from its blocks f on the holomorphic and g on
+        the antiholomorphic factor, each keyed by degree."""
+        return koszul_tensor({(k, 0): len(ms) for k, ms in self.factor.items()},
+                             {(k, 0): m for k, m in hol.items()},
+                             {(0, k): len(ms) for k, ms in self.factor.items()},
+                             {(0, k): m for k, m in anti.items()}, bidegree)
 
 
-def derivation_blocks(wedge: WedgeBasis, images: dict, hol: bool) -> dict:
-    """Extend generator -> 2-form images to an antiderivation of degree +1.
+def derivation_blocks(wedge: WedgeBasis, images: dict) -> dict:
+    """Extend generator -> 2-form images to an antiderivation of degree +1
+    on one factor Λ(n), with blocks keyed by source degree.
 
-    ``images[k]`` is a list of (coeff, (x, y)) meaning the generator k maps
-    to sum coeff·(x ∧ y) among generators of the same kind.  For hol=True
-    this produces blocks (p,q)->(p+1,q) acting on the I part; otherwise
-    blocks (p,q)->(p,q+1) acting on the J part, with the Koszul sign of
-    crossing the holomorphic prefix.
+    ``images[k]`` is a list of (coeff, (x, y)) with x < y, meaning the
+    generator k maps to sum coeff·(x ∧ y).
     """
-    dp, dq = (1, 0) if hol else (0, 1)
     blocks = {}
-    for (p, q), monos in wedge.monomials.items():
-        target = wedge.monomials.get((p + dp, q + dq))
-        if target is None:
-            continue
-        tindex = wedge.index[(p + dp, q + dq)]
+    for k in range(wedge.n):
+        tindex = wedge.index[k + 1]
         entries: dict = {}
-        for col, (i_set, j_set) in enumerate(monos):
-            part = i_set if hol else j_set
-            offset = 0 if hol else len(i_set)
-            for t, gen in enumerate(part):
-                pos_sign = -1 if (offset + t) % 2 else 1
-                for coeff, (x, y) in images.get(gen, ()):
-                    word = part[:t] + (x, y) + part[t + 1:]
-                    sgn, sorted_part = _sort_sign(word)
-                    if sgn == 0:
-                        continue
-                    new = (sorted_part, j_set) if hol else (i_set, sorted_part)
-                    key = (tindex[new], col)
-                    entries[key] = entries.get(key, Q(0)) + pos_sign * sgn * coeff
-        m = Matrix(len(target), len(monos), entries)
+        for col, mono in enumerate(wedge.factor[k]):
+            for t, gen in enumerate(mono):
+                pos_sign = -1 if t % 2 else 1  # moving past t generators
+                rest = mono[:t] + mono[t + 1:]
+                for coeff, pair in images.get(gen, ()):
+                    sign, word = _wedge(pair, rest)
+                    if sign:
+                        key = (tindex[word], col)
+                        entries[key] = entries.get(key, Q(0)) + pos_sign * sign * coeff
+        m = Matrix(len(tindex), len(wedge.factor[k]), entries)
         if not m.is_zero():
-            blocks[(p, q)] = m
+            blocks[k] = m
+    return blocks
+
+
+def factor_contraction(wedge: WedgeBasis, pairs: dict) -> dict:
+    """Blocks of l_pi = Σ_{i<j} pi^{ij} ι_i ι_j on one factor Λ(n), keyed
+    by source degree, for normalized {(i, j): coefficient} pairs.
+
+    The pairing is ⟨θ_i, dz^j⟩ = δ_i^j and the global sign is fixed so
+    that l_pi(dz^i ∧ dz^j ∧ dz^R) = pi^{ij} dz^R.
+    """
+    blocks = {}
+    for k in range(2, wedge.n + 1):
+        sindex = wedge.index[k]
+        entries: dict = {}
+        for row, rest in enumerate(wedge.factor[k - 2]):
+            for pair, c in pairs.items():
+                sign, mono = _wedge(pair, rest)
+                if sign:
+                    entries[(row, sindex[mono])] = sign * c
+        m = Matrix(len(wedge.factor[k - 2]), len(sindex), entries)
+        if not m.is_zero():
+            blocks[k] = m
     return blocks
 
 
@@ -220,33 +238,12 @@ class DolbeaultPoissonModel:
 
 
 def contraction_from_bivector(model: DolbeaultPoissonModel, coeffs) -> dict:
-    """Blocks of l_pi = Σ_{i<j} pi^{ij} ι_i ι_j on the wedge basis.
-
-    The pairing is ⟨θ_i, dz^j⟩ = δ_i^j and the global sign is fixed so
-    that the coefficient matrix {(1,2): 1} contracts dz1^dz2 to +1.
-    """
+    """Blocks of l_pi ⊗ 1 on the wedge basis: the contraction
+    :func:`factor_contraction` on the holomorphic factor."""
     if model.wedge is None:
         raise ValueError("model carries no wedge structure constants")
     pairs = normalize_bivector_coeffs(model.n, coeffs)
-    blocks = {}
-    for (p, q), monos in model.wedge.monomials.items():
-        if p < 2:
-            continue
-        tindex = model.wedge.index[(p - 2, q)]
-        entries: dict = {}
-        for col, (i_set, j_set) in enumerate(monos):
-            for (i, j), c in pairs.items():
-                if i in i_set and j in i_set:
-                    pos_i = i_set.index(i)
-                    pos_j = i_set.index(j)
-                    sign = -1 if (pos_i + pos_j + 1) % 2 else 1
-                    reduced = tuple(x for x in i_set if x != i and x != j)
-                    key = (tindex[(reduced, j_set)], col)
-                    entries[key] = entries.get(key, Q(0)) + sign * c
-        m = Matrix(len(model.wedge.monomials[(p - 2, q)]), len(monos), entries)
-        if not m.is_zero():
-            blocks[(p, q)] = m
-    return blocks
+    return model.wedge.tensor(factor_contraction(model.wedge, pairs), {}, (-2, 0))
 
 
 @dataclass(frozen=True)
@@ -346,13 +343,19 @@ def validate_model(m: DolbeaultPoissonModel) -> ValidationReport:
     return report
 
 
-def koszul_differential(m: DolbeaultPoissonModel) -> KoszulDifferential:
-    """The derived Koszul differential of a model that passes validation."""
+def require_valid(m: DolbeaultPoissonModel, context: str) -> None:
+    """Raise ModelValidationError, with the identity and bidegree of the
+    first failure, unless m passes :func:`validate_model`."""
     bad = validate_model(m).first_failure()
     if bad is not None:
         raise ModelValidationError(
-            f"not a valid holomorphic Poisson model: {bad.identity} fails at "
-            f"bidegree {bad.bidegree}", identity=bad.identity, bidegree=bad.bidegree)
+            f"{context}: {bad.identity} fails at bidegree {bad.bidegree}",
+            identity=bad.identity, bidegree=bad.bidegree)
+
+
+def koszul_differential(m: DolbeaultPoissonModel) -> KoszulDifferential:
+    """The derived Koszul differential of a model that passes validation."""
+    require_valid(m, "not a valid holomorphic Poisson model")
     return m._validated[1]
 
 
@@ -360,66 +363,24 @@ def product_model(mx: DolbeaultPoissonModel,
                   my: DolbeaultPoissonModel) -> DolbeaultPoissonModel:
     """Tensor product model with contraction l_x ⊗ 1 + 1 ⊗ l_y.
 
-    del and delbar extend with the Koszul sign of the left total degree,
-    which is exactly what makes the derived differential satisfy the
-    Leibniz rule on decomposable elements (asserted by the validator).
+    Every operator extends by :func:`~kbhom.complexes.koszul_tensor`, so
+    del and delbar carry the Koszul sign of the left total degree, which
+    is exactly what makes the derived differential satisfy the Leibniz
+    rule on decomposable elements (asserted by the validator).
     """
     for part in (mx, my):
-        bad = validate_model(part).first_failure()
-        if bad is not None:
-            raise ModelValidationError(
-                f"invalid product factor {part.name!r}: {bad.identity} fails at "
-                f"{bad.bidegree}", identity=bad.identity, bidegree=bad.bidegree)
-    n = mx.n + my.n
-    pair_lists: dict = {}
-    for cx in mx.cells():
-        for cy in my.cells():
-            cell = (cx[0] + cy[0], cx[1] + cy[1])
-            pair_lists.setdefault(cell, []).append((cx, cy))
-    basis = {}
-    offsets = {}
-    for cell in sorted(pair_lists):
-        labels = []
-        for cx, cy in pair_lists[cell]:
-            offsets[(cx, cy)] = len(labels)
-            labels.extend(f"{lx}*{ly}" for lx in mx.basis[cx] for ly in my.basis[cy])
-        basis[cell] = labels
-
-    def build(get_x, get_y, dp, dq, signed) -> dict:
-        blocks = {}
-        for cell in sorted(pair_lists):
-            entries: dict = {}
-            for cx, cy in pair_lists[cell]:
-                src = offsets[(cx, cy)]
-                dim_x, dim_y = mx.dim(*cx), my.dim(*cy)
-                tx = (cx[0] + dp, cx[1] + dq)
-                block_x = get_x(*cx)
-                if (tx, cy) in offsets and not block_x.is_zero():
-                    tgt = offsets[(tx, cy)]
-                    for (i2, i1), v in block_x.entries.items():
-                        for j in range(dim_y):
-                            entries[(tgt + i2 * dim_y + j, src + i1 * dim_y + j)] = v
-                ty = (cy[0] + dp, cy[1] + dq)
-                block_y = get_y(*cy)
-                if (cx, ty) in offsets and not block_y.is_zero():
-                    sign = -1 if (signed and (cx[0] + cx[1]) % 2) else 1
-                    tgt = offsets[(cx, ty)]
-                    dim_ty = my.dim(*ty)
-                    for (j2, j1), v in block_y.entries.items():
-                        for i in range(dim_x):
-                            entries[(tgt + i * dim_ty + j2, src + i * dim_y + j1)] = sign * v
-            if entries:
-                tgt_cell = (cell[0] + dp, cell[1] + dq)
-                blocks[cell] = Matrix(len(basis.get(tgt_cell, ())),
-                                      len(basis[cell]), entries)
-        return blocks
-
+        require_valid(part, f"invalid product factor {part.name!r}")
+    dx = {cell: len(labels) for cell, labels in mx.basis.items()}
+    dy = {cell: len(labels) for cell, labels in my.basis.items()}
+    basis = {cell: [f"{lx}*{ly}" for cx, cy in pairs
+                    for lx in mx.basis[cx] for ly in my.basis[cy]]
+             for cell, pairs in tensor_layout(dx, dy)[0].items()}
     result = DolbeaultPoissonModel(
-        n, basis,
-        del_blocks=build(mx.del_at, my.del_at, 1, 0, signed=True),
-        delbar_blocks=build(mx.delbar_at, my.delbar_at, 0, 1, signed=True),
-        contraction_blocks=build(mx.contraction_at, my.contraction_at, -2, 0,
-                                 signed=False),
+        mx.n + my.n, basis,
+        del_blocks=koszul_tensor(dx, mx.del_blocks, dy, my.del_blocks, (1, 0)),
+        delbar_blocks=koszul_tensor(dx, mx.delbar_blocks, dy, my.delbar_blocks, (0, 1)),
+        contraction_blocks=koszul_tensor(dx, mx.contraction_blocks,
+                                         dy, my.contraction_blocks, (-2, 0)),
         name=f"{mx.name}x{my.name}",
         metadata={"product_of": f"{mx.name}, {my.name}"})
     bad = validate_model(result).first_failure()

@@ -1,6 +1,8 @@
 """Model constructors and the "kbmodel/1" JSON serialization.
 
-Constructors build invariant-form models on wedge-monomial bases:
+Constructors build invariant-form models on wedge-monomial bases; the
+exterior models are the Koszul tensor of a holomorphic and an
+antiholomorphic factor Λ(n), each operator built on one factor:
 
 * ``torus(n, pi)`` — all differentials zero, contraction from a constant
   bivector; the derived Koszul differential vanishes identically.
@@ -29,9 +31,10 @@ from .models import (
     DolbeaultPoissonModel,
     ModelValidationError,
     WedgeBasis,
-    contraction_from_bivector,
     derivation_blocks,
-    validate_model,
+    factor_contraction,
+    normalize_bivector_coeffs,
+    require_valid,
 )
 
 FORMAT = "kbmodel/1"
@@ -49,23 +52,7 @@ class StructureConstantError(ValueError):
 
 def torus(n: int, pi_coeffs=None) -> DolbeaultPoissonModel:
     """Invariant-form torus model: del = delbar = 0 on wedge monomials."""
-    wedge = WedgeBasis.exterior(n)
-    basis = {cell: wedge.labels(*cell) for cell in wedge.monomials}
-    bare = DolbeaultPoissonModel(n, basis, wedge=wedge, name=f"torus{n}")
-    contraction = {}
-    if pi_coeffs is not None:
-        contraction = contraction_from_bivector(bare, pi_coeffs)
-    model = DolbeaultPoissonModel(
-        n, basis, contraction_blocks=contraction, wedge=wedge, name=f"torus{n}",
-        metadata={"family": "torus",
-                  "asserts": "invariant forms compute the Dolbeault cohomology"})
-    report = validate_model(model)
-    if not report.ok:
-        bad = report.first_failure()
-        raise ModelValidationError(
-            f"torus construction broke {bad.identity} at {bad.bidegree}",
-            identity=bad.identity, bidegree=bad.bidegree)
-    return model
+    return _exterior_model("torus", n, {}, pi_coeffs)
 
 
 def point() -> DolbeaultPoissonModel:
@@ -98,33 +85,36 @@ def parallelizable(n: int, structure: dict,
     a bivector whose derived differential breaks the operator identities
     is rejected.
     """
+    return _exterior_model("parallelizable", n, structure, pi_coeffs)
+
+
+def _exterior_model(family: str, n: int, structure: dict,
+                    pi_coeffs) -> DolbeaultPoissonModel:
+    """The model Λ(n) ⊗ Λ(n) of holomorphic ⊗ antiholomorphic forms.
+
+    The Chevalley-Eilenberg differential ce is built once, on one factor:
+    del = ce ⊗ 1 and delbar = 1 ⊗ ce (the structure constants are
+    rational, so conjugation is the identity), and the contraction is
+    l_pi ⊗ 1.
+    """
     wedge = WedgeBasis.exterior(n)
-    images = _structure_images(n, structure)
-    del_blocks = derivation_blocks(wedge, images, hol=True)
-    delbar_blocks = derivation_blocks(wedge, images, hol=False)
+    ce = derivation_blocks(wedge, _structure_images(n, structure))
     # Jacobi <=> the CE differential squares to zero on the generators
-    upper = del_blocks.get((2, 0))
-    lower = del_blocks.get((1, 0))
-    if upper is not None and lower is not None and not (upper * lower).is_zero():
+    if 1 in ce and 2 in ce and not (ce[2] * ce[1]).is_zero():
         raise StructureConstantError(
             "structure constants violate the Jacobi identity")
-    basis = {cell: wedge.labels(*cell) for cell in wedge.monomials}
-    bare = DolbeaultPoissonModel(n, basis, del_blocks=del_blocks,
-                                 delbar_blocks=delbar_blocks, wedge=wedge)
     contraction = {}
     if pi_coeffs is not None:
-        contraction = contraction_from_bivector(bare, pi_coeffs)
+        contraction = factor_contraction(wedge, normalize_bivector_coeffs(n, pi_coeffs))
     model = DolbeaultPoissonModel(
-        n, basis, del_blocks=del_blocks, delbar_blocks=delbar_blocks,
-        contraction_blocks=contraction, wedge=wedge, name=f"parallelizable{n}",
-        metadata={"family": "parallelizable",
+        n, {(p, q): wedge.labels(p, q) for p in range(n + 1) for q in range(n + 1)},
+        del_blocks=wedge.tensor(ce, {}, (1, 0)),
+        delbar_blocks=wedge.tensor({}, ce, (0, 1)),
+        contraction_blocks=wedge.tensor(contraction, {}, (-2, 0)), wedge=wedge,
+        name=f"{family}{n}",
+        metadata={"family": family,
                   "asserts": "invariant forms compute the Dolbeault cohomology"})
-    report = validate_model(model)
-    if not report.ok:
-        bad = report.first_failure()
-        raise ModelValidationError(
-            f"bivector rejected: {bad.identity} fails at bidegree {bad.bidegree}",
-            identity=bad.identity, bidegree=bad.bidegree)
+    require_valid(model, "bivector rejected")
     return model
 
 
@@ -266,12 +256,7 @@ def load_model(data: dict, lax: bool = False,
             raise
         raise ModelFileError(str(exc)) from None
     if validate:
-        report = validate_model(model)
-        if not report.ok:
-            bad = report.first_failure()
-            raise ModelValidationError(
-                f"model file fails {bad.identity} at bidegree {bad.bidegree}",
-                identity=bad.identity, bidegree=bad.bidegree)
+        require_valid(model, "invalid model file")
     return model
 
 

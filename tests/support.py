@@ -9,12 +9,15 @@ row elimination for rank, kernel and column space, a dense Fraction
 elimination for solve, a dense Fraction matrix product, spectral pages
 by subspace arithmetic on approximate cycles, the snake-lemma LES with
 one solve per column, and the Stein slice builder with Fraction
-coefficients.  They share no elimination or
-product code with ``kbhom.linalg`` and no integer scaling with
-``kbhom.stein``.
+coefficients.  They share no elimination or product code with
+``kbhom.linalg`` and no integer scaling with ``kbhom.stein``.  The
+former model builders, on all 4^n wedge monomials with their own tensor
+loops, share no tensor or sign code with ``kbhom.complexes`` and
+``kbhom.models``.
 """
 
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 
 from kbhom.complexes import (
@@ -27,7 +30,15 @@ from kbhom.complexes import (
     tensor_double,
 )
 from kbhom.linalg import Matrix, Subspace, kernel_basis
+from kbhom.models import (
+    DolbeaultPoissonModel,
+    ModelValidationError,
+    monomial_label,
+    normalize_bivector_coeffs,
+    validate_model,
+)
 from kbhom.stein import slice_basis
+from kbhom.zoo import StructureConstantError, _structure_images
 
 
 def random_matrix(rng, rows, cols, density=0.5, span=3):
@@ -571,3 +582,259 @@ def oracle_stein_differentials(pi, w: int, cap: int) -> dict:
         if not m.is_zero():
             diffs[-p] = m
     return diffs
+
+
+# ----------------------------------------------------------------------------
+# The former model builders, kept as oracles for the Koszul tensor routine:
+# exterior models built on all 4^n wedge monomials with a permutation sort
+# for signs, and the product and double-complex tensors as their own loops.
+
+def _sort_sign(seq):
+    """Sign of the permutation sorting seq, or 0 on a repeated generator."""
+    lst = list(seq)
+    sign = 1
+    for i in range(1, len(lst)):
+        j = i
+        while j > 0 and lst[j - 1] > lst[j]:
+            lst[j - 1], lst[j] = lst[j], lst[j - 1]
+            sign = -sign
+            j -= 1
+    for a, b in zip(lst, lst[1:]):
+        if a == b:
+            return 0, ()
+    return sign, tuple(lst)
+
+
+class OracleWedgeBasis:
+    """At (p,q) the monomials (I, J), I holomorphic and J antiholomorphic
+    index sets, listed for every bidegree, with an index per bidegree."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.monomials = {}
+        for p in range(n + 1):
+            for q in range(n + 1):
+                self.monomials[(p, q)] = [(i_set, j_set)
+                                          for i_set in combinations(range(1, n + 1), p)
+                                          for j_set in combinations(range(1, n + 1), q)]
+        self.index = {cell: {m: i for i, m in enumerate(ms)}
+                      for cell, ms in self.monomials.items()}
+
+    def labels(self, p: int, q: int) -> list:
+        return [monomial_label(m) for m in self.monomials[(p, q)]]
+
+
+def oracle_derivation_blocks(wedge: OracleWedgeBasis, images: dict, hol: bool) -> dict:
+    """The antiderivation on the I part (hol) or on the J part, the latter
+    with the Koszul sign of crossing the holomorphic prefix."""
+    dp, dq = (1, 0) if hol else (0, 1)
+    blocks = {}
+    for (p, q), monos in wedge.monomials.items():
+        target = wedge.monomials.get((p + dp, q + dq))
+        if target is None:
+            continue
+        tindex = wedge.index[(p + dp, q + dq)]
+        entries: dict = {}
+        for col, (i_set, j_set) in enumerate(monos):
+            part = i_set if hol else j_set
+            offset = 0 if hol else len(i_set)
+            for t, gen in enumerate(part):
+                pos_sign = -1 if (offset + t) % 2 else 1
+                for coeff, (x, y) in images.get(gen, ()):
+                    word = part[:t] + (x, y) + part[t + 1:]
+                    sgn, sorted_part = _sort_sign(word)
+                    if sgn == 0:
+                        continue
+                    new = (sorted_part, j_set) if hol else (i_set, sorted_part)
+                    key = (tindex[new], col)
+                    entries[key] = entries.get(key, Fraction(0)) + pos_sign * sgn * coeff
+        m = Matrix(len(target), len(monos), entries)
+        if not m.is_zero():
+            blocks[(p, q)] = m
+    return blocks
+
+
+def oracle_contraction_from_bivector(model: DolbeaultPoissonModel, coeffs) -> dict:
+    """l_pi on every wedge monomial, the sign read off the two positions."""
+    if model.wedge is None:
+        raise ValueError("model carries no wedge structure constants")
+    pairs = normalize_bivector_coeffs(model.n, coeffs)
+    blocks = {}
+    for (p, q), monos in model.wedge.monomials.items():
+        if p < 2:
+            continue
+        tindex = model.wedge.index[(p - 2, q)]
+        entries: dict = {}
+        for col, (i_set, j_set) in enumerate(monos):
+            for (i, j), c in pairs.items():
+                if i in i_set and j in i_set:
+                    pos_i = i_set.index(i)
+                    pos_j = i_set.index(j)
+                    sign = -1 if (pos_i + pos_j + 1) % 2 else 1
+                    reduced = tuple(x for x in i_set if x != i and x != j)
+                    key = (tindex[(reduced, j_set)], col)
+                    entries[key] = entries.get(key, Fraction(0)) + sign * c
+        m = Matrix(len(model.wedge.monomials[(p - 2, q)]), len(monos), entries)
+        if not m.is_zero():
+            blocks[(p, q)] = m
+    return blocks
+
+
+def _raise_if_invalid(model, message):
+    report = validate_model(model)
+    if not report.ok:
+        bad = report.first_failure()
+        raise ModelValidationError(f"{message}: {bad.identity} at {bad.bidegree}",
+                                   identity=bad.identity, bidegree=bad.bidegree)
+
+
+_ASSERTS = "invariant forms compute the Dolbeault cohomology"
+
+
+def oracle_torus(n: int, pi_coeffs=None) -> DolbeaultPoissonModel:
+    wedge = OracleWedgeBasis(n)
+    basis = {cell: wedge.labels(*cell) for cell in wedge.monomials}
+    bare = DolbeaultPoissonModel(n, basis, wedge=wedge, name=f"torus{n}")
+    contraction = {}
+    if pi_coeffs is not None:
+        contraction = oracle_contraction_from_bivector(bare, pi_coeffs)
+    model = DolbeaultPoissonModel(
+        n, basis, contraction_blocks=contraction, wedge=wedge, name=f"torus{n}",
+        metadata={"family": "torus", "asserts": _ASSERTS})
+    _raise_if_invalid(model, "torus construction broke")
+    return model
+
+
+def oracle_parallelizable(n: int, structure: dict, pi_coeffs=None) -> DolbeaultPoissonModel:
+    wedge = OracleWedgeBasis(n)
+    images = _structure_images(n, structure)
+    del_blocks = oracle_derivation_blocks(wedge, images, hol=True)
+    delbar_blocks = oracle_derivation_blocks(wedge, images, hol=False)
+    upper = del_blocks.get((2, 0))
+    lower = del_blocks.get((1, 0))
+    if upper is not None and lower is not None and not (upper * lower).is_zero():
+        raise StructureConstantError("structure constants violate the Jacobi identity")
+    basis = {cell: wedge.labels(*cell) for cell in wedge.monomials}
+    bare = DolbeaultPoissonModel(n, basis, del_blocks=del_blocks,
+                                 delbar_blocks=delbar_blocks, wedge=wedge)
+    contraction = {}
+    if pi_coeffs is not None:
+        contraction = oracle_contraction_from_bivector(bare, pi_coeffs)
+    model = DolbeaultPoissonModel(
+        n, basis, del_blocks=del_blocks, delbar_blocks=delbar_blocks,
+        contraction_blocks=contraction, wedge=wedge, name=f"parallelizable{n}",
+        metadata={"family": "parallelizable", "asserts": _ASSERTS})
+    _raise_if_invalid(model, "bivector rejected")
+    return model
+
+
+def oracle_product_model(mx: DolbeaultPoissonModel,
+                         my: DolbeaultPoissonModel) -> DolbeaultPoissonModel:
+    """The product model with its own tensor loop and a `signed` flag."""
+    for part in (mx, my):
+        _raise_if_invalid(part, f"invalid product factor {part.name!r}")
+    pair_lists: dict = {}
+    for cx in mx.cells():
+        for cy in my.cells():
+            cell = (cx[0] + cy[0], cx[1] + cy[1])
+            pair_lists.setdefault(cell, []).append((cx, cy))
+    basis = {}
+    offsets = {}
+    for cell in sorted(pair_lists):
+        labels = []
+        for cx, cy in pair_lists[cell]:
+            offsets[(cx, cy)] = len(labels)
+            labels.extend(f"{lx}*{ly}" for lx in mx.basis[cx] for ly in my.basis[cy])
+        basis[cell] = labels
+
+    def build(get_x, get_y, dp, dq, signed) -> dict:
+        blocks = {}
+        for cell in sorted(pair_lists):
+            entries: dict = {}
+            for cx, cy in pair_lists[cell]:
+                src = offsets[(cx, cy)]
+                dim_x, dim_y = mx.dim(*cx), my.dim(*cy)
+                tx = (cx[0] + dp, cx[1] + dq)
+                block_x = get_x(*cx)
+                if (tx, cy) in offsets and not block_x.is_zero():
+                    tgt = offsets[(tx, cy)]
+                    for (i2, i1), v in block_x.entries.items():
+                        for j in range(dim_y):
+                            entries[(tgt + i2 * dim_y + j, src + i1 * dim_y + j)] = v
+                ty = (cy[0] + dp, cy[1] + dq)
+                block_y = get_y(*cy)
+                if (cx, ty) in offsets and not block_y.is_zero():
+                    sign = -1 if (signed and (cx[0] + cx[1]) % 2) else 1
+                    tgt = offsets[(cx, ty)]
+                    dim_ty = my.dim(*ty)
+                    for (j2, j1), v in block_y.entries.items():
+                        for i in range(dim_x):
+                            entries[(tgt + i * dim_ty + j2, src + i * dim_y + j1)] = sign * v
+            if entries:
+                tgt_cell = (cell[0] + dp, cell[1] + dq)
+                blocks[cell] = Matrix(len(basis.get(tgt_cell, ())),
+                                      len(basis[cell]), entries)
+        return blocks
+
+    result = DolbeaultPoissonModel(
+        mx.n + my.n, basis,
+        del_blocks=build(mx.del_at, my.del_at, 1, 0, signed=True),
+        delbar_blocks=build(mx.delbar_at, my.delbar_at, 0, 1, signed=True),
+        contraction_blocks=build(mx.contraction_at, my.contraction_at, -2, 0,
+                                 signed=False),
+        name=f"{mx.name}x{my.name}",
+        metadata={"product_of": f"{mx.name}, {my.name}"})
+    assert validate_model(result).ok
+    return result
+
+
+def oracle_tensor_double(a: DoubleComplex, b: DoubleComplex) -> DoubleComplex:
+    """The tensor of double complexes with its own loop and a `which` flag."""
+    pair_lists: dict[tuple, list] = {}
+    for ca in a.cells():
+        for cb in b.cells():
+            cell = (ca[0] + cb[0], ca[1] + cb[1])
+            pair_lists.setdefault(cell, []).append((ca, cb))
+    spaces = {}
+    offsets = {}
+    for cell in sorted(pair_lists):
+        off = 0
+        for ca, cb in pair_lists[cell]:
+            offsets[(ca, cb)] = off
+            off += a.spaces[ca] * b.spaces[cb]
+        if off:
+            spaces[cell] = off
+
+    def build(which: int) -> dict:
+        dp, dq = (1, 0) if which == 1 else (0, 1)
+        blocks = {}
+        for cell in sorted(pair_lists):
+            entries: dict[tuple, object] = {}
+            for ca, cb in pair_lists[cell]:
+                src_off = offsets[(ca, cb)]
+                dim_a, dim_b = a.spaces[ca], b.spaces[cb]
+                ta = (ca[0] + dp, ca[1] + dq)
+                block_a = a.block1(*ca) if which == 1 else a.block2(*ca)
+                if (ta, cb) in offsets and not block_a.is_zero():
+                    tgt_off = offsets[(ta, cb)]
+                    for (i2, i1), v in block_a.entries.items():
+                        for j in range(dim_b):
+                            entries[(tgt_off + i2 * dim_b + j,
+                                     src_off + i1 * dim_b + j)] = v
+                tb = (cb[0] + dp, cb[1] + dq)
+                block_b = b.block1(*cb) if which == 1 else b.block2(*cb)
+                if (ca, tb) in offsets and not block_b.is_zero():
+                    sign = -1 if (ca[0] + ca[1]) % 2 else 1
+                    tgt_off = offsets[(ca, tb)]
+                    dim_tb = b.spaces[tb]
+                    for (j2, j1), v in block_b.entries.items():
+                        for i in range(dim_a):
+                            entries[(tgt_off + i * dim_tb + j2,
+                                     src_off + i * dim_b + j1)] = sign * v
+            if entries:
+                tgt_cell = (cell[0] + dp, cell[1] + dq)
+                blocks[cell] = Matrix(spaces.get(tgt_cell, 0),
+                                      spaces.get(cell, 0), entries)
+        return blocks
+
+    return DoubleComplex(spaces, build(1), build(2))
