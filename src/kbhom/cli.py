@@ -407,7 +407,9 @@ def build_parser() -> argparse.ArgumentParser:
                                      "homogeneous polynomial bivector")
     p.add_argument("pi", help="JSON list of terms {i, j, coeff, alpha}")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--weights", required=True, metavar="A..B")
+    p.add_argument("--weights", required=True, metavar="A..B",
+                   help="a weight W or a range A..B; write --weights=-2..3 "
+                        "when A is negative")
     p.add_argument("--cap", type=int, default=8)
     _add_output_flags(p)
     p.set_defaults(func=cmd_stein)

@@ -383,14 +383,6 @@ class Subspace:
         raise AttributeError("Subspace is immutable")
 
     @classmethod
-    def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, Matrix(ambient_dim, 0), _checked=True)
-
-    @classmethod
-    def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, Matrix.identity(ambient_dim), _checked=True)
-
-    @classmethod
     def spanned_by(cls, m: Matrix) -> "Subspace":
         """The column space of m, with the pivot columns as basis."""
         pivots = sorted(_reduce(m)[0].values())
@@ -410,12 +402,6 @@ class Subspace:
     def __repr__(self):
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
 
-    def contains(self, other: "Subspace") -> bool:
-        if other.ambient_dim != self.ambient_dim:
-            raise ValueError("ambient dimension mismatch")
-        stacked = Matrix.hstack(self.basis, other.basis)
-        return rank(stacked) == self.dim
-
 
 def complement_in(sub: Subspace, within: Subspace) -> Matrix:
     """Columns of within.basis completing a basis of sub to one of within.
@@ -426,10 +412,3 @@ def complement_in(sub: Subspace, within: Subspace) -> Matrix:
     owner = _reduce(Matrix.hstack(sub.basis, within.basis))[0]
     chosen = sorted(p - sub.dim for p in owner.values() if p >= sub.dim)
     return _select_columns(within.basis, chosen)
-
-
-def image_subspace(m: Matrix, s: Subspace) -> Subspace:
-    """m(S) as a subspace of Q^rows."""
-    if s.ambient_dim != m.cols:
-        raise ValueError("subspace does not live in the domain of m")
-    return Subspace.spanned_by(m * s.basis)

@@ -10,6 +10,21 @@ preserves w (l_pi sends (|α|, |I|) to (|α|+d, |I|-2) and del to
 polynomial de Rham complex.  Results are reported per weight slice in
 the geometric indexing k = n - p and never summed into a statement
 about the full space of holomorphic forms.
+
+delpi is built from its closed form (Brylinski, "A differential complex
+for Poisson manifolds", 1988), not by composing l_pi and del.  Write
+s_g(I) for the sign in dz_g ∧ dz_I = ±dz_{I∪g}, and ε_ij(I) for the sign
+in dz_I = ±dz_i ∧ dz_j ∧ dz_{I∖{i,j}}, with which l_pi contracts the pair
+(both are ``models._wedge`` signs).  The terms of l_pi∘del whose pair
+{i, j} lies in I cancel, exactly, the terms of del∘l_pi that
+differentiate z^α along an h ∉ I, because
+
+    s_h(I) ε_ij(I∪h) = ε_ij(I) s_h(I∖{i,j}).
+
+What is left pairs the new generator of del with one of I, or
+differentiates the coefficient p_ij, or differentiates z^α along i or j
+(see ``stein_complex``).  Its signs, target index sets and ∂_h p_ij
+depend on I and the bivector only, so they are tabulated once per I.
 """
 
 from __future__ import annotations
@@ -17,9 +32,11 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
+from operator import add
 
 from .complexes import Complex, ComplexInvariantError, homology_dims
 from .linalg import Matrix
+from .models import _wedge
 
 Q = Fraction
 
@@ -42,6 +59,8 @@ class PolyBivector:
     __slots__ = ("n", "degree", "terms")
 
     def __init__(self, n: int, degree: int, terms: dict):
+        if n < 0:
+            raise ValueError(f"n = {n} is negative")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "terms", terms)
@@ -146,21 +165,6 @@ def slice_basis(n: int, degree: int, w: int, cap: int) -> dict:
     return out
 
 
-def _del_monomial(alpha, i_set):
-    """del(z^α dz_I) = Σ_i α_i z^{α-e_i} dz_i ∧ dz_I, canonically signed."""
-    for i0, e in enumerate(alpha):
-        if not e:
-            continue
-        gen = i0 + 1
-        if gen in i_set:
-            continue
-        pos = sum(1 for x in i_set if x < gen)
-        sign = -1 if pos % 2 else 1
-        new_alpha = alpha[:i0] + (e - 1,) + alpha[i0 + 1:]
-        new_set = tuple(sorted(i_set + (gen,)))
-        yield sign * e, (new_alpha, new_set)
-
-
 def _integer_terms(pi: PolyBivector):
     """``(terms, L)``: the coefficients of pi times their common denominator
     L, as ints, keyed like ``pi.terms``."""
@@ -174,33 +178,80 @@ def _integer_terms(pi: PolyBivector):
     return terms, scale
 
 
-def _contract_monomial(terms: dict, alpha, i_set):
-    """l_pi(z^α dz_I): remove a dz-pair, multiply by the coefficient poly.
+class _KoszulTables:
+    """The α-independent part of delpi(z^α dz_I), one table per index set I.
 
-    ``terms`` are the integer terms of ``_integer_terms``, so the result is
-    l_pi scaled by their common denominator.
+    ``tables[I]`` is ``(shifted, fixed)``.  ``shifted`` lists
+    ``(g, terms)`` and each ``(delta, target, c)`` in ``terms`` stands for
+    α_g·c·z^{α+delta} dz_target (g is 0-based); ``fixed`` lists the
+    ``(delta, target, c)`` standing for c·z^{α+delta} dz_target.  The
+    coefficients are scaled by ``scale`` as in ``_integer_terms``.  A table
+    is built the first time its I is looked up, so only the index sets of
+    the slices actually built cost anything.
     """
-    for (i, j), poly in terms.items():
-        if i in i_set and j in i_set:
-            pos_i = i_set.index(i)
-            pos_j = i_set.index(j)
-            sign = -1 if (pos_i + pos_j + 1) % 2 else 1
-            reduced = tuple(x for x in i_set if x != i and x != j)
-            for beta, c in poly.items():
-                new_alpha = tuple(a + b for a, b in zip(alpha, beta))
-                yield sign * c, (new_alpha, reduced)
 
+    __slots__ = ("pi", "terms", "scale", "_tables")
 
-def _delpi_monomial(terms: dict, alpha, i_set) -> dict:
-    """delpi(z^α dz_I) with integer coefficients, scaled like ``terms``."""
-    acc: dict = {}
-    for c1, mono in _del_monomial(alpha, i_set):
-        for c2, mono2 in _contract_monomial(terms, *mono):
-            acc[mono2] = acc.get(mono2, 0) + c1 * c2
-    for c1, mono in _contract_monomial(terms, alpha, i_set):
-        for c2, mono2 in _del_monomial(*mono):
-            acc[mono2] = acc.get(mono2, 0) - c1 * c2
-    return {m: c for m, c in acc.items() if c}
+    def __init__(self, pi: PolyBivector):
+        self.pi = pi
+        self.terms, self.scale = _integer_terms(pi)
+        self._tables: dict = {}
+
+    def __getitem__(self, i_set):
+        table = self._tables.get(i_set)
+        if table is None:
+            table = self._tables[i_set] = self._build(i_set)
+        return table
+
+    def _build(self, i_set):
+        n, terms = self.pi.n, self.terms
+        shifted: dict = {}
+        fixed: dict = {}
+
+        def lowered(beta, h):
+            return beta[:h - 1] + (beta[h - 1] - 1,) + beta[h:]
+
+        # l_pi∘del through the new generator g ∉ I, paired with o ∈ I:
+        #   α_g s_g(I) ε_go(I∪g) p_go z^{α-e_g} dz_{I∖o}
+        for g in range(1, n + 1):
+            if g in i_set:
+                continue
+            s_g = _wedge((g,), i_set)[0]
+            for o in i_set:
+                ij = (g, o) if g < o else (o, g)
+                poly = terms.get(ij)
+                if poly is None:
+                    continue
+                target = tuple(x for x in i_set if x != o)
+                sign = s_g * _wedge(ij, target)[0]
+                for beta, c in poly.items():
+                    key = (g - 1, lowered(beta, g), target)
+                    shifted[key] = shifted.get(key, 0) + sign * c
+        # -del∘l_pi over the pairs {i, j} ⊂ I, with K = I∖{i,j} and h ∉ K:
+        #   -ε_ij(I) s_h(K) [(∂_h p_ij) z^α + [h∈{i,j}] α_h p_ij z^{α-e_h}] dz_{K∪h}
+        for (i, j), poly in terms.items():
+            if i not in i_set or j not in i_set:
+                continue
+            rest = tuple(x for x in i_set if x != i and x != j)
+            eps = _wedge((i, j), rest)[0]
+            for h in range(1, n + 1):
+                if h in rest:
+                    continue
+                s_h, target = _wedge((h,), rest)
+                sign = -eps * s_h
+                for beta, c in poly.items():
+                    if beta[h - 1]:
+                        key = (lowered(beta, h), target)
+                        fixed[key] = fixed.get(key, 0) + sign * c * beta[h - 1]
+                    if h == i or h == j:
+                        key = (h - 1, lowered(beta, h), target)
+                        shifted[key] = shifted.get(key, 0) + sign * c
+        by_gen: dict = {}
+        for (g, delta, target), c in shifted.items():
+            if c:
+                by_gen.setdefault(g, []).append((delta, target, c))
+        return (list(by_gen.items()),
+                [(delta, target, c) for (delta, target), c in fixed.items() if c])
 
 
 def _as_bivector(n: int, pi) -> PolyBivector:
@@ -214,26 +265,53 @@ def _as_bivector(n: int, pi) -> PolyBivector:
 def stein_complex(n: int, pi, w: int, cap: int = 8) -> Complex:
     """The weight-w slice as a complex with Ω^p placed in degree -p.
 
-    delpi is computed symbolically monomial by monomial, in integers
-    after scaling the bivector by the common denominator L of its
-    coefficients (each entry is then c/L, still exact); the slice is
-    checked to be closed under it and delpi∘delpi = 0 is verified,
+    delpi = l_pi∘del - del∘l_pi is written from its closed form rather
+    than composed term by term.  With s_g(I) the sign in dz_g ∧ dz_I =
+    ±dz_{I∪g} and ε_ij(I) the one in dz_I = ±dz_i ∧ dz_j ∧ dz_{I∖{i,j}},
+
+        delpi(z^α dz_I) = Σ_{g∉I, o∈I} α_g s_g(I) ε_go(I∪g) p_go z^{α-e_g} dz_{I∖o}
+            - Σ_{i<j in I} Σ_{h∉K} ε_ij(I) s_h(K)
+                  [(∂_h p_ij) z^α + [h∈{i,j}] α_h p_ij z^{α-e_h}] dz_h ∧ dz_K,
+
+    K = I∖{i,j}.  The terms of l_pi∘del whose pair lies inside I are
+    missing because they cancel those of del∘l_pi differentiating z^α
+    along h ∉ I: s_h(I) ε_ij(I∪h) = ε_ij(I) s_h(K).  Everything but α is
+    looked up in per-I tables (see ``_KoszulTables``).  Coefficients are
+    integers after scaling the bivector by the common denominator L of
+    its coefficients, and each entry is then c/L, still exact.  The slice
+    is checked to be closed under delpi and delpi∘delpi = 0 is verified,
     failing with "bivector not Poisson at weight w" otherwise.
     """
-    pi = _as_bivector(n, pi)
-    terms, scale = _integer_terms(pi)
-    basis = slice_basis(n, pi.degree, w, cap)
+    return _slice_complex(_KoszulTables(_as_bivector(n, pi)), w, cap)
+
+
+def _slice_complex(tables: _KoszulTables, w: int, cap: int) -> Complex:
+    pi, scale = tables.pi, tables.scale
+    basis = slice_basis(pi.n, pi.degree, w, cap)
     index = {p: {m: i for i, m in enumerate(monos)} for p, monos in basis.items()}
     spaces = {-p: len(monos) for p, monos in basis.items()}
     diffs = {}
     for p, monos in basis.items():
         if p == 0:
             continue
-        target = index.get(p - 1, {})
+        rows = index.get(p - 1, {})
         entries = {}
         for col, (alpha, i_set) in enumerate(monos):
-            for mono, c in _delpi_monomial(terms, alpha, i_set).items():
-                row = target.get(mono)
+            shifted, fixed = tables[i_set]
+            acc: dict = {}
+            for g, g_terms in shifted:
+                a_g = alpha[g]
+                if a_g:
+                    for delta, target, c in g_terms:
+                        mono = (tuple(map(add, alpha, delta)), target)
+                        acc[mono] = acc.get(mono, 0) + a_g * c
+            for delta, target, c in fixed:
+                mono = (tuple(map(add, alpha, delta)), target)
+                acc[mono] = acc.get(mono, 0) + c
+            for mono, c in acc.items():
+                if not c:
+                    continue
+                row = rows.get(mono)
                 if row is None:
                     raise AssertionError(
                         f"delpi left the weight-{w} slice at {mono}; "
@@ -249,12 +327,13 @@ def stein_complex(n: int, pi, w: int, cap: int = 8) -> Complex:
 
 
 def stein_homology(n: int, pi, w_range, cap: int = 8) -> dict:
-    """Per-weight homology dims, keyed (w, k) with k = n - p in [0, n]."""
-    pi = _as_bivector(n, pi)
+    """Per-weight homology dims, keyed (w, k) with k = n - p in [0, n].
+
+    The weights share one set of per-I tables."""
+    tables = _KoszulTables(_as_bivector(n, pi))
     out: dict = {}
     for w in w_range:
-        c = stein_complex(n, pi, w, cap)
-        h = homology_dims(c)
+        h = homology_dims(_slice_complex(tables, w, cap))
         for p in range(n + 1):
             out[(w, n - p)] = h.get(-p, 0)
     return out

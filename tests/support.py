@@ -299,7 +299,24 @@ def oracle_complement_in(sub: Subspace, within: Subspace) -> Matrix:
 
 
 def oracle_contains(outer: Subspace, inner: Subspace) -> bool:
+    if outer.ambient_dim != inner.ambient_dim:
+        raise ValueError("ambient dimension mismatch")
     return oracle_rank(Matrix.hstack(outer.basis, inner.basis)) == outer.dim
+
+
+def zero_subspace(ambient_dim: int) -> Subspace:
+    return Subspace(ambient_dim, Matrix(ambient_dim, 0), _checked=True)
+
+
+def full_subspace(ambient_dim: int) -> Subspace:
+    return Subspace(ambient_dim, Matrix.identity(ambient_dim), _checked=True)
+
+
+def image_subspace(m: Matrix, s: Subspace) -> Subspace:
+    """m(S) as a subspace of Q^rows."""
+    if s.ambient_dim != m.cols:
+        raise ValueError("subspace does not live in the domain of m")
+    return Subspace.spanned_by(m * s.basis)
 
 
 def subspace_arithmetic(u: Subspace, v: Subspace):
@@ -378,7 +395,7 @@ def oracle_spectral_pages(dc: DoubleComplex, r_max: int) -> SpectralPages:
     def filtration(p: int, k: int) -> Subspace:
         lay = layouts.get(k)
         if lay is None:
-            return Subspace.zero(0)
+            return zero_subspace(0)
         coords = []
         for cell, off in lay[0]:
             if cell[0] >= p:

@@ -205,6 +205,26 @@ def test_stein_cap_exceeded_exits_3(tmp_path, capsys):
     assert "inconsistency" in capsys.readouterr().err
 
 
+def test_stein_negative_n_is_a_parse_error(tmp_path, capsys):
+    pi = write_json(tmp_path / "pi0.json", [])
+    assert main(["stein", pi, "--n", "-1", "--weights", "0"]) == 1
+    assert "parse error" in capsys.readouterr().err
+
+
+def test_readme_stein_example_runs(tmp_path, capsys):
+    """The README's argv, where a range starting below zero is written
+    --weights=-2..3 so that argparse does not read it as an option."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    line, = [ln for ln in readme.read_text(encoding="utf-8").splitlines()
+             if ln.startswith("kbhom stein ")]
+    pi = write_json(tmp_path / "pi.json",
+                    [{"i": 1, "j": 2, "coeff": "1", "alpha": [0, 0]}])
+    argv = [pi if arg == "pi.json" else arg for arg in line.split()[1:]]
+    rc, report = run_json(capsys, argv)
+    assert rc == 0
+    assert sorted(map(int, report["results"]["homology"])) == list(range(-2, 4))
+
+
 def test_kunneth_cli(torus1_table, capsys):
     rc, report = run_json(capsys, ["kunneth", torus1_table, torus1_table,
                                    "--assert-compact"])

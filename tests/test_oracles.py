@@ -10,7 +10,8 @@ entry.
 import random
 from fractions import Fraction
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from kbhom.complexes import (
@@ -30,7 +31,7 @@ from kbhom.linalg import (
     solve,
     solve_columns,
 )
-from kbhom.stein import PolyBivector, stein_complex
+from kbhom.stein import NotPoissonOnSlice, PolyBivector, slice_basis, stein_complex
 from kbhom.zoo import parallelizable, torus
 from support import (
     oracle_complement_in,
@@ -212,6 +213,54 @@ def test_stein_slices_match_fraction_builder():
         for w in weights:
             assert stein_complex(n, pi, w, cap).diffs == \
                 oracle_stein_differentials(pi, w, cap), (terms, w)
+
+
+@st.composite
+def stein_slices(draw):
+    """A homogeneous bivector on C^n, n = 2..4, of degree 0..2, and a weight
+    whose slice is not empty.  The raw terms have random ordered pairs (i > j
+    normalizes by antisymmetry) and rational coefficients; each may be
+    repeated as is, with i and j swapped (which cancels it), or swapped and
+    negated (which doubles it)."""
+    n, degree = draw(st.integers(2, 4)), draw(st.integers(0, 2))
+    terms = []
+    for _ in range(draw(st.integers(2, 5))):
+        i, j = draw(st.permutations(range(1, n + 1)))[:2]
+        alpha = [0] * n
+        for g in draw(st.lists(st.integers(0, n - 1), min_size=degree, max_size=degree)):
+            alpha[g] += 1
+        terms.append((i, j, draw(rationals), tuple(alpha)))
+    for i, j, c, alpha in list(terms):
+        copy = draw(st.sampled_from([None, None, (i, j, c), (j, i, c), (j, i, -c)]))
+        if copy is not None:
+            terms.append((*copy, alpha))
+    w = draw(st.integers(-2 if degree == 0 else 0, 3))
+    return PolyBivector.from_terms(n, terms, degree=degree), w
+
+
+NOT_POISSON_LINEAR = [(1, 2, 1, (1, 0, 0)), (1, 3, 1, (0, 0, 1))]
+NOT_POISSON_QUADRATIC = [(1, 2, 1, (2, 0, 0)), (1, 3, 1, (0, 0, 2))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(stein_slices())
+@example((PolyBivector.from_terms(3, NOT_POISSON_LINEAR), 1))
+@example((PolyBivector.from_terms(3, NOT_POISSON_QUADRATIC), 2))  # D² = 0 here
+@example((PolyBivector.from_terms(3, NOT_POISSON_QUADRATIC), 3))  # but not here
+def test_stein_slices_match_oracle_on_random_bivectors(slice_):
+    """The closed-form builder against the composition l_pi∘del - del∘l_pi,
+    entry for entry; NotPoissonOnSlice exactly when the oracle's D² ≠ 0."""
+    pi, w = slice_
+    cap = 40
+    assume(sum(map(len, slice_basis(pi.n, pi.degree, w, cap).values())) <= 120)
+    expected = oracle_stein_differentials(pi, w, cap)
+    squares_to_zero = all(oracle_product(expected[k + 1], m).is_zero()
+                          for k, m in expected.items() if k + 1 in expected)
+    if squares_to_zero:
+        assert stein_complex(pi.n, pi, w, cap).diffs == expected
+    else:
+        with pytest.raises(NotPoissonOnSlice):
+            stein_complex(pi.n, pi, w, cap)
 
 
 def assert_pages_match(dc, r_max):

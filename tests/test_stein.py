@@ -102,6 +102,19 @@ def test_from_terms_rejects_inexact_and_boolean_terms(term):
         PolyBivector.from_terms(2, [term])
 
 
+def test_negative_n_rejected():
+    with pytest.raises(ValueError):
+        PolyBivector.from_terms(-1, [])
+    with pytest.raises(ValueError):
+        PolyBivector.zero(-1)
+    with pytest.raises(ValueError):
+        stein_complex(-1, [], 0)
+    with pytest.raises(ValueError):
+        stein_homology(-1, [], [0])
+    # n = 0 is C^0: one point, the constant function in weight 0
+    assert stein_homology(0, [], [0, 1]) == {(0, 0): 1, (1, 0): 0}
+
+
 def test_from_dict_terms():
     pi = PolyBivector.from_terms(
         2, [{"i": 1, "j": 2, "coeff": "1/2", "alpha": [1, 0]}])
