@@ -49,7 +49,7 @@ from .stein import (
     SliceCapError,
     stein_homology,
 )
-from .zoo import ModelFileError, _is_int, load_model, read_json
+from .zoo import ModelFileError, _cell_key, _is_int, load_model, read_json
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -94,6 +94,8 @@ def _int_keyed(raw, path, what):
             k = int(key)
         except (TypeError, ValueError):
             raise TableError(f"{path}: {what} key {key!r} is not an integer") from None
+        if k in out:
+            raise TableError(f"{path}: {what} key {key!r} names {k} a second time")
         if not _is_int(value) or value < 0:
             raise TableError(f"{path}: {what}[{key}] must be a nonnegative integer")
         out[k] = value
@@ -130,12 +132,14 @@ def _parse_diamond(path, inputs) -> HodgeDiamond:
     h = {}
     for key, value in raw.items():
         try:
-            p, q = (int(x) for x in key.split(","))
+            cell = _cell_key(key)
         except ValueError:
             raise TableError(f"{path}: h key {key!r} is not 'p,q'") from None
+        if cell in h:
+            raise TableError(f"{path}: h key {key!r} names cell {cell} a second time")
         if not _is_int(value) or value < 0:
             raise TableError(f"{path}: h[{key!r}] must be a nonnegative integer")
-        h[(p, q)] = value
+        h[cell] = value
     try:
         return HodgeDiamond(n, h)
     except ValueError as exc:
@@ -301,8 +305,7 @@ def cmd_leray_hirsch(args) -> int:
     try:
         classes = []
         for chunk in args.classes.replace(";", " ").split():
-            u, v = (int(x) for x in chunk.split(","))
-            classes.append((u, v))
+            classes.append(_cell_key(chunk))
     except ValueError:
         raise TableError(f"--classes must look like 'u,v;u,v', got {args.classes!r}") \
             from None

@@ -18,15 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .linalg import (
-    Matrix,
-    Subspace,
-    _reduce,
-    complement_in,
-    kernel_basis,
-    rank,
-    solve_columns,
-)
+from .linalg import Matrix, _reduce, _select_columns, rank
 
 
 class ComplexInvariantError(ValueError):
@@ -205,10 +197,16 @@ def _total_differentials(dc: DoubleComplex, layouts) -> dict:
 
 
 def total_complex(dc: DoubleComplex) -> Complex:
-    """The simple complex of dc: degree k is the direct sum over p+q=k."""
+    """The simple complex of dc: degree k is the direct sum over p+q=k.
+
+    D² = 0 is not checked again: its blocks are d1² at (p+2, q), d2² at
+    (p, q+2) and d1d2 + d2d1 at (p+1, q+1), the three identities that the
+    ``DoubleComplex`` constructor checks (or, for ``kb_double_complex``,
+    that the model validation has proved).
+    """
     layouts = _total_layout(dc)
     spaces = {k: total for k, (_, total) in layouts.items()}
-    return Complex(spaces, _total_differentials(dc, layouts))
+    return Complex(spaces, _total_differentials(dc, layouts), check=False)
 
 
 def shift(dc: DoubleComplex, m: int, n: int) -> DoubleComplex:
@@ -360,7 +358,7 @@ def spectral_pages(dc: DoubleComplex, r_max: int) -> SpectralPages:
     for k, d in _total_differentials(dc, layouts).items():
         reversed_d = Matrix(d.rows, d.cols, {(d.rows - 1 - i, d.cols - 1 - j): v
                                              for (i, j), v in d.entries.items()})
-        for i, j in _reduce(reversed_d)[0].items():
+        for i, j in _reduce(reversed_d).owner.items():
             src = cell_of[k][d.cols - 1 - j]
             tgt = cell_of[k + 1][d.rows - 1 - i]
             for cell in (src, tgt):
@@ -386,7 +384,7 @@ class ChainMap:
 
     __slots__ = ("source", "target", "blocks")
 
-    def __init__(self, source: Complex, target: Complex, blocks, check=True):
+    def __init__(self, source: Complex, target: Complex, blocks):
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         bl = {}
@@ -398,8 +396,7 @@ class ChainMap:
             if not m.is_zero():
                 bl[int(k)] = m
         object.__setattr__(self, "blocks", bl)
-        if check:
-            self.validate()
+        self.validate()
 
     def __setattr__(self, name, value):
         raise AttributeError("ChainMap is immutable")
@@ -450,37 +447,53 @@ class LongExactSequence:
         return sum((-1) ** i * dim for i, (_, dim) in enumerate(self.entries))
 
 
-def _homology_basis(c: Complex, k: int):
-    """(cycles, boundaries, representative columns) at degree k."""
-    cycles = kernel_basis(c.d(k))
-    boundaries = Subspace.spanned_by(c.d(k - 1))
-    reps = complement_in(boundaries, cycles)
-    return cycles, boundaries, reps
+def _homology_bases(x: Complex, degrees) -> dict:
+    """Per degree k of the contiguous range ``degrees``: ``(classes, where,
+    reps)``.  One tracked reduction of d^k gives the cycles Z_k (its
+    kernel) and the boundaries B_{k+1} (its pivot columns); ``classes``
+    reduces [B_k | Z_k].  B_k is independent, so the pivot columns there
+    are B_k and the representatives ``reps``, the columns of Z_k completing
+    B_k to a basis of Z_k; ``where`` maps their columns to indices in reps.
+    """
+    out = {}
+    boundaries = Matrix(x.dim(degrees[0]), 0)  # d^k = 0 below the range
+    for k in degrees:
+        d = x.d(k)
+        red = _reduce(d, track=True)
+        cycles = red.kernel().basis
+        classes = _reduce(Matrix.hstack(boundaries, cycles), track=True)
+        nb = boundaries.cols
+        at = sorted(p for p in classes.owner.values() if p >= nb)
+        out[k] = (classes, {p: i for i, p in enumerate(at)},
+                  _select_columns(cycles, [p - nb for p in at]))
+        boundaries = _select_columns(d, sorted(red.owner.values()))
+    return out
 
 
-def _solved(m: Matrix, rhs: Matrix, failure: str) -> Matrix:
-    """The pivot-supported solution X of m*X = rhs, one reduction of m for
-    all columns; AssertionError(failure) when some column has none."""
+def _solved(red, rhs: Matrix, failure: str) -> Matrix:
+    """The pivot-supported solution X of m*X = rhs, for the tracked
+    reduction ``red`` of m; AssertionError(failure) when a column has none."""
     entries = {}
-    for j, x in enumerate(solve_columns(m, rhs)):
+    for j, x in enumerate(red.solve(rhs)):
         if x is None:
             raise AssertionError(failure)
         for i, v in enumerate(x):
             if v:
                 entries[(i, j)] = v
-    return Matrix(m.cols, rhs.cols, entries)
+    return Matrix(red.cols, rhs.cols, entries)
 
 
-def _class_coords(boundaries: Subspace, reps: Matrix, vectors: Matrix) -> Matrix:
+def _class_coords(bases, vectors: Matrix) -> Matrix:
     """Coordinates of the homology classes of the cycles in the columns of
-    vectors, in the representative basis: one column per vector."""
-    if reps.cols == 0:
+    vectors, in the representatives of ``bases`` (from ``_homology_bases``).
+    The solution against [B_k | Z_k] is supported on its pivot columns, B_k
+    and the representatives, so it is the one against [B_k | reps]."""
+    classes, where, _ = bases
+    if not where:
         return Matrix(0, vectors.cols)
-    x = _solved(Matrix.hstack(boundaries.basis, reps), vectors,
-                "vector is not a cycle modulo boundaries")
-    nb = boundaries.dim
-    return Matrix(reps.cols, vectors.cols,
-                  {(i - nb, j): v for (i, j), v in x.entries.items() if i >= nb})
+    x = _solved(classes, vectors, "vector is not a cycle modulo boundaries")
+    return Matrix(len(where), vectors.cols,
+                  {(where[i], j): v for (i, j), v in x.entries.items() if i in where})
 
 
 def les_from_ses(f: ChainMap, g: ChainMap) -> LongExactSequence:
@@ -489,8 +502,9 @@ def les_from_ses(f: ChainMap, g: ChainMap) -> LongExactSequence:
     The input maps are verified to form a degreewise short exact sequence
     of complexes; the connecting homomorphism is realized by lifting
     through g, applying d, and pulling back through f (the snake lemma).
-    Each map is reduced once and all of its right-hand sides (homology
-    representatives, lifts, class coordinates) are solved against it.
+    Each matrix is reduced once: d^k gives cycles and boundaries,
+    [B_k | Z_k] the representatives and every class coordinate, and f^k
+    and g^k the injectivity and surjectivity checks, lifts and pull-backs.
     """
     a, b, c = f.source, f.target, g.target
     if g.source != b:
@@ -498,42 +512,30 @@ def les_from_ses(f: ChainMap, g: ChainMap) -> LongExactSequence:
     degrees = sorted(set(a.spaces) | set(b.spaces) | set(c.spaces))
     if not degrees:
         return LongExactSequence(entries=[], maps=[])
+    degrees = range(degrees[0], degrees[-1] + 1)
+    f_red = {k: _reduce(f.at(k), track=True) for k in degrees}
+    g_red = {k: _reduce(g.at(k), track=True) for k in degrees}
     for k in degrees:
-        if rank(f.at(k)) != a.dim(k):
+        if len(f_red[k].owner) != a.dim(k):
             raise NotShortExactError(f"f is not injective at degree {k}")
-        if rank(g.at(k)) != c.dim(k):
+        if len(g_red[k].owner) != c.dim(k):
             raise NotShortExactError(f"g is not surjective at degree {k}")
         if not (g.at(k) * f.at(k)).is_zero():
             raise NotShortExactError(f"g∘f ≠ 0 at degree {k}")
         if a.dim(k) + c.dim(k) != b.dim(k):
             raise NotShortExactError(f"im f ≠ ker g at degree {k}")
 
-    data = {}
-    for k in range(degrees[0], degrees[-1] + 1):
-        data[k] = {"A": _homology_basis(a, k), "B": _homology_basis(b, k),
-                   "C": _homology_basis(c, k)}
-
-    def induced(mat: Matrix, src, tgt) -> Matrix:
-        _, _, src_reps = src
-        _, tgt_bound, tgt_reps = tgt
-        return _class_coords(tgt_bound, tgt_reps, mat * src_reps)
-
-    def connecting(k: int) -> Matrix:
-        _, _, c_reps = data[k]["C"]
-        _, a_bound, a_reps = data[k + 1]["A"]
-        lifts = _solved(g.at(k), c_reps, "g is surjective but lift failed")
-        back = _solved(f.at(k + 1), b.d(k) * lifts, "snake image missed the subcomplex")
-        return _class_coords(a_bound, a_reps, back)
-
+    h = {name: _homology_bases(x, degrees) for name, x in (("A", a), ("B", b), ("C", c))}
     entries = []
     maps = []
-    for k in range(degrees[0], degrees[-1] + 1):
-        for name in ("A", "B", "C"):
-            entries.append((f"H^{k}({name})", data[k][name][2].cols))
-        maps.append(induced(f.at(k), data[k]["A"], data[k]["B"]))
-        maps.append(induced(g.at(k), data[k]["B"], data[k]["C"]))
+    for k in degrees:
+        entries += [(f"H^{k}({name})", h[name][k][2].cols) for name in "ABC"]
+        maps.append(_class_coords(h["B"][k], f.at(k) * h["A"][k][2]))
+        maps.append(_class_coords(h["C"][k], g.at(k) * h["B"][k][2]))
         if k < degrees[-1]:
-            maps.append(connecting(k))
+            lifts = _solved(g_red[k], h["C"][k][2], "g is surjective but lift failed")
+            back = _solved(f_red[k + 1], b.d(k) * lifts, "snake image missed the subcomplex")
+            maps.append(_class_coords(h["A"][k + 1], back))
     les = LongExactSequence(entries=entries, maps=maps)
     if not les.check_exact():
         raise AssertionError("constructed sequence failed exactness verification")

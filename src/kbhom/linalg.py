@@ -1,9 +1,9 @@
 """Exact sparse linear algebra over the rationals.
 
 Everything downstream (homology ranks, spectral pages, snake-lemma maps)
-reduces to one sparse column reduction, ``_reduce``; rank, kernel, solve
-and subspace bases are short reads of its result, and ``solve_columns``
-reduces many right-hand sides against one reduction of the matrix.
+reduces to one sparse column reduction, ``_reduce``.  Rank, kernel and
+solve are short reads of the ``Reduction`` it returns, and a tracked
+reduction can be solved against for any number of right-hand sides.
 Entries are ``fractions.Fraction``; the reduction and the matrix product
 clear denominators once per column (or row) and run their inner loops on
 Python ints, which is still exact.  There is no floating point and no
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from typing import NamedTuple
 
 Q = Fraction
 
@@ -258,7 +259,52 @@ def _eliminate(col: dict, comb, owner: dict, reduced: list, combo) -> int | None
     return None
 
 
-def _reduce(m: Matrix, track: bool = False):
+class Reduction(NamedTuple):
+    """What ``_reduce`` returns.  ``owner`` maps each pivot row to the column
+    owning it (the pivot columns); ``reduced[j]`` is column j after
+    reduction as a sparse ``{row: int}`` dict, empty iff column j depends
+    on the columns before it.  If tracked, ``combo[j]`` writes
+    ``reduced[j]`` as ``{original column: int coefficient}``, supported on
+    j and pivot columns only, so a dependent column's combination is
+    unique up to scale; ``kernel`` and ``solve`` need it."""
+
+    cols: int
+    owner: dict
+    reduced: list
+    combo: list | None
+
+    def kernel(self) -> "Subspace":
+        """The right kernel: one basis column per dependent column j, with 1
+        at j and 0 at the other dependent coordinates, so the columns are
+        independent and their order is deterministic."""
+        free = [j for j, col in enumerate(self.reduced) if not col]
+        entries = {(c, idx): v for idx, j in enumerate(free)
+                   for c, v in _unit_at(self.combo[j], j).items()}
+        return Subspace(self.cols, Matrix(self.cols, len(free), entries), _checked=True)
+
+    def solve(self, rhs: Matrix) -> list[list | None]:
+        """Per column b of rhs: the solution x of m*x = b supported on the
+        pivot columns, a list of length ``cols``, or None.  Each b is
+        reduced against the pivot owners only, so none becomes an owner and
+        the reduction can be solved against again."""
+        n = self.cols
+        out = []
+        for col, scale in zip(*_integer_columns(rhs)):
+            # the column is tracked under key n: at the end
+            # 0 = c*b + m*y with c = comb[n], y the rest of comb; x = -y/c
+            comb = {n: scale}
+            if _eliminate(col, comb, self.owner, self.reduced, self.combo) is not None:
+                out.append(None)
+                continue
+            x = [Q(0)] * n
+            for c, v in _unit_at(comb, n).items():
+                if c < n:
+                    x[c] = -v
+            out.append(x)
+        return out
+
+
+def _reduce(m: Matrix, track: bool = False) -> Reduction:
     """Fraction-free column reduction of m, left to right.
 
     Each column is reduced by ``_eliminate`` against the columns before
@@ -266,15 +312,9 @@ def _reduce(m: Matrix, track: bool = False):
     each column is first scaled by the lcm of its denominators, so every
     reduced column is a nonzero rational multiple of the one an
     elimination over Q would give, and the owners, pivot columns and
-    persistence pairs are the same.
-
-    Returns ``(owner, reduced, combo)``: ``owner`` maps each pivot row to
-    the column owning it, ``reduced[j]`` is column j after reduction as a
-    sparse ``{row: int}`` dict, empty iff column j depends on the columns
-    before it.  With ``track``, ``combo[j]`` writes ``reduced[j]`` as
-    ``{original column: int coefficient}``; it is supported on j and pivot
-    columns only, so a dependent column's combination is unique up to
-    scale.  Without ``track``, ``combo`` is None and nothing is tracked.
+    persistence pairs are the same.  With ``track``, the combinations
+    that ``Reduction.kernel`` and ``Reduction.solve`` need are recorded;
+    without it, nothing is tracked.
     """
     reduced, scales = _integer_columns(m)
     owner = {}
@@ -286,7 +326,7 @@ def _reduce(m: Matrix, track: bool = False):
             owner[piv] = j
         if track:
             combo.append(comb)
-    return owner, reduced, combo
+    return Reduction(m.cols, owner, reduced, combo)
 
 
 def _unit_at(comb: dict, j: int) -> dict:
@@ -304,51 +344,21 @@ def _select_columns(m: Matrix, cols) -> Matrix:
 
 def rank(m: Matrix) -> int:
     """Exact rank of m over Q."""
-    return len(_reduce(m)[0])
+    return len(_reduce(m).owner)
 
 
 def kernel_basis(m: Matrix) -> "Subspace":
-    """Right kernel of m as a subspace of Q^cols.
-
-    The basis has one column per column of m that depends on the columns
-    before it, with a unit entry in that coordinate and zeros at the other
-    such coordinates, so the columns are independent by construction and
-    the order is deterministic.
-    """
-    _, reduced, combo = _reduce(m, track=True)
-    free = [j for j in range(m.cols) if not reduced[j]]
-    entries = {(c, idx): v for idx, j in enumerate(free)
-               for c, v in _unit_at(combo[j], j).items()}
-    return Subspace(m.cols, Matrix(m.cols, len(free), entries), _checked=True)
+    """Right kernel of m as a subspace of Q^cols (see ``Reduction.kernel``)."""
+    return _reduce(m, track=True).kernel()
 
 
 def solve_columns(m: Matrix, rhs: Matrix) -> list[list | None]:
     """For each column b of rhs: the solution x of m*x = b supported on the
-    pivot columns of m, as a list of length m.cols, or None.
-
-    m is reduced once; each column of rhs is then reduced against m's
-    pivot owners only, so no right-hand side ever becomes an owner and
-    each answer is the one a single-column solve would give.
-    """
+    pivot columns of m, as a list of length m.cols, or None; m is reduced
+    once for all of them (see ``Reduction.solve``)."""
     if rhs.rows != m.rows:
         raise ValueError("right-hand side shape mismatch")
-    if not rhs.cols:
-        return []
-    owner, reduced, combo = _reduce(m, track=True)
-    out = []
-    for col, scale in zip(*_integer_columns(rhs)):
-        # the column is tracked under key m.cols: at the end
-        # 0 = c*b + m*y with c = comb[m.cols], y the rest of comb; x = -y/c
-        comb = {m.cols: scale}
-        if _eliminate(col, comb, owner, reduced, combo) is not None:
-            out.append(None)
-            continue
-        x = [Q(0)] * m.cols
-        for c, v in _unit_at(comb, m.cols).items():
-            if c < m.cols:
-                x[c] = -v
-        out.append(x)
-    return out
+    return _reduce(m, track=True).solve(rhs)
 
 
 def solve(m: Matrix, b) -> list | None:
@@ -382,12 +392,6 @@ class Subspace:
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
 
-    @classmethod
-    def spanned_by(cls, m: Matrix) -> "Subspace":
-        """The column space of m, with the pivot columns as basis."""
-        pivots = sorted(_reduce(m)[0].values())
-        return cls(m.rows, _select_columns(m, pivots), _checked=True)
-
     @property
     def dim(self) -> int:
         return self.basis.cols
@@ -402,13 +406,3 @@ class Subspace:
     def __repr__(self):
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
 
-
-def complement_in(sub: Subspace, within: Subspace) -> Matrix:
-    """Columns of within.basis completing a basis of sub to one of within.
-
-    Requires sub ⊆ within; the returned columns represent a basis of the
-    quotient within/sub, chosen deterministically.
-    """
-    owner = _reduce(Matrix.hstack(sub.basis, within.basis))[0]
-    chosen = sorted(p - sub.dim for p in owner.values() if p >= sub.dim)
-    return _select_columns(within.basis, chosen)

@@ -72,10 +72,6 @@ class WedgeBasis:
         self.factor = {k: list(combinations(range(1, n + 1), k)) for k in range(n + 1)}
         self.index = {k: {m: i for i, m in enumerate(ms)} for k, ms in self.factor.items()}
 
-    @classmethod
-    def exterior(cls, n: int) -> "WedgeBasis":
-        return cls(n)
-
     def labels(self, p: int, q: int) -> list:
         return [monomial_label((i_set, j_set))
                 for i_set in self.factor[p] for j_set in self.factor[q]]

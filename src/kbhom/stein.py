@@ -115,9 +115,6 @@ class PolyBivector:
             if coeff:
                 poly = terms.setdefault((i, j), {})
                 poly[alpha] = poly.get(alpha, Q(0)) + sign * coeff
-        for key in [k for k, poly in terms.items()
-                    if not any(poly.values())]:
-            del terms[key]
         terms = {k: {a: c for a, c in poly.items() if c}
                  for k, poly in terms.items()}
         terms = {k: poly for k, poly in terms.items() if poly}
@@ -148,8 +145,10 @@ def slice_basis(n: int, degree: int, w: int, cap: int) -> dict:
 
     Bases are ordered lexicographically in (alpha, I).  Raises
     SliceCapError when the slice would need |alpha| > cap; truncating
-    instead would break delpi-closure.
+    instead would break delpi-closure.  A negative cap is a ValueError.
     """
+    if cap < 0:
+        raise ValueError(f"cap must be nonnegative, got {cap}")
     out: dict = {}
     for size in range(n + 1):
         a = w - (degree - 1) * size

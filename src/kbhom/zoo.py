@@ -97,7 +97,7 @@ def _exterior_model(family: str, n: int, structure: dict,
     rational, so conjugation is the identity), and the contraction is
     l_pi ⊗ 1.
     """
-    wedge = WedgeBasis.exterior(n)
+    wedge = WedgeBasis(n)
     ce = derivation_blocks(wedge, _structure_images(n, structure))
     # Jacobi <=> the CE differential squares to zero on the generators
     if 1 in ce and 2 in ce and not (ce[2] * ce[1]).is_zero():
@@ -141,6 +141,12 @@ def _matrix_to_strings(m: Matrix) -> list:
 def _is_int(x) -> bool:
     """A JSON integer: bool is a subclass of int but never one here."""
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _cell_key(key: str) -> tuple:
+    """The cell (p, q) named by a "p,q" key; ValueError if it names none."""
+    p, q = (int(x) for x in key.split(","))
+    return p, q
 
 
 def _parse_rational(s, where: str) -> Fraction:
@@ -199,12 +205,14 @@ def load_model(data: dict, lax: bool = False,
     basis = {}
     for key, labels in raw_basis.items():
         try:
-            p, q = (int(x) for x in key.split(","))
+            cell = _cell_key(key)
         except ValueError:
             raise ModelFileError(f"basis key {key!r} is not 'p,q'") from None
+        if cell in basis:
+            raise ModelFileError(f"basis key {key!r} names cell {cell} a second time")
         if not isinstance(labels, list) or not all(isinstance(s, str) for s in labels):
             raise ModelFileError(f"basis[{key!r}] must be a list of strings")
-        basis[(p, q)] = labels
+        basis[cell] = labels
 
     def blocks_in(field_name: str) -> dict:
         raw = data.get(field_name, [])
@@ -222,6 +230,8 @@ def load_model(data: dict, lax: bool = False,
             if (not isinstance(src, list) or len(src) != 2
                     or not all(_is_int(x) for x in src)):
                 raise ModelFileError(f"{where}: 'from' must be [p, q]")
+            if tuple(src) in out:
+                raise ModelFileError(f"{where}: a second block from {src}")
             rows = entry.get("matrix")
             if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
                 raise ModelFileError(f"{where}: 'matrix' must be a list of rows")
@@ -236,7 +246,7 @@ def load_model(data: dict, lax: bool = False,
                     v = _parse_rational(s, f"{where}.matrix[{i}][{j}]")
                     if v:
                         entries[(i, j)] = v
-            out[(src[0], src[1])] = Matrix(len(rows), ncols, entries)
+            out[tuple(src)] = Matrix(len(rows), ncols, entries)
         return out
 
     name = data.get("name", "model")

@@ -316,7 +316,7 @@ def image_subspace(m: Matrix, s: Subspace) -> Subspace:
     """m(S) as a subspace of Q^rows."""
     if s.ambient_dim != m.cols:
         raise ValueError("subspace does not live in the domain of m")
-    return Subspace.spanned_by(m * s.basis)
+    return oracle_spanned_by(m * s.basis)
 
 
 def subspace_arithmetic(u: Subspace, v: Subspace):

@@ -322,6 +322,23 @@ def test_table_rejects_booleans_exits_1(tmp_path, capsys, command, table):
     assert "must be a nonnegative integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, table", [
+    ("kunneth", {"n": 1, "dims": {"0": 1, "1": 2, "01": 5, "2": 1}}),
+    ("pbundle", {"n": 1, "h": {"0,0": 1, "00,0": 2, "1,1": 1}}),
+])
+def test_table_rejects_two_keys_for_one_cell_exits_1(tmp_path, capsys, command, table):
+    path = write_json(tmp_path / "twice.json", table)
+    extra = {"kunneth": [path], "pbundle": ["-r", "2"]}
+    assert main([command, path] + extra[command]) == 1
+    assert "a second time" in capsys.readouterr().err
+
+
+def test_stein_negative_cap_exits_1(tmp_path, capsys):
+    pi = write_json(tmp_path / "pi0.json", [])
+    assert main(["stein", pi, "--n", "2", "--weights", "0", "--cap", "-1"]) == 1
+    assert "cap must be nonnegative" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("pages", ["0", "-1"])
 def test_compute_rejects_nonpositive_pages(torus1_file, capsys, pages):
     assert main(["compute", torus1_file, "--pages", pages]) == 1

@@ -16,7 +16,7 @@ from kbhom.complexes import (
     total_complex,
 )
 from kbhom import complexes, linalg
-from kbhom.engine import kb_double_complex
+from kbhom.engine import kb_double_complex, kb_spectral
 from kbhom.linalg import Matrix, rank
 from kbhom.zoo import parallelizable, torus
 
@@ -47,7 +47,9 @@ def test_total_one_torus():
 
 
 def test_total_differential_squares_to_zero():
-    # anticommuting unit square: D∘D = 0 is verified by the constructor
+    # anticommuting unit square: the DoubleComplex constructor verifies
+    # d1² = 0, d2² = 0 and d1d2 + d2d1 = 0, the blocks of D∘D, so
+    # total_complex does not check D∘D = 0 again
     dc = DoubleComplex(
         {(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1},
         d1={(0, 0): Matrix.from_rows([[1]]), (0, 1): Matrix.from_rows([[-1]])},
@@ -318,19 +320,28 @@ def counting(monkeypatch, module, name):
 
 
 def test_les_reduces_a_bounded_number_of_matrices_per_degree(monkeypatch):
-    """Per degree: 2 SES rank checks, 3 reductions for each of the 3
-    homology bases, 5 for the maps (two induced maps, lift, pull-back and
-    class coordinates of the connecting map) and 3 ranks in check_exact,
-    however many homology classes the degree has (130 in all here)."""
+    """Per degree: one tracked reduction of each differential and of each
+    [B_k | Z_k] in A, B and C, one of f^k and one of g^k, and 3 ranks in
+    check_exact, however many homology classes the degree has (130 in all
+    here); every _reduce call is counted, including the ones complexes
+    makes itself."""
     heis3 = parallelizable(3, {(1, 2, 3): 1}, {(1, 2): 1})
     a = total_complex(kb_double_complex(heis3))
     c = total_complex(kb_double_complex(torus(3, {(1, 2): 1})))
     f, g = twisted_ses(random.Random(0), a, c)
     calls = counting(monkeypatch, linalg, "_reduce")
+    monkeypatch.setattr(complexes, "_reduce", linalg._reduce)
     les = les_from_ses(f, g)
     degrees = {int(label[2:label.index("(")]) for label, _ in les.entries}
     assert sum(dim for _, dim in les.entries) == 130
-    assert len(calls) <= 19 * len(degrees)
+    assert len(degrees) == 7
+    assert len(calls) <= 11 * len(degrees) + 2
+
+
+def test_kb_spectral_builds_the_total_differentials_once(monkeypatch):
+    calls = counting(monkeypatch, complexes, "_total_differentials")
+    kb_spectral(parallelizable(3, {(1, 2, 3): 1}, {(1, 2): 1}), 2)
+    assert len(calls) == 1
 
 
 def test_check_exact_ranks_each_map_once(monkeypatch):

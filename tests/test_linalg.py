@@ -15,6 +15,7 @@ from support import (
     full_subspace,
     image_subspace,
     oracle_contains,
+    oracle_spanned_by,
     preimage_subspace,
     subspace_arithmetic,
     subspace_intersection,
@@ -172,8 +173,8 @@ def test_modular_identity_random():
     rng = random.Random(17)
     for _ in range(25):
         n = rng.randint(1, 5)
-        u = Subspace.spanned_by(random_matrix(rng, n, rng.randint(0, n)))
-        v = Subspace.spanned_by(random_matrix(rng, n, rng.randint(0, n)))
+        u = oracle_spanned_by(random_matrix(rng, n, rng.randint(0, n)))
+        v = oracle_spanned_by(random_matrix(rng, n, rng.randint(0, n)))
         s, i, q = subspace_arithmetic(u, v)
         assert s + i == u.dim + v.dim
         assert q == s - v.dim
@@ -214,14 +215,14 @@ def test_image_and_preimage():
     rng = random.Random(29)
     for _ in range(20):
         m = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
-        s = Subspace.spanned_by(random_matrix(rng, m.rows, rng.randint(0, m.rows)))
+        s = oracle_spanned_by(random_matrix(rng, m.rows, rng.randint(0, m.rows)))
         pre = preimage_subspace(m, s)
         # m(pre) must land inside s, and pre must contain the kernel
         img = image_subspace(m, pre)
         assert oracle_contains(s, img)
         assert oracle_contains(pre, kernel_basis(m))
         # dimension count: dim pre = dim ker m + dim (im m ∩ s)
-        im_m = Subspace.spanned_by(m)
+        im_m = oracle_spanned_by(m)
         expected = kernel_basis(m).dim + subspace_arithmetic(im_m, s)[1]
         assert pre.dim == expected
 

@@ -241,6 +241,6 @@ def test_product_of_formal_models_convolves_homology():
 
 
 def test_wedge_labels():
-    w = WedgeBasis.exterior(2)
+    w = WedgeBasis(2)
     assert monomial_label(((), ())) == "1"
     assert w.labels(1, 1) == ["dz1^dzb1", "dz1^dzb2", "dz2^dzb1", "dz2^dzb2"]

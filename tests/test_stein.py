@@ -75,6 +75,14 @@ def test_empty_weight_range():
     assert stein_homology(2, CONSTANT, []) == {}
 
 
+def test_negative_cap_is_a_value_error():
+    for call in (lambda: slice_basis(2, 0, -3, -1),
+                 lambda: stein_complex(2, CONSTANT, 0, cap=-1),
+                 lambda: stein_homology(2, CONSTANT, [0], cap=-1)):
+        with pytest.raises(ValueError, match="cap must be nonnegative, got -1"):
+            call()
+
+
 def test_cap_rejects_rather_than_truncates():
     with pytest.raises(SliceCapError):
         stein_complex(2, CONSTANT, 9, cap=8)

@@ -147,6 +147,22 @@ def test_load_rejects_broken_square(tmp_path):
     assert err.value.bidegree == (0, 0)
 
 
+def test_load_rejects_a_second_block_from_the_same_cell():
+    data = save_model(parallelizable(3, {(1, 2, 3): 1}, {(1, 2): 1}))
+    at = next(i for i, b in enumerate(data["del"]) if b["from"] == [1, 0])
+    zero = [["0"] * len(row) for row in data["del"][at]["matrix"]]
+    data["del"].insert(at + 1, {"from": [1, 0], "matrix": zero})
+    with pytest.raises(ModelFileError, match=r"del\[\d+\]: a second block from \[1, 0\]"):
+        load_model(data)
+
+
+def test_load_rejects_two_basis_keys_for_one_cell():
+    data = save_model(torus(1))
+    data["basis"]["00,0"] = ["x"]
+    with pytest.raises(ModelFileError, match="'00,0' names cell \\(0, 0\\) a second time"):
+        load_model(data)
+
+
 def test_load_rejects_unknown_field_unless_lax():
     data = save_model(torus(1))
     data["surprise"] = 1
