@@ -3,6 +3,7 @@
 __version__ = "0.1.0"
 
 from .complexes import (
+    BlockMap,
     ChainMap,
     Complex,
     ComplexInvariantError,
@@ -31,7 +32,6 @@ from .engine import (
 from .linalg import Matrix, Subspace, kernel_basis, rank
 from .models import (
     DolbeaultPoissonModel,
-    KoszulDifferential,
     ModelValidationError,
     ValidationReport,
     contraction_from_bivector,

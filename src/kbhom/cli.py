@@ -49,7 +49,7 @@ from .stein import (
     SliceCapError,
     stein_homology,
 )
-from .zoo import ModelFileError, _cell_key, _is_int, load_model, read_json
+from .zoo import ModelFileError, _cell_key, _int_key, _is_int, load_model, read_json
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -91,8 +91,8 @@ def _int_keyed(raw, path, what):
     out = {}
     for key, value in raw.items():
         try:
-            k = int(key)
-        except (TypeError, ValueError):
+            k = _int_key(key)
+        except ValueError:
             raise TableError(f"{path}: {what} key {key!r} is not an integer") from None
         if k in out:
             raise TableError(f"{path}: {what} key {key!r} names {k} a second time")

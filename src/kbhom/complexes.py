@@ -11,12 +11,17 @@ Conventions fixed here, once, for the whole package:
   operator when that operator has odd degree, which keeps the
   anticommuting convention (checked after every construction);
 * shifts relocate differentials without sign flips (dimension-level
-  output is sign-insensitive).
+  output is sign-insensitive);
+* every graded operator (differentials, chain maps, model operators) is a
+  read-only ``BlockMap`` of nonzero blocks whose shapes are checked once,
+  when it is built.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .linalg import Matrix, _reduce, _select_columns, rank
 
@@ -29,28 +34,74 @@ class NotShortExactError(ValueError):
     """Input to les_from_ses is not a short exact sequence of complexes."""
 
 
+class BlockMap(Mapping):
+    """The nonzero blocks of a graded operator, keyed by degree or cell.
+
+    ``shape(key)`` is the ``(rows, cols)`` a block at key must have.  Each
+    block's shape is checked once, here; zero blocks are dropped, and the
+    mapping is read-only, so the checks made on it cannot go stale.
+    ``at(key)`` is the block at key, the zero block where none is stored.
+    """
+
+    __slots__ = ("_blocks", "_shape")
+
+    def __init__(self, blocks, shape):
+        self._blocks = {}
+        self._shape = shape
+        for key, m in (blocks or {}).items():
+            if m.shape != shape(key):
+                raise ComplexInvariantError(
+                    f"block at {key} has shape {m.shape}, expected {shape(key)}")
+            if not m.is_zero():
+                self._blocks[key] = m
+
+    def __getitem__(self, key) -> Matrix:
+        return self._blocks[key]
+
+    def get(self, key, default=None):
+        return self._blocks.get(key, default)
+
+    def __iter__(self):
+        return iter(self._blocks)
+
+    def __len__(self) -> int:
+        return len(self._blocks)
+
+    def at(self, key) -> Matrix:
+        m = self._blocks.get(key)
+        return m if m is not None else Matrix.zero(*self._shape(key))
+
+    def __repr__(self):
+        return f"BlockMap({self._blocks!r})"
+
+
+def cell_shape(dims, bidegree: tuple):
+    """The block shape function of an operator of the given bidegree on
+    cells of dimensions ``dims`` (absent cells have dimension 0)."""
+    dp, dq = bidegree
+    return lambda cell: (dims.get((cell[0] + dp, cell[1] + dq), 0), dims.get(cell, 0))
+
+
+def _positive_dims(spaces) -> dict:
+    sp = {}
+    for key, d in spaces.items():
+        if d < 0:
+            raise ValueError("negative dimension")
+        if d:
+            sp[key] = int(d)
+    return sp
+
+
 class Complex:
     """A bounded cochain complex: finite dims per degree, d of degree +1."""
 
     __slots__ = ("spaces", "diffs")
 
     def __init__(self, spaces, diffs=None, check=True):
-        sp = {}
-        for k, d in spaces.items():
-            if d < 0:
-                raise ValueError("negative dimension")
-            if d:
-                sp[int(k)] = int(d)
-        df = {}
-        for k, m in (diffs or {}).items():
-            expected = (sp.get(k + 1, 0), sp.get(k, 0))
-            if m.shape != expected:
-                raise ComplexInvariantError(
-                    f"differential at degree {k} has shape {m.shape}, expected {expected}")
-            if not m.is_zero():
-                df[int(k)] = m
-        object.__setattr__(self, "spaces", sp)
-        object.__setattr__(self, "diffs", df)
+        sp = _positive_dims(spaces)
+        object.__setattr__(self, "spaces", MappingProxyType(sp))
+        object.__setattr__(self, "diffs", BlockMap(
+            diffs, lambda k: (sp.get(k + 1, 0), sp.get(k, 0))))
         if check:
             self.validate()
 
@@ -61,10 +112,7 @@ class Complex:
         return self.spaces.get(k, 0)
 
     def d(self, k: int) -> Matrix:
-        m = self.diffs.get(k)
-        if m is None:
-            m = Matrix.zero(self.dim(k + 1), self.dim(k))
-        return m
+        return self.diffs.at(k)
 
     def degrees(self) -> list:
         return sorted(self.spaces)
@@ -92,43 +140,18 @@ class DoubleComplex:
     __slots__ = ("spaces", "d1", "d2")
 
     def __init__(self, spaces, d1=None, d2=None, check=True):
-        sp = {}
-        for (p, q), d in spaces.items():
-            if d < 0:
-                raise ValueError("negative dimension")
-            if d:
-                sp[(int(p), int(q))] = int(d)
-        object.__setattr__(self, "spaces", sp)
-        object.__setattr__(self, "d1", self._clean(sp, d1, 1, 0))
-        object.__setattr__(self, "d2", self._clean(sp, d2, 0, 1))
+        sp = _positive_dims(spaces)
+        object.__setattr__(self, "spaces", MappingProxyType(sp))
+        object.__setattr__(self, "d1", BlockMap(d1, cell_shape(sp, (1, 0))))
+        object.__setattr__(self, "d2", BlockMap(d2, cell_shape(sp, (0, 1))))
         if check:
             self.validate()
-
-    @staticmethod
-    def _clean(sp, blocks, dp, dq):
-        out = {}
-        for (p, q), m in (blocks or {}).items():
-            expected = (sp.get((p + dp, q + dq), 0), sp.get((p, q), 0))
-            if m.shape != expected:
-                raise ComplexInvariantError(
-                    f"block at {(p, q)} has shape {m.shape}, expected {expected}")
-            if not m.is_zero():
-                out[(p, q)] = m
-        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("DoubleComplex is immutable")
 
     def dim(self, p: int, q: int) -> int:
         return self.spaces.get((p, q), 0)
-
-    def block1(self, p: int, q: int) -> Matrix:
-        m = self.d1.get((p, q))
-        return m if m is not None else Matrix.zero(self.dim(p + 1, q), self.dim(p, q))
-
-    def block2(self, p: int, q: int) -> Matrix:
-        m = self.d2.get((p, q))
-        return m if m is not None else Matrix.zero(self.dim(p, q + 1), self.dim(p, q))
 
     def cells(self) -> list:
         return sorted(self.spaces)
@@ -137,13 +160,13 @@ class DoubleComplex:
         return sum(self.spaces.values())
 
     def validate(self):
+        d1, d2 = self.d1.at, self.d2.at
         for (p, q) in self.spaces:
-            if not (self.block1(p + 1, q) * self.block1(p, q)).is_zero():
+            if not (d1((p + 1, q)) * d1((p, q))).is_zero():
                 raise ComplexInvariantError(f"d1∘d1 ≠ 0 at {(p, q)}")
-            if not (self.block2(p, q + 1) * self.block2(p, q)).is_zero():
+            if not (d2((p, q + 1)) * d2((p, q))).is_zero():
                 raise ComplexInvariantError(f"d2∘d2 ≠ 0 at {(p, q)}")
-            anti = self.block1(p, q + 1) * self.block2(p, q) + \
-                self.block2(p + 1, q) * self.block1(p, q)
+            anti = d1((p, q + 1)) * d2((p, q)) + d2((p + 1, q)) * d1((p, q))
             if not anti.is_zero():
                 raise ComplexInvariantError(f"d1∘d2 + d2∘d1 ≠ 0 at {(p, q)}")
 
@@ -185,10 +208,10 @@ def _total_differentials(dc: DoubleComplex, layouts) -> dict:
         entries = {}
         for cell, off in lay:
             p, q = cell
-            for block, tcell in ((dc.block1(p, q), (p + 1, q)),
-                                 (dc.block2(p, q), (p, q + 1))):
+            for block, tcell in ((dc.d1.get(cell), (p + 1, q)),
+                                 (dc.d2.get(cell), (p, q + 1))):
                 to = tgt_off.get(tcell)
-                if to is None:
+                if block is None or to is None:
                     continue
                 for (i, j), v in block.entries.items():
                     entries[(to + i, off + j)] = v
@@ -387,23 +410,15 @@ class ChainMap:
     def __init__(self, source: Complex, target: Complex, blocks):
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
-        bl = {}
-        for k, m in (blocks or {}).items():
-            expected = (target.dim(k), source.dim(k))
-            if m.shape != expected:
-                raise ValueError(
-                    f"chain map block at degree {k} has shape {m.shape}, expected {expected}")
-            if not m.is_zero():
-                bl[int(k)] = m
-        object.__setattr__(self, "blocks", bl)
+        object.__setattr__(self, "blocks", BlockMap(
+            blocks, lambda k: (target.dim(k), source.dim(k))))
         self.validate()
 
     def __setattr__(self, name, value):
         raise AttributeError("ChainMap is immutable")
 
     def at(self, k: int) -> Matrix:
-        m = self.blocks.get(k)
-        return m if m is not None else Matrix.zero(self.target.dim(k), self.source.dim(k))
+        return self.blocks.at(k)
 
     def validate(self):
         degrees = set(self.source.spaces) | set(self.target.spaces)

@@ -132,7 +132,7 @@ def kb_double_complex(m: DolbeaultPoissonModel) -> DoubleComplex:
     """
     kos = koszul_differential(m)
     return DoubleComplex({(-a, q): m.dim(a, q) for (a, q) in m.cells()},
-                         {(-a, q): block for (a, q), block in kos.blocks.items()},
+                         {(-a, q): block for (a, q), block in kos.items()},
                          {(-a, q): block for (a, q), block in m.delbar_blocks.items()},
                          check=False)
 
@@ -163,8 +163,7 @@ def hodge_diamond(m: DolbeaultPoissonModel) -> HodgeDiamond:
     out = {}
     for p in range(m.n + 1):
         column = Complex({q: m.dim(p, q) for q in range(m.n + 1)},
-                         {q: m.delbar_at(p, q) for q in range(m.n + 1)
-                          if not m.delbar_at(p, q).is_zero()})
+                         {q: m.delbar_at(p, q) for q in range(m.n + 1)})
         for q, h in homology_dims(column).items():
             if h:
                 out[(p, q)] = h

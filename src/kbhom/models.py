@@ -22,8 +22,8 @@ from fractions import Fraction
 from itertools import combinations
 from types import MappingProxyType
 
-from .complexes import koszul_tensor, tensor_layout
-from .linalg import Matrix
+from .complexes import BlockMap, cell_shape, koszul_tensor, tensor_layout
+from .linalg import Matrix, _q
 
 Q = Fraction
 
@@ -141,7 +141,7 @@ def normalize_bivector_coeffs(n: int, coeffs) -> dict:
         for (i, j), v in coeffs.items():
             if not (1 <= i < j <= n):
                 raise ValueError(f"bivector pair ({i},{j}) must satisfy 1 <= i < j <= {n}")
-            v = v if isinstance(v, Fraction) else Fraction(v)
+            v = _q(v)
             if v:
                 pairs[(i, j)] = v
         return pairs
@@ -150,27 +150,27 @@ def normalize_bivector_coeffs(n: int, coeffs) -> dict:
         raise ValueError(f"bivector coefficient matrix must be {n}x{n}")
     for i in range(n):
         for j in range(n):
-            a = Fraction(rows[i][j])
-            b = Fraction(rows[j][i])
+            a = _q(rows[i][j])
+            b = _q(rows[j][i])
             if a != -b:
                 raise ValueError("bivector coefficient matrix is not antisymmetric")
     for i in range(n):
         for j in range(i + 1, n):
-            v = Fraction(rows[i][j])
+            v = _q(rows[i][j])
             if v:
                 pairs[(i + 1, j + 1)] = v
     return pairs
 
 
 class DolbeaultPoissonModel:
-    """Immutable finite model; operators are sparse blocks per bidegree.
+    """Immutable finite model; each operator is a read-only ``BlockMap``.
 
     The first ``validate_model`` call stores its report and the derived
     Koszul differential in ``_validated``; the model cannot change, so
     later calls reuse them.
     """
 
-    __slots__ = ("n", "basis", "del_blocks", "delbar_blocks",
+    __slots__ = ("n", "basis", "dims", "del_blocks", "delbar_blocks",
                  "contraction_blocks", "wedge", "name", "metadata", "_validated")
 
     def __init__(self, n, basis, del_blocks=None, delbar_blocks=None,
@@ -183,51 +183,41 @@ class DolbeaultPoissonModel:
                 if not (0 <= p <= n and 0 <= q <= n):
                     raise ValueError(f"basis bidegree {(p, q)} outside [0,{n}]²")
                 clean_basis[(p, q)] = tuple(labels)
+        dims = {cell: len(labels) for cell, labels in clean_basis.items()}
         object.__setattr__(self, "n", n)
-        # read-only views, so the stored validation cannot go stale
+        # read-only, so the stored validation cannot go stale
         object.__setattr__(self, "basis", MappingProxyType(clean_basis))
-        object.__setattr__(self, "del_blocks", self._clean(del_blocks, 1, 0))
-        object.__setattr__(self, "delbar_blocks", self._clean(delbar_blocks, 0, 1))
-        object.__setattr__(self, "contraction_blocks", self._clean(contraction_blocks, -2, 0))
+        object.__setattr__(self, "dims", MappingProxyType(dims))
+        object.__setattr__(self, "del_blocks", BlockMap(del_blocks, cell_shape(dims, (1, 0))))
+        object.__setattr__(self, "delbar_blocks",
+                           BlockMap(delbar_blocks, cell_shape(dims, (0, 1))))
+        object.__setattr__(self, "contraction_blocks",
+                           BlockMap(contraction_blocks, cell_shape(dims, (-2, 0))))
         object.__setattr__(self, "wedge", wedge)
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "metadata", dict(metadata or {}))
         object.__setattr__(self, "_validated", None)
 
-    def _clean(self, blocks, dp, dq) -> MappingProxyType:
-        out = {}
-        for (p, q), m in (blocks or {}).items():
-            expected = (self.dim(p + dp, q + dq), self.dim(p, q))
-            if m.shape != expected:
-                raise ValueError(
-                    f"operator block at {(p, q)} has shape {m.shape}, expected {expected}")
-            if not m.is_zero():
-                out[(p, q)] = m
-        return MappingProxyType(out)
-
     def __setattr__(self, name, value):
         raise AttributeError("model is immutable")
 
     def dim(self, p: int, q: int) -> int:
-        return len(self.basis.get((p, q), ()))
+        return self.dims.get((p, q), 0)
 
     def cells(self) -> list:
         return sorted(self.basis)
 
     def total_dim(self) -> int:
-        return sum(len(v) for v in self.basis.values())
+        return sum(self.dims.values())
 
     def del_at(self, p: int, q: int) -> Matrix:
-        m = self.del_blocks.get((p, q))
-        return m if m is not None else Matrix.zero(self.dim(p + 1, q), self.dim(p, q))
+        return self.del_blocks.at((p, q))
 
     def delbar_at(self, p: int, q: int) -> Matrix:
-        m = self.delbar_blocks.get((p, q))
-        return m if m is not None else Matrix.zero(self.dim(p, q + 1), self.dim(p, q))
+        return self.delbar_blocks.at((p, q))
 
     def contraction_at(self, p: int, q: int) -> Matrix:
-        m = self.contraction_blocks.get((p, q))
-        return m if m is not None else Matrix.zero(self.dim(p - 2, q), self.dim(p, q))
+        return self.contraction_blocks.at((p, q))
 
     def __repr__(self):
         return f"DolbeaultPoissonModel({self.name!r}, n={self.n}, dim={self.total_dim()})"
@@ -242,28 +232,9 @@ def contraction_from_bivector(model: DolbeaultPoissonModel, coeffs) -> dict:
     return model.wedge.tensor(factor_contraction(model.wedge, pairs), {}, (-2, 0))
 
 
-@dataclass(frozen=True)
-class KoszulDifferential:
-    """The derived differential delpi, blocks (p,q)->(p-1,q)."""
-
-    blocks: dict
-
-    def at(self, model: DolbeaultPoissonModel, p: int, q: int) -> Matrix:
-        m = self.blocks.get((p, q))
-        return m if m is not None else Matrix.zero(model.dim(p - 1, q), model.dim(p, q))
-
-    def is_zero(self) -> bool:
-        return not self.blocks
-
-
 def _koszul_blocks(m: DolbeaultPoissonModel) -> dict:
-    blocks = {}
-    for (p, q) in m.cells():
-        mat = m.contraction_at(p + 1, q) * m.del_at(p, q) \
-            - m.del_at(p - 2, q) * m.contraction_at(p, q)
-        if not mat.is_zero():
-            blocks[(p, q)] = mat
-    return blocks
+    return {(p, q): m.contraction_at(p + 1, q) * m.del_at(p, q)
+            - m.del_at(p - 2, q) * m.contraction_at(p, q) for (p, q) in m.cells()}
 
 
 @dataclass
@@ -308,10 +279,7 @@ def validate_model(m: DolbeaultPoissonModel) -> ValidationReport:
     """
     if m._validated is not None:
         return m._validated[0]
-    kos = KoszulDifferential(_koszul_blocks(m))
-
-    def delpi(p, q):
-        return kos.at(m, p, q)
+    kos = BlockMap(_koszul_blocks(m), cell_shape(m.dims, (-1, 0)))
 
     composites = {
         "del∘del": lambda p, q: m.del_at(p + 1, q) * m.del_at(p, q),
@@ -319,10 +287,10 @@ def validate_model(m: DolbeaultPoissonModel) -> ValidationReport:
         "del∘delbar + delbar∘del":
             lambda p, q: m.del_at(p, q + 1) * m.delbar_at(p, q)
             + m.delbar_at(p + 1, q) * m.del_at(p, q),
-        "delpi∘delpi": lambda p, q: delpi(p - 1, q) * delpi(p, q),
+        "delpi∘delpi": lambda p, q: kos.at((p - 1, q)) * kos.at((p, q)),
         "delbar∘delpi + delpi∘delbar":
-            lambda p, q: m.delbar_at(p - 1, q) * delpi(p, q)
-            + delpi(p, q + 1) * m.delbar_at(p, q),
+            lambda p, q: m.delbar_at(p - 1, q) * kos.at((p, q))
+            + kos.at((p, q + 1)) * m.delbar_at(p, q),
     }
     checks = []
     for name in IDENTITY_NAMES:
@@ -349,8 +317,9 @@ def require_valid(m: DolbeaultPoissonModel, context: str) -> None:
             identity=bad.identity, bidegree=bad.bidegree)
 
 
-def koszul_differential(m: DolbeaultPoissonModel) -> KoszulDifferential:
-    """The derived Koszul differential of a model that passes validation."""
+def koszul_differential(m: DolbeaultPoissonModel) -> BlockMap:
+    """The blocks (p,q)->(p-1,q) of the derived Koszul differential of a
+    model that passes validation."""
     require_valid(m, "not a valid holomorphic Poisson model")
     return m._validated[1]
 
@@ -366,8 +335,7 @@ def product_model(mx: DolbeaultPoissonModel,
     """
     for part in (mx, my):
         require_valid(part, f"invalid product factor {part.name!r}")
-    dx = {cell: len(labels) for cell, labels in mx.basis.items()}
-    dy = {cell: len(labels) for cell, labels in my.basis.items()}
+    dx, dy = mx.dims, my.dims
     basis = {cell: [f"{lx}*{ly}" for cx, cy in pairs
                     for lx in mx.basis[cx] for ly in my.basis[cy]]
              for cell, pairs in tensor_layout(dx, dy)[0].items()}

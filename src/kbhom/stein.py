@@ -316,9 +316,7 @@ def _slice_complex(tables: _KoszulTables, w: int, cap: int) -> Complex:
                         f"delpi left the weight-{w} slice at {mono}; "
                         "weight bookkeeping is broken")
                 entries[(row, col)] = Fraction(c, scale)
-        m = Matrix(len(basis.get(p - 1, ())), len(monos), entries)
-        if not m.is_zero():
-            diffs[-p] = m
+        diffs[-p] = Matrix(len(basis.get(p - 1, ())), len(monos), entries)
     try:
         return Complex(spaces, diffs)
     except ComplexInvariantError:

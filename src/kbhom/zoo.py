@@ -26,7 +26,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .engine import HodgeDiamond
-from .linalg import Matrix
+from .linalg import Matrix, _q
 from .models import (
     DolbeaultPoissonModel,
     ModelValidationError,
@@ -40,6 +40,7 @@ from .models import (
 FORMAT = "kbmodel/1"
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+_INT_RE = re.compile(r"-?[0-9]+")
 
 
 class ModelFileError(ValueError):
@@ -68,7 +69,7 @@ def _structure_images(n: int, structure: dict) -> dict:
                 f"structure constant key ({i},{j},{k}) must have 1 <= i < j <= n")
         if not 1 <= k <= n:
             raise StructureConstantError(f"generator index {k} out of range")
-        c = c if isinstance(c, Fraction) else Fraction(c)
+        c = _q(c)
         if c:
             images.setdefault(k, []).append((-c, (i, j)))
     return images
@@ -143,9 +144,18 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _int_key(key: str) -> int:
+    """The integer named by a key: an optional minus sign and ASCII digits,
+    nothing else (``int`` would also take blanks, signs, underscores and
+    non-ASCII digits); ValueError otherwise."""
+    if not _INT_RE.fullmatch(key):
+        raise ValueError(f"{key!r} is not an integer")
+    return int(key)
+
+
 def _cell_key(key: str) -> tuple:
     """The cell (p, q) named by a "p,q" key; ValueError if it names none."""
-    p, q = (int(x) for x in key.split(","))
+    p, q = (_int_key(x) for x in key.split(","))
     return p, q
 
 

@@ -831,7 +831,7 @@ def oracle_tensor_double(a: DoubleComplex, b: DoubleComplex) -> DoubleComplex:
                 src_off = offsets[(ca, cb)]
                 dim_a, dim_b = a.spaces[ca], b.spaces[cb]
                 ta = (ca[0] + dp, ca[1] + dq)
-                block_a = a.block1(*ca) if which == 1 else a.block2(*ca)
+                block_a = (a.d1 if which == 1 else a.d2).at(ca)
                 if (ta, cb) in offsets and not block_a.is_zero():
                     tgt_off = offsets[(ta, cb)]
                     for (i2, i1), v in block_a.entries.items():
@@ -839,7 +839,7 @@ def oracle_tensor_double(a: DoubleComplex, b: DoubleComplex) -> DoubleComplex:
                             entries[(tgt_off + i2 * dim_b + j,
                                      src_off + i1 * dim_b + j)] = v
                 tb = (cb[0] + dp, cb[1] + dq)
-                block_b = b.block1(*cb) if which == 1 else b.block2(*cb)
+                block_b = (b.d1 if which == 1 else b.d2).at(cb)
                 if (ca, tb) in offsets and not block_b.is_zero():
                     sign = -1 if (ca[0] + ca[1]) % 2 else 1
                     tgt_off = offsets[(ca, tb)]

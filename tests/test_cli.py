@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 from pathlib import Path
@@ -97,7 +98,8 @@ def test_check_corrupted_matrix_shape_exits_1(tmp_path, capsys):
     p = tmp_path / "shape.json"
     write_json(p, data)
     assert main(["check", str(p)]) == 1
-    assert "parse error" in capsys.readouterr().err
+    assert "kbhom: parse error: block at (0, 0) has shape (1, 2), expected (1, 1)" \
+        in capsys.readouterr().err
 
 
 def test_check_broken_anticommutation(tmp_path, capsys):
@@ -225,6 +227,26 @@ def test_readme_stein_example_runs(tmp_path, capsys):
     assert sorted(map(int, report["results"]["homology"])) == list(range(-2, 4))
 
 
+def test_readme_library_example_runs():
+    """The README's library block runs, and each expression followed by a
+    ``# {...}`` comment evaluates to that literal."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    text = readme.read_text(encoding="utf-8").split("## Library overview", 1)[1]
+    block = text.split("```python\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    namespace: dict = {}
+    checked = 0
+    for node in ast.parse(block).body:
+        code = ast.get_source_segment(block, node)
+        comment = lines[node.end_lineno - 1].partition("#")[2].strip()
+        if isinstance(node, ast.Expr) and comment.startswith("{"):
+            assert eval(code, namespace) == ast.literal_eval(comment), code
+            checked += 1
+        else:
+            exec(code, namespace)
+    assert checked
+
+
 def test_kunneth_cli(torus1_table, capsys):
     rc, report = run_json(capsys, ["kunneth", torus1_table, torus1_table,
                                    "--assert-compact"])
@@ -331,6 +353,33 @@ def test_table_rejects_two_keys_for_one_cell_exits_1(tmp_path, capsys, command, 
     extra = {"kunneth": [path], "pbundle": ["-r", "2"]}
     assert main([command, path] + extra[command]) == 1
     assert "a second time" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, table", [
+    ("check", {"basis": {"1_0,0": ["x"]}}),
+    ("check", {"basis": {" 1,+0": ["x"]}}),
+    ("kunneth", {"n": 1, "dims": {"0": 1, "1_0": 2}}),
+    ("kunneth", {"n": 1, "dims": {"0": 1, "+1": 2}}),
+    ("leray-hirsch", {"dims": {"\u0661": 1}}),
+    ("pbundle", {"n": 1, "h": {"0,0": 1, " 1,+1": 1}}),
+    ("pbundle", {"n": 1, "h": {"0,0": 1, "1_0,1": 1}}),
+])
+def test_keys_must_be_plain_integers_exits_1(tmp_path, capsys, command, table):
+    # Python's int() would read "1_0" as 10 and " 1" or "+1" as 1
+    if command == "check":
+        table = {**save_model(torus(1)), **table}
+    path = write_json(tmp_path / "key.json", table)
+    extra = {"kunneth": [path], "leray-hirsch": ["--classes", "0,0"],
+             "pbundle": ["-r", "2"]}
+    assert main([command, path] + extra.get(command, [])) == 1
+    assert "is not" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("classes", ["1_0,0", "+1,0", "0,0;1,\u0660"])
+def test_leray_hirsch_classes_must_be_plain_integers(tmp_path, capsys, classes):
+    table = write_json(tmp_path / "hh.json", {"dims": {"0": 1}})
+    assert main(["leray-hirsch", table, "--classes", classes]) == 1
+    assert "--classes must look like" in capsys.readouterr().err
 
 
 def test_stein_negative_cap_exits_1(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -66,6 +67,56 @@ def test_double_complex_rejects_commuting_differentials():
             d1={(0, 0): Matrix.from_rows([[1]]), (0, 1): Matrix.from_rows([[1]])},
             d2={(0, 0): Matrix.from_rows([[1]]), (1, 0): Matrix.from_rows([[1]])},
         )
+
+
+def unit_square():
+    """A complex 0 -> Q -> Q -> 0, the anticommuting unit square and the
+    identity chain map of the complex."""
+    one, minus = Matrix.from_rows([[1]]), Matrix.from_rows([[-1]])
+    c = Complex({0: 1, 1: 1}, {0: one})
+    dc = DoubleComplex({(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1},
+                       d1={(0, 0): one, (0, 1): minus}, d2={(0, 0): one, (1, 0): one})
+    return c, dc, ChainMap(c, c, {0: one, 1: one})
+
+
+@pytest.mark.parametrize("graded", [
+    lambda c, dc, f: c.diffs,
+    lambda c, dc, f: c.spaces,
+    lambda c, dc, f: dc.d1,
+    lambda c, dc, f: dc.d2,
+    lambda c, dc, f: dc.spaces,
+    lambda c, dc, f: f.blocks,
+], ids=["Complex.diffs", "Complex.spaces", "DoubleComplex.d1", "DoubleComplex.d2",
+        "DoubleComplex.spaces", "ChainMap.blocks"])
+def test_graded_mappings_are_read_only(graded):
+    # a block added after construction would skip the shape and d² checks
+    mapping = graded(*unit_square())
+    before = dict(mapping)
+    key = next(iter(mapping))
+    with pytest.raises(TypeError):
+        mapping[key] = mapping[key]
+    with pytest.raises(TypeError):
+        del mapping[key]
+    with pytest.raises(AttributeError):  # a read-only mapping has no clear()
+        mapping.clear()
+    assert dict(mapping) == before
+
+
+@pytest.mark.parametrize("build, key", [
+    (lambda bad: Complex({0: 1, 1: 1}, {0: bad}), 0),
+    (lambda bad: DoubleComplex({(0, 0): 1, (1, 0): 1}, d1={(0, 0): bad}), (0, 0)),
+    (lambda bad: DoubleComplex({(0, 0): 1, (0, 1): 1}, d2={(0, 0): bad}), (0, 0)),
+    (lambda bad: ChainMap(unit_square()[0], unit_square()[0], {1: bad}), 1),
+], ids=["Complex", "DoubleComplex.d1", "DoubleComplex.d2", "ChainMap"])
+def test_constructors_reject_wrong_shaped_blocks(build, key):
+    message = f"block at {key} has shape (1, 2), expected (1, 1)"
+    with pytest.raises(ComplexInvariantError, match=re.escape(message)):
+        build(Matrix(1, 2, {(0, 1): 1}))
+
+
+def test_double_complex_rejects_a_block_on_a_missing_cell():
+    with pytest.raises(ComplexInvariantError, match=re.escape("expected (0, 0)")):
+        DoubleComplex({(0, 0): 1}, d2={(7, 7): Matrix(5, 5, {(0, 0): 1})})
 
 
 def test_shift_zero_is_identity():
@@ -219,8 +270,7 @@ def test_spectral_first_page_is_column_cohomology():
         by_column = {}
         for p in sorted({p for (p, _) in dc.spaces}):
             col = Complex({q: dc.dim(p, q) for q in range(-5, 8)},
-                          {q: dc.block2(p, q) for q in range(-5, 8)
-                           if not dc.block2(p, q).is_zero()})
+                          {q: dc.d2.at((p, q)) for q in range(-5, 8)})
             for q, h in homology_dims(col).items():
                 if h:
                     by_column[(p, q)] = h

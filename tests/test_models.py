@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -26,27 +27,27 @@ def label_index(model, cell, label):
 
 def test_zero_contraction_gives_zero_koszul():
     m = heisenberg3(None)
-    assert koszul_differential(m).is_zero()
+    assert not koszul_differential(m)
 
 
 def test_torus_koszul_vanishes_even_with_contraction():
     m = torus(2, {(1, 2): 1})
     assert m.contraction_blocks
-    assert koszul_differential(m).is_zero()
+    assert not koszul_differential(m)
 
 
 def test_heisenberg_koszul_nonzero_for_pi12():
     m = heisenberg3({(1, 2): 1})
     kos = koszul_differential(m)
-    assert not kos.is_zero()
+    assert kos
     # dz3 |-> -1 at bidegree (1,0): the contraction eats del(dz3) = -dz1^dz2
-    block = kos.at(m, 1, 0)
+    block = kos.at((1, 0))
     col = label_index(m, (1, 0), "dz3")
     row = label_index(m, (0, 0), "1")
     assert block[row, col] == Fraction(-1)
     assert block[label_index(m, (0, 0), "1"), label_index(m, (1, 0), "dz1")] == 0
     # dz1^dz2^dz3 |-> +dz1^dz2 at bidegree (3,0)
-    top = kos.at(m, 3, 0)
+    top = kos.at((3, 0))
     col = label_index(m, (3, 0), "dz1^dz2^dz3")
     row = label_index(m, (2, 0), "dz1^dz2")
     assert top[row, col] == Fraction(1)
@@ -56,7 +57,7 @@ def test_heisenberg_koszul_vanishes_for_pi13():
     # the pair (1,3) never matches the dz1^dz2 created by del, so the
     # derived differential is identically zero for this bivector
     m = heisenberg3({(1, 3): 1})
-    assert koszul_differential(m).is_zero()
+    assert not koszul_differential(m)
 
 
 def test_contraction_pairing_convention():
@@ -156,16 +157,41 @@ def test_koszul_differential_raises_on_invalid_model():
 
 
 @pytest.mark.parametrize("field", [
-    "basis", "del_blocks", "delbar_blocks", "contraction_blocks"])
+    "basis", "dims", "del_blocks", "delbar_blocks", "contraction_blocks", "koszul"])
 def test_model_mappings_are_read_only_after_validation(field):
     # the stored validation report must describe the model's current blocks
-    m = torus(2)
+    m = heisenberg3({(1, 2): 1})
     assert validate_model(m).ok
+    mapping = koszul_differential(m) if field == "koszul" else getattr(m, field)
+    before = dict(mapping)
     with pytest.raises(TypeError):
-        getattr(m, field)[(0, 0)] = Matrix(2, 1, {(0, 0): 1})
-    with pytest.raises(AttributeError):
-        getattr(m, field).clear()
+        mapping[(0, 0)] = Matrix(3, 1, {(0, 0): 1})
+    with pytest.raises(TypeError):
+        del mapping[next(iter(mapping))]
+    with pytest.raises(AttributeError):  # a read-only mapping has no clear()
+        mapping.clear()
+    assert dict(mapping) == before
     assert validate_model(m).ok
+
+
+@pytest.mark.parametrize("field, cell, expected", [
+    ("del_blocks", (0, 0), (2, 1)),
+    ("delbar_blocks", (0, 0), (2, 1)),
+    ("contraction_blocks", (2, 0), (1, 1)),
+])
+def test_model_rejects_a_wrong_shaped_block(field, cell, expected):
+    message = f"block at {cell} has shape (1, 2), expected {expected}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        DolbeaultPoissonModel(2, dict(torus(2).basis), **{field: {cell: Matrix(1, 2)}})
+
+
+def test_contraction_from_bivector_rejects_inexact_coefficients():
+    m = torus(2)
+    for pi in ({(1, 2): 0.5}, {(1, 2): True}, [[0, 0.5], [-0.5, 0]]):
+        with pytest.raises(TypeError):
+            contraction_from_bivector(m, pi)
+    assert contraction_from_bivector(m, {(1, 2): "1/2"}) == \
+        contraction_from_bivector(m, [[0, Fraction(1, 2)], [Fraction(-1, 2), 0]])
 
 
 def test_product_with_point_is_isomorphic_copy():
@@ -207,7 +233,7 @@ def test_product_koszul_satisfies_leibniz_rule():
     kos_p = koszul_differential(prod)
 
     def column_as_labels(model, kos, cell, col):
-        blk = kos.at(model, *cell)
+        blk = kos.at(cell)
         tgt = model.basis.get((cell[0] - 1, cell[1]), ())
         return {tgt[i]: v for (i, j), v in blk.entries.items() if j == col}
 

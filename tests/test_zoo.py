@@ -15,6 +15,7 @@ from kbhom.models import (
 from kbhom.zoo import (
     ModelFileError,
     StructureConstantError,
+    _cell_key,
     hodge_formal,
     load_model,
     model_to_json,
@@ -36,7 +37,7 @@ def test_torus1_shape():
 def test_torus_with_bivector_still_has_zero_koszul():
     m = torus(2, {(1, 2): 1})
     assert m.contraction_blocks
-    assert koszul_differential(m).is_zero()
+    assert not koszul_differential(m)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
@@ -78,12 +79,27 @@ def test_heisenberg_differential_entries():
 def test_heisenberg_with_poisson_bivector_validates():
     m = parallelizable(3, {(1, 2, 3): 1}, {(1, 2): 1})
     assert validate_model(m).ok
-    assert not koszul_differential(m).is_zero()
+    assert koszul_differential(m)
 
 
 def test_jacobi_violation_rejected():
     with pytest.raises(StructureConstantError, match="Jacobi"):
         parallelizable(3, {(1, 2, 3): 1, (1, 3, 1): 1})
+
+
+@pytest.mark.parametrize("structure", [{(1, 2, 3): 0.1}, {(1, 2, 3): True}])
+def test_parallelizable_rejects_inexact_structure_constants(structure):
+    with pytest.raises(TypeError):
+        parallelizable(3, structure)
+
+
+@pytest.mark.parametrize("pi", [
+    {(1, 2): True}, {(1, 2): 0.5}, [[0, 1.0], [-1.0, 0]], [[False, True], [-1, 0]]])
+def test_builders_reject_inexact_bivector_coefficients(pi):
+    with pytest.raises(TypeError):
+        torus(2, pi)
+    with pytest.raises(TypeError):
+        parallelizable(2, {(1, 2, 1): 1}, pi)
 
 
 def test_structure_key_order_enforced():
@@ -161,6 +177,18 @@ def test_load_rejects_two_basis_keys_for_one_cell():
     data["basis"]["00,0"] = ["x"]
     with pytest.raises(ModelFileError, match="'00,0' names cell \\(0, 0\\) a second time"):
         load_model(data)
+
+
+@pytest.mark.parametrize("key", ["00,0", "-0,0", "0,00"])
+def test_cell_keys_with_leading_zeros_name_the_cell(key):
+    assert _cell_key(key) == (0, 0)
+
+
+@pytest.mark.parametrize("key", [
+    "1_0,0", " 1,+0", "+1,0", "1, 0", "1,0\n", "\u0661,0", "1,0,0", "1", "", ","])
+def test_cell_keys_are_strict_integers(key):
+    with pytest.raises(ValueError):
+        _cell_key(key)
 
 
 def test_load_rejects_unknown_field_unless_lax():
