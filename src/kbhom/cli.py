@@ -16,6 +16,7 @@ in the report metadata.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from datetime import datetime, timezone
@@ -30,6 +31,7 @@ from .engine import (
     kb_homology,
     kb_spectral,
 )
+from .linalg import _is_int
 from .models import ModelValidationError, validate_model
 from .rules import (
     BlowupData,
@@ -49,7 +51,7 @@ from .stein import (
     SliceCapError,
     stein_homology,
 )
-from .zoo import ModelFileError, _cell_key, _int_key, _is_int, load_model, read_json
+from .zoo import ModelFileError, _cell_key, _int_key, load_model, read_json
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -470,10 +472,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built once per process: parsing never
+    changes it, and each call parses into a new namespace."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -4,10 +4,12 @@ Everything downstream (homology ranks, spectral pages, snake-lemma maps)
 reduces to one sparse column reduction, ``_reduce``.  Rank, kernel and
 solve are short reads of the ``Reduction`` it returns, and a tracked
 reduction can be solved against for any number of right-hand sides.
-Entries are ``fractions.Fraction``; the reduction and the matrix product
-clear denominators once per column (or row) and run their inner loops on
-Python ints, which is still exact.  There is no floating point and no
-modular arithmetic anywhere, and identical inputs give identical outputs.
+Entries are ``fractions.Fraction``; the reduction, the matrix product and
+the sums of products that check a model's identities (``_sum_of_products``)
+clear denominators once per column, row or block and run their inner
+loops on Python ints, which is still exact.  There is no floating point
+and no modular arithmetic anywhere, and identical inputs give identical
+outputs.
 """
 
 from __future__ import annotations
@@ -24,6 +26,11 @@ def _q(x) -> Fraction:
     if isinstance(x, (bool, float)):
         raise TypeError(f"matrix entries must be exact, not {type(x).__name__}")
     return Fraction(x)
+
+
+def _is_int(x) -> bool:
+    """A plain integer: bool is a subclass of int but never one here."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _denominator_lcms(entries: dict, axis: int) -> dict:
@@ -206,6 +213,61 @@ def _integer_columns(m: Matrix):
         cols[j] = {i: v.numerator * (scale // v.denominator) for i, v in col.items()}
         scales.append(scale)
     return cols, scales
+
+
+def _int_block(m: Matrix) -> tuple:
+    """``(rows, d)`` with m = rows / d: d is the lcm of the denominators of
+    m, and ``rows[i]`` is row i of d·m as a list of ``(col, int)`` pairs,
+    for the nonzero rows only (a list is about half the size of a dict on
+    the one- or two-entry rows of a model's blocks)."""
+    d = 1
+    for v in m.entries.values():
+        if v.denominator != 1:
+            d = lcm(d, v.denominator)
+    rows: dict = {}
+    for (i, j), v in m.entries.items():
+        rows.setdefault(i, []).append((j, v.numerator * (d // v.denominator)))
+    return rows, d
+
+
+def _sum_of_products(terms) -> tuple:
+    """Σ s·a·b over ``terms`` (s, a, b): s an int, a and b integer blocks
+    as ``_int_block`` gives them, or None for a zero block, whose term is
+    skipped.  Returns one integer block ``(rows, d)``: d is the lcm of the
+    products' denominators d_a·d_b and each product is scaled by
+    d / (d_a·d_b), so the sum is exact.  Zero entries and rows are dropped,
+    so the sum is zero iff ``rows`` is empty."""
+    terms = [t for t in terms if t[1] is not None and t[2] is not None]
+    d = 1
+    for _, (_, da), (_, db) in terms:
+        d = lcm(d, da * db)
+    acc: dict = {}
+    for s, (ra, da), (rb, db) in terms:
+        s *= d // (da * db)
+        for i, row in ra.items():
+            out = None
+            for k, x in row:
+                rk = rb.get(k)
+                if rk is None:
+                    continue
+                if out is None:  # only rows that meet b get an accumulator
+                    out = acc.setdefault(i, {})
+                x *= s
+                for j, y in rk:
+                    out[j] = out.get(j, 0) + x * y
+    rows = {}
+    for i, row in acc.items():
+        row = [(j, v) for j, v in row.items() if v]
+        if row:
+            rows[i] = row
+    return rows, d
+
+
+def _int_block_matrix(block: tuple, rows: int, cols: int) -> Matrix:
+    """The rows×cols Matrix of an integer block ``(rows, d)``."""
+    r, d = block
+    return Matrix(rows, cols, {(i, j): Fraction(v, d)
+                               for i, row in r.items() for j, v in row})
 
 
 def _combine(dst: dict, a: int, b: int, src: dict) -> None:

@@ -23,7 +23,7 @@ from itertools import combinations
 from types import MappingProxyType
 
 from .complexes import BlockMap, cell_shape, koszul_tensor, tensor_layout
-from .linalg import Matrix, _q
+from .linalg import Matrix, _int_block, _int_block_matrix, _is_int, _q, _sum_of_products
 
 Q = Fraction
 
@@ -134,11 +134,20 @@ def factor_contraction(wedge: WedgeBasis, pairs: dict) -> dict:
     return blocks
 
 
+def _generator_index(i) -> int:
+    """A 1-based generator index: a plain int (a bool or any other type
+    raises TypeError; the range is the caller's to check)."""
+    if not _is_int(i):
+        raise TypeError(f"generator indices must be int, not {type(i).__name__}")
+    return i
+
+
 def normalize_bivector_coeffs(n: int, coeffs) -> dict:
     """Accept an n×n antisymmetric matrix or an {(i,j): value} dict (i<j, 1-based)."""
     pairs: dict = {}
     if isinstance(coeffs, dict):
         for (i, j), v in coeffs.items():
+            i, j = _generator_index(i), _generator_index(j)
             if not (1 <= i < j <= n):
                 raise ValueError(f"bivector pair ({i},{j}) must satisfy 1 <= i < j <= {n}")
             v = _q(v)
@@ -165,9 +174,10 @@ def normalize_bivector_coeffs(n: int, coeffs) -> dict:
 class DolbeaultPoissonModel:
     """Immutable finite model; each operator is a read-only ``BlockMap``.
 
-    The first ``validate_model`` call stores its report and the derived
-    Koszul differential in ``_validated``; the model cannot change, so
-    later calls reuse them.
+    The first ``validate_model`` call stores its report and the integer
+    blocks of the derived Koszul differential in ``_validated``, and the
+    first ``koszul_differential`` call replaces those by their
+    ``BlockMap``; the model cannot change, so later calls reuse them.
     """
 
     __slots__ = ("n", "basis", "dims", "del_blocks", "delbar_blocks",
@@ -232,9 +242,23 @@ def contraction_from_bivector(model: DolbeaultPoissonModel, coeffs) -> dict:
     return model.wedge.tensor(factor_contraction(model.wedge, pairs), {}, (-2, 0))
 
 
-def _koszul_blocks(m: DolbeaultPoissonModel) -> dict:
-    return {(p, q): m.contraction_at(p + 1, q) * m.del_at(p, q)
-            - m.del_at(p - 2, q) * m.contraction_at(p, q) for (p, q) in m.cells()}
+def _int_blocks(op: BlockMap) -> dict:
+    """The stored blocks of an operator as integer blocks (``_int_block``)."""
+    return {cell: _int_block(b) for cell, b in op.items()}
+
+
+def _koszul_blocks(m: DolbeaultPoissonModel) -> tuple:
+    """``(delpi, dl)``: the nonzero blocks of the Koszul differential
+    delpi = contraction∘del - del∘contraction, and the blocks of del they
+    are built from, all as integer blocks keyed by source cell."""
+    dl, ct = _int_blocks(m.del_blocks), _int_blocks(m.contraction_blocks)
+    delpi = {}
+    for (p, q) in m.cells():
+        block = _sum_of_products([(1, ct.get((p + 1, q)), dl.get((p, q))),
+                                  (-1, dl.get((p - 2, q)), ct.get((p, q)))])
+        if block[0]:
+            delpi[(p, q)] = block
+    return delpi, dl
 
 
 @dataclass
@@ -274,36 +298,44 @@ def validate_model(m: DolbeaultPoissonModel) -> ValidationReport:
     """Check all five operator identities, reporting the first offending
     bidegree and the matrix residual per identity.
 
-    The identities are checked once per model; later calls return the
-    stored report.
+    Every identity is summed on every cell over integer blocks (each
+    stored block is converted once; absent blocks are skipped), which is
+    exact.  A matrix over Q is built only for a failing residual, and for
+    the Koszul blocks when :func:`koszul_differential` asks for them.  The
+    identities are checked once per model; later calls return the stored
+    report.
     """
     if m._validated is not None:
         return m._validated[0]
-    kos = BlockMap(_koszul_blocks(m), cell_shape(m.dims, (-1, 0)))
-
+    delpi, dl = _koszul_blocks(m)
+    dlb = _int_blocks(m.delbar_blocks)
+    d, e, k = dl.get, dlb.get, delpi.get
+    # per identity: the bidegree of its residual and its terms (s, a, b) at (p, q)
     composites = {
-        "del∘del": lambda p, q: m.del_at(p + 1, q) * m.del_at(p, q),
-        "delbar∘delbar": lambda p, q: m.delbar_at(p, q + 1) * m.delbar_at(p, q),
+        "del∘del": ((2, 0), lambda p, q: [(1, d((p + 1, q)), d((p, q)))]),
+        "delbar∘delbar": ((0, 2), lambda p, q: [(1, e((p, q + 1)), e((p, q)))]),
         "del∘delbar + delbar∘del":
-            lambda p, q: m.del_at(p, q + 1) * m.delbar_at(p, q)
-            + m.delbar_at(p + 1, q) * m.del_at(p, q),
-        "delpi∘delpi": lambda p, q: kos.at((p - 1, q)) * kos.at((p, q)),
+            ((1, 1), lambda p, q: [(1, d((p, q + 1)), e((p, q))),
+                                   (1, e((p + 1, q)), d((p, q)))]),
+        "delpi∘delpi": ((-2, 0), lambda p, q: [(1, k((p - 1, q)), k((p, q)))]),
         "delbar∘delpi + delpi∘delbar":
-            lambda p, q: m.delbar_at(p - 1, q) * kos.at((p, q))
-            + kos.at((p, q + 1)) * m.delbar_at(p, q),
+            ((-1, 1), lambda p, q: [(1, e((p - 1, q)), k((p, q))),
+                                    (1, k((p, q + 1)), e((p, q)))]),
     }
+    cells = m.cells()
     checks = []
     for name in IDENTITY_NAMES:
-        fn = composites[name]
+        (dp, dq), terms = composites[name]
         failure = None
-        for (p, q) in m.cells():
-            residual = fn(p, q)
-            if not residual.is_zero():
-                failure = CheckResult(name, False, (p, q), residual)
+        for (p, q) in cells:
+            residual = _sum_of_products(terms(p, q))
+            if residual[0]:
+                failure = CheckResult(name, False, (p, q), _int_block_matrix(
+                    residual, m.dim(p + dp, q + dq), m.dim(p, q)))
                 break
         checks.append(failure or CheckResult(name, True))
     report = ValidationReport(checks)
-    object.__setattr__(m, "_validated", (report, kos))
+    object.__setattr__(m, "_validated", (report, delpi))
     return report
 
 
@@ -319,9 +351,15 @@ def require_valid(m: DolbeaultPoissonModel, context: str) -> None:
 
 def koszul_differential(m: DolbeaultPoissonModel) -> BlockMap:
     """The blocks (p,q)->(p-1,q) of the derived Koszul differential of a
-    model that passes validation."""
+    model that passes validation, built over Q from the validation's
+    integer blocks on the first call."""
     require_valid(m, "not a valid holomorphic Poisson model")
-    return m._validated[1]
+    report, kos = m._validated
+    if not isinstance(kos, BlockMap):  # the integer blocks of the validation
+        kos = BlockMap({(p, q): _int_block_matrix(b, m.dim(p - 1, q), m.dim(p, q))
+                        for (p, q), b in kos.items()}, cell_shape(m.dims, (-1, 0)))
+        object.__setattr__(m, "_validated", (report, kos))
+    return kos
 
 
 def product_model(mx: DolbeaultPoissonModel,

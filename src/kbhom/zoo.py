@@ -23,14 +23,17 @@ import io
 import json
 import re
 from fractions import Fraction
+from itertools import compress, repeat
+from operator import ne
 from pathlib import Path
 
 from .engine import HodgeDiamond
-from .linalg import Matrix, _q
+from .linalg import Matrix, _is_int, _q
 from .models import (
     DolbeaultPoissonModel,
     ModelValidationError,
     WedgeBasis,
+    _generator_index,
     derivation_blocks,
     factor_contraction,
     normalize_bivector_coeffs,
@@ -39,7 +42,7 @@ from .models import (
 
 FORMAT = "kbmodel/1"
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+_RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([1-9][0-9]*))?")
 _INT_RE = re.compile(r"-?[0-9]+")
 
 
@@ -64,6 +67,7 @@ def point() -> DolbeaultPoissonModel:
 def _structure_images(n: int, structure: dict) -> dict:
     images: dict = {}
     for (i, j, k), c in structure.items():
+        i, j, k = (_generator_index(x) for x in (i, j, k))
         if not (1 <= i < j <= n):
             raise StructureConstantError(
                 f"structure constant key ({i},{j},{k}) must have 1 <= i < j <= n")
@@ -139,11 +143,6 @@ def _matrix_to_strings(m: Matrix) -> list:
     return rows
 
 
-def _is_int(x) -> bool:
-    """A JSON integer: bool is a subclass of int but never one here."""
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _int_key(key: str) -> int:
     """The integer named by a key: an optional minus sign and ASCII digits,
     nothing else (``int`` would also take blanks, signs, underscores and
@@ -160,7 +159,15 @@ def _cell_key(key: str) -> tuple:
 
 
 def _parse_rational(s, where: str) -> Fraction:
-    if (isinstance(s, str) and _RATIONAL_RE.match(s)) or _is_int(s):
+    """A matrix entry: an int, or a string of ASCII digits with an optional
+    sign and an optional "/b", b > 0 (no blanks, underscores or other
+    digits)."""
+    if isinstance(s, str):
+        match = _RATIONAL_RE.fullmatch(s)
+        if match:
+            num, den = match.groups()
+            return Fraction(int(num), int(den)) if den else Fraction(int(num))
+    elif _is_int(s):
         return Fraction(s)
     raise ModelFileError(f"{where}: {s!r} is not a rational 'a/b' or integer string")
 
@@ -250,9 +257,11 @@ def load_model(data: dict, lax: bool = False,
             for i, row in enumerate(rows):
                 if len(row) != ncols:
                     raise ModelFileError(f"{where}: ragged matrix rows")
-                for j, s in enumerate(row):
-                    if s == "0":  # most entries; absent from the sparse matrix
-                        continue
+                # most entries are "0", absent from the sparse matrix: skip
+                # all-zero rows, and the "0"s of the others, at C speed
+                if row.count("0") == ncols:
+                    continue
+                for j, s in compress(enumerate(row), map(ne, row, repeat("0"))):
                     v = _parse_rational(s, f"{where}.matrix[{i}][{j}]")
                     if v:
                         entries[(i, j)] = v

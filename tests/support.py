@@ -13,7 +13,8 @@ coefficients.  They share no elimination or product code with
 ``kbhom.linalg`` and no integer scaling with ``kbhom.stein``.  The
 former model builders, on all 4^n wedge monomials with their own tensor
 loops, share no tensor or sign code with ``kbhom.complexes`` and
-``kbhom.models``.
+``kbhom.models``.  The former model validator sums ``Matrix`` products
+of zero-filled blocks, not the integer blocks of ``validate_model``.
 """
 
 from fractions import Fraction
@@ -21,18 +22,23 @@ from itertools import combinations
 from math import lcm
 
 from kbhom.complexes import (
+    BlockMap,
     Complex,
     DoubleComplex,
     LongExactSequence,
     SpectralPages,
     _total_differentials,
     _total_layout,
+    cell_shape,
     tensor_double,
 )
 from kbhom.linalg import Matrix, Subspace, kernel_basis
 from kbhom.models import (
+    IDENTITY_NAMES,
+    CheckResult,
     DolbeaultPoissonModel,
     ModelValidationError,
+    ValidationReport,
     monomial_label,
     normalize_bivector_coeffs,
     validate_model,
@@ -212,6 +218,38 @@ def oracle_product(a: Matrix, b: Matrix) -> Matrix:
             if v:
                 entries[(i, j)] = v
     return Matrix(a.rows, b.cols, entries)
+
+
+def oracle_validate_model(m: DolbeaultPoissonModel) -> tuple:
+    """The former validator: ``(report, kos)``, every identity summed as
+    Fraction ``Matrix`` products of the zero-filled blocks on every cell,
+    with the Koszul blocks kos = contraction∘del - del∘contraction as a
+    ``BlockMap``.  The model's stored validation is neither read nor
+    written."""
+    kos = BlockMap({(p, q): m.contraction_at(p + 1, q) * m.del_at(p, q)
+                    - m.del_at(p - 2, q) * m.contraction_at(p, q)
+                    for (p, q) in m.cells()}, cell_shape(m.dims, (-1, 0)))
+    composites = {
+        "del∘del": lambda p, q: m.del_at(p + 1, q) * m.del_at(p, q),
+        "delbar∘delbar": lambda p, q: m.delbar_at(p, q + 1) * m.delbar_at(p, q),
+        "del∘delbar + delbar∘del":
+            lambda p, q: m.del_at(p, q + 1) * m.delbar_at(p, q)
+            + m.delbar_at(p + 1, q) * m.del_at(p, q),
+        "delpi∘delpi": lambda p, q: kos.at((p - 1, q)) * kos.at((p, q)),
+        "delbar∘delpi + delpi∘delbar":
+            lambda p, q: m.delbar_at(p - 1, q) * kos.at((p, q))
+            + kos.at((p, q + 1)) * m.delbar_at(p, q),
+    }
+    checks = []
+    for name in IDENTITY_NAMES:
+        failure = None
+        for (p, q) in m.cells():
+            residual = composites[name](p, q)
+            if not residual.is_zero():
+                failure = CheckResult(name, False, (p, q), residual)
+                break
+        checks.append(failure or CheckResult(name, True))
+    return ValidationReport(checks), kos
 
 
 def oracle_rank(m: Matrix) -> int:

@@ -494,3 +494,71 @@ def test_round_trip_reports_identical(tmp_path, capsys):
     assert kb_homology(model).dims == {
         int(k): v
         for k, v in json.loads(first)["results"]["kb"]["dims"].items() if v}
+
+
+@pytest.fixture
+def fresh_parser():
+    cli._parser.cache_clear()
+    yield
+    cli._parser.cache_clear()
+
+
+def test_main_builds_the_parser_once(fresh_parser, monkeypatch, torus1_file,
+                                     torus1_table, capsys):
+    calls = []
+    build = cli.build_parser
+
+    def counting():
+        calls.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    for argv in (["check", torus1_file], ["compute", torus1_file, "--json"],
+                 ["flag", "--n", "2", "--betti", "3"], ["frobnicate"],
+                 ["kunneth", torus1_table, torus1_table], ["check", torus1_file]):
+        main(argv)
+    assert len(calls) == 1
+
+
+def test_a_usage_error_after_a_success_reads_as_on_a_fresh_parser(fresh_parser,
+                                                                  torus1_file, capsys):
+    assert main(["compute", "--pages", "x"]) == 1
+    fresh = capsys.readouterr().err
+    assert fresh.startswith("usage: kbhom compute")
+    assert fresh.endswith("kbhom compute: error: argument --pages: invalid int value: 'x'\n")
+    assert main(["compute", torus1_file, "--pages", "2"]) == 0
+    capsys.readouterr()
+    assert main(["compute", "--pages", "x"]) == 1
+    assert capsys.readouterr().err == fresh
+
+
+def test_version_on_every_call(fresh_parser, torus1_file, capsys):
+    version = f"kbhom {cli.__version__}\n"
+    assert main(["--version"]) == 0 and capsys.readouterr().out == version
+    assert main(["check", torus1_file]) == 0
+    capsys.readouterr()
+    assert main(["--version"]) == 0 and capsys.readouterr().out == version
+
+
+def test_option_values_do_not_leak_between_calls(fresh_parser, tmp_path, torus1_file,
+                                                 capsys):
+    pi = write_json(tmp_path / "pi.json", [])
+    argvs = [["compute", torus1_file, "--pages", "2", "--json", "--no-timestamp"],
+             ["compute", torus1_file],
+             ["stein", pi, "--n", "1", "--weights", "0", "--cap", "3"],
+             ["stein", pi, "--n", "1", "--weights", "0"],
+             ["check", torus1_file, "--lax", "--json"], ["check", torus1_file]]
+    for argv in argvs:
+        assert main(argv) == 0
+        capsys.readouterr()
+        # the cached parser reads each argv as a parser built for it alone
+        assert vars(cli._parser().parse_args(argv)) == vars(cli.build_parser().parse_args(argv))
+    assert main(["compute", torus1_file]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("command: compute\n") and "page E_" not in out
+    data = save_model(torus(1))
+    data["surprise"] = 1
+    path = write_json(tmp_path / "lax.json", data)
+    assert main(["check", path, "--lax"]) == 0
+    assert main(["check", path]) == 1
+    assert "unknown fields" in capsys.readouterr().err

@@ -29,6 +29,12 @@ from kbhom.linalg import (
     solve,
     solve_columns,
 )
+from kbhom.models import (
+    DolbeaultPoissonModel,
+    koszul_differential,
+    product_model,
+    validate_model,
+)
 from kbhom.stein import NotPoissonOnSlice, PolyBivector, slice_basis, stein_complex
 from kbhom.zoo import parallelizable, torus
 from support import (
@@ -39,6 +45,7 @@ from support import (
     oracle_solve,
     oracle_spectral_pages,
     oracle_stein_differentials,
+    oracle_validate_model,
     random_complex,
     random_double_complex,
     random_split_ses,
@@ -328,3 +335,96 @@ def test_les_matches_per_column_oracle_on_random_split_ses(seed, degrees, twiste
     else:
         f, g = random_split_ses(rng, *degrees)
     assert_les_matches(f, g)
+
+
+# --- the model validator against the former Fraction-product one ---
+
+OPERATORS = {"del_blocks": (1, 0), "delbar_blocks": (0, 1), "contraction_blocks": (-2, 0)}
+
+
+def _rational(rng):
+    """A nonzero rational with denominator up to 12."""
+    return Fraction(rng.choice([-5, -3, -2, -1, 1, 2, 3, 5]), rng.randint(1, 12))
+
+
+def _with_blocks(m, **blocks):
+    ops = {field: blocks.get(field, getattr(m, field)) for field in OPERATORS}
+    return DolbeaultPoissonModel(m.n, m.basis, name=m.name, **ops)
+
+
+def random_rational_model(rng):
+    """Random dimensions and random sparse blocks with non-integer entries;
+    mostly not a valid model."""
+    n = rng.randint(2, 3)
+    basis = {(p, q): [f"e{p}{q}{i}" for i in range(rng.randint(0, 3))]
+             for p in range(n + 1) for q in range(n + 1)}
+    dims = {cell: len(labels) for cell, labels in basis.items()}
+    ops = {}
+    for field, (dp, dq) in OPERATORS.items():
+        blocks = {}
+        for (p, q), cols in dims.items():
+            rows = dims.get((p + dp, q + dq), 0)
+            if rows and cols and rng.random() < 0.8:
+                blocks[(p, q)] = Matrix(rows, cols, {
+                    (i, j): _rational(rng) for i in range(rows) for j in range(cols)
+                    if rng.random() < 0.5})
+        ops[field] = blocks
+    return DolbeaultPoissonModel(n, basis, name="random", **ops)
+
+
+def rescaled(rng, m):
+    """m in a basis rescaled by random rationals, cell by cell: every block
+    B from cell s to cell t becomes A_t B A_s^{-1} for diagonal A, so the
+    identities hold exactly when they hold on m, and the entries are no
+    longer integers."""
+    scale = {cell: [_rational(rng) for _ in range(d)] for cell, d in m.dims.items()}
+    blocks = {}
+    for field, (dp, dq) in OPERATORS.items():
+        blocks[field] = {
+            (p, q): Matrix(b.rows, b.cols, {
+                (i, j): scale[(p + dp, q + dq)][i] * v / scale[(p, q)][j]
+                for (i, j), v in b.entries.items()})
+            for (p, q), b in getattr(m, field).items()}
+    return _with_blocks(m, **blocks)
+
+
+def mutated(rng, m):
+    """m with one entry of one stored block changed by a rational."""
+    field = rng.choice([f for f in OPERATORS if getattr(m, f)])
+    op = getattr(m, field)
+    cell = rng.choice(sorted(op))
+    b = op[cell]
+    key = (rng.randrange(b.rows), rng.randrange(b.cols))
+    entries = dict(b.entries)
+    entries[key] = b[key] + _rational(rng)
+    return _with_blocks(m, **{field: {**op, cell: Matrix(b.rows, b.cols, entries)}})
+
+
+ZOO = [
+    lambda: torus(2, {(1, 2): 1}),
+    lambda: parallelizable(2, {(1, 2, 1): 1}, {(1, 2): 1}),
+    lambda: parallelizable(3, {(1, 2, 3): 1}, {(1, 2): 1}),
+    lambda: product_model(torus(1), parallelizable(2, {(1, 2, 1): 1}, {(1, 2): 1})),
+]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1),
+       st.sampled_from(["random", "rescaled", "mutated", "rescaled-mutated"]))
+def test_validate_model_matches_fraction_product_oracle(seed, kind):
+    """The report (identity, ok, first bidegree, residual) and the Koszul
+    blocks equal those of the former validator, on random rational models,
+    on zoo models in rescaled bases, and on single-entry mutations."""
+    rng = random.Random(seed)
+    if kind == "random":
+        m = random_rational_model(rng)
+    else:
+        m = ZOO[rng.randrange(len(ZOO))]()
+        if kind.startswith("rescaled"):
+            m = rescaled(rng, m)
+        if kind.endswith("mutated"):
+            m = mutated(rng, m)
+    report, kos = oracle_validate_model(m)
+    assert validate_model(m).checks == report.checks
+    if report.ok:
+        assert koszul_differential(m) == kos

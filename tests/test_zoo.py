@@ -4,10 +4,12 @@ from math import comb
 
 import pytest
 
-from kbhom.engine import HodgeDiamond, kb_homology
 from kbhom import models
+from kbhom.engine import HodgeDiamond, kb_homology
+from kbhom.linalg import Matrix
 from kbhom.models import (
     ModelValidationError,
+    contraction_from_bivector,
     koszul_differential,
     product_model,
     validate_model,
@@ -100,6 +102,24 @@ def test_builders_reject_inexact_bivector_coefficients(pi):
         torus(2, pi)
     with pytest.raises(TypeError):
         parallelizable(2, {(1, 2, 1): 1}, pi)
+
+
+@pytest.mark.parametrize("pi", [{(True, 2): 1}, {(1, True): 1}, {(1.0, 2): 1},
+                                {("1", 2): 1}])
+def test_builders_reject_non_int_bivector_indices(pi):
+    with pytest.raises(TypeError, match="generator indices"):
+        torus(2, pi)
+    with pytest.raises(TypeError, match="generator indices"):
+        parallelizable(2, {(1, 2, 1): 1}, pi)
+    with pytest.raises(TypeError, match="generator indices"):
+        contraction_from_bivector(torus(2), pi)
+
+
+@pytest.mark.parametrize("structure", [{(True, 2, 3): 1}, {(1, 2, True): 1},
+                                       {(1, 2.0, 3): 1}, {(1, 2, "3"): 1}])
+def test_parallelizable_rejects_non_int_structure_indices(structure):
+    with pytest.raises(TypeError, match="generator indices"):
+        parallelizable(3, structure)
 
 
 def test_structure_key_order_enforced():
@@ -246,16 +266,65 @@ def test_load_rejects_inexact_zero_spellings(entry):
         load_model(_one_entry_delbar(entry))
 
 
+@pytest.mark.parametrize("entry", ["1\n", "\u0661", "\u0661/2", "1/\u0662", "1 ", "1_0",
+                                   "\uff11"])
+def test_load_rejects_blanks_and_non_ascii_digits(entry):
+    with pytest.raises(ModelFileError, match=r"delbar\[0\]\.matrix\[0\]\[0\]"):
+        load_model(_one_entry_delbar(entry))
+
+
+@pytest.mark.parametrize("entry, value", [("-3/4", Fraction(-3, 4)), ("+2", 2),
+                                          ("6/4", Fraction(3, 2)), (7, 7)])
+def test_load_reads_signed_and_fraction_entries(entry, value):
+    m = load_model(_one_entry_delbar(entry))
+    assert m.delbar_at(0, 0) == Matrix(1, 1, {(0, 0): value})
+
+
+def _one_block_delbar(rows):
+    # torus(2) with a single 2x4 delbar block (1,1) -> (1,2)
+    data = save_model(torus(2))
+    data["delbar"] = [{"from": [1, 1], "matrix": rows}]
+    return data
+
+
+@pytest.mark.parametrize("row, j", [(["0", "0.5", "0", "0"], 1), (["0", 0.0, "0", "0"], 1),
+                                    (["0", "0", "0", True], 3), (["0", "x", "0", "0"], 1),
+                                    ([None, "0", "0", "0"], 0)])
+def test_a_bad_entry_in_a_mostly_zero_row_names_its_position(row, j):
+    with pytest.raises(ModelFileError, match=rf"delbar\[0\]\.matrix\[1\]\[{j}\]: "):
+        load_model(_one_block_delbar([["0"] * 4, row]))
+
+
+@pytest.mark.parametrize("row", [["0", 0, "0", "0"], ["00", "0", "-0", "0"], [0, 0, 0, 0],
+                                 ["0", "+0", "0/5", "0"]])
+def test_rows_of_zero_spellings_load_as_zero(row):
+    m = load_model(_one_block_delbar([row, ["0"] * 4]))
+    assert m.delbar_blocks == {}
+
+
+def test_all_zero_rows_are_skipped_but_ragged_rows_are_not():
+    with pytest.raises(ModelFileError, match="ragged"):
+        load_model(_one_block_delbar([["0"] * 4, ["0"] * 3]))
+    with pytest.raises(ModelFileError, match="ragged"):
+        load_model(_one_block_delbar([["0"] * 4, ["0"] * 5]))
+
+
 @pytest.mark.parametrize("build", [
     lambda: parallelizable(3, {(1, 2, 3): 1}, {(1, 2): 1}),
     lambda: product_model(torus(1), parallelizable(3, {(1, 2, 3): 1}, {(1, 2): 1})),
-], ids=["heis3", "t1xheis3"])
+    lambda: point(), lambda: torus(3, {(1, 2): Fraction(-3, 4), (2, 3): "5/12"}),
+    lambda: parallelizable(3, {(1, 2, 3): Fraction(2, 3)}, {(1, 2): Fraction(-1, 7)}),
+    lambda: parallelizable(2, {(1, 2, 1): 1}, {(1, 2): 1}),
+    lambda: hodge_formal(HodgeDiamond(1, {(0, 0): 1, (1, 1): 1})),
+], ids=["heis3", "t1xheis3", "point", "torus3-rational", "heis3-rational", "par2", "formal"])
 def test_load_of_save_gives_identical_blocks(build):
     m = build()
-    loaded = load_model(save_model(m))
+    text = model_to_json(m)
+    loaded = load_model(json.loads(text))
     assert loaded.basis == m.basis
     for field in ("del_blocks", "delbar_blocks", "contraction_blocks"):
         assert getattr(loaded, field) == getattr(m, field), field
+    assert model_to_json(loaded) == text
 
 
 def test_load_rejects_bad_shape():
