@@ -248,15 +248,21 @@ def cmd_compute(args) -> int:
     return EXIT_OK
 
 
+def _integer(text: str) -> int:
+    """The argparse type of every integer option: an integer key (``_int_key``)."""
+    try:
+        return _int_key(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _parse_weights(text: str) -> list:
     try:
-        if ".." in text:
-            lo, hi = text.split("..")
-            lo, hi = int(lo), int(hi)
-            if hi < lo:
-                raise ValueError
-            return list(range(lo, hi + 1))
-        return [int(text)]
+        lo, dots, hi = text.partition("..")
+        lo, hi = _int_key(lo), _int_key(hi if dots else lo)
+        if hi < lo:
+            raise ValueError
+        return list(range(lo, hi + 1))
     except ValueError:
         raise TableError(f"--weights must be 'a..b' or a single integer, got {text!r}") \
             from None
@@ -402,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compute", help="KB homology table of a model file")
     p.add_argument("path")
-    p.add_argument("--pages", type=int, metavar="R",
+    p.add_argument("--pages", type=_integer, metavar="R",
                    help="also print spectral pages E_1..E_R")
     p.add_argument("--lax", action="store_true", help="ignore unknown fields")
     _add_output_flags(p)
@@ -411,11 +417,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stein", help="per-weight homology of C^n with a "
                                      "homogeneous polynomial bivector")
     p.add_argument("pi", help="JSON list of terms {i, j, coeff, alpha}")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_integer, required=True)
     p.add_argument("--weights", required=True, metavar="A..B",
                    help="a weight W or a range A..B; write --weights=-2..3 "
                         "when A is negative")
-    p.add_argument("--cap", type=int, default=8)
+    p.add_argument("--cap", type=_integer, default=8)
     _add_output_flags(p)
     p.set_defaults(func=cmd_stein)
 
@@ -434,14 +440,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_leray_hirsch)
 
     p = sub.add_parser("flag", help="KB table of a flag manifold")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--betti", type=int, required=True)
+    p.add_argument("--n", type=_integer, required=True)
+    p.add_argument("--betti", type=_integer, required=True)
     _add_output_flags(p)
     p.set_defaults(func=cmd_flag)
 
     p = sub.add_parser("pbundle", help="Hodge diamond of a projective bundle")
     p.add_argument("diamond")
-    p.add_argument("-r", type=int, required=True, help="fiber rank (P^{r-1})")
+    p.add_argument("-r", type=_integer, required=True, help="fiber rank (P^{r-1})")
     _add_output_flags(p)
     p.set_defaults(func=cmd_pbundle)
 
@@ -449,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("x")
     p.add_argument("y")
     p.add_argument("e")
-    p.add_argument("-r", type=int, required=True, help="codimension of the center")
+    p.add_argument("-r", type=_integer, required=True, help="codimension of the center")
     p.add_argument("--assert-star", action="store_true",
                    help="record the abelian-conormal hypothesis")
     _add_output_flags(p)

@@ -23,7 +23,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
-from .linalg import Matrix, _reduce, _select_columns, rank
+from .linalg import Matrix, _from_columns, _reduce, _select_columns, _select_rows, rank
 
 
 class ComplexInvariantError(ValueError):
@@ -205,7 +205,7 @@ def _total_differentials(dc: DoubleComplex, layouts) -> dict:
         if target is None:
             continue
         tgt_off = dict(target[0])
-        entries = {}
+        pieces = []
         for cell, off in lay:
             p, q = cell
             for block, tcell in ((dc.d1.get(cell), (p + 1, q)),
@@ -213,9 +213,9 @@ def _total_differentials(dc: DoubleComplex, layouts) -> dict:
                 to = tgt_off.get(tcell)
                 if block is None or to is None:
                     continue
-                for (i, j), v in block.entries.items():
-                    entries[(to + i, off + j)] = v
-        diffs[k] = Matrix(target[1], total, entries)
+                pieces += [(off + j, {to + i: v for i, v in col}, d)
+                           for j, col, d in block._columns()]
+        diffs[k] = _from_columns(target[1], total, pieces)
     return diffs
 
 
@@ -281,30 +281,32 @@ def koszul_tensor(dims_a: dict, blocks_a: dict, dims_b: dict, blocks_b: dict,
     pairs, offsets, dims = tensor_layout(dims_a, dims_b)
     blocks = {}
     for cell, cell_pairs in pairs.items():
-        entries: dict[tuple, object] = {}
+        pieces = []
         for ca, cb in cell_pairs:
             src = offsets[(ca, cb)]
             dim_a, dim_b = dims_a[ca], dims_b[cb]
-            # f_A ⊗ 1
+            # f_A ⊗ 1: column i1 of f_A, at row block i2, spread over j
             block = blocks_a.get(ca)
             tgt = offsets.get(((ca[0] + dp, ca[1] + dq), cb))
             if block is not None and tgt is not None:
-                for (i2, i1), v in block.entries.items():
-                    for j in range(dim_b):
-                        entries[(tgt + i2 * dim_b + j, src + i1 * dim_b + j)] = v
-            # (-1)^{(dp+dq)(p_A+q_A)} 1 ⊗ f_B
+                for i1, col, d in block._columns():
+                    pieces += [(src + i1 * dim_b + j,
+                                {tgt + i2 * dim_b + j: v for i2, v in col}, d)
+                               for j in range(dim_b)]
+            # (-1)^{(dp+dq)(p_A+q_A)} 1 ⊗ f_B: column j1 of f_B, repeated over i
             tb = (cb[0] + dp, cb[1] + dq)
             block = blocks_b.get(cb)
             tgt = offsets.get((ca, tb))
             if block is not None and tgt is not None:
                 sign = -1 if odd and (ca[0] + ca[1]) % 2 else 1
                 dim_tb = dims_b[tb]
-                for (j2, j1), v in block.entries.items():
-                    for i in range(dim_a):
-                        entries[(tgt + i * dim_tb + j2, src + i * dim_b + j1)] = sign * v
-        if entries:
-            blocks[cell] = Matrix(dims.get((cell[0] + dp, cell[1] + dq), 0),
-                                  dims[cell], entries)
+                for j1, col, d in block._columns():
+                    pieces += [(src + i * dim_b + j1,
+                                {tgt + i * dim_tb + j2: sign * v for j2, v in col}, d)
+                               for i in range(dim_a)]
+        if pieces:
+            blocks[cell] = _from_columns(dims.get((cell[0] + dp, cell[1] + dq), 0),
+                                         dims[cell], pieces)
     return blocks
 
 
@@ -379,8 +381,9 @@ def spectral_pages(dc: DoubleComplex, r_max: int) -> SpectralPages:
     unpaired = dict(dc.spaces)
     lengths: dict = {cell: [] for cell in dc.spaces}
     for k, d in _total_differentials(dc, layouts).items():
-        reversed_d = Matrix(d.rows, d.cols, {(d.rows - 1 - i, d.cols - 1 - j): v
-                                             for (i, j), v in d.entries.items()})
+        reversed_d = _from_columns(d.rows, d.cols, (
+            (d.cols - 1 - j, {d.rows - 1 - i: v for i, v in col}, den)
+            for j, col, den in d._columns()))
         for i, j in _reduce(reversed_d).owner.items():
             src = cell_of[k][d.cols - 1 - j]
             tgt = cell_of[k + 1][d.rows - 1 - i]
@@ -463,12 +466,12 @@ class LongExactSequence:
 
 
 def _homology_bases(x: Complex, degrees) -> dict:
-    """Per degree k of the contiguous range ``degrees``: ``(classes, where,
+    """Per degree k of the contiguous range ``degrees``: ``(classes, at,
     reps)``.  One tracked reduction of d^k gives the cycles Z_k (its
     kernel) and the boundaries B_{k+1} (its pivot columns); ``classes``
     reduces [B_k | Z_k].  B_k is independent, so the pivot columns there
     are B_k and the representatives ``reps``, the columns of Z_k completing
-    B_k to a basis of Z_k; ``where`` maps their columns to indices in reps.
+    B_k to a basis of Z_k; ``at`` lists their columns in [B_k | Z_k].
     """
     out = {}
     boundaries = Matrix(x.dim(degrees[0]), 0)  # d^k = 0 below the range
@@ -479,8 +482,7 @@ def _homology_bases(x: Complex, degrees) -> dict:
         classes = _reduce(Matrix.hstack(boundaries, cycles), track=True)
         nb = boundaries.cols
         at = sorted(p for p in classes.owner.values() if p >= nb)
-        out[k] = (classes, {p: i for i, p in enumerate(at)},
-                  _select_columns(cycles, [p - nb for p in at]))
+        out[k] = (classes, at, _select_columns(cycles, [p - nb for p in at]))
         boundaries = _select_columns(d, sorted(red.owner.values()))
     return out
 
@@ -488,14 +490,10 @@ def _homology_bases(x: Complex, degrees) -> dict:
 def _solved(red, rhs: Matrix, failure: str) -> Matrix:
     """The pivot-supported solution X of m*X = rhs, for the tracked
     reduction ``red`` of m; AssertionError(failure) when a column has none."""
-    entries = {}
-    for j, x in enumerate(red.solve(rhs)):
-        if x is None:
-            raise AssertionError(failure)
-        for i, v in enumerate(x):
-            if v:
-                entries[(i, j)] = v
-    return Matrix(red.cols, rhs.cols, entries)
+    x, missing = red.solve(rhs)
+    if missing:
+        raise AssertionError(failure)
+    return x
 
 
 def _class_coords(bases, vectors: Matrix) -> Matrix:
@@ -503,12 +501,10 @@ def _class_coords(bases, vectors: Matrix) -> Matrix:
     vectors, in the representatives of ``bases`` (from ``_homology_bases``).
     The solution against [B_k | Z_k] is supported on its pivot columns, B_k
     and the representatives, so it is the one against [B_k | reps]."""
-    classes, where, _ = bases
-    if not where:
+    classes, at, _ = bases
+    if not at:
         return Matrix(0, vectors.cols)
-    x = _solved(classes, vectors, "vector is not a cycle modulo boundaries")
-    return Matrix(len(where), vectors.cols,
-                  {(where[i], j): v for (i, j), v in x.entries.items() if i in where})
+    return _select_rows(_solved(classes, vectors, "vector is not a cycle modulo boundaries"), at)
 
 
 def les_from_ses(f: ChainMap, g: ChainMap) -> LongExactSequence:

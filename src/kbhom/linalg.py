@@ -1,24 +1,29 @@
 """Exact sparse linear algebra over the rationals.
 
-Everything downstream (homology ranks, spectral pages, snake-lemma maps)
-reduces to one sparse column reduction, ``_reduce``.  Rank, kernel and
-solve are short reads of the ``Reduction`` it returns, and a tracked
-reduction can be solved against for any number of right-hand sides.
-Entries are ``fractions.Fraction``; the reduction, the matrix product and
-the sums of products that check a model's identities (``_sum_of_products``)
-clear denominators once per column, row or block and run their inner
-loops on Python ints, which is still exact.  There is no floating point
-and no modular arithmetic anywhere, and identical inputs give identical
-outputs.
+A ``Matrix`` stores each nonzero column j as ints over one denominator:
+``_lines[j]``, a tuple of ``(row, int)`` pairs (half the size of a dict
+on the one- and two-entry columns most blocks have), over
+``_dens.get(j, 1)``, the lcm of the column's reduced denominators; the
+form is canonical up to the order of the pairs.  Builders emit integer
+columns through ``_from_columns``, and ``Fraction`` appears only at the
+public edges.  Everything downstream reduces to one sparse column
+reduction, ``_reduce``, on copies of the stored columns, and products
+and the sums of products that check a model's identities
+(``_sum_of_products``) combine integer columns.  There is no floating
+point and no modular arithmetic anywhere, and identical inputs give
+identical outputs.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
+from types import MappingProxyType
 from typing import NamedTuple
 
 Q = Fraction
+
 
 def _q(x) -> Fraction:
     if isinstance(x, Fraction):
@@ -33,60 +38,106 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _denominator_lcms(entries: dict, axis: int) -> dict:
-    """Per row (axis 0) or column (axis 1): the lcm of the denominators of
-    its entries, for the lines where that is not 1."""
-    out: dict = {}
-    for key, v in entries.items():
-        d = v.denominator
+def _index(i, bound: int, what: str) -> None:
+    """TypeError unless i is a plain int, IndexError unless 0 <= i < bound."""
+    if not _is_int(i):
+        raise TypeError(f"{what} must be int, not {type(i).__name__}")
+    if not 0 <= i < bound:
+        raise IndexError(f"{what} {i} out of range(0, {bound})")
+
+
+def _from_columns(rows: int, cols: int, pieces) -> "Matrix":
+    """The rows×cols matrix Σ col/d over ``pieces`` (j, col, d), each adding
+    col/d to column j: col a ``{row: int}`` dict (taken over, maybe changed
+    in place), d a nonzero int.  A column's pieces are summed over the lcm
+    of their denominators; zero entries and columns are dropped, and each
+    denominator is made positive and coprime to its column's entries (1 is
+    left out).  One piece of nonzero ints over 1, the usual case, is stored
+    at once."""
+    lines: dict = {}
+    dens: dict = {}
+    sums: dict = {}  # the other columns, as dicts, to be put in lowest terms
+    for j, col, d in pieces:
+        if j in lines:  # a second piece: sum as a dict
+            sums[j], dens[j] = dict(lines.pop(j)), 1
+        cur = sums.get(j)
+        if cur is None:
+            if d == 1 and col and all(col.values()):
+                lines[j] = tuple(col.items())
+            else:
+                sums[j], dens[j] = col, d
+            continue
+        common = lcm(dens[j], d)
+        if common != dens[j]:
+            g = common // dens[j]
+            for i in cur:
+                cur[i] *= g
+            dens[j] = common
+        f = common // d
+        for i, v in col.items():
+            cur[i] = cur.get(i, 0) + f * v
+    for j, col in sums.items():
+        d = dens.pop(j)
+        col = {i: v for i, v in col.items() if v}
+        if not col:
+            continue
+        g = gcd(d, *col.values()) * (-1 if d < 0 else 1)
+        if g != 1:
+            d //= g
+            col = {i: v // g for i, v in col.items()}
         if d != 1:
-            line = key[axis]
-            out[line] = lcm(out.get(line, 1), d)
-    return out
+            dens[j] = d
+        lines[j] = tuple(col.items())
+    return Matrix._of(rows, cols, lines, dens)
 
 
 class Matrix:
-    """Immutable sparse matrix over Q.
+    """Immutable sparse matrix over Q (see the module docstring): it and
+    its stored columns are never mutated and are safe to share."""
 
-    Only nonzero entries are stored, keyed by ``(row, col)``.  Instances
-    are never mutated after construction and are safe to share.
-    """
-
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("_rows", "_cols", "_lines", "_dens")
+    rows = property(lambda self: self._rows)
+    cols = property(lambda self: self._cols)
+    shape = property(lambda self: (self._rows, self._cols))
 
     def __init__(self, rows: int, cols: int, entries=None):
+        """``entries`` maps ``(row, col)`` pairs of plain ints to exact values."""
+        if not (_is_int(rows) and _is_int(cols)):
+            raise TypeError(f"matrix dimensions must be ints, not {(rows, cols)!r}")
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        clean = {}
-        if entries:
-            for (i, j), v in entries.items():
-                if not (0 <= i < rows and 0 <= j < cols):
-                    raise ValueError(
-                        f"entry ({i},{j}) out of bounds for {rows}x{cols} matrix")
-                v = _q(v)
-                if v:
-                    clean[(i, j)] = v
-        object.__setattr__(self, "entries", clean)
+        pieces = []
+        for key, v in (entries or {}).items():
+            i, j = key
+            if not (_is_int(i) and _is_int(j)):
+                raise TypeError(f"matrix entry indices must be ints, not {key!r}")
+            if not (0 <= i < rows and 0 <= j < cols):
+                raise ValueError(f"entry ({i},{j}) out of bounds for {rows}x{cols} matrix")
+            v = _q(v)
+            if v:
+                pieces.append((j, {i: v.numerator}, v.denominator))
+        m = _from_columns(rows, cols, pieces)
+        self._rows, self._cols, self._lines, self._dens = rows, cols, m._lines, m._dens
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Matrix is immutable")
+    @classmethod
+    def _of(cls, rows: int, cols: int, lines: dict, dens: dict) -> "Matrix":
+        """A matrix from lines already in canonical form (no checks)."""
+        m = object.__new__(cls)
+        m._rows, m._cols, m._lines, m._dens = rows, cols, lines, dens
+        return m
+
+    def _columns(self):
+        """The stored columns as ``(j, col, d)``: column j is col/d."""
+        return ((j, col, self._dens.get(j, 1)) for j, col in self._lines.items())
 
     @classmethod
     def from_rows(cls, data) -> "Matrix":
         """Build from a dense list of rows; entries may be int, str or Fraction."""
-        rows = len(data)
-        cols = len(data[0]) if rows else 0
-        entries = {}
-        for i, row in enumerate(data):
-            if len(row) != cols:
-                raise ValueError("ragged rows")
-            for j, v in enumerate(row):
-                v = _q(v)
-                if v:
-                    entries[(i, j)] = v
-        return cls(rows, cols, entries)
+        cols = len(data[0]) if data else 0
+        if any(len(row) != cols for row in data):
+            raise ValueError("ragged rows")
+        return cls(len(data), cols, {(i, j): v for i, row in enumerate(data)
+                                     for j, v in enumerate(row)})
 
     @classmethod
     def from_column(cls, data) -> "Matrix":
@@ -94,7 +145,7 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls(n, n, {(i, i): Q(1) for i in range(n)})
+        return cls(n, n, {(i, i): 1 for i in range(n)})
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "Matrix":
@@ -105,51 +156,55 @@ class Matrix:
         if not mats:
             raise ValueError("hstack of nothing")
         rows = mats[0].rows
-        entries = {}
-        off = 0
+        pieces, off = [], 0
         for m in mats:
             if m.rows != rows:
                 raise ValueError("hstack row mismatch")
-            for (i, j), v in m.entries.items():
-                entries[(i, j + off)] = v
+            pieces += [(j + off, dict(col), d) for j, col, d in m._columns()]
             off += m.cols
-        return cls(rows, off, entries)
+        return _from_columns(rows, off, pieces)
 
     @property
-    def shape(self):
-        return (self.rows, self.cols)
+    def entries(self):
+        """The nonzero entries as a read-only ``{(row, col): Fraction}``
+        mapping, derived from the columns on each access."""
+        return MappingProxyType({(i, j): Fraction(v, d) for j, col, d in self._columns()
+                                 for i, v in col})
 
     def __getitem__(self, key) -> Fraction:
-        return self.entries.get(key, Q(0))
+        i, j = key
+        _index(i, self.rows, "row index")
+        return self.column(j)[i]
+
+    def _key(self) -> tuple:
+        return self.shape, frozenset((j, frozenset(col), d) for j, col, d in self._columns())
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, Matrix) and self.shape == other.shape
-                and self.entries == other.entries)
+        return isinstance(other, Matrix) and self._key() == other._key()
 
     def __hash__(self):
-        return hash((self.rows, self.cols, frozenset(self.entries.items())))
+        return hash(self._key())
 
     def __repr__(self):
-        return f"Matrix({self.rows}x{self.cols}, {len(self.entries)} nonzero)"
+        nnz = sum(map(len, self._lines.values()))
+        return f"Matrix({self.rows}x{self.cols}, {nnz} nonzero)"
 
     def is_zero(self) -> bool:
-        return not self.entries
+        return not self._lines
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows,
-                      {(j, i): v for (i, j), v in self.entries.items()})
+        return _from_columns(self.cols, self.rows, ((i, {j: v}, d) for j, col, d in self._columns()
+                                                    for i, v in col))
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.rows, self.cols,
-                      {k: -v for k, v in self.entries.items()})
+        return -1 * self
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if self.shape != other.shape:
             raise ValueError("shape mismatch in matrix sum")
-        acc = dict(self.entries)
-        for k, v in other.entries.items():
-            acc[k] = acc.get(k, Q(0)) + v
-        return Matrix(self.rows, self.cols, acc)
+        return _from_columns(self.rows, self.cols,
+                             ((j, dict(col), d) for j, col, d in chain(self._columns(),
+                                                                      other._columns())))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         return self + (-other)
@@ -159,115 +214,64 @@ class Matrix:
             if self.cols != other.rows:
                 raise ValueError(
                     f"shape mismatch in product: {self.shape} * {other.shape}")
-            if not self.entries or not other.entries:
-                return Matrix(self.rows, other.cols)
-            # row i of self times r[i] and column j of other times c[j] are
-            # integral; lines absent from r or c are integral already
-            r = _denominator_lcms(self.entries, 0)
-            c = _denominator_lcms(other.entries, 1)
-            by_row: dict[int, list] = {}
-            for (k, j), v in other.entries.items():
-                by_row.setdefault(k, []).append(
-                    (j, v.numerator * (c.get(j, 1) // v.denominator)))
-            acc: dict[tuple, int] = {}
-            for (i, k), a in self.entries.items():
-                a = a.numerator * (r.get(i, 1) // a.denominator)
-                for j, b in by_row.get(k, ()):
-                    acc[(i, j)] = acc.get((i, j), 0) + a * b
-            return Matrix(self.rows, other.cols,
-                          {(i, j): Fraction(v, r.get(i, 1) * c.get(j, 1))
-                           for (i, j), v in acc.items() if v})
+            return _sum_of_products([(1, self, other)], self.rows, other.cols)
         return NotImplemented
 
     def __rmul__(self, scalar) -> "Matrix":
         s = _q(scalar)
-        return Matrix(self.rows, self.cols,
-                      {k: s * v for k, v in self.entries.items()})
+        return _from_columns(self.rows, self.cols,
+                             ((j, {i: s.numerator * v for i, v in col}, s.denominator * d)
+                              for j, col, d in self._columns()))
 
     def column(self, j: int) -> list:
+        _index(j, self.cols, "column index")
         out = [Q(0)] * self.rows
-        for (i, jj), v in self.entries.items():
-            if jj == j:
-                out[i] = v
+        d = self._dens.get(j, 1)
+        for i, v in self._lines.get(j, ()):
+            out[i] = Fraction(v, d)
         return out
 
     def to_rows(self) -> list:
         out = [[Q(0)] * self.cols for _ in range(self.rows)]
-        for (i, j), v in self.entries.items():
-            out[i][j] = v
+        for j, col, d in self._columns():
+            for i, v in col:
+                out[i][j] = Fraction(v, d)
         return out
 
 
-def _integer_columns(m: Matrix):
-    """``(cols, scales)``: column j of m times ``scales[j]``, the lcm of its
-    denominators, as a sparse ``{row: int}`` dict."""
-    cols = [{} for _ in range(m.cols)]
-    for (i, j), v in m.entries.items():
-        cols[j][i] = v
-    scales = []
-    for j, col in enumerate(cols):
-        scale = 1
-        for v in col.values():
-            if v.denominator != 1:
-                scale = lcm(scale, v.denominator)
-        cols[j] = {i: v.numerator * (scale // v.denominator) for i, v in col.items()}
-        scales.append(scale)
-    return cols, scales
-
-
-def _int_block(m: Matrix) -> tuple:
-    """``(rows, d)`` with m = rows / d: d is the lcm of the denominators of
-    m, and ``rows[i]`` is row i of d·m as a list of ``(col, int)`` pairs,
-    for the nonzero rows only (a list is about half the size of a dict on
-    the one- or two-entry rows of a model's blocks)."""
-    d = 1
-    for v in m.entries.values():
-        if v.denominator != 1:
-            d = lcm(d, v.denominator)
-    rows: dict = {}
-    for (i, j), v in m.entries.items():
-        rows.setdefault(i, []).append((j, v.numerator * (d // v.denominator)))
-    return rows, d
-
-
-def _sum_of_products(terms) -> tuple:
-    """Σ s·a·b over ``terms`` (s, a, b): s an int, a and b integer blocks
-    as ``_int_block`` gives them, or None for a zero block, whose term is
-    skipped.  Returns one integer block ``(rows, d)``: d is the lcm of the
-    products' denominators d_a·d_b and each product is scaled by
-    d / (d_a·d_b), so the sum is exact.  Zero entries and rows are dropped,
-    so the sum is zero iff ``rows`` is empty."""
-    terms = [t for t in terms if t[1] is not None and t[2] is not None]
-    d = 1
-    for _, (_, da), (_, db) in terms:
-        d = lcm(d, da * db)
+def _sum_of_products(terms, rows: int, cols: int) -> Matrix:
+    """The rows×cols matrix Σ s·a·b over ``terms`` (s, a, b): s an int, a
+    and b matrices, or None for a zero factor (the term is skipped).
+    Column j is Σ s Σ_k b[k, j]·a[:, k] on ints, each term scaled to D_j,
+    the lcm of den(b[:, j])·den(a[:, k]) over the terms and the k in
+    b[:, j] (1 on integer matrices), so the sum over D_j is exact."""
+    terms = [(s, a, b) for s, a, b in terms if a is not None and b is not None]
+    if not terms:
+        return Matrix._of(rows, cols, {}, {})
+    big: dict = {}  # D_j, where the factors have denominators
+    if any(a._dens or b._dens for _, a, b in terms):
+        for _, a, b in terms:
+            dens = a._dens
+            for j, col, d in b._columns():
+                big[j] = lcm(big.get(j, 1), d * lcm(*(dens.get(k, 1) for k, _ in col)))
     acc: dict = {}
-    for s, (ra, da), (rb, db) in terms:
-        s *= d // (da * db)
-        for i, row in ra.items():
+    for s, a, b in terms:
+        lines, dens, bdens = a._lines, a._dens, b._dens
+        for j, col in b._lines.items():
+            f = s * (big[j] // bdens.get(j, 1)) if big else s
             out = None
-            for k, x in row:
-                rk = rb.get(k)
-                if rk is None:
+            for k, x in col:
+                line = lines.get(k)
+                if line is None:
                     continue
-                if out is None:  # only rows that meet b get an accumulator
-                    out = acc.setdefault(i, {})
-                x *= s
-                for j, y in rk:
-                    out[j] = out.get(j, 0) + x * y
-    rows = {}
-    for i, row in acc.items():
-        row = [(j, v) for j, v in row.items() if v]
-        if row:
-            rows[i] = row
-    return rows, d
-
-
-def _int_block_matrix(block: tuple, rows: int, cols: int) -> Matrix:
-    """The rows×cols Matrix of an integer block ``(rows, d)``."""
-    r, d = block
-    return Matrix(rows, cols, {(i, j): Fraction(v, d)
-                               for i, row in r.items() for j, v in row})
+                if out is None:
+                    out = acc.setdefault(j, {})
+                x *= f // dens.get(k, 1) if dens else f
+                for i, y in line:
+                    out[i] = out.get(i, 0) + x * y
+    # an identity's residual cancels to zero columns: drop them here
+    return _from_columns(rows, cols, [(j, col, big.get(j, 1)) for j, col in acc.items()
+                                      if any(col.values())])
 
 
 def _combine(dst: dict, a: int, b: int, src: dict) -> None:
@@ -340,49 +344,46 @@ class Reduction(NamedTuple):
         at j and 0 at the other dependent coordinates, so the columns are
         independent and their order is deterministic."""
         free = [j for j, col in enumerate(self.reduced) if not col]
-        entries = {(c, idx): v for idx, j in enumerate(free)
-                   for c, v in _unit_at(self.combo[j], j).items()}
-        return Subspace(self.cols, Matrix(self.cols, len(free), entries), _checked=True)
+        basis = _from_columns(self.cols, len(free),
+                              ((idx, dict(self.combo[j]), self.combo[j][j])
+                               for idx, j in enumerate(free)))
+        return Subspace(self.cols, basis, _checked=True)
 
-    def solve(self, rhs: Matrix) -> list[list | None]:
-        """Per column b of rhs: the solution x of m*x = b supported on the
-        pivot columns, a list of length ``cols``, or None.  Each b is
-        reduced against the pivot owners only, so none becomes an owner and
-        the reduction can be solved against again."""
+    def solve(self, rhs: Matrix) -> tuple:
+        """``(x, missing)``: column j of x solves m*x = rhs[:, j] on the
+        pivot columns, or is zero for the j in the set ``missing`` that have
+        no solution.  Each column is reduced against the pivot owners only,
+        so none becomes an owner and the reduction can be solved again."""
         n = self.cols
-        out = []
-        for col, scale in zip(*_integer_columns(rhs)):
+        pieces, missing = [], set()
+        for j in range(rhs.cols):
             # the column is tracked under key n: at the end
             # 0 = c*b + m*y with c = comb[n], y the rest of comb; x = -y/c
-            comb = {n: scale}
+            col = dict(rhs._lines.get(j, ()))
+            comb = {n: rhs._dens.get(j, 1)}
             if _eliminate(col, comb, self.owner, self.reduced, self.combo) is not None:
-                out.append(None)
-                continue
-            x = [Q(0)] * n
-            for c, v in _unit_at(comb, n).items():
-                if c < n:
-                    x[c] = -v
-            out.append(x)
-        return out
+                missing.add(j)
+            else:
+                pieces.append((j, comb, -comb.pop(n)))
+        return _from_columns(n, rhs.cols, pieces), missing
 
 
 def _reduce(m: Matrix, track: bool = False) -> Reduction:
     """Fraction-free column reduction of m, left to right.
 
     Each column is reduced by ``_eliminate`` against the columns before
-    it and owns the pivot it ends on.  All arithmetic is on Python ints:
-    each column is first scaled by the lcm of its denominators, so every
-    reduced column is a nonzero rational multiple of the one an
-    elimination over Q would give, and the owners, pivot columns and
-    persistence pairs are the same.  With ``track``, the combinations
-    that ``Reduction.kernel`` and ``Reduction.solve`` need are recorded;
-    without it, nothing is tracked.
+    it and owns the pivot it ends on.  The reduction starts from copies of
+    the stored integer columns (column j of m times its denominator), so
+    every reduced column is a nonzero rational multiple of the one an
+    elimination over Q would give, with the same owners, pivot columns and
+    persistence pairs.  ``track`` records what ``kernel`` and ``solve`` need.
     """
-    reduced, scales = _integer_columns(m)
+    lines, dens = m._lines, m._dens
+    reduced = [dict(lines.get(j, ())) for j in range(m.cols)]
     owner = {}
     combo = [] if track else None
     for j, col in enumerate(reduced):
-        comb = {j: scales[j]} if track else None
+        comb = {j: dens.get(j, 1)} if track else None
         piv = _eliminate(col, comb, owner, reduced, combo)
         if piv is not None:
             owner[piv] = j
@@ -391,17 +392,20 @@ def _reduce(m: Matrix, track: bool = False) -> Reduction:
     return Reduction(m.cols, owner, reduced, combo)
 
 
-def _unit_at(comb: dict, j: int) -> dict:
-    """A tracked combination as Fractions, scaled to coefficient 1 at j."""
-    d = comb[j]
-    return {c: Fraction(v, d) for c, v in comb.items()}
-
-
 def _select_columns(m: Matrix, cols) -> Matrix:
     """The columns of m listed in cols, in that order."""
     new = {j: n for n, j in enumerate(cols)}
-    return Matrix(m.rows, len(new),
-                  {(i, new[j]): v for (i, j), v in m.entries.items() if j in new})
+    return Matrix._of(m.rows, len(new),
+                      {new[j]: col for j, col in m._lines.items() if j in new},
+                      {new[j]: d for j, d in m._dens.items() if j in new})
+
+
+def _select_rows(m: Matrix, rows) -> Matrix:
+    """The rows of m listed in rows, in that order."""
+    new = {i: n for n, i in enumerate(rows)}
+    return _from_columns(len(new), m.cols,
+                         ((j, {new[i]: v for i, v in col if i in new}, d)
+                          for j, col, d in m._columns()))
 
 
 def rank(m: Matrix) -> int:
@@ -416,11 +420,12 @@ def kernel_basis(m: Matrix) -> "Subspace":
 
 def solve_columns(m: Matrix, rhs: Matrix) -> list[list | None]:
     """For each column b of rhs: the solution x of m*x = b supported on the
-    pivot columns of m, as a list of length m.cols, or None; m is reduced
-    once for all of them (see ``Reduction.solve``)."""
+    pivot columns of m, as a list of m.cols Fractions, or None; m is
+    reduced once for all of them (see ``Reduction.solve``)."""
     if rhs.rows != m.rows:
         raise ValueError("right-hand side shape mismatch")
-    return _reduce(m, track=True).solve(rhs)
+    x, missing = _reduce(m, track=True).solve(rhs)
+    return [None if j in missing else x.column(j) for j in range(rhs.cols)]
 
 
 def solve(m: Matrix, b) -> list | None:

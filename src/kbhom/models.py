@@ -18,14 +18,12 @@ identities only; no Schouten bracket is formed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from types import MappingProxyType
 
 from .complexes import BlockMap, cell_shape, koszul_tensor, tensor_layout
-from .linalg import Matrix, _int_block, _int_block_matrix, _is_int, _q, _sum_of_products
-
-Q = Fraction
+from .linalg import Matrix, _from_columns, _is_int, _q, _sum_of_products
 
 
 class ModelValidationError(ValueError):
@@ -73,8 +71,10 @@ class WedgeBasis:
         self.index = {k: {m: i for i, m in enumerate(ms)} for k, ms in self.factor.items()}
 
     def labels(self, p: int, q: int) -> list:
-        return [monomial_label((i_set, j_set))
-                for i_set in self.factor[p] for j_set in self.factor[q]]
+        """``monomial_label`` of each monomial at (p, q), built per factor."""
+        hol = ["^".join(f"dz{i}" for i in i_set) for i_set in self.factor[p]]
+        anti = ["^".join(f"dzb{j}" for j in j_set) for j_set in self.factor[q]]
+        return [f"{h}^{a}" if h and a else h or a or "1" for h in hol for a in anti]
 
     def tensor(self, hol: dict, anti: dict, bidegree: tuple) -> dict:
         """Model blocks of the Koszul tensor f ⊗ 1 ± 1 ⊗ g of an operator
@@ -91,22 +91,27 @@ def derivation_blocks(wedge: WedgeBasis, images: dict) -> dict:
     on one factor Λ(n), with blocks keyed by source degree.
 
     ``images[k]`` is a list of (coeff, (x, y)) with x < y, meaning the
-    generator k maps to sum coeff·(x ∧ y).
+    generator k maps to sum coeff·(x ∧ y).  Columns are built on ints.
     """
+    scale = lcm(*(_q(c).denominator for terms in images.values() for c, _ in terms))
+    images = {gen: [((_q(c) * scale).numerator, pair) for c, pair in terms]
+              for gen, terms in images.items()}
     blocks = {}
     for k in range(wedge.n):
         tindex = wedge.index[k + 1]
-        entries: dict = {}
+        pieces = []
         for col, mono in enumerate(wedge.factor[k]):
+            line: dict = {}
             for t, gen in enumerate(mono):
                 pos_sign = -1 if t % 2 else 1  # moving past t generators
                 rest = mono[:t] + mono[t + 1:]
                 for coeff, pair in images.get(gen, ()):
                     sign, word = _wedge(pair, rest)
                     if sign:
-                        key = (tindex[word], col)
-                        entries[key] = entries.get(key, Q(0)) + pos_sign * sign * coeff
-        m = Matrix(len(tindex), len(wedge.factor[k]), entries)
+                        row = tindex[word]
+                        line[row] = line.get(row, 0) + pos_sign * sign * coeff
+            pieces.append((col, line, scale))
+        m = _from_columns(len(tindex), len(wedge.factor[k]), pieces)
         if not m.is_zero():
             blocks[k] = m
     return blocks
@@ -117,18 +122,20 @@ def factor_contraction(wedge: WedgeBasis, pairs: dict) -> dict:
     by source degree, for normalized {(i, j): coefficient} pairs.
 
     The pairing is ⟨θ_i, dz^j⟩ = δ_i^j and the global sign is fixed so
-    that l_pi(dz^i ∧ dz^j ∧ dz^R) = pi^{ij} dz^R.
+    that l_pi(dz^i ∧ dz^j ∧ dz^R) = pi^{ij} dz^R.  Columns are built on ints.
     """
+    scale = lcm(*(_q(c).denominator for c in pairs.values()))
+    pairs = {pair: (_q(c) * scale).numerator for pair, c in pairs.items()}
     blocks = {}
     for k in range(2, wedge.n + 1):
         sindex = wedge.index[k]
-        entries: dict = {}
+        pieces = []
         for row, rest in enumerate(wedge.factor[k - 2]):
             for pair, c in pairs.items():
                 sign, mono = _wedge(pair, rest)
                 if sign:
-                    entries[(row, sindex[mono])] = sign * c
-        m = Matrix(len(wedge.factor[k - 2]), len(sindex), entries)
+                    pieces.append((sindex[mono], {row: sign * c}, scale))
+        m = _from_columns(len(wedge.factor[k - 2]), len(sindex), pieces)
         if not m.is_zero():
             blocks[k] = m
     return blocks
@@ -174,10 +181,9 @@ def normalize_bivector_coeffs(n: int, coeffs) -> dict:
 class DolbeaultPoissonModel:
     """Immutable finite model; each operator is a read-only ``BlockMap``.
 
-    The first ``validate_model`` call stores its report and the integer
-    blocks of the derived Koszul differential in ``_validated``, and the
-    first ``koszul_differential`` call replaces those by their
-    ``BlockMap``; the model cannot change, so later calls reuse them.
+    The first ``validate_model`` call stores its report and the blocks of
+    the derived Koszul differential in ``_validated``; the model cannot
+    change, so later calls, and ``koszul_differential``, reuse them.
     """
 
     __slots__ = ("n", "basis", "dims", "del_blocks", "delbar_blocks",
@@ -242,23 +248,14 @@ def contraction_from_bivector(model: DolbeaultPoissonModel, coeffs) -> dict:
     return model.wedge.tensor(factor_contraction(model.wedge, pairs), {}, (-2, 0))
 
 
-def _int_blocks(op: BlockMap) -> dict:
-    """The stored blocks of an operator as integer blocks (``_int_block``)."""
-    return {cell: _int_block(b) for cell, b in op.items()}
-
-
-def _koszul_blocks(m: DolbeaultPoissonModel) -> tuple:
-    """``(delpi, dl)``: the nonzero blocks of the Koszul differential
-    delpi = contraction∘del - del∘contraction, and the blocks of del they
-    are built from, all as integer blocks keyed by source cell."""
-    dl, ct = _int_blocks(m.del_blocks), _int_blocks(m.contraction_blocks)
-    delpi = {}
-    for (p, q) in m.cells():
-        block = _sum_of_products([(1, ct.get((p + 1, q)), dl.get((p, q))),
-                                  (-1, dl.get((p - 2, q)), ct.get((p, q)))])
-        if block[0]:
-            delpi[(p, q)] = block
-    return delpi, dl
+def _koszul_blocks(m: DolbeaultPoissonModel) -> BlockMap:
+    """The blocks (p,q)->(p-1,q) of the Koszul differential
+    delpi = contraction∘del - del∘contraction, keyed by source cell."""
+    dl, ct, dim = dict(m.del_blocks).get, dict(m.contraction_blocks).get, m.dims.get
+    return BlockMap({(p, q): _sum_of_products([(1, ct((p + 1, q)), dl((p, q))),
+                                               (-1, dl((p - 2, q)), ct((p, q)))],
+                                              dim((p - 1, q), 0), dim((p, q)))
+                     for (p, q) in m.cells()}, cell_shape(m.dims, (-1, 0)))
 
 
 @dataclass
@@ -298,18 +295,17 @@ def validate_model(m: DolbeaultPoissonModel) -> ValidationReport:
     """Check all five operator identities, reporting the first offending
     bidegree and the matrix residual per identity.
 
-    Every identity is summed on every cell over integer blocks (each
-    stored block is converted once; absent blocks are skipped), which is
-    exact.  A matrix over Q is built only for a failing residual, and for
-    the Koszul blocks when :func:`koszul_differential` asks for them.  The
-    identities are checked once per model; later calls return the stored
-    report.
+    Every identity is summed on every cell by ``_sum_of_products``, on the
+    stored integer columns (absent blocks are skipped), which is exact.
+    The identities are checked once per model; later calls return the
+    stored report, and the Koszul blocks built for the check are kept for
+    :func:`koszul_differential`.
     """
     if m._validated is not None:
         return m._validated[0]
-    delpi, dl = _koszul_blocks(m)
-    dlb = _int_blocks(m.delbar_blocks)
-    d, e, k = dl.get, dlb.get, delpi.get
+    delpi = _koszul_blocks(m)
+    # plain dicts: their get is the inner loop's lookup
+    d, e, k = (dict(op).get for op in (m.del_blocks, m.delbar_blocks, delpi))
     # per identity: the bidegree of its residual and its terms (s, a, b) at (p, q)
     composites = {
         "del∘del": ((2, 0), lambda p, q: [(1, d((p + 1, q)), d((p, q)))]),
@@ -322,16 +318,15 @@ def validate_model(m: DolbeaultPoissonModel) -> ValidationReport:
             ((-1, 1), lambda p, q: [(1, e((p - 1, q)), k((p, q))),
                                     (1, k((p, q + 1)), e((p, q)))]),
     }
-    cells = m.cells()
+    cells, dim = m.cells(), m.dims.get
     checks = []
     for name in IDENTITY_NAMES:
         (dp, dq), terms = composites[name]
         failure = None
         for (p, q) in cells:
-            residual = _sum_of_products(terms(p, q))
-            if residual[0]:
-                failure = CheckResult(name, False, (p, q), _int_block_matrix(
-                    residual, m.dim(p + dp, q + dq), m.dim(p, q)))
+            residual = _sum_of_products(terms(p, q), dim((p + dp, q + dq), 0), dim((p, q)))
+            if not residual.is_zero():
+                failure = CheckResult(name, False, (p, q), residual)
                 break
         checks.append(failure or CheckResult(name, True))
     report = ValidationReport(checks)
@@ -351,15 +346,9 @@ def require_valid(m: DolbeaultPoissonModel, context: str) -> None:
 
 def koszul_differential(m: DolbeaultPoissonModel) -> BlockMap:
     """The blocks (p,q)->(p-1,q) of the derived Koszul differential of a
-    model that passes validation, built over Q from the validation's
-    integer blocks on the first call."""
+    model that passes validation: the blocks its validation built."""
     require_valid(m, "not a valid holomorphic Poisson model")
-    report, kos = m._validated
-    if not isinstance(kos, BlockMap):  # the integer blocks of the validation
-        kos = BlockMap({(p, q): _int_block_matrix(b, m.dim(p - 1, q), m.dim(p, q))
-                        for (p, q), b in kos.items()}, cell_shape(m.dims, (-1, 0)))
-        object.__setattr__(m, "_validated", (report, kos))
-    return kos
+    return m._validated[1]
 
 
 def product_model(mx: DolbeaultPoissonModel,

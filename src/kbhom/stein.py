@@ -35,7 +35,7 @@ from math import lcm
 from operator import add
 
 from .complexes import Complex, ComplexInvariantError, homology_dims
-from .linalg import Matrix
+from .linalg import _from_columns
 from .models import _wedge
 
 Q = Fraction
@@ -277,7 +277,8 @@ def stein_complex(n: int, pi, w: int, cap: int = 8) -> Complex:
     along h ∉ I: s_h(I) ε_ij(I∪h) = ε_ij(I) s_h(K).  Everything but α is
     looked up in per-I tables (see ``_KoszulTables``).  Coefficients are
     integers after scaling the bivector by the common denominator L of
-    its coefficients, and each entry is then c/L, still exact.  The slice
+    its coefficients, and each column is emitted as those integers over
+    L, still exact, so the D² check multiplies integers.  The slice
     is checked to be closed under delpi and delpi∘delpi = 0 is verified,
     failing with "bivector not Poisson at weight w" otherwise.
     """
@@ -294,7 +295,7 @@ def _slice_complex(tables: _KoszulTables, w: int, cap: int) -> Complex:
         if p == 0:
             continue
         rows = index.get(p - 1, {})
-        entries = {}
+        pieces = []
         for col, (alpha, i_set) in enumerate(monos):
             shifted, fixed = tables[i_set]
             acc: dict = {}
@@ -307,6 +308,7 @@ def _slice_complex(tables: _KoszulTables, w: int, cap: int) -> Complex:
             for delta, target, c in fixed:
                 mono = (tuple(map(add, alpha, delta)), target)
                 acc[mono] = acc.get(mono, 0) + c
+            line = {}
             for mono, c in acc.items():
                 if not c:
                     continue
@@ -315,8 +317,9 @@ def _slice_complex(tables: _KoszulTables, w: int, cap: int) -> Complex:
                     raise AssertionError(
                         f"delpi left the weight-{w} slice at {mono}; "
                         "weight bookkeeping is broken")
-                entries[(row, col)] = Fraction(c, scale)
-        diffs[-p] = Matrix(len(basis.get(p - 1, ())), len(monos), entries)
+                line[row] = c
+            pieces.append((col, line, scale))
+        diffs[-p] = _from_columns(len(basis.get(p - 1, ())), len(monos), pieces)
     try:
         return Complex(spaces, diffs)
     except ComplexInvariantError:

@@ -28,7 +28,7 @@ from operator import ne
 from pathlib import Path
 
 from .engine import HodgeDiamond
-from .linalg import Matrix, _is_int, _q
+from .linalg import Matrix, _from_columns, _is_int, _q
 from .models import (
     DolbeaultPoissonModel,
     ModelValidationError,
@@ -138,8 +138,9 @@ def hodge_formal(h: HodgeDiamond) -> DolbeaultPoissonModel:
 
 def _matrix_to_strings(m: Matrix) -> list:
     rows = [["0"] * m.cols for _ in range(m.rows)]
-    for (i, j), v in m.entries.items():
-        rows[i][j] = str(v)
+    for j, col, d in m._columns():
+        for i, v in col:
+            rows[i][j] = str(Fraction(v, d))
     return rows
 
 
@@ -158,17 +159,17 @@ def _cell_key(key: str) -> tuple:
     return p, q
 
 
-def _parse_rational(s, where: str) -> Fraction:
-    """A matrix entry: an int, or a string of ASCII digits with an optional
-    sign and an optional "/b", b > 0 (no blanks, underscores or other
-    digits)."""
+def _parse_rational(s, where: str) -> tuple:
+    """A matrix entry as ``(a, b)``, the value a/b with b > 0: an int, or a
+    string of ASCII digits with an optional sign and an optional "/b"
+    (no blanks, underscores or other digits)."""
     if isinstance(s, str):
         match = _RATIONAL_RE.fullmatch(s)
         if match:
             num, den = match.groups()
-            return Fraction(int(num), int(den)) if den else Fraction(int(num))
+            return int(num), int(den) if den else 1
     elif _is_int(s):
-        return Fraction(s)
+        return s, 1
     raise ModelFileError(f"{where}: {s!r} is not a rational 'a/b' or integer string")
 
 
@@ -253,7 +254,7 @@ def load_model(data: dict, lax: bool = False,
             if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
                 raise ModelFileError(f"{where}: 'matrix' must be a list of rows")
             ncols = len(rows[0]) if rows else 0
-            entries = {}
+            pieces = []
             for i, row in enumerate(rows):
                 if len(row) != ncols:
                     raise ModelFileError(f"{where}: ragged matrix rows")
@@ -262,10 +263,9 @@ def load_model(data: dict, lax: bool = False,
                 if row.count("0") == ncols:
                     continue
                 for j, s in compress(enumerate(row), map(ne, row, repeat("0"))):
-                    v = _parse_rational(s, f"{where}.matrix[{i}][{j}]")
-                    if v:
-                        entries[(i, j)] = v
-            out[tuple(src)] = Matrix(len(rows), ncols, entries)
+                    num, den = _parse_rational(s, f"{where}.matrix[{i}][{j}]")
+                    pieces.append((j, {i: num}, den))
+            out[tuple(src)] = _from_columns(len(rows), ncols, pieces)
         return out
 
     name = data.get("name", "model")

@@ -388,6 +388,48 @@ def test_stein_negative_cap_exits_1(tmp_path, capsys):
     assert "cap must be nonnegative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option, value", [
+    ("--n", "0_3"), ("--n", " 3"), ("--n", "+3"), ("--n", "\u0663"),
+    ("--cap", "1_0"), ("--cap", "\uff18"),
+])
+def test_stein_integer_options_must_be_plain_integers(tmp_path, capsys, option, value):
+    # int() would read "0_3" as 3, "1_0" as 10 and the non-ASCII digits too
+    pi = write_json(tmp_path / "pi0.json", [])
+    argv = {"--n": ["--n", value, "--weights", "0"],
+            "--cap": ["--n", "2", "--weights", "0", "--cap", value]}[option]
+    assert main(["stein", pi] + argv) == 1
+    assert f"argument {option}: invalid int value: {value!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("weights", ["\u0661", "1_0", "0..1_0", "\u0660..2", " 1", "+1",
+                                     "0..", "..2", "0..1..2"])
+def test_stein_weights_must_be_plain_integers(tmp_path, capsys, weights):
+    pi = write_json(tmp_path / "pi0.json", [])
+    assert main(["stein", pi, "--n", "1", f"--weights={weights}"]) == 1
+    assert "--weights must be 'a..b' or a single integer" in capsys.readouterr().err
+
+
+def test_stein_negative_weights_stay_valid(tmp_path, capsys):
+    # a degree-0 bivector puts forms of positive degree at negative weights
+    pi = write_json(tmp_path / "pi.json",
+                    [{"i": 1, "j": 2, "coeff": "1", "alpha": [0, 0]}])
+    rc, report = run_json(capsys, ["stein", pi, "--n", "2", "--weights=-2..-1"])
+    assert rc == 0
+    assert sorted(report["results"]["homology"]) == ["-1", "-2"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "{model}", "--pages", "1_0"], ["compute", "{model}", "--pages=\u0661"],
+    ["flag", "--n", "2", "--betti", "0_3"], ["flag", "--n", "\u0662", "--betti", "3"],
+    ["pbundle", "{model}", "-r", "1_0"],
+])
+def test_integer_options_must_be_plain_integers(torus1_file, capsys, argv):
+    argv = [a.replace("{model}", torus1_file) for a in argv]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "invalid int value" in err and capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize("pages", ["0", "-1"])
 def test_compute_rejects_nonpositive_pages(torus1_file, capsys, pages):
     assert main(["compute", torus1_file, "--pages", pages]) == 1

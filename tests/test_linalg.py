@@ -62,6 +62,64 @@ def test_matrix_rejects_float_and_bool_entries(bad):
         Matrix.from_rows([[bad]])
 
 
+@pytest.mark.parametrize("rows, cols", [(2.5, 2), (True, 2), (2, 2.0), (2, False), ("2", 2)])
+def test_matrix_dimensions_must_be_ints(rows, cols):
+    with pytest.raises(TypeError):
+        Matrix(rows, cols)
+
+
+def test_matrix_dimensions_must_be_nonnegative():
+    with pytest.raises(ValueError):
+        Matrix(-1, 2)
+
+
+@pytest.mark.parametrize("key", [(1.0, 0), (0, 1.0), (True, 0), (0, False), ("0", 0)])
+def test_matrix_entry_indices_must_be_ints(key):
+    # a float index used to build, and broke to_rows() later
+    with pytest.raises(TypeError):
+        Matrix(2, 2, {key: 1})
+
+
+@pytest.mark.parametrize("key", [(2, 0), (0, 2), (-1, 0), (0, -1)])
+def test_matrix_entry_out_of_bounds(key):
+    with pytest.raises(ValueError):
+        Matrix(2, 2, {key: 1})
+
+
+@pytest.mark.parametrize("j", [2, 5, -1])
+def test_column_out_of_range_raises(j):
+    with pytest.raises(IndexError):
+        Matrix(2, 2).column(j)
+
+
+@pytest.mark.parametrize("key", [(7, 7), (2, 0), (0, 2), (-1, 0)])
+def test_getitem_out_of_range_raises(key):
+    with pytest.raises(IndexError):
+        Matrix(2, 2, {(0, 0): 1})[key]
+
+
+@pytest.mark.parametrize("key", [(0.0, 0), (0, True)])
+def test_getitem_index_must_be_int(key):
+    with pytest.raises(TypeError):
+        Matrix(2, 2)[key]
+
+
+def test_getitem_and_column_read_the_stored_entries():
+    m = Matrix(2, 3, {(0, 1): Fraction(1, 2), (1, 1): 3, (1, 2): "-2/4"})
+    assert m[0, 1] == Fraction(1, 2) and m[1, 1] == 3 and m[1, 2] == Fraction(-1, 2)
+    assert m[0, 0] == 0 and m.column(0) == [0, 0]
+    assert m.column(1) == [Fraction(1, 2), 3]
+
+
+def test_matrix_is_immutable():
+    m = Matrix(1, 1, {(0, 0): 1})
+    with pytest.raises(AttributeError):
+        m.rows = 2
+    with pytest.raises(TypeError):  # a read-only mapping
+        m.entries[(0, 0)] = 2
+    assert m[0, 0] == 1
+
+
 def test_rank_empty():
     assert rank(Matrix(0, 0)) == 0
     assert rank(Matrix(0, 5)) == 0

@@ -24,6 +24,7 @@ from kbhom.complexes import (
 from kbhom.engine import kb_double_complex
 from kbhom.linalg import (
     Matrix,
+    _sum_of_products,
     kernel_basis,
     rank,
     solve,
@@ -190,6 +191,80 @@ def test_product_matches_oracle(data):
     a = data.draw(mixed_matrices(rows, inner))
     b = data.draw(mixed_matrices(inner, cols))
     assert a * b == oracle_product(a, b)
+
+
+@st.composite
+def fraction_entries(draw, rows=None, cols=None):
+    """``(rows, cols, entries)``: Fraction entries with denominators up to
+    97, explicit zeros among them, whole zero rows and columns, and 0×n and
+    n×0 shapes."""
+    rows = draw(st.integers(0, 6)) if rows is None else rows
+    cols = draw(st.integers(0, 6)) if cols is None else cols
+    live_rows = draw(st.lists(st.booleans(), min_size=rows, max_size=rows))
+    live_cols = draw(st.lists(st.booleans(), min_size=cols, max_size=cols))
+    density = draw(st.sampled_from([0.2, 0.6, 1.0]))
+    entries = {}
+    for i in range(rows):
+        for j in range(cols):
+            if live_rows[i] and live_cols[j] and draw(st.floats(0, 1)) < density:
+                entries[(i, j)] = Fraction(draw(st.integers(-60, 60)), draw(st.integers(1, 97)))
+    return rows, cols, entries
+
+
+def dense(m: Matrix) -> list:
+    return [[m.entries.get((i, j), Fraction(0)) for j in range(m.cols)] for i in range(m.rows)]
+
+
+@SETTINGS
+@given(fraction_entries())
+def test_entries_round_trip(case):
+    """Fraction entries -> Matrix -> .entries is the identity (zeros dropped)."""
+    rows, cols, entries = case
+    m = Matrix(rows, cols, entries)
+    want = {key: v for key, v in entries.items() if v}
+    assert dict(m.entries) == want
+    assert all(type(v) is Fraction for v in m.entries.values())
+    assert m.to_rows() == [[want.get((i, j), 0) for j in range(cols)] for i in range(rows)]
+    assert [m.column(j) for j in range(cols)] == [[r[j] for r in m.to_rows()] for j in range(cols)]
+    assert Matrix(rows, cols, m.entries) == m
+    assert m.is_zero() == (not want)
+
+
+@SETTINGS
+@given(fraction_entries(), fraction_entries(), st.randoms(use_true_random=False))
+def test_eq_and_hash_agree_with_entrywise_equality(a_case, b_case, rnd):
+    rows, cols, entries = a_case
+    a = Matrix(rows, cols, entries)
+    # the same values, inserted in another order and spelled as ints or as
+    # unreduced strings, give an equal matrix with an equal hash
+    items = list(entries.items())
+    rnd.shuffle(items)
+    spelled = {key: v.numerator if v.denominator == 1
+               else f"{3 * v.numerator}/{3 * v.denominator}" for key, v in items}
+    same = Matrix(rows, cols, spelled)
+    assert same == a and hash(same) == hash(a)
+    # and so do matrices reached through arithmetic
+    for other in (a.transpose().transpose(), (a + a) - a, -(-a), Fraction(1, 7) * (7 * a)):
+        assert other == a and hash(other) == hash(a)
+    b = Matrix(*b_case)
+    assert (a == b) == (a.shape == b.shape and dict(a.entries) == dict(b.entries))
+    if a == b:
+        assert hash(a) == hash(b)
+
+
+@SETTINGS
+@given(st.data())
+def test_products_with_mixed_column_denominators_match_oracle(data):
+    rows, inner, cols = (data.draw(st.integers(0, 5)) for _ in range(3))
+    a, c = (Matrix(*data.draw(fraction_entries(rows, inner))) for _ in range(2))
+    b, d = (Matrix(*data.draw(fraction_entries(inner, cols))) for _ in range(2))
+    ab, cd = oracle_product(a, b), oracle_product(c, d)
+    assert dict((a * b).entries) == dict(ab.entries)
+    s, t = data.draw(st.integers(-3, 3)), data.draw(st.integers(-3, 3))
+    total = _sum_of_products([(s, a, b), (t, c, d), (1, None, b), (1, a, None)], rows, cols)
+    assert total.shape == (rows, cols)
+    assert dense(total) == [[s * x + t * y for x, y in zip(r1, r2)]
+                            for r1, r2 in zip(dense(ab), dense(cd))]
 
 
 SO3 = [(1, 2, 1, (0, 0, 1)), (2, 3, 1, (1, 0, 0)), (3, 1, 1, (0, 1, 0))]
