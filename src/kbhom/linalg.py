@@ -246,8 +246,6 @@ def _sum_of_products(terms, rows: int, cols: int) -> Matrix:
     the lcm of den(b[:, j])·den(a[:, k]) over the terms and the k in
     b[:, j] (1 on integer matrices), so the sum over D_j is exact."""
     terms = [(s, a, b) for s, a, b in terms if a is not None and b is not None]
-    if not terms:
-        return Matrix._of(rows, cols, {}, {})
     big: dict = {}  # D_j, where the factors have denominators
     if any(a._dens or b._dens for _, a, b in terms):
         for _, a, b in terms:
