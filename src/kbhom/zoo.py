@@ -140,7 +140,7 @@ def _matrix_to_strings(m: Matrix) -> list:
     rows = [["0"] * m.cols for _ in range(m.rows)]
     for j, col, d in m._columns():
         for i, v in col:
-            rows[i][j] = str(Fraction(v, d))
+            rows[i][j] = str(v if d == 1 else Fraction(v, d))
     return rows
 
 
