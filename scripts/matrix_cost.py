@@ -1,7 +1,7 @@
 """Two measurements outside the perfbench ladder, for one checkout of kbhom.
 
 * heis8: ``parallelizable(8, {(1,2,3): 1}, {(1,2): 1})`` built and
-  validated, then ``kb_homology``; the best of ``--reps`` runs (wall time).
+  validated, then ``kb_homology``; the best of ``REPS`` runs (wall time).
 * heis6 validation memory: the tracemalloc peak, above the start, of
   building ``parallelizable(6, ...)`` and running ``validate_model`` on it,
   and what stays allocated afterwards.
@@ -19,12 +19,13 @@ import time
 import tracemalloc
 from pathlib import Path
 
+REPS = 3
+
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"),
                         help="the src/ directory to import kbhom from")
-    parser.add_argument("--reps", type=int, default=3)
     args = parser.parse_args()
     sys.path.insert(0, args.src)
     from kbhom.engine import kb_homology
@@ -35,7 +36,7 @@ def main() -> int:
         return parallelizable(n, {(1, 2, 3): 1}, {(1, 2): 1})
 
     best = None
-    for _ in range(args.reps):
+    for _ in range(REPS):
         gc.collect()
         t0 = time.perf_counter()
         m = heis(8)
@@ -46,7 +47,7 @@ def main() -> int:
         if best is None or t2 - t0 < best[0]:
             best = (t2 - t0, t1 - t0, t2 - t1)
         del m
-    print(f"heis8 build+validate+kb_homology: {best[0]:.3f} s best of {args.reps} "
+    print(f"heis8 build+validate+kb_homology: {best[0]:.3f} s best of {REPS} "
           f"(build+validate {best[1]:.3f} s, kb_homology {best[2]:.3f} s)")
 
     gc.collect()

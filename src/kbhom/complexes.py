@@ -38,8 +38,8 @@ class BlockMap(Mapping):
     """The nonzero blocks of a graded operator, keyed by degree or cell.
 
     ``shape(key)`` is the ``(rows, cols)`` a block at key must have.  Each
-    block's shape is checked once, here; zero blocks are dropped, and the
-    mapping is read-only, so the checks made on it cannot go stale.
+    block's shape is checked once, here; zero and None blocks are dropped,
+    and the mapping is read-only, so the checks made on it cannot go stale.
     ``at(key)`` is the block at key, the zero block where none is stored.
     """
 
@@ -49,6 +49,8 @@ class BlockMap(Mapping):
         self._blocks = {}
         self._shape = shape
         for key, m in (blocks or {}).items():
+            if m is None:
+                continue
             if m.shape != shape(key):
                 raise ComplexInvariantError(
                     f"block at {key} has shape {m.shape}, expected {shape(key)}")

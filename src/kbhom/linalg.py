@@ -239,13 +239,16 @@ class Matrix:
         return out
 
 
-def _sum_of_products(terms, rows: int, cols: int) -> Matrix:
+def _sum_of_products(terms, rows: int, cols: int) -> Matrix | None:
     """The rows×cols matrix Σ s·a·b over ``terms`` (s, a, b): s an int, a
-    and b matrices, or None for a zero factor (the term is skipped).
+    and b matrices, or None for a zero factor (the term is skipped; None
+    is returned when no term is left).
     Column j is Σ s Σ_k b[k, j]·a[:, k] on ints, each term scaled to D_j,
     the lcm of den(b[:, j])·den(a[:, k]) over the terms and the k in
     b[:, j] (1 on integer matrices), so the sum over D_j is exact."""
     terms = [(s, a, b) for s, a, b in terms if a is not None and b is not None]
+    if not terms:
+        return None
     big: dict = {}  # D_j, where the factors have denominators
     if any(a._dens or b._dens for _, a, b in terms):
         for _, a, b in terms:

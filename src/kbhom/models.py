@@ -71,10 +71,8 @@ class WedgeBasis:
         self.index = {k: {m: i for i, m in enumerate(ms)} for k, ms in self.factor.items()}
 
     def labels(self, p: int, q: int) -> list:
-        """``monomial_label`` of each monomial at (p, q), built per factor."""
-        hol = ["^".join(f"dz{i}" for i in i_set) for i_set in self.factor[p]]
-        anti = ["^".join(f"dzb{j}" for j in j_set) for j_set in self.factor[q]]
-        return [f"{h}^{a}" if h and a else h or a or "1" for h in hol for a in anti]
+        return [monomial_label((i_set, j_set))
+                for i_set in self.factor[p] for j_set in self.factor[q]]
 
     def tensor(self, hol: dict, anti: dict, bidegree: tuple) -> dict:
         """Model blocks of the Koszul tensor f ⊗ 1 ± 1 ⊗ g of an operator
@@ -323,11 +321,8 @@ def validate_model(m: DolbeaultPoissonModel) -> ValidationReport:
         (dp, dq), terms = composites[name]
         failure = None
         for (p, q) in cells:
-            live = [t for t in terms(p, q) if t[1] is not None and t[2] is not None]
-            if not live:  # every term has an absent block
-                continue
-            residual = _sum_of_products(live, dim((p + dp, q + dq), 0), dim((p, q)))
-            if not residual.is_zero():
+            residual = _sum_of_products(terms(p, q), dim((p + dp, q + dq), 0), dim((p, q)))
+            if residual is not None and not residual.is_zero():
                 failure = CheckResult(name, False, (p, q), residual)
                 break
         checks.append(failure or CheckResult(name, True))
