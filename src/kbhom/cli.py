@@ -19,6 +19,7 @@ import argparse
 import functools
 import json
 import sys
+from dataclasses import fields
 from datetime import datetime, timezone
 
 from . import __version__
@@ -79,114 +80,42 @@ def _load_json(path, inputs: list):
     return data
 
 
-def _expect_keys(data, keys, path):
-    if not isinstance(data, dict):
-        raise TableError(f"{path}: expected a JSON object")
-    extra = set(data) - set(keys)
-    if extra:
-        raise TableError(f"{path}: unknown fields {sorted(extra)}")
-
-
-def _int_keyed(raw, path, what):
-    if not isinstance(raw, dict):
-        raise TableError(f"{path}: {what} must be an object")
-    out = {}
-    for key, value in raw.items():
-        try:
-            k = _int_key(key)
-        except ValueError:
-            raise TableError(f"{path}: {what} key {key!r} is not an integer") from None
-        if k in out:
-            raise TableError(f"{path}: {what} key {key!r} names {k} a second time")
-        if not _is_int(value) or value < 0:
-            raise TableError(f"{path}: {what}[{key}] must be a nonnegative integer")
-        out[k] = value
-    return out
-
-
-def _parse_kb_table(path, inputs) -> KBDims:
+def _read_table(cls, path, inputs: list, key=_int_key):
+    """The table of class cls (``KBDims``, ``HHDims`` or ``HodgeDiamond``)
+    in the JSON file at path: an object with the class's fields, each but
+    the last a nonnegative integer, and the last an object whose keys
+    ``key`` parses and whose values are nonnegative integers.  Any fault,
+    the class's own range check included, raises one TableError naming
+    path once."""
     data = _load_json(path, inputs)
-    _expect_keys(data, {"n", "dims"}, path)
-    n = data.get("n")
-    if not _is_int(n) or n < 0:
-        raise TableError(f"{path}: 'n' must be a nonnegative integer")
+    *scalars, table = (f.name for f in fields(cls))
     try:
-        return KBDims(n, _int_keyed(data.get("dims", {}), path, "dims"))
+        if not isinstance(data, dict):
+            raise ValueError("expected a JSON object")
+        extra = set(data) - {*scalars, table}
+        if extra:
+            raise ValueError(f"unknown fields {sorted(extra)}")
+        values = {name: data.get(name) for name in scalars}
+        for name, value in values.items():
+            if not _is_int(value) or value < 0:
+                raise ValueError(f"{name!r} must be a nonnegative integer")
+        raw = data.get(table, {})
+        if not isinstance(raw, dict):
+            raise ValueError(f"{table!r} must be an object")
+        entries = {}
+        for text, value in raw.items():
+            try:
+                k = key(text)
+            except ValueError as exc:
+                raise ValueError(f"{table!r} key {exc}") from None
+            if k in entries:
+                raise ValueError(f"{table!r} key {text!r} names {k} a second time")
+            if not _is_int(value) or value < 0:
+                raise ValueError(f"{table}[{text!r}] must be a nonnegative integer")
+            entries[k] = value
+        return cls(**values, **{table: entries})
     except ValueError as exc:
         raise TableError(f"{path}: {exc}") from None
-
-
-def _parse_hh_table(path, inputs) -> HHDims:
-    data = _load_json(path, inputs)
-    _expect_keys(data, {"dims"}, path)
-    return HHDims(_int_keyed(data.get("dims", {}), path, "dims"))
-
-
-def _parse_diamond(path, inputs) -> HodgeDiamond:
-    data = _load_json(path, inputs)
-    _expect_keys(data, {"n", "h"}, path)
-    n = data.get("n")
-    if not _is_int(n) or n < 0:
-        raise TableError(f"{path}: 'n' must be a nonnegative integer")
-    raw = data.get("h", {})
-    if not isinstance(raw, dict):
-        raise TableError(f"{path}: 'h' must be an object")
-    h = {}
-    for key, value in raw.items():
-        try:
-            cell = _cell_key(key)
-        except ValueError:
-            raise TableError(f"{path}: h key {key!r} is not 'p,q'") from None
-        if cell in h:
-            raise TableError(f"{path}: h key {key!r} names cell {cell} a second time")
-        if not _is_int(value) or value < 0:
-            raise TableError(f"{path}: h[{key!r}] must be a nonnegative integer")
-        h[cell] = value
-    try:
-        return HodgeDiamond(n, h)
-    except ValueError as exc:
-        raise TableError(f"{path}: {exc}") from None
-
-
-def _kb_out(dims: KBDims) -> dict:
-    return {"n": dims.n, "dims": {str(k): dims[k] for k in range(2 * dims.n + 1)}}
-
-
-def _hh_out(dims: HHDims) -> dict:
-    return {"dims": {str(k): v for k, v in sorted(dims.dims.items())}}
-
-
-def _diamond_out(d: HodgeDiamond) -> dict:
-    return {"n": d.n, "h": {f"{p},{q}": v for (p, q), v in sorted(d.h.items())}}
-
-
-def _kb_lines(dims: KBDims, title="dim H_k") -> list:
-    lines = [f"  k  {title}"]
-    for k in range(2 * dims.n + 1):
-        lines.append(f"  {k}  {dims[k]}")
-    return lines
-
-
-def _emit(args, command, inputs, results, metadata=None, lines=None) -> None:
-    report = {
-        "command": command,
-        "engine": {"name": "kbhom", "version": __version__},
-        "inputs": inputs,
-        "metadata": metadata or {},
-        "results": results,
-    }
-    if not getattr(args, "no_timestamp", False):
-        report["timestamp"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
-    if getattr(args, "json", False):
-        print(json.dumps(report, indent=2, sort_keys=True))
-        return
-    print(f"command: {command}")
-    for item in report["inputs"]:
-        print(f"input: {item['path']}  sha256 {item['sha256'][:16]}")
-    for key, value in sorted((metadata or {}).items()):
-        print(f"{key}: {value}")
-    for line in lines or []:
-        print(line)
 
 
 def _hypotheses(args) -> dict:
@@ -196,6 +125,47 @@ def _hypotheses(args) -> dict:
     if hasattr(args, "assert_star"):
         meta["abelian_conormal_asserted"] = bool(args.assert_star)
     return meta
+
+
+def _emit(args, inputs, results, lines) -> None:
+    """Print the report of ``args.command``; its metadata are the
+    geometric hypotheses the command records (``_hypotheses``)."""
+    metadata = _hypotheses(args)
+    report = {
+        "command": args.command,
+        "engine": {"name": "kbhom", "version": __version__},
+        "inputs": inputs,
+        "metadata": metadata,
+        "results": results,
+    }
+    if not args.no_timestamp:
+        report["timestamp"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
+    if args.json:
+        print(json.dumps(report, indent=2, sort_keys=True))
+        return
+    print(f"command: {args.command}")
+    for item in inputs:
+        print(f"input: {item['path']}  sha256 {item['sha256'][:16]}")
+    for key, value in sorted(metadata.items()):
+        print(f"{key}: {value}")
+    for line in lines:
+        print(line)
+
+
+def _kb_results(dims: KBDims) -> dict:
+    """The KB part of a report: the full table and its Euler characteristic."""
+    return {"kb": {"n": dims.n, "dims": {str(k): dims[k] for k in range(2 * dims.n + 1)}},
+            "euler_characteristic": euler_char(dims)}
+
+
+def _kb_lines(dims: KBDims) -> list:
+    return ["  k  dim H_k"] + [f"  {k}  {dims[k]}" for k in range(2 * dims.n + 1)]
+
+
+def _emit_kb(args, inputs, dims: KBDims, header: str) -> int:
+    """Emit the KB report of a rule's result, its table under ``header``."""
+    _emit(args, inputs, _kb_results(dims), [header] + _kb_lines(dims))
+    return EXIT_OK
 
 
 def cmd_check(args) -> int:
@@ -218,7 +188,7 @@ def cmd_check(args) -> int:
         else:
             lines.append(f"  FAIL  {c.identity}  at bidegree {c.bidegree}")
     lines.append("result: PASS" if report.ok else "result: FAIL")
-    _emit(args, "check", inputs, results, lines=lines)
+    _emit(args, inputs, results, lines)
     return EXIT_OK if report.ok else EXIT_INVALID
 
 
@@ -229,11 +199,10 @@ def cmd_compute(args) -> int:
         dims = kb_homology(model)
     else:
         dims, sp = kb_spectral(model, args.pages)
-    results = {"model": model.name, "kb": _kb_out(dims),
-               "euler_characteristic": euler_char(dims)}
+    results = {"model": model.name, **_kb_results(dims)}
     lines = [f"model: {model.name}  (n={model.n})"]
     lines += _kb_lines(dims)
-    lines.append(f"euler characteristic: {euler_char(dims)}")
+    lines.append(f"euler characteristic: {results['euler_characteristic']}")
     if args.pages is not None:
         results["pages"] = {
             str(r): {f"{p},{q}": d for (p, q), d in sorted(page.items())}
@@ -244,7 +213,7 @@ def cmd_compute(args) -> int:
             for (p, q), d in sorted(page.items()):
                 lines.append(f"  ({p},{q})  {d}")
         lines.append(f"degeneration page: {sp.degeneration_page}")
-    _emit(args, "compute", inputs, results, lines=lines)
+    _emit(args, inputs, results, lines)
     return EXIT_OK
 
 
@@ -277,7 +246,7 @@ def cmd_stein(args) -> int:
         pi = PolyBivector.from_terms(args.n, raw)
     except NonHomogeneousBivector:
         raise
-    except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise TableError(f"{args.pi}: {exc}") from None
     weights = _parse_weights(args.weights)
     table = stein_homology(args.n, pi, weights, cap=args.cap)
@@ -291,25 +260,20 @@ def cmd_stein(args) -> int:
     for w in sorted(per_weight):
         for k in sorted(per_weight[w]):
             lines.append(f"  {w}  {k}  {per_weight[w][k]}")
-    _emit(args, "stein", inputs, results, lines=lines)
+    _emit(args, inputs, results, lines)
     return EXIT_OK
 
 
 def cmd_kunneth(args) -> int:
     inputs = []
-    a = _parse_kb_table(args.x, inputs)
-    b = _parse_kb_table(args.y, inputs)
-    result = kunneth_dims(a, b)
-    results = {"kb": _kb_out(result), "euler_characteristic": euler_char(result)}
-    lines = [f"n: {result.n}"] + _kb_lines(result)
-    _emit(args, "kunneth", inputs, results,
-          metadata=_hypotheses(args), lines=lines)
-    return EXIT_OK
+    result = kunneth_dims(_read_table(KBDims, args.x, inputs),
+                          _read_table(KBDims, args.y, inputs))
+    return _emit_kb(args, inputs, result, f"n: {result.n}")
 
 
 def cmd_leray_hirsch(args) -> int:
     inputs = []
-    hh = _parse_hh_table(args.table, inputs)
+    hh = _read_table(HHDims, args.table, inputs)
     try:
         classes = []
         for chunk in args.classes.replace(";", " ").split():
@@ -320,70 +284,54 @@ def cmd_leray_hirsch(args) -> int:
     if not classes:
         raise TableError("--classes must contain at least one bidegree")
     result = leray_hirsch_hh(hh, classes)
-    results = {"hh": _hh_out(result),
+    results = {"hh": {"dims": {str(k): v for k, v in sorted(result.dims.items())}},
                "classes": [list(c) for c in classes]}
     lines = ["  k  dim HH_k"]
     lines += [f"  {k}  {v}" for k, v in sorted(result.dims.items())]
-    _emit(args, "leray-hirsch", inputs, results, lines=lines)
+    _emit(args, inputs, results, lines)
     return EXIT_OK
 
 
 def cmd_flag(args) -> int:
     result = flag_manifold_kb(args.n, args.betti)
-    results = {"kb": _kb_out(result), "euler_characteristic": euler_char(result)}
-    lines = [f"n: {args.n}  betti sum: {args.betti}"] + _kb_lines(result)
-    _emit(args, "flag", [], results, lines=lines)
-    return EXIT_OK
+    return _emit_kb(args, [], result, f"n: {args.n}  betti sum: {args.betti}")
 
 
 def cmd_pbundle(args) -> int:
     inputs = []
-    hy = _parse_diamond(args.diamond, inputs)
-    result = projective_bundle_hodge(hy, args.r)
-    results = {"hodge": _diamond_out(result)}
+    result = projective_bundle_hodge(
+        _read_table(HodgeDiamond, args.diamond, inputs, _cell_key), args.r)
+    h = sorted(result.h.items())
+    results = {"hodge": {"n": result.n, "h": {f"{p},{q}": v for (p, q), v in h}}}
     lines = [f"n: {result.n}", "  (p,q)  h^{p,q}"]
-    lines += [f"  ({p},{q})  {v}" for (p, q), v in sorted(result.h.items())]
-    _emit(args, "pbundle", inputs, results, lines=lines)
+    lines += [f"  ({p},{q})  {v}" for (p, q), v in h]
+    _emit(args, inputs, results, lines)
     return EXIT_OK
 
 
 def cmd_blowup(args) -> int:
     inputs = []
-    data = BlowupData(args.r, _parse_kb_table(args.x, inputs),
-                      _parse_kb_table(args.y, inputs), _parse_kb_table(args.e, inputs))
-    result = blowup_kb(data)
-    results = {"kb": _kb_out(result), "euler_characteristic": euler_char(result)}
-    lines = [f"n: {result.n}  codimension: {args.r}"] + _kb_lines(result)
-    _emit(args, "blowup", inputs, results,
-          metadata=_hypotheses(args), lines=lines)
-    return EXIT_OK
+    x, y, e = (_read_table(KBDims, path, inputs) for path in (args.x, args.y, args.e))
+    result = blowup_kb(BlowupData(args.r, x, y, e))
+    return _emit_kb(args, inputs, result, f"n: {result.n}  codimension: {args.r}")
 
 
 def cmd_blowup_point(args) -> int:
     inputs = []
-    x = _parse_kb_table(args.x, inputs)
-    result = blowup_point_kb(x)
-    results = {"kb": _kb_out(result), "euler_characteristic": euler_char(result)}
-    lines = [f"n: {result.n}"] + _kb_lines(result)
-    _emit(args, "blowup-point", inputs, results,
-          metadata=_hypotheses(args), lines=lines)
-    return EXIT_OK
+    result = blowup_point_kb(_read_table(KBDims, args.x, inputs))
+    return _emit_kb(args, inputs, result, f"n: {result.n}")
 
 
 def cmd_mv_check(args) -> int:
     inputs = []
-    u = _parse_kb_table(args.u, inputs)
-    v = _parse_kb_table(args.v, inputs)
-    uv = _parse_kb_table(args.uv, inputs)
-    union = _parse_kb_table(args.union, inputs)
-    verdict = mv_euler_check(u, v, uv, union)
-    results = {"consistent": verdict,
-               "euler": {"u": euler_char(u), "v": euler_char(v),
-                         "uv": euler_char(uv), "union": euler_char(union)}}
-    lines = [f"chi(U)={euler_char(u)}  chi(V)={euler_char(v)}  "
-             f"chi(U∩V)={euler_char(uv)}  chi(U∪V)={euler_char(union)}",
+    tables = [_read_table(KBDims, path, inputs)
+              for path in (args.u, args.v, args.uv, args.union)]
+    verdict = mv_euler_check(*tables)
+    chi = dict(zip(("u", "v", "uv", "union"), map(euler_char, tables)))
+    lines = [f"chi(U)={chi['u']}  chi(V)={chi['v']}  "
+             f"chi(U∩V)={chi['uv']}  chi(U∪V)={chi['union']}",
              f"verdict: {'consistent' if verdict else 'inconsistent'}"]
-    _emit(args, "mv-check", inputs, results, lines=lines)
+    _emit(args, inputs, {"consistent": verdict, "euler": chi}, lines)
     return EXIT_OK if verdict else EXIT_INCONSISTENT
 
 

@@ -21,7 +21,8 @@ differential's D² = 0 is made of the same three identities, so
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import index
 
 from .complexes import (
     Complex,
@@ -34,89 +35,68 @@ from .complexes import (
 from .models import DolbeaultPoissonModel, koszul_differential
 
 
-@dataclass(frozen=True, eq=False)
-class KBDims:
+class _Table:
+    """The cleaning shared by the dimension tables.  A table's last field
+    maps its keys (ints, or tuples of ints) to dimensions; construction
+    drops zeros, casts keys and values to int with ``operator.index`` (a
+    float or a string raises TypeError rather than being truncated or
+    parsed), and rejects a negative value or a nonzero value at a key with
+    a coordinate outside ``bounds``, the ``(lo, hi)`` each class supplies
+    (None: unbounded)."""
+
+    bounds = None
+
+    def __post_init__(self):
+        name = fields(self)[-1].name
+        clean = {}
+        for key, v in getattr(self, name).items():
+            if v < 0:
+                raise ValueError(f"{name}[{key!r}] = {v} is negative")
+            if not v:
+                continue
+            coords = tuple(map(index, key)) if isinstance(key, tuple) else (index(key),)
+            if self.bounds and not all(self.bounds[0] <= c <= self.bounds[1] for c in coords):
+                raise ValueError(f"{name}[{key!r}] = {v} is outside {list(self.bounds)}")
+            clean[coords if isinstance(key, tuple) else coords[0]] = index(v)
+        object.__setattr__(self, name, clean)
+
+    def __getitem__(self, key) -> int:
+        return getattr(self, fields(self)[-1].name).get(key, 0)
+
+
+@dataclass(frozen=True)
+class KBDims(_Table):
     """Koszul-Brylinski homology dimensions, k in [0, 2n]."""
 
     n: int
     dims: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        clean = {}
-        for k, v in self.dims.items():
-            if v < 0:
-                raise ValueError("negative dimension")
-            if not 0 <= k <= 2 * self.n:
-                if v:
-                    raise ValueError(f"nonzero dimension at k={k} outside [0, {2 * self.n}]")
-                continue
-            if v:
-                clean[int(k)] = int(v)
-        object.__setattr__(self, "dims", clean)
-
-    def __getitem__(self, k: int) -> int:
-        return self.dims.get(k, 0)
-
-    def __eq__(self, other):
-        return (isinstance(other, KBDims) and self.n == other.n
-                and self.dims == other.dims)
-
-    def table(self) -> list:
-        return [(k, self[k]) for k in range(2 * self.n + 1)]
+    @property
+    def bounds(self):
+        return 0, 2 * self.n
 
     def records(self) -> list:
         """JSON-ready rows, one {"k": ..., "dim": ...} per degree."""
         return [{"k": k, "dim": self[k]} for k in range(2 * self.n + 1)]
 
 
-@dataclass(frozen=True, eq=False)
-class HodgeDiamond:
+@dataclass(frozen=True)
+class HodgeDiamond(_Table):
     """Dolbeault dimensions h^{p,q}, 0 <= p,q <= n."""
 
     n: int
     h: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        clean = {}
-        for (p, q), v in self.h.items():
-            if v < 0:
-                raise ValueError("negative Hodge number")
-            if not (0 <= p <= self.n and 0 <= q <= self.n):
-                if v:
-                    raise ValueError(f"nonzero Hodge number at {(p, q)} outside range")
-                continue
-            if v:
-                clean[(int(p), int(q))] = int(v)
-        object.__setattr__(self, "h", clean)
-
-    def __getitem__(self, key) -> int:
-        return self.h.get(key, 0)
-
-    def __eq__(self, other):
-        return (isinstance(other, HodgeDiamond) and self.n == other.n
-                and self.h == other.h)
+    @property
+    def bounds(self):
+        return 0, self.n
 
 
-@dataclass(frozen=True, eq=False)
-class HHDims:
+@dataclass(frozen=True)
+class HHDims(_Table):
     """Hochschild homology dimensions, Z-graded (support in [-n, n])."""
 
     dims: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        clean = {}
-        for k, v in self.dims.items():
-            if v < 0:
-                raise ValueError("negative dimension")
-            if v:
-                clean[int(k)] = int(v)
-        object.__setattr__(self, "dims", clean)
-
-    def __getitem__(self, k: int) -> int:
-        return self.dims.get(k, 0)
-
-    def __eq__(self, other):
-        return isinstance(other, HHDims) and self.dims == other.dims
 
     def records(self) -> list:
         return [{"k": k, "dim": v} for k, v in sorted(self.dims.items())]

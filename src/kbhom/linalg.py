@@ -16,6 +16,7 @@ identical outputs.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
@@ -25,11 +26,30 @@ from typing import NamedTuple
 Q = Fraction
 
 
+_RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([1-9][0-9]*))?")
+
+
+def _rational_pair(s: str) -> tuple:
+    """The string rational s as ``(a, b)``, the value a/b with b > 0: ASCII
+    digits with an optional sign and an optional "/b", b nonzero, matched
+    in full (no blanks, underscores, exponents, decimal points or other
+    digits); ValueError otherwise."""
+    match = _RATIONAL_RE.fullmatch(s)
+    if not match:
+        raise ValueError(f"{s!r} is not a rational 'a/b' or integer string")
+    num, den = match.groups()
+    return int(num), int(den) if den else 1
+
+
 def _q(x) -> Fraction:
+    """An exact coefficient as a Fraction: a Fraction, an int or a string
+    that ``_rational_pair`` reads; bools and floats raise TypeError."""
     if isinstance(x, Fraction):
         return x
+    if isinstance(x, str):
+        return Fraction(*_rational_pair(x))
     if isinstance(x, (bool, float)):
-        raise TypeError(f"matrix entries must be exact, not {type(x).__name__}")
+        raise TypeError(f"{x!r} is not an exact rational")
     return Fraction(x)
 
 

@@ -35,7 +35,7 @@ from math import lcm
 from operator import add
 
 from .complexes import Complex, ComplexInvariantError, homology_dims
-from .linalg import _from_columns
+from .linalg import _from_columns, _is_int, _q
 from .models import _wedge
 
 Q = Fraction
@@ -79,8 +79,10 @@ class PolyBivector:
         Indices are 1-based; i > j is normalized by antisymmetry; all
         monomials must share one degree |alpha| (the default degree of
         the zero bivector is 0 unless given).  Inputs are strictly typed:
-        indices and exponents are ints, coefficients are ints, Fractions
-        or rational strings, and bools and floats are rejected (TypeError).
+        indices and exponents are ints (TypeError otherwise), and
+        coefficients are ints, Fractions or "a/b" strings, read by
+        ``linalg._q`` (bools and floats raise TypeError, other strings
+        ValueError).
         """
         terms: dict = {}
         seen_degree = None
@@ -91,11 +93,9 @@ class PolyBivector:
             else:
                 i, j, coeff, alpha = raw
                 alpha = tuple(alpha)
-            if isinstance(coeff, (bool, float)):
-                raise TypeError(f"bivector coefficient {coeff!r} is not an exact rational")
-            coeff = Fraction(coeff)
+            coeff = _q(coeff)
             for x in (i, j, *alpha):
-                if not isinstance(x, int) or isinstance(x, bool):
+                if not _is_int(x):
                     raise TypeError(
                         f"bivector indices and exponents must be integers, not {x!r}")
             if i == j:

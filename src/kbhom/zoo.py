@@ -28,7 +28,7 @@ from operator import ne
 from pathlib import Path
 
 from .engine import HodgeDiamond
-from .linalg import Matrix, _from_columns, _is_int, _q
+from .linalg import Matrix, _from_columns, _is_int, _q, _rational_pair
 from .models import (
     DolbeaultPoissonModel,
     ModelValidationError,
@@ -42,7 +42,6 @@ from .models import (
 
 FORMAT = "kbmodel/1"
 
-_RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([1-9][0-9]*))?")
 _INT_RE = re.compile(r"-?[0-9]+")
 
 
@@ -155,19 +154,21 @@ def _int_key(key: str) -> int:
 
 def _cell_key(key: str) -> tuple:
     """The cell (p, q) named by a "p,q" key; ValueError if it names none."""
-    p, q = (_int_key(x) for x in key.split(","))
+    try:
+        p, q = (_int_key(x) for x in key.split(","))
+    except ValueError:
+        raise ValueError(f"{key!r} is not 'p,q'") from None
     return p, q
 
 
 def _parse_rational(s, where: str) -> tuple:
     """A matrix entry as ``(a, b)``, the value a/b with b > 0: an int, or a
-    string of ASCII digits with an optional sign and an optional "/b"
-    (no blanks, underscores or other digits)."""
+    string that ``linalg._rational_pair`` reads."""
     if isinstance(s, str):
-        match = _RATIONAL_RE.fullmatch(s)
-        if match:
-            num, den = match.groups()
-            return int(num), int(den) if den else 1
+        try:
+            return _rational_pair(s)
+        except ValueError:
+            pass
     elif _is_int(s):
         return s, 1
     raise ModelFileError(f"{where}: {s!r} is not a rational 'a/b' or integer string")

@@ -46,6 +46,13 @@ from kbhom.models import (
 from kbhom.stein import slice_basis
 from kbhom.zoo import StructureConstantError, _structure_images
 
+# Strings that are not "a/b" rationals (optional sign, ASCII digits, an
+# optional "/b" with b nonzero): a decimal point, an exponent, a blank, an
+# underscore, a non-ASCII digit and a final newline, which Fraction() reads,
+# and a zero denominator, on which it raises ZeroDivisionError.  Every
+# coefficient and matrix entry rejects them with a ValueError.
+BAD_RATIONALS = ["0.5", "1e3", " 1", "1_0", "\u0661", "1\n", "1/0"]
+
 
 def random_matrix(rng, rows, cols, density=0.5, span=3):
     entries = {}

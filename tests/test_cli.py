@@ -11,6 +11,7 @@ from kbhom.complexes import ComplexInvariantError
 from kbhom.engine import HodgeDiamond, hodge_diamond, kb_homology
 from kbhom.models import product_model
 from kbhom.zoo import hodge_formal, parallelizable, save_model, torus, write_model
+from support import BAD_RATIONALS
 
 
 def write_json(path, obj):
@@ -375,6 +376,45 @@ def test_keys_must_be_plain_integers_exits_1(tmp_path, capsys, command, table):
     assert "is not" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, table, field, key", [
+    ("blowup-point", {"n": 2, "dims": {"0": -1}}, "dims", "'0'"),
+    ("blowup-point", {"n": 2, "dims": {"0": True}}, "dims", "'0'"),
+    ("blowup-point", {"n": 2, "dims": {"01": 1, "1": 1}}, "dims", "'1'"),
+    ("blowup-point", {"n": 2, "dims": {"k": 1}}, "dims", "'k'"),
+    ("blowup-point", {"n": 2, "dims": {"5": 1}}, "dims", "5"),
+    ("leray-hirsch", {"dims": {"0": -1}}, "dims", "'0'"),
+    ("leray-hirsch", {"dims": {"-0": 1, "0": 1}}, "dims", "'0'"),
+    ("leray-hirsch", {"dims": {"1_0": 1}}, "dims", "'1_0'"),
+    ("pbundle", {"n": 1, "h": {"0,0": 1.5}}, "h", "'0,0'"),
+    ("pbundle", {"n": 1, "h": {"0,0": 1, "0,00": 1}}, "h", "'0,00'"),
+    ("pbundle", {"n": 1, "h": {"0": 1}}, "h", "'0'"),
+    ("pbundle", {"n": 1, "h": {"2,0": 1}}, "h", "(2, 0)"),
+])
+def test_table_entry_errors_name_the_file_once_the_field_and_the_key(
+        tmp_path, capsys, command, table, field, key):
+    path = write_json(tmp_path / "bad.json", table)
+    extra = {"leray-hirsch": ["--classes", "0,0"], "pbundle": ["-r", "2"]}
+    assert main([command, path] + extra.get(command, [])) == 1
+    err = capsys.readouterr().err
+    assert err.count(path) == 1, err
+    assert field in err and key in err, err
+
+
+@pytest.mark.parametrize("table, field", [
+    ([], "object"),
+    ({"n": 2, "dims": {}, "extra": 1}, "'extra'"),
+    ({"n": -1, "dims": {}}, "'n'"),
+    ({"dims": {}}, "'n'"),
+    ({"n": 2, "dims": []}, "dims"),
+])
+def test_table_shape_errors_name_the_file_once_and_the_field(tmp_path, capsys,
+                                                            table, field):
+    path = write_json(tmp_path / "bad.json", table)
+    assert main(["blowup-point", path]) == 1
+    err = capsys.readouterr().err
+    assert err.count(path) == 1 and field in err, err
+
+
 @pytest.mark.parametrize("classes", ["1_0,0", "+1,0", "0,0;1,\u0660"])
 def test_leray_hirsch_classes_must_be_plain_integers(tmp_path, capsys, classes):
     table = write_json(tmp_path / "hh.json", {"dims": {"0": 1}})
@@ -515,6 +555,14 @@ def test_stein_zero_denominator_is_a_parse_error(tmp_path, capsys):
                     [{"i": 1, "j": 2, "coeff": "1/0", "alpha": [0, 0]}])
     assert main(["stein", pi, "--n", "2", "--weights", "0"]) == 1
     assert "parse error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", BAD_RATIONALS)
+def test_stein_coefficients_are_a_over_b_only(tmp_path, capsys, bad):
+    pi = write_json(tmp_path / "pi.json",
+                    [{"i": 1, "j": 2, "coeff": bad, "alpha": [0, 0]}])
+    assert main(["stein", pi, "--n", "2", "--weights", "0"]) == 1
+    assert "is not a rational" in capsys.readouterr().err
 
 
 def test_unknown_command_exits_1(capsys):

@@ -1,7 +1,10 @@
+import re
+
 import pytest
 
 from kbhom.complexes import spectral_pages, total_complex
 from kbhom.engine import (
+    HHDims,
     HodgeDiamond,
     KBDims,
     euler_char,
@@ -100,6 +103,42 @@ def test_kbdims_rejects_out_of_range():
         KBDims(1, {3: 1})
     with pytest.raises(ValueError):
         KBDims(1, {0: -1})
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: KBDims(1, {3: 1}), "dims[3] = 1 is outside [0, 2]"),
+    (lambda: KBDims(1, {0: -1}), "dims[0] = -1 is negative"),
+    (lambda: HodgeDiamond(1, {(2, 0): 1}), "h[(2, 0)] = 1 is outside [0, 1]"),
+    (lambda: HodgeDiamond(1, {(0, -1): 2}), "h[(0, -1)] = 2 is outside [0, 1]"),
+    (lambda: HHDims({-5: -1}), "dims[-5] = -1 is negative"),
+])
+def test_tables_reject_negative_and_out_of_range_values(make, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make()
+
+
+def test_tables_drop_zeros_cast_to_int_and_compare_by_class_and_fields():
+    assert KBDims(1, {0: True, 1: 0, 7: 0}).dims == {0: 1}
+    assert type(next(iter(KBDims(1, {True: 2}).dims))) is int
+    assert HodgeDiamond(1, {(True, 0): 1, (5, 5): 0}).h == {(1, 0): 1}
+    assert HHDims({-9: 3, 2: 0}).dims == {-9: 3}
+    assert KBDims(1, {0: 1, 2: 0}) == KBDims(1, {0: 1})
+    assert KBDims(1, {0: 1}) != KBDims(2, {0: 1})
+    assert KBDims(0, {0: 1}) != HHDims({0: 1})
+    assert KBDims(1, {1: 2})[1] == 2 and HodgeDiamond(1, {})[(0, 0)] == 0
+    for table in (KBDims(0), HHDims(), HodgeDiamond(0)):
+        with pytest.raises(TypeError):
+            hash(table)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: KBDims(1, {1.5: 1}), lambda: KBDims(1, {1: 2.5}), lambda: KBDims(1, {"0": 1}),
+    lambda: HHDims({"1_0": 1}), lambda: HodgeDiamond(1, {(0, 0.0): 1}),
+])
+def test_tables_reject_keys_and_values_that_are_not_integers(make):
+    # int() would truncate 1.5 and 2.5 and parse "1_0" as 10
+    with pytest.raises(TypeError):
+        make()
 
 
 @pytest.mark.parametrize("model", [

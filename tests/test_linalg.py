@@ -11,6 +11,7 @@ from kbhom.linalg import (
     solve,
 )
 from support import (
+    BAD_RATIONALS,
     coordinate_subspace,
     full_subspace,
     image_subspace,
@@ -60,6 +61,15 @@ def test_matrix_rejects_float_and_bool_entries(bad):
         Matrix(1, 1, {(0, 0): bad})
     with pytest.raises(TypeError):
         Matrix.from_rows([[bad]])
+
+
+@pytest.mark.parametrize("bad", BAD_RATIONALS)
+def test_matrix_string_entries_are_a_over_b_only(bad):
+    with pytest.raises(ValueError, match="is not a rational"):
+        Matrix(1, 1, {(0, 0): bad})
+    with pytest.raises(ValueError, match="is not a rational"):
+        Matrix.from_rows([[bad]])
+    assert Matrix(1, 1, {(0, 0): "-3/6"})[0, 0] == Fraction(-1, 2)
 
 
 @pytest.mark.parametrize("rows, cols", [(2.5, 2), (True, 2), (2, 2.0), (2, False), ("2", 2)])

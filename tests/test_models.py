@@ -11,10 +11,12 @@ from kbhom.models import (
     contraction_from_bivector,
     koszul_differential,
     monomial_label,
+    normalize_bivector_coeffs,
     product_model,
     validate_model,
 )
 from kbhom.zoo import parallelizable, point, torus
+from support import BAD_RATIONALS
 
 
 def heisenberg3(pi=None):
@@ -192,6 +194,14 @@ def test_contraction_from_bivector_rejects_inexact_coefficients():
             contraction_from_bivector(m, pi)
     assert contraction_from_bivector(m, {(1, 2): "1/2"}) == \
         contraction_from_bivector(m, [[0, Fraction(1, 2)], [Fraction(-1, 2), 0]])
+
+
+@pytest.mark.parametrize("bad", BAD_RATIONALS)
+def test_bivector_matrix_entries_are_a_over_b_only(bad):
+    with pytest.raises(ValueError, match="is not a rational"):
+        normalize_bivector_coeffs(2, [["0", bad], ["-1", "0"]])
+    assert normalize_bivector_coeffs(2, [["0", "1/2"], ["-1/2", "0"]]) == \
+        {(1, 2): Fraction(1, 2)}
 
 
 def test_product_with_point_is_isomorphic_copy():

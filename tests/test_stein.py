@@ -11,6 +11,7 @@ from kbhom.stein import (
     stein_complex,
     stein_homology,
 )
+from support import BAD_RATIONALS
 
 CONSTANT = [(1, 2, 1, (0, 0))]          # ∂/∂z1 ∧ ∂/∂z2 on C², degree 0
 LINEAR = [(1, 2, 1, (1, 0))]            # z1 ∂/∂z1 ∧ ∂/∂z2 on C², degree 1
@@ -108,6 +109,14 @@ def test_antisymmetry_normalization():
 def test_from_terms_rejects_inexact_and_boolean_terms(term):
     with pytest.raises(TypeError):
         PolyBivector.from_terms(2, [term])
+
+
+@pytest.mark.parametrize("bad", BAD_RATIONALS)
+def test_from_terms_reads_string_coefficients_as_a_over_b_only(bad):
+    with pytest.raises(ValueError, match="is not a rational"):
+        PolyBivector.from_terms(2, [(1, 2, bad, (0, 0))])
+    pi = PolyBivector.from_terms(2, [{"i": 1, "j": 2, "coeff": "-2/4", "alpha": [0, 0]}])
+    assert pi.terms == {(1, 2): {(0, 0): Fraction(-1, 2)}}
 
 
 def test_negative_n_rejected():

@@ -28,6 +28,7 @@ from kbhom.zoo import (
     torus,
     write_model,
 )
+from support import BAD_RATIONALS
 
 
 def test_torus1_shape():
@@ -102,6 +103,16 @@ def test_builders_reject_inexact_bivector_coefficients(pi):
         torus(2, pi)
     with pytest.raises(TypeError):
         parallelizable(2, {(1, 2, 1): 1}, pi)
+
+
+@pytest.mark.parametrize("bad", BAD_RATIONALS)
+def test_builders_read_string_coefficients_as_a_over_b_only(bad):
+    with pytest.raises(ValueError, match="is not a rational"):
+        torus(2, {(1, 2): bad})
+    with pytest.raises(ValueError, match="is not a rational"):
+        parallelizable(3, {(1, 2, 3): bad}, {(1, 2): 1})
+    with pytest.raises(ValueError, match="is not a rational"):
+        parallelizable(3, {(1, 2, 3): 1}, {(1, 2): bad})
 
 
 @pytest.mark.parametrize("pi", [{(True, 2): 1}, {(1, True): 1}, {(1.0, 2): 1},
