@@ -1,10 +1,13 @@
-"""Two measurements outside the perfbench ladder, for one checkout of kbhom.
+"""Three measurements outside the perfbench ladder, for one checkout of kbhom.
 
 * heis8: ``parallelizable(8, {(1,2,3): 1}, {(1,2): 1})`` built and
   validated, then ``kb_homology``; the best of ``REPS`` runs (wall time).
 * heis6 validation memory: the tracemalloc peak, above the start, of
   building ``parallelizable(6, ...)`` and running ``validate_model`` on it,
   and what stays allocated afterwards.
+* heis5 and heis6 model files: ``model_to_json`` on the built model, the
+  best of ``REPS`` runs (wall time), and the tracemalloc peak, above the
+  start, of one more run.
 
 Run from the root of a checkout, or point it at another one:
 
@@ -30,7 +33,7 @@ def main() -> int:
     sys.path.insert(0, args.src)
     from kbhom.engine import kb_homology
     from kbhom.models import validate_model
-    from kbhom.zoo import parallelizable
+    from kbhom.zoo import model_to_json, parallelizable
 
     def heis(n):
         return parallelizable(n, {(1, 2, 3): 1}, {(1, 2): 1})
@@ -58,6 +61,27 @@ def main() -> int:
     tracemalloc.stop()
     print(f"heis6 build+validate: tracemalloc peak {peak / 1024:.0f} KiB, "
           f"{current / 1024:.0f} KiB still allocated")
+    del m
+
+    for n in (5, 6):
+        m = heis(n)
+        best = float("inf")
+        for _ in range(REPS):
+            gc.collect()
+            t0 = time.perf_counter()
+            text = model_to_json(m)
+            best = min(best, time.perf_counter() - t0)
+            del text
+        gc.collect()
+        tracemalloc.start()
+        text = model_to_json(m)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        size = len(text.encode())
+        del text
+        print(f"heis{n} model_to_json ({size / 1e6:.1f} MB): {best:.3f} s best of {REPS}, "
+              f"tracemalloc peak {peak / 2**20:.1f} MiB")
+        del m
     return 0
 
 

@@ -246,7 +246,7 @@ def cmd_stein(args) -> int:
         pi = PolyBivector.from_terms(args.n, raw)
     except NonHomogeneousBivector:
         raise
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, TypeError) as exc:
         raise TableError(f"{args.pi}: {exc}") from None
     weights = _parse_weights(args.weights)
     table = stein_homology(args.n, pi, weights, cap=args.cap)

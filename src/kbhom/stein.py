@@ -53,6 +53,9 @@ class NotPoissonOnSlice(ValueError):
     """delpi fails to square to zero on the requested weight slice."""
 
 
+_TERM_FIELDS = ("i", "j", "coeff", "alpha")
+
+
 class PolyBivector:
     """Σ_{i<j} p_ij(z) ∂/∂z_i ∧ ∂/∂z_j with homogeneous rational p_ij."""
 
@@ -76,9 +79,11 @@ class PolyBivector:
     def from_terms(cls, n: int, raw_terms, degree: int | None = None) -> "PolyBivector":
         """Build from (i, j, coeff, alpha) tuples or equivalent dicts.
 
-        Indices are 1-based; i > j is normalized by antisymmetry; all
-        monomials must share one degree |alpha| (the default degree of
-        the zero bivector is 0 unless given).  Inputs are strictly typed:
+        A dict term has exactly the fields "i", "j", "coeff" and "alpha"
+        (a ValueError naming the term and the field otherwise).  Indices
+        are 1-based; i > j is normalized by antisymmetry; all monomials
+        must share one degree |alpha| (the default degree of the zero
+        bivector is 0 unless given).  Inputs are strictly typed:
         indices and exponents are ints (TypeError otherwise), and
         coefficients are ints, Fractions or "a/b" strings, read by
         ``linalg._q`` (bools and floats raise TypeError, other strings
@@ -86,10 +91,17 @@ class PolyBivector:
         """
         terms: dict = {}
         seen_degree = None
-        for raw in raw_terms:
+        for idx, raw in enumerate(raw_terms):
             if isinstance(raw, dict):
-                i, j = raw["i"], raw["j"]
-                coeff, alpha = raw["coeff"], tuple(raw["alpha"])
+                unknown = set(raw) - set(_TERM_FIELDS)
+                if unknown:
+                    raise ValueError(
+                        f"term {idx}: unknown fields {sorted(unknown, key=repr)}")
+                for field in _TERM_FIELDS:
+                    if field not in raw:
+                        raise ValueError(f"term {idx}: missing field {field!r}")
+                i, j, coeff, alpha = (raw[field] for field in _TERM_FIELDS)
+                alpha = tuple(alpha)
             else:
                 i, j, coeff, alpha = raw
                 alpha = tuple(alpha)

@@ -24,6 +24,7 @@ import json
 import re
 from fractions import Fraction
 from itertools import compress, repeat
+from json.encoder import encode_basestring as _json_str
 from operator import ne
 from pathlib import Path
 
@@ -291,8 +292,45 @@ def load_model(data: dict, lax: bool = False,
 
 
 def model_to_json(m: DolbeaultPoissonModel) -> str:
-    return json.dumps(save_model(m), indent=2, sort_keys=True,
-                      ensure_ascii=False) + "\n"
+    """The kbmodel/1 text of m: ``json.dumps(save_model(m), indent=2,
+    sort_keys=True, ensure_ascii=False)`` and a newline, byte for byte,
+    built by one join (json's indenting encoder is pure Python and yields
+    one string per list item; a model file is mostly lists of strings)."""
+    out: list = []
+    _encode(save_model(m), "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _encode(v, pad: str, out: list) -> None:
+    """Append ``json.dumps(v, indent=2, sort_keys=True, ensure_ascii=False)``
+    to out, each of its line breaks written as pad."""
+    inner = pad + "  "
+    if type(v) is dict and v and all(type(k) is str for k in v):
+        opener, closer = "{", "}"
+        items = [(_json_str(k) + ": ", v[k]) for k in sorted(v)]
+    elif type(v) is list and v:
+        try:
+            text = "".join(v)
+            # strings that need no escape: quoting them all adds two quotes
+            plain = len(_json_str(text)) == len(text) + 2
+        except TypeError:
+            plain = False
+        if plain:
+            out += ("[", inner, '"', ('",' + inner + '"').join(v), '"', pad, "]")
+            return
+        opener, closer, items = "[", "]", [("", x) for x in v]
+    else:
+        # JSON strings hold no raw newline, so this indents v exactly
+        out.append(json.dumps(v, indent=2, sort_keys=True,
+                              ensure_ascii=False).replace("\n", pad))
+        return
+    sep = opener + inner
+    for head, x in items:
+        out += (sep, head)
+        _encode(x, inner, out)
+        sep = "," + inner
+    out += (pad, closer)
 
 
 def write_model(m: DolbeaultPoissonModel, path) -> None:

@@ -15,8 +15,11 @@ former model builders, on all 4^n wedge monomials with their own tensor
 loops, share no tensor or sign code with ``kbhom.complexes`` and
 ``kbhom.models``.  The former model validator sums ``Matrix`` products
 of zero-filled blocks, not the integer blocks of ``validate_model``.
+The former model writer is ``json.dumps`` itself, which shares no
+encoder code with ``kbhom.zoo.model_to_json``.
 """
 
+import json
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
@@ -44,7 +47,7 @@ from kbhom.models import (
     validate_model,
 )
 from kbhom.stein import slice_basis
-from kbhom.zoo import StructureConstantError, _structure_images
+from kbhom.zoo import StructureConstantError, _structure_images, save_model
 
 # Strings that are not "a/b" rationals (optional sign, ASCII digits, an
 # optional "/b" with b nonzero): a decimal point, an exponent, a blank, an
@@ -52,6 +55,11 @@ from kbhom.zoo import StructureConstantError, _structure_images
 # and a zero denominator, on which it raises ZeroDivisionError.  Every
 # coefficient and matrix entry rejects them with a ValueError.
 BAD_RATIONALS = ["0.5", "1e3", " 1", "1_0", "\u0661", "1\n", "1/0"]
+
+
+def oracle_model_to_json(m) -> str:
+    """The former kbmodel/1 writer: json's own indenting encoder."""
+    return json.dumps(save_model(m), indent=2, sort_keys=True, ensure_ascii=False) + "\n"
 
 
 def random_matrix(rng, rows, cols, density=0.5, span=3):

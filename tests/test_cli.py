@@ -565,6 +565,17 @@ def test_stein_coefficients_are_a_over_b_only(tmp_path, capsys, bad):
     assert "is not a rational" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("term, message", [
+    ({"i": 1, "j": 2, "coeff": "1", "alpha": [0, 0], "colour": "red"},
+     "term 0: unknown fields ['colour']"),
+    ({"i": 1, "j": 2, "alpha": [0, 0]}, "term 0: missing field 'coeff'"),
+], ids=["unknown-field", "missing-field"])
+def test_stein_term_fields_are_strict(tmp_path, capsys, term, message):
+    pi = write_json(tmp_path / "pi.json", [term])
+    assert main(["stein", pi, "--n", "2", "--weights", "0"]) == 1
+    assert capsys.readouterr().err == f"kbhom: parse error: {pi}: {message}\n"
+
+
 def test_unknown_command_exits_1(capsys):
     assert main(["frobnicate"]) == 1
 

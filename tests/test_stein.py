@@ -119,6 +119,20 @@ def test_from_terms_reads_string_coefficients_as_a_over_b_only(bad):
     assert pi.terms == {(1, 2): {(0, 0): Fraction(-1, 2)}}
 
 
+@pytest.mark.parametrize("term, message", [
+    ({"i": 1, "j": 2, "coeff": "1", "alpha": [0, 0], "colour": "red"},
+     "term 1: unknown fields ['colour']"),
+    ({"i": 1, "j": 2, "alpha": [0, 0]}, "term 1: missing field 'coeff'"),
+    ({"j": 2, "coeff": "1", "alpha": [0, 0]}, "term 1: missing field 'i'"),
+    ({}, "term 1: missing field 'i'"),
+])
+def test_from_terms_dict_terms_have_exactly_four_fields(term, message):
+    good = {"i": 1, "j": 2, "coeff": "1", "alpha": [0, 0]}
+    with pytest.raises(ValueError) as info:
+        PolyBivector.from_terms(2, [good, term])
+    assert str(info.value) == message
+
+
 def test_negative_n_rejected():
     with pytest.raises(ValueError):
         PolyBivector.from_terms(-1, [])

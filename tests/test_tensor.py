@@ -28,6 +28,7 @@ from kbhom.zoo import (
     torus,
 )
 from support import (
+    oracle_model_to_json,
     oracle_parallelizable,
     oracle_product_model,
     oracle_tensor_double,
@@ -60,9 +61,10 @@ def assert_same_model(new, old):
     assert new.name == old.name
     assert new.metadata == old.metadata
     # model_to_json reads only the fields compared above; past n = 6 its
-    # dense output runs to hundreds of MB, so it is compared up to there
+    # dense output runs to hundreds of MB, so it is compared up to there,
+    # and against json's own encoder
     if new.total_dim() <= 4 ** 6:
-        assert model_to_json(new) == model_to_json(old)
+        assert model_to_json(new) == model_to_json(old) == oracle_model_to_json(new)
 
 
 def assert_same_outcome(build, build_oracle):

@@ -3,11 +3,14 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kbhom import models
 from kbhom.engine import HodgeDiamond, kb_homology
 from kbhom.linalg import Matrix
 from kbhom.models import (
+    DolbeaultPoissonModel,
     ModelValidationError,
     contraction_from_bivector,
     koszul_differential,
@@ -18,6 +21,7 @@ from kbhom.zoo import (
     ModelFileError,
     StructureConstantError,
     _cell_key,
+    _encode,
     hodge_formal,
     load_model,
     model_to_json,
@@ -28,7 +32,7 @@ from kbhom.zoo import (
     torus,
     write_model,
 )
-from support import BAD_RATIONALS
+from support import BAD_RATIONALS, oracle_model_to_json
 
 
 def test_torus1_shape():
@@ -377,3 +381,73 @@ def test_save_is_deterministic():
 def test_point_is_trivial_model():
     m = point()
     assert m.n == 0 and m.total_dim() == 1
+
+
+# the characters json escapes: a quote, a backslash and the C0 controls
+ESCAPED = '"\\' + "".join(map(chr, range(32)))
+AWKWARD_LABELS = ['say "hi"', "back\\slash", "tab\there", "nul\x00", "\x1f", "\x7f\x85",
+                  "\u00e9\u2202\u03b6", "\U0001d54a", "", "plain"]
+
+
+def hand_made(labels, metadata=None, name="hand-made"):
+    """A model on n = 1 whose (0,0) cell has the given labels, with an
+    empty (1,1) cell (dropped) and one del block, entries (j - 1)/3."""
+    k = len(labels)
+    blocks = {(0, 0): Matrix(1, k, {(0, j): Fraction(j - 1, 3) for j in range(k)})}
+    return DolbeaultPoissonModel(1, {(0, 0): labels, (1, 0): ["dz1"], (1, 1): []},
+                                 del_blocks=blocks, name=name, metadata=metadata)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: hand_made(AWKWARD_LABELS),
+    lambda: hand_made(["plain", 'one "quoted"', "plain"]),
+    lambda: hand_made([c for c in ESCAPED]),
+    lambda: hand_made(["", ""], name='a "name"\n'),
+    lambda: hand_made(["\u00e9"] * 3, name="\u00e9t\u00e9"),
+    lambda: DolbeaultPoissonModel(1, {(0, 0): ["1"], (1, 1): []}),
+    lambda: DolbeaultPoissonModel(0, {}),
+    lambda: hand_made(["x"], metadata={
+        "nested": {"b": [1, 2.5, None], "a": {"deep": True, "deeper": {"z": [[]]}}},
+        "int_keys": {10: "ten", 2: "two"}, "float_keys": {0.5: 1, -1.25: 2},
+        "bool_keys": {True: "t", False: "f"}, "none_key": {None: 0},
+        "float": 0.1, "big": 1e300, "none": None, "flags": [True, False],
+        "empty": {}, "list": [], "tuple": (1, "x", ()), "text": "line\nbreak \u00e9"}),
+    point,
+    lambda: hodge_formal(HodgeDiamond(0, {})),
+    lambda: hodge_formal(HodgeDiamond(2, {(0, 0): 1, (1, 1): 2, (2, 0): 1, (0, 2): 1, (2, 2): 1})),
+    lambda: product_model(torus(1), hodge_formal(HodgeDiamond(1, {(0, 0): 1, (1, 1): 1}))),
+], ids=["awkward-labels", "one-quoted-label", "every-escaped-character", "empty-labels",
+        "non-ascii", "no-blocks", "empty-basis", "metadata", "point", "formal-empty",
+        "formal-n2", "product"])
+def test_model_to_json_matches_json_dumps(build):
+    m = build()
+    assert model_to_json(m) == oracle_model_to_json(m)
+
+
+any_text = st.text(st.characters(), max_size=5)
+plain_text = st.text(st.characters(exclude_characters=ESCAPED), max_size=5)
+
+
+@st.composite
+def one_escaped(draw):
+    """A list of strings of which exactly one needs an escape."""
+    row = draw(st.lists(plain_text, max_size=5))
+    odd = draw(plain_text) + draw(st.sampled_from(ESCAPED)) + draw(plain_text)
+    row.insert(draw(st.integers(0, len(row))), odd)
+    return row
+
+
+json_trees = st.recursive(
+    st.one_of(any_text, st.integers(), st.floats(allow_nan=False, allow_infinity=False),
+              st.booleans(), st.none(), st.lists(plain_text, max_size=4), one_escaped()),
+    lambda kids: st.one_of(st.lists(kids, max_size=4), st.lists(kids, max_size=3).map(tuple),
+                           st.dictionaries(any_text, kids, max_size=4)),
+    max_leaves=25)
+
+
+@settings(max_examples=400, deadline=None)
+@given(json_trees)
+def test_model_encoder_matches_json_dumps_on_random_trees(tree):
+    out = []
+    _encode(tree, "\n", out)
+    assert "".join(out) == json.dumps(tree, indent=2, sort_keys=True, ensure_ascii=False)
