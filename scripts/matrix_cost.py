@@ -1,4 +1,4 @@
-"""Three measurements outside the perfbench ladder, for one checkout of kbhom.
+"""Four measurements outside the perfbench ladder, for one checkout of kbhom.
 
 * heis8: ``parallelizable(8, {(1,2,3): 1}, {(1,2): 1})`` built and
   validated, then ``kb_homology``; the best of ``REPS`` runs (wall time).
@@ -8,6 +8,9 @@
 * heis5 and heis6 model files: ``model_to_json`` on the built model, the
   best of ``REPS`` runs (wall time), and the tracemalloc peak, above the
   start, of one more run.
+* so(3)* weight 60: ``stein_complex`` of the linear bivector
+  z3 ∂1∧∂2 + z1 ∂2∧∂3 + z2 ∂3∧∂1 on C³ at weight 60 (5673×5673 middle
+  blocks), then ``homology_dims``; the best of ``REPS`` runs (wall time).
 
 Run from the root of a checkout, or point it at another one:
 
@@ -31,8 +34,10 @@ def main() -> int:
                         help="the src/ directory to import kbhom from")
     args = parser.parse_args()
     sys.path.insert(0, args.src)
+    from kbhom.complexes import homology_dims
     from kbhom.engine import kb_homology
     from kbhom.models import validate_model
+    from kbhom.stein import stein_complex
     from kbhom.zoo import model_to_json, parallelizable
 
     def heis(n):
@@ -82,6 +87,21 @@ def main() -> int:
         print(f"heis{n} model_to_json ({size / 1e6:.1f} MB): {best:.3f} s best of {REPS}, "
               f"tracemalloc peak {peak / 2**20:.1f} MiB")
         del m
+
+    so3 = [(1, 2, 1, (0, 0, 1)), (2, 3, 1, (1, 0, 0)), (3, 1, 1, (0, 1, 0))]
+    best = None
+    for _ in range(REPS):
+        gc.collect()
+        t0 = time.perf_counter()
+        c = stein_complex(3, so3, 60, cap=60)
+        t1 = time.perf_counter()
+        homology_dims(c)
+        t2 = time.perf_counter()
+        if best is None or t2 - t0 < best[0]:
+            best = (t2 - t0, t1 - t0, t2 - t1)
+        del c
+    print(f"so(3)* weight 60 stein_complex+homology_dims: {best[0]:.3f} s best of {REPS} "
+          f"(stein_complex {best[1]:.3f} s, homology_dims {best[2]:.3f} s)")
     return 0
 
 

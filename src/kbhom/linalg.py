@@ -389,7 +389,7 @@ class Reduction(NamedTuple):
         return _from_columns(n, rhs.cols, pieces), missing
 
 
-def _reduce(m: Matrix, track: bool = False) -> Reduction:
+def _reduce(m: Matrix, track: bool = False, clear=()) -> Reduction:
     """Fraction-free column reduction of m, left to right.
 
     Each column is reduced by ``_eliminate`` against the columns before
@@ -398,9 +398,18 @@ def _reduce(m: Matrix, track: bool = False) -> Reduction:
     every reduced column is a nonzero rational multiple of the one an
     elimination over Q would give, with the same owners, pivot columns and
     persistence pairs.  ``track`` records what ``kernel`` and ``solve`` need.
+
+    ``clear`` is a container of columns the caller has proved to depend on
+    the columns before them: each is left as an empty reduced column, not
+    copied or eliminated.  Such a column would reduce to zero and own no
+    pivot, so the owners, and the rank, are those of the full reduction
+    (see ``complexes._cleared_owners``).  The combinations of the cleared
+    columns are unknown, so ``clear`` refuses ``track``.
     """
+    if track and clear:
+        raise ValueError("a tracked reduction cannot clear columns")
     lines, dens = m._lines, m._dens
-    reduced = [dict(lines.get(j, ())) for j in range(m.cols)]
+    reduced = [{} if j in clear else dict(lines.get(j, ())) for j in range(m.cols)]
     owner = {}
     combo = [] if track else None
     for j, col in enumerate(reduced):

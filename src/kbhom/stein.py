@@ -80,10 +80,13 @@ class PolyBivector:
         """Build from (i, j, coeff, alpha) tuples or equivalent dicts.
 
         A dict term has exactly the fields "i", "j", "coeff" and "alpha"
-        (a ValueError naming the term and the field otherwise).  Indices
-        are 1-based; i > j is normalized by antisymmetry; all monomials
-        must share one degree |alpha| (the default degree of the zero
-        bivector is 0 unless given).  Inputs are strictly typed:
+        (a ValueError naming the term and the field otherwise), and any
+        other term is a tuple or list of those four, in that order (a
+        ValueError naming the term otherwise, a TypeError naming it when
+        the term or its alpha is not iterable).  Indices are 1-based;
+        i > j is normalized by antisymmetry; all monomials must share one
+        degree |alpha| (the default degree of the zero bivector is 0
+        unless given).  Inputs are strictly typed:
         indices and exponents are ints (TypeError otherwise), and
         coefficients are ints, Fractions or "a/b" strings, read by
         ``linalg._q`` (bools and floats raise TypeError, other strings
@@ -100,11 +103,21 @@ class PolyBivector:
                 for field in _TERM_FIELDS:
                     if field not in raw:
                         raise ValueError(f"term {idx}: missing field {field!r}")
-                i, j, coeff, alpha = (raw[field] for field in _TERM_FIELDS)
+                raw = [raw[field] for field in _TERM_FIELDS]
+            try:
+                raw = tuple(raw)
+            except TypeError:
+                raise TypeError(f"term {idx}: a term is a list [i, j, coeff, alpha] "
+                                f"or a dict, not {type(raw).__name__}") from None
+            if len(raw) != len(_TERM_FIELDS):
+                raise ValueError(f"term {idx}: a list term has the 4 entries "
+                                 f"[i, j, coeff, alpha], not {len(raw)}")
+            i, j, coeff, alpha = raw
+            try:
                 alpha = tuple(alpha)
-            else:
-                i, j, coeff, alpha = raw
-                alpha = tuple(alpha)
+            except TypeError:
+                raise TypeError(f"term {idx}: alpha must be a list of exponents, "
+                                f"not {type(alpha).__name__}") from None
             coeff = _q(coeff)
             for x in (i, j, *alpha):
                 if not _is_int(x):
@@ -141,15 +154,18 @@ class PolyBivector:
         return not self.terms
 
 
-def _compositions(total: int, parts: int):
-    """All tuples of `parts` nonnegative ints summing to total, lex ascending."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+def _compositions(total: int, parts: int) -> list:
+    """All tuples of `parts` nonnegative ints summing to total, lex ascending.
+
+    Stars and bars: the parts - 1 bars take ascending positions among
+    total + parts - 1 slots, and each part counts the stars between two
+    bars.  The parts' partial sums are the bar positions less their
+    indices, so combinations' lex order is the parts' lex order."""
+    if total < 0 or parts == 0:
+        return [()] if total == parts == 0 else []
+    slots = total + parts - 1
+    return [tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, slots)))
+            for bars in combinations(range(slots), parts - 1)]
 
 
 def slice_basis(n: int, degree: int, w: int, cap: int) -> dict:
@@ -162,6 +178,7 @@ def slice_basis(n: int, degree: int, w: int, cap: int) -> dict:
     if cap < 0:
         raise ValueError(f"cap must be nonnegative, got {cap}")
     out: dict = {}
+    alphas: dict = {}  # the compositions of each |alpha|, shared by the degrees
     for size in range(n + 1):
         a = w - (degree - 1) * size
         if a < 0:
@@ -169,10 +186,10 @@ def slice_basis(n: int, degree: int, w: int, cap: int) -> dict:
         if a > cap:
             raise SliceCapError(
                 f"weight {w} needs |alpha| = {a} > cap = {cap} at form degree {size}")
-        monos = [(alpha, i_set)
-                 for alpha in _compositions(a, n)
-                 for i_set in combinations(range(1, n + 1), size)]
-        out[size] = monos
+        if a not in alphas:
+            alphas[a] = _compositions(a, n)
+        out[size] = [(alpha, i_set) for alpha in alphas[a]
+                     for i_set in combinations(range(1, n + 1), size)]
     return out
 
 

@@ -16,7 +16,9 @@ loops, share no tensor or sign code with ``kbhom.complexes`` and
 ``kbhom.models``.  The former model validator sums ``Matrix`` products
 of zero-filled blocks, not the integer blocks of ``validate_model``.
 The former model writer is ``json.dumps`` itself, which shares no
-encoder code with ``kbhom.zoo.model_to_json``.
+encoder code with ``kbhom.zoo.model_to_json``.  Homology dimensions come
+from one Bareiss rank per differential, with no clearing, and Stein
+slice exponents from the former recursive generator.
 """
 
 import json
@@ -269,6 +271,61 @@ def oracle_validate_model(m: DolbeaultPoissonModel) -> tuple:
 
 def oracle_rank(m: Matrix) -> int:
     return len(_echelon(m)[1])
+
+
+def oracle_homology_dims(c: Complex) -> dict:
+    """dim H^k = dim C^k - rank d^k - rank d^{k-1}, each differential's
+    rank by Bareiss on its own, nothing cleared."""
+    ranks = {k: oracle_rank(m) for k, m in c.diffs.items()}
+    return {k: c.dim(k) - ranks.get(k, 0) - ranks.get(k - 1, 0) for k in c.degrees()}
+
+
+def _random_basis(rng, n: int) -> tuple:
+    """``(A, A^{-1})`` for A = P U: U upper unitriangular with integer
+    entries in [-2, 2] above the diagonal, P a random permutation."""
+    u = [[int(i == j) or (rng.randint(-2, 2) if j > i else 0) for j in range(n)]
+         for i in range(n)]
+    inv = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i in reversed(range(n)):  # row i of U^{-1} is e_i - Σ_{j>i} u_ij row j
+        for j in range(i + 1, n):
+            for col in range(n):
+                inv[i][col] -= u[i][j] * inv[j][col]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    # P moves row i to row perm[i], and P^{-1} column perm[j] to column j
+    a = Matrix(n, n, {(perm[i], j): u[i][j] for i in range(n) for j in range(n)})
+    a_inv = Matrix(n, n, {(i, perm[j]): inv[i][j] for i in range(n) for j in range(n)})
+    return a, a_inv
+
+
+def elementary_complex(rng, homology: dict, edges: dict) -> Complex:
+    """The direct sum of homology[k] lone Q's in degree k and edges[k]
+    copies of Q -> Q (by 1) from degree k to k+1, so H^k has dimension
+    homology[k], written in a random basis A_k (``_random_basis``) per
+    degree: d^k becomes A_{k+1} d^k A_k^{-1}, and its pivots land
+    anywhere."""
+    degrees = set(homology) | set(edges) | {k + 1 for k in edges}
+    dims = {k: homology.get(k, 0) + edges.get(k, 0) + edges.get(k - 1, 0) for k in degrees}
+    bases = {k: _random_basis(rng, d) for k, d in dims.items()}
+    diffs = {}
+    for k, e in edges.items():
+        # in degree k: lone Q's, edge sources, edge targets, in this order
+        src, tgt = homology.get(k, 0), homology.get(k + 1, 0) + edges.get(k + 1, 0)
+        d = Matrix(dims[k + 1], dims[k], {(tgt + i, src + i): 1 for i in range(e)})
+        diffs[k] = oracle_product(oracle_product(bases[k + 1][0], d), bases[k][1])
+    return Complex(dims, diffs)
+
+
+def oracle_compositions(total: int, parts: int):
+    """The former recursive generator of the tuples of ``parts``
+    nonnegative ints summing to total, lex ascending."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(total + 1):
+        for rest in oracle_compositions(total - first, parts - 1):
+            yield (first,) + rest
 
 
 def oracle_kernel_basis(m: Matrix) -> Subspace:

@@ -576,6 +576,17 @@ def test_stein_term_fields_are_strict(tmp_path, capsys, term, message):
     assert capsys.readouterr().err == f"kbhom: parse error: {pi}: {message}\n"
 
 
+@pytest.mark.parametrize("term, message", [
+    ([1, 2, "1"], "term 0: a list term has the 4 entries [i, j, coeff, alpha], not 3"),
+    (5, "term 0: a term is a list [i, j, coeff, alpha] or a dict, not int"),
+    ([1, 2, "1", 0], "term 0: alpha must be a list of exponents, not int"),
+], ids=["short-list", "int", "int-alpha"])
+def test_stein_misshapen_terms_are_named(tmp_path, capsys, term, message):
+    pi = write_json(tmp_path / "pi.json", [term])
+    assert main(["stein", pi, "--n", "2", "--weights", "0"]) == 1
+    assert capsys.readouterr().err == f"kbhom: parse error: {pi}: {message}\n"
+
+
 def test_unknown_command_exits_1(capsys):
     assert main(["frobnicate"]) == 1
 

@@ -7,11 +7,12 @@ from kbhom.stein import (
     NonHomogeneousBivector,
     PolyBivector,
     SliceCapError,
+    _compositions,
     slice_basis,
     stein_complex,
     stein_homology,
 )
-from support import BAD_RATIONALS
+from support import BAD_RATIONALS, oracle_compositions
 
 CONSTANT = [(1, 2, 1, (0, 0))]          # ∂/∂z1 ∧ ∂/∂z2 on C², degree 0
 LINEAR = [(1, 2, 1, (1, 0))]            # z1 ∂/∂z1 ∧ ∂/∂z2 on C², degree 1
@@ -133,6 +134,25 @@ def test_from_terms_dict_terms_have_exactly_four_fields(term, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("term, error, message", [
+    ([1, 2, "1"], ValueError,
+     "term 1: a list term has the 4 entries [i, j, coeff, alpha], not 3"),
+    ([1, 2, "1", [0, 0], 5], ValueError,
+     "term 1: a list term has the 4 entries [i, j, coeff, alpha], not 5"),
+    (5, TypeError, "term 1: a term is a list [i, j, coeff, alpha] or a dict, not int"),
+    (None, TypeError, "term 1: a term is a list [i, j, coeff, alpha] or a dict, not NoneType"),
+    ([1, 2, "1", 7], TypeError, "term 1: alpha must be a list of exponents, not int"),
+    ({"i": 1, "j": 2, "coeff": "1", "alpha": 7}, TypeError,
+     "term 1: alpha must be a list of exponents, not int"),
+], ids=["short", "long", "int", "null", "list-alpha-int", "dict-alpha-int"])
+def test_from_terms_names_a_misshapen_term(term, error, message):
+    good = [1, 2, "1", [0, 0]]
+    with pytest.raises(error) as info:
+        PolyBivector.from_terms(2, [good, term])
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
 def test_negative_n_rejected():
     with pytest.raises(ValueError):
         PolyBivector.from_terms(-1, [])
@@ -151,6 +171,12 @@ def test_from_dict_terms():
         2, [{"i": 1, "j": 2, "coeff": "1/2", "alpha": [1, 0]}])
     assert pi.degree == 1
     assert pi.terms[(1, 2)][(1, 0)] == Fraction(1, 2)
+
+
+def test_compositions_keep_the_recursive_lex_order():
+    for total in range(-2, 13):
+        for parts in range(6):
+            assert _compositions(total, parts) == list(oracle_compositions(total, parts))
 
 
 def test_slice_basis_ordering_is_deterministic():
