@@ -28,6 +28,23 @@ from pathlib import Path
 REPS = 3
 
 
+def best_of(build, measure) -> tuple:
+    """The fastest of ``REPS`` runs of ``measure(build())``, as the wall
+    times ``(both, build, measure)`` of that run."""
+    best = None
+    for _ in range(REPS):
+        gc.collect()
+        t0 = time.perf_counter()
+        built = build()
+        t1 = time.perf_counter()
+        measure(built)
+        t2 = time.perf_counter()
+        if best is None or t2 - t0 < best[0]:
+            best = (t2 - t0, t1 - t0, t2 - t1)
+        del built
+    return best
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"),
@@ -43,18 +60,11 @@ def main() -> int:
     def heis(n):
         return parallelizable(n, {(1, 2, 3): 1}, {(1, 2): 1})
 
-    best = None
-    for _ in range(REPS):
-        gc.collect()
-        t0 = time.perf_counter()
-        m = heis(8)
+    def validated(m):
         validate_model(m)
-        t1 = time.perf_counter()
-        kb_homology(m)
-        t2 = time.perf_counter()
-        if best is None or t2 - t0 < best[0]:
-            best = (t2 - t0, t1 - t0, t2 - t1)
-        del m
+        return m
+
+    best = best_of(lambda: validated(heis(8)), kb_homology)
     print(f"heis8 build+validate+kb_homology: {best[0]:.3f} s best of {REPS} "
           f"(build+validate {best[1]:.3f} s, kb_homology {best[2]:.3f} s)")
 
@@ -89,17 +99,7 @@ def main() -> int:
         del m
 
     so3 = [(1, 2, 1, (0, 0, 1)), (2, 3, 1, (1, 0, 0)), (3, 1, 1, (0, 1, 0))]
-    best = None
-    for _ in range(REPS):
-        gc.collect()
-        t0 = time.perf_counter()
-        c = stein_complex(3, so3, 60, cap=60)
-        t1 = time.perf_counter()
-        homology_dims(c)
-        t2 = time.perf_counter()
-        if best is None or t2 - t0 < best[0]:
-            best = (t2 - t0, t1 - t0, t2 - t1)
-        del c
+    best = best_of(lambda: stein_complex(3, so3, 60, cap=60), homology_dims)
     print(f"so(3)* weight 60 stein_complex+homology_dims: {best[0]:.3f} s best of {REPS} "
           f"(stein_complex {best[1]:.3f} s, homology_dims {best[2]:.3f} s)")
     return 0

@@ -531,13 +531,13 @@ def test_internal_faults_exit_4(tmp_path, capsys, monkeypatch, fault):
 
 def test_complex_invariant_error_exits_4(capsys, monkeypatch, torus1_file):
     def broken(*args, **kwargs):
-        raise ComplexInvariantError("negative homology at degree 0")
+        raise ComplexInvariantError("differential does not square to zero at degree 0")
 
     monkeypatch.setattr(cli, "kb_homology", broken)
     assert main(["compute", torus1_file]) == cli.EXIT_INTERNAL == 4
     err = capsys.readouterr().err
     assert err.startswith("kbhom: internal error: ComplexInvariantError: ")
-    assert "negative homology at degree 0" in err
+    assert "differential does not square to zero at degree 0" in err
 
 
 @pytest.mark.parametrize("change", [{"coeff": 0.1}, {"coeff": True},
