@@ -1,7 +1,10 @@
-"""Four measurements outside the perfbench ladder, for one checkout of kbhom.
+"""Five measurements outside the perfbench ladder, for one checkout of kbhom.
 
 * heis8: ``parallelizable(8, {(1,2,3): 1}, {(1,2): 1})`` built and
   validated, then ``kb_homology``; the best of ``REPS`` runs (wall time).
+* heis6 and heis7 spectral pages: the bicomplex ``kb_double_complex`` of
+  the validated model, then ``spectral_pages(dc, 2)``; the best of
+  ``REPS`` runs (wall time).
 * heis6 validation memory: the tracemalloc peak, above the start, of
   building ``parallelizable(6, ...)`` and running ``validate_model`` on it,
   and what stays allocated afterwards.
@@ -51,8 +54,8 @@ def main() -> int:
                         help="the src/ directory to import kbhom from")
     args = parser.parse_args()
     sys.path.insert(0, args.src)
-    from kbhom.complexes import homology_dims
-    from kbhom.engine import kb_homology
+    from kbhom.complexes import homology_dims, spectral_pages
+    from kbhom.engine import kb_double_complex, kb_homology
     from kbhom.models import validate_model
     from kbhom.stein import stein_complex
     from kbhom.zoo import model_to_json, parallelizable
@@ -67,6 +70,12 @@ def main() -> int:
     best = best_of(lambda: validated(heis(8)), kb_homology)
     print(f"heis8 build+validate+kb_homology: {best[0]:.3f} s best of {REPS} "
           f"(build+validate {best[1]:.3f} s, kb_homology {best[2]:.3f} s)")
+
+    for n in (6, 7):
+        best = best_of(lambda: kb_double_complex(validated(heis(n))),
+                       lambda dc: spectral_pages(dc, 2))
+        print(f"heis{n} spectral_pages(kb_double_complex, 2): {best[2]:.3f} s best of {REPS} "
+              f"(build+validate+bicomplex {best[1]:.3f} s)")
 
     gc.collect()
     tracemalloc.start()

@@ -21,9 +21,18 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from operator import index
 from types import MappingProxyType
 
-from .linalg import Matrix, _from_columns, _reduce, _select_columns, _select_rows, rank
+from .linalg import (
+    Matrix,
+    _from_columns,
+    _reduce,
+    _select_columns,
+    _select_rows,
+    _sum_of_products,
+    rank,
+)
 
 
 class ComplexInvariantError(ValueError):
@@ -84,14 +93,31 @@ def cell_shape(dims, bidegree: tuple):
     return lambda cell: (dims.get((cell[0] + dp, cell[1] + dq), 0), dims.get(cell, 0))
 
 
-def _positive_dims(spaces) -> dict:
-    sp = {}
-    for key, d in spaces.items():
-        if d < 0:
-            raise ValueError("negative dimension")
-        if d:
-            sp[key] = int(d)
-    return sp
+def graded_dims(table, name: str = "spaces", cells: bool = False, bounds=None) -> dict:
+    """The one reader of graded dimensions: the nonzero entries of
+    ``table``, which maps degrees (ints) or, with ``cells``, cells (pairs
+    of ints) to dimensions.  Keys and values are cast with
+    ``operator.index``, so a float or a string raises TypeError rather
+    than being truncated or parsed; zeros are dropped, and a negative
+    value, a key of the wrong length (a degree is one int, a cell a pair),
+    or a nonzero value at a key with a coordinate outside ``bounds``
+    (``(lo, hi)``; None: unbounded) raises ValueError.  ``name`` names the
+    table in the messages."""
+    clean = {}
+    for key, v in table.items():
+        v = index(v)
+        if v < 0:
+            raise ValueError(f"{name}[{key!r}] = {v} is negative")
+        if cells != isinstance(key, tuple) or cells and len(key) != 2:
+            raise ValueError(f"{name}[{key!r}] = {v}: the key is not "
+                             + ("a cell (p, q)" if cells else "a degree"))
+        coords = tuple(map(index, key)) if cells else (index(key),)
+        if not v:
+            continue
+        if bounds and not all(bounds[0] <= c <= bounds[1] for c in coords):
+            raise ValueError(f"{name}[{key!r}] = {v} is outside {list(bounds)}")
+        clean[coords if cells else coords[0]] = v
+    return clean
 
 
 class Complex:
@@ -100,7 +126,7 @@ class Complex:
     __slots__ = ("spaces", "diffs")
 
     def __init__(self, spaces, diffs=None, check=True):
-        sp = _positive_dims(spaces)
+        sp = graded_dims(spaces)
         object.__setattr__(self, "spaces", MappingProxyType(sp))
         object.__setattr__(self, "diffs", BlockMap(
             diffs, lambda k: (sp.get(k + 1, 0), sp.get(k, 0))))
@@ -142,7 +168,7 @@ class DoubleComplex:
     __slots__ = ("spaces", "d1", "d2")
 
     def __init__(self, spaces, d1=None, d2=None, check=True):
-        sp = _positive_dims(spaces)
+        sp = graded_dims(spaces, cells=True)
         object.__setattr__(self, "spaces", MappingProxyType(sp))
         object.__setattr__(self, "d1", BlockMap(d1, cell_shape(sp, (1, 0))))
         object.__setattr__(self, "d2", BlockMap(d2, cell_shape(sp, (0, 1))))
@@ -162,15 +188,17 @@ class DoubleComplex:
         return sum(self.spaces.values())
 
     def validate(self):
-        d1, d2 = self.d1.at, self.d2.at
+        d1, d2, dim = self.d1.get, self.d2.get, self.dim
         for (p, q) in self.spaces:
-            if not (d1((p + 1, q)) * d1((p, q))).is_zero():
-                raise ComplexInvariantError(f"d1∘d1 ≠ 0 at {(p, q)}")
-            if not (d2((p, q + 1)) * d2((p, q))).is_zero():
-                raise ComplexInvariantError(f"d2∘d2 ≠ 0 at {(p, q)}")
-            anti = d1((p, q + 1)) * d2((p, q)) + d2((p + 1, q)) * d1((p, q))
-            if not anti.is_zero():
-                raise ComplexInvariantError(f"d1∘d2 + d2∘d1 ≠ 0 at {(p, q)}")
+            # per identity: its name, the bidegree of its residual and its terms
+            for name, (dp, dq), terms in (
+                    ("d1∘d1", (2, 0), [(1, d1((p + 1, q)), d1((p, q)))]),
+                    ("d2∘d2", (0, 2), [(1, d2((p, q + 1)), d2((p, q)))]),
+                    ("d1∘d2 + d2∘d1", (1, 1), [(1, d1((p, q + 1)), d2((p, q))),
+                                               (1, d2((p + 1, q)), d1((p, q)))])):
+                residual = _sum_of_products(terms, dim(p + dp, q + dq), dim(p, q))
+                if residual is not None and not residual.is_zero():
+                    raise ComplexInvariantError(f"{name} ≠ 0 at {(p, q)}")
 
     def __eq__(self, other):
         return (isinstance(other, DoubleComplex) and self.spaces == other.spaces
@@ -181,13 +209,14 @@ class DoubleComplex:
 
 
 def _total_layout(dc: DoubleComplex):
-    """Per total degree: ordered (cell, offset) pairs plus the total dim.
+    """Per total degree, ascending: ordered (cell, offset) pairs plus the
+    total dim.
 
-    Cells at a fixed total degree are ordered by ascending first index p,
-    so the column filtration is a suffix of coordinates.
+    Cells at a fixed total degree are ordered by descending first index p,
+    so every F^p of the column filtration is a prefix of the coordinates.
     """
     by_degree: dict[int, list] = {}
-    for cell in dc.cells():
+    for cell in sorted(dc.spaces, key=lambda c: (c[0] + c[1], -c[0])):
         by_degree.setdefault(cell[0] + cell[1], []).append(cell)
     layouts = {}
     for k, cells in by_degree.items():
@@ -384,12 +413,12 @@ def spectral_pages(dc: DoubleComplex, r_max: int) -> SpectralPages:
     """Pages E_1..E_r_max plus the limit page, read off persistence pairs.
 
     The filtration is by columns (first index): F^p, the span of the cells
-    with first index >= p, is a suffix of each total degree's coordinates.
-    Each total differential is column-reduced with rows and columns
-    reversed, so that every F^p is a prefix, and with clearing, which
-    leaves the pairs as they are (``_cleared_owners``).  A pivot then
-    pairs a coordinate in column p_j with one in column p_i >= p_j; both
-    survive to page ℓ = p_i - p_j, where d_ℓ kills them.  Hence
+    with first index >= p, is a prefix of each total degree's coordinates
+    (``_total_layout``).  So each total differential, as built, is
+    column-reduced with clearing, which leaves the pairs as they are
+    (``_cleared_owners``).  A pivot then pairs a coordinate in column p_j
+    with one in column p_i >= p_j; both survive to page ℓ = p_i - p_j,
+    where d_ℓ kills them.  Hence
 
         dim E_r^{p,q} = (unpaired coordinates in (p,q))
                         + (pair ends in (p,q) with ℓ >= r),
@@ -407,17 +436,10 @@ def spectral_pages(dc: DoubleComplex, r_max: int) -> SpectralPages:
                for k, (lay, _) in layouts.items()}
     unpaired = dict(dc.spaces)
     lengths: dict = {cell: [] for cell in dc.spaces}
-    diffs = _total_differentials(dc, layouts)
-    # the reversal of C^k is one permutation, whether d^k's columns or
-    # d^{k-1}'s rows, so the reversed differentials still square to zero
-    reversed_d = ((k, _from_columns(d.rows, d.cols, (
-        (d.cols - 1 - j, {d.rows - 1 - i: v for i, v in col}, den)
-        for j, col, den in d._columns()))) for k, d in sorted(diffs.items()))
-    for k, owner in _cleared_owners(reversed_d).items():
-        d = diffs[k]
+    diffs = sorted(_total_differentials(dc, layouts).items())
+    for k, owner in _cleared_owners(diffs).items():
         for i, j in owner.items():
-            src = cell_of[k][d.cols - 1 - j]
-            tgt = cell_of[k + 1][d.rows - 1 - i]
+            src, tgt = cell_of[k][j], cell_of[k + 1][i]
             for cell in (src, tgt):
                 unpaired[cell] -= 1
                 lengths[cell].append(tgt[0] - src[0])
@@ -457,9 +479,11 @@ class ChainMap:
     def validate(self):
         degrees = set(self.source.spaces) | set(self.target.spaces)
         for k in degrees:
-            lhs = self.target.d(k) * self.at(k)
-            rhs = self.at(k + 1) * self.source.d(k)
-            if lhs != rhs:
+            residual = _sum_of_products(
+                [(1, self.target.diffs.get(k), self.blocks.get(k)),
+                 (-1, self.blocks.get(k + 1), self.source.diffs.get(k))],
+                self.target.dim(k + 1), self.source.dim(k))
+            if residual is not None and not residual.is_zero():
                 raise ValueError(f"square does not commute at degree {k}")
 
 

@@ -22,12 +22,12 @@ differential's D² = 0 is made of the same three identities, so
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from operator import index
 
 from .complexes import (
     Complex,
     DoubleComplex,
     SpectralPages,
+    graded_dims,
     homology_dims,
     spectral_pages,
     total_complex,
@@ -36,29 +36,18 @@ from .models import DolbeaultPoissonModel, koszul_differential
 
 
 class _Table:
-    """The cleaning shared by the dimension tables.  A table's last field
-    maps its keys (ints, or tuples of ints) to dimensions; construction
-    drops zeros, casts keys and values to int with ``operator.index`` (a
-    float or a string raises TypeError rather than being truncated or
-    parsed), and rejects a negative value or a nonzero value at a key with
-    a coordinate outside ``bounds``, the ``(lo, hi)`` each class supplies
-    (None: unbounded)."""
+    """The cleaning shared by the dimension tables: construction reads a
+    table's last field, which maps its keys (ints, or with ``cells`` pairs
+    of ints) to dimensions, through ``complexes.graded_dims`` with the
+    ``bounds`` each class supplies (None: unbounded)."""
 
     bounds = None
+    cells = False
 
     def __post_init__(self):
         name = fields(self)[-1].name
-        clean = {}
-        for key, v in getattr(self, name).items():
-            if v < 0:
-                raise ValueError(f"{name}[{key!r}] = {v} is negative")
-            if not v:
-                continue
-            coords = tuple(map(index, key)) if isinstance(key, tuple) else (index(key),)
-            if self.bounds and not all(self.bounds[0] <= c <= self.bounds[1] for c in coords):
-                raise ValueError(f"{name}[{key!r}] = {v} is outside {list(self.bounds)}")
-            clean[coords if isinstance(key, tuple) else coords[0]] = index(v)
-        object.__setattr__(self, name, clean)
+        object.__setattr__(self, name, graded_dims(getattr(self, name), name,
+                                                   self.cells, self.bounds))
 
     def __getitem__(self, key) -> int:
         return getattr(self, fields(self)[-1].name).get(key, 0)
@@ -86,6 +75,7 @@ class HodgeDiamond(_Table):
 
     n: int
     h: dict = field(default_factory=dict)
+    cells = True
 
     @property
     def bounds(self):

@@ -448,31 +448,6 @@ def kernel_basis(m: Matrix) -> "Subspace":
     return _reduce(m, track=True).kernel()
 
 
-def solve_columns(m: Matrix, rhs: Matrix) -> list[list | None]:
-    """For each column b of rhs: the solution x of m*x = b supported on the
-    pivot columns of m, as a list of m.cols Fractions, or None; m is
-    reduced once for all of them (see ``Reduction.solve``)."""
-    if rhs.rows != m.rows:
-        raise ValueError("right-hand side shape mismatch")
-    x, missing = _reduce(m, track=True).solve(rhs)
-    return [None if j in missing else x.column(j) for j in range(rhs.cols)]
-
-
-def solve(m: Matrix, b) -> list | None:
-    """The solution x of m*x = b supported on the pivot columns, or None.
-
-    ``b`` may be a list of length m.rows or a single-column Matrix.
-    """
-    if isinstance(b, Matrix):
-        if b.cols != 1 or b.rows != m.rows:
-            raise ValueError("right-hand side shape mismatch")
-    elif len(b) != m.rows:
-        raise ValueError("right-hand side length mismatch")
-    else:
-        b = Matrix(m.rows, 1, {(i, 0): v for i, v in enumerate(b)})
-    return solve_columns(m, b)[0]
-
-
 class Subspace:
     """A linear subspace of Q^n carried by a basis matrix (columns)."""
 

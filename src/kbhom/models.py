@@ -22,7 +22,7 @@ from itertools import combinations
 from math import lcm
 from types import MappingProxyType
 
-from .complexes import BlockMap, cell_shape, koszul_tensor, tensor_layout
+from .complexes import BlockMap, cell_shape, graded_dims, koszul_tensor, tensor_layout
 from .linalg import Matrix, _from_columns, _is_int, _q, _sum_of_products
 
 
@@ -179,6 +179,10 @@ def normalize_bivector_coeffs(n: int, coeffs) -> dict:
 class DolbeaultPoissonModel:
     """Immutable finite model; each operator is a read-only ``BlockMap``.
 
+    ``n`` is a plain nonnegative int and ``basis`` maps cells (p, q) in
+    [0, n]² to lists of label strings; its dimensions are read by
+    ``complexes.graded_dims`` (empty cells are dropped).
+
     The first ``validate_model`` call stores its report and the blocks of
     the derived Koszul differential in ``_validated``; the model cannot
     change, so later calls, and ``koszul_differential``, reuse them.
@@ -189,15 +193,16 @@ class DolbeaultPoissonModel:
 
     def __init__(self, n, basis, del_blocks=None, delbar_blocks=None,
                  contraction_blocks=None, wedge=None, name="model", metadata=None):
+        if not _is_int(n):
+            raise TypeError(f"complex dimension must be int, not {type(n).__name__}")
         if n < 0:
             raise ValueError("complex dimension must be nonnegative")
-        clean_basis = {}
-        for (p, q), labels in basis.items():
-            if labels:
-                if not (0 <= p <= n and 0 <= q <= n):
-                    raise ValueError(f"basis bidegree {(p, q)} outside [0,{n}]²")
-                clean_basis[(p, q)] = tuple(labels)
-        dims = {cell: len(labels) for cell, labels in clean_basis.items()}
+        for cell, labels in basis.items():
+            if not (isinstance(labels, (list, tuple)) and all(isinstance(s, str) for s in labels)):
+                raise TypeError(f"basis[{cell!r}] must be a list of strings")
+        dims = graded_dims({cell: len(labels) for cell, labels in basis.items()},
+                           "basis", cells=True, bounds=(0, n))
+        clean_basis = {cell: tuple(basis[cell]) for cell in dims}
         object.__setattr__(self, "n", n)
         # read-only, so the stored validation cannot go stale
         object.__setattr__(self, "basis", MappingProxyType(clean_basis))

@@ -232,6 +232,8 @@ def load_model(data: dict, lax: bool = False,
             raise ModelFileError(f"basis key {key!r} names cell {cell} a second time")
         if not isinstance(labels, list) or not all(isinstance(s, str) for s in labels):
             raise ModelFileError(f"basis[{key!r}] must be a list of strings")
+        if labels and not all(0 <= x <= n for x in cell):
+            raise ModelFileError(f"basis bidegree {cell} outside [0,{n}]²")
         basis[cell] = labels
 
     def blocks_in(field_name: str) -> dict:

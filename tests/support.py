@@ -37,7 +37,7 @@ from kbhom.complexes import (
     cell_shape,
     tensor_double,
 )
-from kbhom.linalg import Matrix, Subspace, kernel_basis
+from kbhom.linalg import Matrix, Subspace, _reduce, kernel_basis
 from kbhom.models import (
     IDENTITY_NAMES,
     CheckResult,
@@ -387,6 +387,17 @@ def oracle_solve(m: Matrix, b) -> list | None:
                 s -= aug[i][j] * x[j]
         x[c] = s / aug[i][c]
     return x
+
+
+def reduction_solve(m: Matrix, columns) -> list:
+    """``_reduce(m, track=True).solve(rhs)`` on the right-hand sides in
+    ``columns`` (lists of m.rows values), each answer in the form of
+    ``oracle_solve``: a list of m.cols Fractions, or None where the column
+    has no solution."""
+    rhs = Matrix(m.rows, len(columns), {(i, j): v for j, col in enumerate(columns)
+                                        for i, v in enumerate(col)})
+    x, missing = _reduce(m, track=True).solve(rhs)
+    return [None if j in missing else x.column(j) for j in range(rhs.cols)]
 
 
 def _columns(m: Matrix, cols) -> Matrix:

@@ -47,6 +47,37 @@ def test_total_one_torus():
     assert t.spaces == {-1: 1, 0: 2, 1: 1}
 
 
+def test_total_complex_orders_a_degree_by_descending_p():
+    # every F^p is a prefix of the coordinates: spectral_pages reduces D as built
+    assert complexes._total_layout(one_torus_bicomplex())[0] == ([((0, 0), 0), ((-1, 1), 1)], 2)
+    dc = DoubleComplex(
+        {(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1},
+        d1={(0, 0): Matrix.from_rows([[2]]), (0, 1): Matrix.from_rows([[2]])},
+        d2={(0, 0): Matrix.from_rows([[3]]), (1, 0): Matrix.from_rows([[-3]])},
+    )
+    t = total_complex(dc)
+    assert t.d(0).to_rows() == [[2], [3]]   # rows (1, 0), (0, 1)
+    assert t.d(1).to_rows() == [[-3, 2]]    # columns (1, 0), (0, 1)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Complex({0: 2.7}),
+    lambda: Complex({0.5: 1}),
+    lambda: Complex({(0, 0): 1}),
+    lambda: Complex({0: "2"}),
+    lambda: Complex({0: -1}),
+    lambda: DoubleComplex({(0.5, 0): 1}),
+    lambda: DoubleComplex({(0, 0): 1.0}),
+    lambda: DoubleComplex({0: 1}),
+    lambda: DoubleComplex({(0, 0, 0): 1}),
+], ids=["float-dim", "float-degree", "cell-degree", "string-dim", "negative-dim",
+        "float-cell", "float-cell-dim", "degree-cell", "triple-cell"])
+def test_constructors_reject_dimensions_that_are_not_graded_ints(build):
+    # int() truncated 2.7 to 2, and a cell (0.5, 0) got pages of its own
+    with pytest.raises((TypeError, ValueError)):
+        build()
+
+
 def test_total_differential_squares_to_zero():
     # anticommuting unit square: the DoubleComplex constructor verifies
     # d1² = 0, d2² = 0 and d1d2 + d2d1 = 0, the blocks of D∘D, so
@@ -61,12 +92,25 @@ def test_total_differential_squares_to_zero():
 
 
 def test_double_complex_rejects_commuting_differentials():
-    with pytest.raises(ComplexInvariantError):
+    with pytest.raises(ComplexInvariantError, match=re.escape("d1∘d2 + d2∘d1 ≠ 0 at (0, 0)")):
         DoubleComplex(
             {(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1},
             d1={(0, 0): Matrix.from_rows([[1]]), (0, 1): Matrix.from_rows([[1]])},
             d2={(0, 0): Matrix.from_rows([[1]]), (1, 0): Matrix.from_rows([[1]])},
         )
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda one: DoubleComplex({(0, 0): 1, (1, 0): 1, (2, 0): 1},
+                               d1={(0, 0): one, (1, 0): one}), "d1∘d1 ≠ 0 at (0, 0)"),
+    (lambda one: DoubleComplex({(0, 0): 1, (0, 1): 1, (0, 2): 1},
+                               d2={(0, 0): one, (0, 1): one}), "d2∘d2 ≠ 0 at (0, 0)"),
+    (lambda one: ChainMap(Complex({0: 1, 1: 1}, {0: one}), Complex({0: 1, 1: 1}),
+                          {0: one, 1: one}), "square does not commute at degree 0"),
+], ids=["d1∘d1", "d2∘d2", "ChainMap"])
+def test_identity_failures_name_the_identity_and_where(build, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build(Matrix.from_rows([[1]]))
 
 
 def unit_square():
@@ -392,6 +436,26 @@ def test_kb_spectral_builds_the_total_differentials_once(monkeypatch):
     calls = counting(monkeypatch, complexes, "_total_differentials")
     kb_spectral(parallelizable(3, {(1, 2, 3): 1}, {(1, 2): 1}), 2)
     assert len(calls) == 1
+
+
+def test_spectral_pages_reduces_the_total_differentials_as_built(monkeypatch):
+    built, reduced = [], []
+    real_build, real_owners = complexes._total_differentials, complexes._cleared_owners
+
+    def build(*args):
+        built.append(real_build(*args))
+        return built[-1]
+
+    def owners(diffs):
+        reduced.extend(diffs)
+        return real_owners(reduced)
+
+    monkeypatch.setattr(complexes, "_total_differentials", build)
+    monkeypatch.setattr(complexes, "_cleared_owners", owners)
+    spectral_pages(kb_double_complex(parallelizable(3, {(1, 2, 3): 1}, {(1, 2): 1})), 2)
+    [diffs] = built
+    assert [k for k, _ in reduced] == sorted(diffs)
+    assert all(d is diffs[k] for k, d in reduced)
 
 
 def test_check_exact_ranks_each_map_once(monkeypatch):

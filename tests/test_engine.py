@@ -111,6 +111,10 @@ def test_kbdims_rejects_out_of_range():
     (lambda: HodgeDiamond(1, {(2, 0): 1}), "h[(2, 0)] = 1 is outside [0, 1]"),
     (lambda: HodgeDiamond(1, {(0, -1): 2}), "h[(0, -1)] = 2 is outside [0, 1]"),
     (lambda: HHDims({-5: -1}), "dims[-5] = -1 is negative"),
+    (lambda: HodgeDiamond(1, {0: 1}), "h[0] = 1: the key is not a cell (p, q)"),
+    (lambda: HodgeDiamond(1, {(0, 0, 0): 1}), "h[(0, 0, 0)] = 1: the key is not a cell (p, q)"),
+    (lambda: KBDims(1, {(1, 1): 1}), "dims[(1, 1)] = 1: the key is not a degree"),
+    (lambda: HHDims({(0,): 1}), "dims[(0,)] = 1: the key is not a degree"),
 ])
 def test_tables_reject_negative_and_out_of_range_values(make, message):
     with pytest.raises(ValueError, match=re.escape(message)):

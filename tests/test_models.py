@@ -187,6 +187,29 @@ def test_model_rejects_a_wrong_shaped_block(field, cell, expected):
         DolbeaultPoissonModel(2, dict(torus(2).basis), **{field: {cell: Matrix(1, 2)}})
 
 
+@pytest.mark.parametrize("build, error", [
+    (lambda: DolbeaultPoissonModel(1.5, {(0, 0): ["1"]}), TypeError),
+    (lambda: DolbeaultPoissonModel(True, {(0, 0): ["1"]}), TypeError),
+    (lambda: DolbeaultPoissonModel(-1, {}), ValueError),
+    (lambda: DolbeaultPoissonModel(1, {(0.5, 1): ["a"]}), TypeError),
+    (lambda: DolbeaultPoissonModel(1, {(0, 0): "ab"}), TypeError),
+    (lambda: DolbeaultPoissonModel(1, {(0, 0): ["a", 1]}), TypeError),
+    (lambda: DolbeaultPoissonModel(1, {0: ["a"]}), ValueError),
+    (lambda: DolbeaultPoissonModel(1, {(2, 0): ["a"]}), ValueError),
+], ids=["float-n", "bool-n", "negative-n", "float-cell", "string-labels", "int-label",
+        "degree-key", "cell-out-of-range"])
+def test_model_rejects_a_dimension_or_basis_that_is_not_strict(build, error):
+    # a (0.5, 1) cell made an empty KB table, and "ab" two basis elements
+    with pytest.raises(error):
+        build()
+
+
+def test_model_basis_drops_empty_cells_and_keeps_labels_as_given():
+    m = DolbeaultPoissonModel(1, {(0, 0): ("1",), (5, 5): [], (1, 1): ["a", "b"]})
+    assert dict(m.basis) == {(0, 0): ("1",), (1, 1): ("a", "b")}
+    assert dict(m.dims) == {(0, 0): 1, (1, 1): 2}
+
+
 def test_contraction_from_bivector_rejects_inexact_coefficients():
     m = torus(2)
     for pi in ({(1, 2): 0.5}, {(1, 2): True}, [[0, 0.5], [-0.5, 0]]):

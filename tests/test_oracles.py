@@ -24,11 +24,10 @@ from kbhom.complexes import (
 from kbhom.engine import kb_double_complex
 from kbhom.linalg import (
     Matrix,
+    _reduce,
     _sum_of_products,
     kernel_basis,
     rank,
-    solve,
-    solve_columns,
 )
 from kbhom.models import (
     DolbeaultPoissonModel,
@@ -50,6 +49,7 @@ from support import (
     random_complex,
     random_double_complex,
     random_split_ses,
+    reduction_solve,
     staircase_double_complex,
     twisted_ses,
 )
@@ -92,8 +92,8 @@ def test_solve_matches_oracle(data):
     x = data.draw(st.lists(rationals, min_size=m.cols, max_size=m.cols))
     consistent = (m * Matrix(m.cols, 1, {(j, 0): v for j, v in enumerate(x)})).column(0)
     arbitrary = data.draw(st.lists(rationals, min_size=m.rows, max_size=m.rows))
-    for b in (consistent, arbitrary):
-        assert solve(m, b) == oracle_solve(m, b)
+    assert reduction_solve(m, [consistent, arbitrary]) == [
+        oracle_solve(m, b) for b in (consistent, arbitrary)]
 
 
 @SETTINGS
@@ -111,19 +111,19 @@ def test_solve_columns_matches_oracle_column_by_column(data):
                            if m.cols else [Fraction(0)] * m.rows)
         else:
             columns.append(data.draw(st.lists(rationals, min_size=m.rows, max_size=m.rows)))
-    rhs = Matrix(m.rows, len(columns), {(i, j): v for j, col in enumerate(columns)
-                                        for i, v in enumerate(col)})
-    assert solve_columns(m, rhs) == [oracle_solve(m, col) for col in columns]
+    assert reduction_solve(m, columns) == [oracle_solve(m, col) for col in columns]
 
 
 def test_solve_columns_edge_shapes():
     m = Matrix.from_rows([[1, 2, 3], [2, 4, 6]])          # rank 1, dependent columns
-    rhs = Matrix.from_rows([[1, 1, 0], [2, 3, 0]])         # solvable, not, zero
-    assert solve_columns(m, rhs) == [oracle_solve(m, rhs.column(j)) for j in range(3)]
-    assert solve_columns(m, rhs)[1] is None
-    assert solve_columns(m, Matrix(2, 0)) == []
-    assert solve_columns(Matrix(0, 3), Matrix(0, 2)) == [[Fraction(0)] * 3] * 2
-    assert solve_columns(Matrix(2, 0), Matrix.from_rows([[0, 0], [0, 1]])) == [[], None]
+    columns = [[1, 2], [1, 3], [0, 0]]                    # solvable, not, zero
+    assert reduction_solve(m, columns) == [oracle_solve(m, col) for col in columns]
+    assert reduction_solve(m, columns)[1] is None
+    x, missing = _reduce(m, track=True).solve(Matrix.from_rows([[1, 1, 0], [2, 3, 0]]))
+    assert missing == {1} and x.column(1) == [Fraction(0)] * 3
+    assert reduction_solve(m, []) == []
+    assert reduction_solve(Matrix(0, 3), [[], []]) == [[Fraction(0)] * 3] * 2
+    assert reduction_solve(Matrix(2, 0), [[0, 0], [0, 1]]) == [[], None]
 
 
 big_rationals = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 97))
@@ -164,8 +164,8 @@ def test_coefficient_growth_matches_oracle(data):
     x = data.draw(st.lists(big_rationals, min_size=m.cols, max_size=m.cols))
     consistent = oracle_product(m, Matrix.from_column(x)).column(0)
     arbitrary = data.draw(st.lists(big_rationals, min_size=m.rows, max_size=m.rows))
-    for b in (consistent, arbitrary):
-        assert solve(m, b) == oracle_solve(m, b)
+    assert reduction_solve(m, [consistent, arbitrary]) == [
+        oracle_solve(m, b) for b in (consistent, arbitrary)]
 
 
 @st.composite

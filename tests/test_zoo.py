@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 from math import comb
 
@@ -212,6 +213,15 @@ def test_load_rejects_two_basis_keys_for_one_cell():
     data["basis"]["00,0"] = ["x"]
     with pytest.raises(ModelFileError, match="'00,0' names cell \\(0, 0\\) a second time"):
         load_model(data)
+
+
+def test_load_rejects_a_basis_cell_outside_the_range():
+    data = save_model(torus(1))
+    data["basis"]["2,0"] = ["x"]
+    with pytest.raises(ModelFileError, match=re.escape("basis bidegree (2, 0) outside [0,1]²")):
+        load_model(data)
+    data["basis"]["2,0"] = []
+    assert load_model(data).total_dim() == 4
 
 
 @pytest.mark.parametrize("key", ["00,0", "-0,0", "0,00"])
