@@ -111,12 +111,13 @@ def graded_dims(table, name: str = "spaces", cells: bool = False, bounds=None) -
         if cells != isinstance(key, tuple) or cells and len(key) != 2:
             raise ValueError(f"{name}[{key!r}] = {v}: the key is not "
                              + ("a cell (p, q)" if cells else "a degree"))
-        coords = tuple(map(index, key)) if cells else (index(key),)
+        # a degree k is range-checked as the cell (k, k)
+        p, q = (index(key[0]), index(key[1])) if cells else (index(key),) * 2
         if not v:
             continue
-        if bounds and not all(bounds[0] <= c <= bounds[1] for c in coords):
+        if bounds and not (bounds[0] <= p <= bounds[1] and bounds[0] <= q <= bounds[1]):
             raise ValueError(f"{name}[{key!r}] = {v} is outside {list(bounds)}")
-        clean[coords if cells else coords[0]] = v
+        clean[(p, q) if cells else p] = v
     return clean
 
 

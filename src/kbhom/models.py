@@ -18,7 +18,7 @@ identities only; no Schouten bracket is formed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, repeat
 from math import lcm
 from types import MappingProxyType
 
@@ -198,7 +198,8 @@ class DolbeaultPoissonModel:
         if n < 0:
             raise ValueError("complex dimension must be nonnegative")
         for cell, labels in basis.items():
-            if not (isinstance(labels, (list, tuple)) and all(isinstance(s, str) for s in labels)):
+            if not (isinstance(labels, (list, tuple))
+                    and all(map(isinstance, labels, repeat(str)))):
                 raise TypeError(f"basis[{cell!r}] must be a list of strings")
         dims = graded_dims({cell: len(labels) for cell, labels in basis.items()},
                            "basis", cells=True, bounds=(0, n))

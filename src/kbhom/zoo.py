@@ -230,9 +230,9 @@ def load_model(data: dict, lax: bool = False,
             raise ModelFileError(f"basis key {key!r} is not 'p,q'") from None
         if cell in basis:
             raise ModelFileError(f"basis key {key!r} names cell {cell} a second time")
-        if not isinstance(labels, list) or not all(isinstance(s, str) for s in labels):
+        if not isinstance(labels, list) or not all(map(isinstance, labels, repeat(str))):
             raise ModelFileError(f"basis[{key!r}] must be a list of strings")
-        if labels and not all(0 <= x <= n for x in cell):
+        if labels and not (0 <= cell[0] <= n and 0 <= cell[1] <= n):
             raise ModelFileError(f"basis bidegree {cell} outside [0,{n}]²")
         basis[cell] = labels
 
