@@ -2,6 +2,8 @@
 
 * heis8: ``parallelizable(8, {(1,2,3): 1}, {(1,2): 1})`` built and
   validated, then ``kb_homology``; the best of ``REPS`` runs (wall time).
+  Then ``validate_model`` alone, on fresh unvalidated copies of the
+  built model (its blocks shared); the best of ``REPS`` runs.
 * heis6 and heis7 spectral pages: the bicomplex ``kb_double_complex`` of
   the validated model, then ``spectral_pages(dc, 2)``; the best of
   ``REPS`` runs (wall time).
@@ -56,7 +58,7 @@ def main() -> int:
     sys.path.insert(0, args.src)
     from kbhom.complexes import homology_dims, spectral_pages
     from kbhom.engine import kb_double_complex, kb_homology
-    from kbhom.models import validate_model
+    from kbhom.models import DolbeaultPoissonModel, validate_model
     from kbhom.stein import stein_complex
     from kbhom.zoo import model_to_json, parallelizable
 
@@ -70,6 +72,12 @@ def main() -> int:
     best = best_of(lambda: validated(heis(8)), kb_homology)
     print(f"heis8 build+validate+kb_homology: {best[0]:.3f} s best of {REPS} "
           f"(build+validate {best[1]:.3f} s, kb_homology {best[2]:.3f} s)")
+
+    m = heis(8)
+    best = best_of(lambda: DolbeaultPoissonModel(m.n, m.basis, m.del_blocks, m.delbar_blocks,
+                                                 m.contraction_blocks), validate_model)
+    print(f"heis8 validate_model: {best[2]:.3f} s best of {REPS}")
+    del m
 
     for n in (6, 7):
         best = best_of(lambda: kb_double_complex(validated(heis(n))),

@@ -13,8 +13,9 @@ Conventions fixed here, once, for the whole package:
 * shifts relocate differentials without sign flips (dimension-level
   output is sign-insensitive);
 * every graded operator (differentials, chain maps, model operators) is a
-  read-only ``BlockMap`` of nonzero blocks whose shapes are checked once,
-  when it is built.
+  read-only ``BlockMap`` that carries its degree, with nonzero blocks whose
+  shapes are checked once, when it is built;
+* every identity is a list of terms s·a∘b, summed by ``_first_failure``.
 """
 
 from __future__ import annotations
@@ -44,27 +45,37 @@ class NotShortExactError(ValueError):
 
 
 class BlockMap(Mapping):
-    """The nonzero blocks of a graded operator, keyed by degree or cell.
-
-    ``shape(key)`` is the ``(rows, cols)`` a block at key must have.  Each
-    block's shape is checked once, here; zero and None blocks are dropped,
-    and the mapping is read-only, so the checks made on it cannot go stale.
-    ``at(key)`` is the block at key, the zero block where none is stored.
+    """The nonzero blocks, keyed by source degree or cell, of a graded
+    operator of degree ``degree`` (an int on degrees, a pair on cells) from
+    ``source`` to ``target`` (dimensions by key; target defaults to source).
+    The block at key lands at ``step(key)`` and has ``shape(key)``, checked
+    once, here; zero and None blocks are dropped, and the mapping is
+    read-only, so the checks made on it cannot go stale.  ``at(key)`` is the
+    block at key, the zero block where none is stored.
     """
 
-    __slots__ = ("_blocks", "_shape")
+    __slots__ = ("_blocks", "source", "target", "degree")
 
-    def __init__(self, blocks, shape):
+    def __init__(self, blocks, source, degree, target=None):
         self._blocks = {}
-        self._shape = shape
+        self.source = source
+        self.target = source if target is None else target
+        self.degree = degree
         for key, m in (blocks or {}).items():
             if m is None:
                 continue
-            if m.shape != shape(key):
+            if m.shape != self.shape(key):
                 raise ComplexInvariantError(
-                    f"block at {key} has shape {m.shape}, expected {shape(key)}")
+                    f"block at {key} has shape {m.shape}, expected {self.shape(key)}")
             if not m.is_zero():
                 self._blocks[key] = m
+
+    def step(self, key):
+        d = self.degree
+        return key + d if isinstance(key, int) else (key[0] + d[0], key[1] + d[1])
+
+    def shape(self, key) -> tuple:
+        return self.target.get(self.step(key), 0), self.source.get(key, 0)
 
     def __getitem__(self, key) -> Matrix:
         return self._blocks[key]
@@ -80,17 +91,37 @@ class BlockMap(Mapping):
 
     def at(self, key) -> Matrix:
         m = self._blocks.get(key)
-        return m if m is not None else Matrix.zero(*self._shape(key))
+        return m if m is not None else Matrix.zero(*self.shape(key))
 
     def __repr__(self):
         return f"BlockMap({self._blocks!r})"
 
 
-def cell_shape(dims, bidegree: tuple):
-    """The block shape function of an operator of the given bidegree on
-    cells of dimensions ``dims`` (absent cells have dimension 0)."""
-    dp, dq = bidegree
-    return lambda cell: (dims.get((cell[0] + dp, cell[1] + dq), 0), dims.get(cell, 0))
+def _composite(terms, key) -> Matrix | None:
+    """Σ s·a∘b at key over ``terms`` (s, a, b) of an int and two BlockMaps,
+    or None where no term has both blocks; ValueError on blocks that do not
+    compose or terms that land in cells of different sizes."""
+    pairs, shape = [], None
+    for s, a, b in terms:
+        inner = b._blocks.get(key)
+        outer = None if inner is None else a._blocks.get(b.step(key))
+        if outer is not None:
+            if outer.cols != inner.rows or shape not in (None, (outer.rows, inner.cols)):
+                raise ValueError(f"the blocks of a composite at {key} do not compose")
+            shape = outer.rows, inner.cols
+            pairs.append((s, outer, inner))
+    return _sum_of_products(pairs, *shape) if pairs else None
+
+
+def _first_failure(terms) -> tuple | None:
+    """``(key, residual)`` at the lowest key where the composite of ``terms``
+    is nonzero, or None.  Only the keys where an inner b has a block are
+    visited: the composite is empty at the others."""
+    for key in sorted({key for _, _, b in terms for key in b._blocks}):
+        residual = _composite(terms, key)
+        if residual is not None and not residual.is_zero():
+            return key, residual
+    return None
 
 
 def graded_dims(table, name: str = "spaces", cells: bool = False, bounds=None) -> dict:
@@ -129,8 +160,7 @@ class Complex:
     def __init__(self, spaces, diffs=None, check=True):
         sp = graded_dims(spaces)
         object.__setattr__(self, "spaces", MappingProxyType(sp))
-        object.__setattr__(self, "diffs", BlockMap(
-            diffs, lambda k: (sp.get(k + 1, 0), sp.get(k, 0))))
+        object.__setattr__(self, "diffs", BlockMap(diffs, sp, 1))
         if check:
             self.validate()
 
@@ -150,10 +180,10 @@ class Complex:
         return sum(self.spaces.values())
 
     def validate(self):
-        for k in self.diffs:
-            if not (self.d(k + 1) * self.d(k)).is_zero():
-                raise ComplexInvariantError(
-                    f"differential does not square to zero at degree {k}")
+        failure = _first_failure([(1, self.diffs, self.diffs)])
+        if failure:
+            raise ComplexInvariantError(
+                f"differential does not square to zero at degree {failure[0]}")
 
     def __eq__(self, other):
         return (isinstance(other, Complex) and self.spaces == other.spaces
@@ -171,8 +201,8 @@ class DoubleComplex:
     def __init__(self, spaces, d1=None, d2=None, check=True):
         sp = graded_dims(spaces, cells=True)
         object.__setattr__(self, "spaces", MappingProxyType(sp))
-        object.__setattr__(self, "d1", BlockMap(d1, cell_shape(sp, (1, 0))))
-        object.__setattr__(self, "d2", BlockMap(d2, cell_shape(sp, (0, 1))))
+        object.__setattr__(self, "d1", BlockMap(d1, sp, (1, 0)))
+        object.__setattr__(self, "d2", BlockMap(d2, sp, (0, 1)))
         if check:
             self.validate()
 
@@ -189,17 +219,13 @@ class DoubleComplex:
         return sum(self.spaces.values())
 
     def validate(self):
-        d1, d2, dim = self.d1.get, self.d2.get, self.dim
-        for (p, q) in self.spaces:
-            # per identity: its name, the bidegree of its residual and its terms
-            for name, (dp, dq), terms in (
-                    ("d1∘d1", (2, 0), [(1, d1((p + 1, q)), d1((p, q)))]),
-                    ("d2∘d2", (0, 2), [(1, d2((p, q + 1)), d2((p, q)))]),
-                    ("d1∘d2 + d2∘d1", (1, 1), [(1, d1((p, q + 1)), d2((p, q))),
-                                               (1, d2((p + 1, q)), d1((p, q)))])):
-                residual = _sum_of_products(terms, dim(p + dp, q + dq), dim(p, q))
-                if residual is not None and not residual.is_zero():
-                    raise ComplexInvariantError(f"{name} ≠ 0 at {(p, q)}")
+        """Raises at the lowest cell of the first failing identity, in this order."""
+        d1, d2 = self.d1, self.d2
+        for name, terms in (("d1∘d1", [(1, d1, d1)]), ("d2∘d2", [(1, d2, d2)]),
+                            ("d1∘d2 + d2∘d1", [(1, d1, d2), (1, d2, d1)])):
+            failure = _first_failure(terms)
+            if failure:
+                raise ComplexInvariantError(f"{name} ≠ 0 at {failure[0]}")
 
     def __eq__(self, other):
         return (isinstance(other, DoubleComplex) and self.spaces == other.spaces
@@ -239,10 +265,8 @@ def _total_differentials(dc: DoubleComplex, layouts) -> dict:
         tgt_off = dict(target[0])
         pieces = []
         for cell, off in lay:
-            p, q = cell
-            for block, tcell in ((dc.d1.get(cell), (p + 1, q)),
-                                 (dc.d2.get(cell), (p, q + 1))):
-                to = tgt_off.get(tcell)
+            for d in (dc.d1, dc.d2):
+                block, to = d.get(cell), tgt_off.get(d.step(cell))
                 if block is None or to is None:
                     continue
                 pieces += [(off + j, {to + i: v for i, v in col}, d)
@@ -297,58 +321,55 @@ def tensor_layout(dims_a: dict, dims_b: dict) -> tuple:
     return pairs, offsets, dims
 
 
-def koszul_tensor(dims_a: dict, blocks_a: dict, dims_b: dict, blocks_b: dict,
-                  bidegree: tuple) -> dict:
-    """The blocks of f_A ⊗ 1 + (-1)^{(dp+dq)(p_A+q_A)} 1 ⊗ f_B on A ⊗ B.
+def koszul_tensor(f_a: BlockMap, f_b: BlockMap) -> BlockMap:
+    """f_A ⊗ 1 + (-1)^{(dp+dq)(p_A+q_A)} 1 ⊗ f_B on A ⊗ B.
 
-    ``dims_a``, ``dims_b`` are the cell dimensions of the factors and
-    ``blocks_a``, ``blocks_b`` the nonzero blocks of an operator of
-    bidegree (dp, dq) on each, keyed by source cell; the result is laid
-    out by :func:`tensor_layout`.  The Koszul sign comes from the
-    bidegree alone: an odd operator picks up the parity of the left
-    factor's cell, an even one (a contraction, bidegree (-2, 0)) none.
+    ``f_a`` and ``f_b`` are operators of one bidegree (dp, dq) on the
+    cells of A and of B (ValueError otherwise); the result is laid out by
+    :func:`tensor_layout`.  The Koszul sign comes from the bidegree alone:
+    an odd operator picks up the parity of the left factor's cell, an even
+    one (a contraction, bidegree (-2, 0)) none.
     """
-    dp, dq = bidegree
-    odd = (dp + dq) % 2
-    pairs, offsets, dims = tensor_layout(dims_a, dims_b)
+    if f_a.degree != f_b.degree:
+        raise ValueError(f"operators of bidegrees {f_a.degree} and {f_b.degree} do not tensor")
+    odd = sum(f_a.degree) % 2
+    pairs, offsets, dims = tensor_layout(f_a.source, f_b.source)
     blocks = {}
     for cell, cell_pairs in pairs.items():
         pieces = []
         for ca, cb in cell_pairs:
             src = offsets[(ca, cb)]
-            dim_a, dim_b = dims_a[ca], dims_b[cb]
+            dim_a, dim_b = f_a.source[ca], f_b.source[cb]
             # f_A ⊗ 1: column i1 of f_A, at row block i2, spread over j
-            block = blocks_a.get(ca)
-            tgt = offsets.get(((ca[0] + dp, ca[1] + dq), cb))
+            block = f_a.get(ca)
+            tgt = offsets.get((f_a.step(ca), cb))
             if block is not None and tgt is not None:
                 for i1, col, d in block._columns():
                     pieces += [(src + i1 * dim_b + j,
                                 {tgt + i2 * dim_b + j: v for i2, v in col}, d)
                                for j in range(dim_b)]
             # (-1)^{(dp+dq)(p_A+q_A)} 1 ⊗ f_B: column j1 of f_B, repeated over i
-            tb = (cb[0] + dp, cb[1] + dq)
-            block = blocks_b.get(cb)
+            tb = f_b.step(cb)
+            block = f_b.get(cb)
             tgt = offsets.get((ca, tb))
             if block is not None and tgt is not None:
                 sign = -1 if odd and (ca[0] + ca[1]) % 2 else 1
-                dim_tb = dims_b[tb]
+                dim_tb = f_b.source[tb]
                 for j1, col, d in block._columns():
                     pieces += [(src + i * dim_b + j1,
                                 {tgt + i * dim_tb + j2: sign * v for j2, v in col}, d)
                                for i in range(dim_a)]
         if pieces:
-            blocks[cell] = _from_columns(dims.get((cell[0] + dp, cell[1] + dq), 0),
-                                         dims[cell], pieces)
-    return blocks
+            blocks[cell] = _from_columns(dims.get(f_a.step(cell), 0), dims[cell], pieces)
+    return BlockMap(blocks, dims, f_a.degree)
 
 
 def tensor_double(a: DoubleComplex, b: DoubleComplex) -> DoubleComplex:
     """Tensor product of double complexes with Koszul signs: the cells
     of :func:`tensor_layout`, and d1 and d2 each extended by
     :func:`koszul_tensor` as d_A ⊗ 1 + (-1)^{|A|} 1 ⊗ d_B."""
-    return DoubleComplex(tensor_layout(a.spaces, b.spaces)[2],
-                         koszul_tensor(a.spaces, a.d1, b.spaces, b.d1, (1, 0)),
-                         koszul_tensor(a.spaces, a.d2, b.spaces, b.d2, (0, 1)))
+    d1, d2 = koszul_tensor(a.d1, b.d1), koszul_tensor(a.d2, b.d2)
+    return DoubleComplex(d1.source, d1, d2)
 
 
 def _cleared_owners(diffs) -> dict:
@@ -467,8 +488,7 @@ class ChainMap:
     def __init__(self, source: Complex, target: Complex, blocks):
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
-        object.__setattr__(self, "blocks", BlockMap(
-            blocks, lambda k: (target.dim(k), source.dim(k))))
+        object.__setattr__(self, "blocks", BlockMap(blocks, source.spaces, 0, target.spaces))
         self.validate()
 
     def __setattr__(self, name, value):
@@ -478,14 +498,10 @@ class ChainMap:
         return self.blocks.at(k)
 
     def validate(self):
-        degrees = set(self.source.spaces) | set(self.target.spaces)
-        for k in degrees:
-            residual = _sum_of_products(
-                [(1, self.target.diffs.get(k), self.blocks.get(k)),
-                 (-1, self.blocks.get(k + 1), self.source.diffs.get(k))],
-                self.target.dim(k + 1), self.source.dim(k))
-            if residual is not None and not residual.is_zero():
-                raise ValueError(f"square does not commute at degree {k}")
+        failure = _first_failure([(1, self.target.diffs, self.blocks),
+                                  (-1, self.blocks, self.source.diffs)])
+        if failure:
+            raise ValueError(f"square does not commute at degree {failure[0]}")
 
 
 @dataclass

@@ -12,11 +12,11 @@ dimensions through the HKR antidiagonal sums.
 
 Invariant: each identity is checked once, at the model boundary.  The
 bicomplex identities d1² = 0, d2² = 0 and d1d2 + d2d1 = 0 are exactly
-delpi² = 0, delbar² = 0 and delbar∘delpi + delpi∘delbar = 0, which
-``koszul_differential`` has proved before the bicomplex is built, so
-``kb_double_complex`` skips the ``DoubleComplex`` check.  The total
-differential's D² = 0 is made of the same three identities, so
-``total_complex`` does not check it either.
+delpi² = 0, delbar² = 0 and delbar∘delpi + delpi∘delbar = 0, the same
+term lists for the same composite routine, which ``koszul_differential``
+has proved before the bicomplex is built, so ``kb_double_complex`` skips
+the ``DoubleComplex`` check.  The total differential's D² = 0 is made of
+the same three identities, so ``total_complex`` does not check it either.
 """
 
 from __future__ import annotations
@@ -32,19 +32,20 @@ from .complexes import (
     spectral_pages,
     total_complex,
 )
-from .models import DolbeaultPoissonModel, koszul_differential
+from .models import DolbeaultPoissonModel, _complex_dimension, koszul_differential
 
 
 class _Table:
-    """The cleaning shared by the dimension tables: construction reads a
-    table's last field, which maps its keys (ints, or with ``cells`` pairs
-    of ints) to dimensions, through ``complexes.graded_dims`` with the
-    ``bounds`` each class supplies (None: unbounded)."""
+    """The cleaning shared by the dimension tables: construction checks a
+    table's ``n`` as a model's and reads its last field, which maps its keys
+    (ints, or with ``cells`` pairs of ints) to dimensions, through
+    ``complexes.graded_dims`` with the ``bounds`` each class supplies."""
 
     bounds = None
     cells = False
 
     def __post_init__(self):
+        _complex_dimension(getattr(self, "n", 0))
         name = fields(self)[-1].name
         object.__setattr__(self, name, graded_dims(getattr(self, name), name,
                                                    self.cells, self.bounds))

@@ -160,10 +160,6 @@ class Matrix:
                                      for j, v in enumerate(row)})
 
     @classmethod
-    def from_column(cls, data) -> "Matrix":
-        return cls.from_rows([[v] for v in data])
-
-    @classmethod
     def identity(cls, n: int) -> "Matrix":
         return cls(n, n, {(i, i): 1 for i in range(n)})
 
@@ -212,10 +208,6 @@ class Matrix:
     def is_zero(self) -> bool:
         return not self._lines
 
-    def transpose(self) -> "Matrix":
-        return _from_columns(self.cols, self.rows, ((i, {j: v}, d) for j, col, d in self._columns()
-                                                    for i, v in col))
-
     def __neg__(self) -> "Matrix":
         return -1 * self
 
@@ -249,13 +241,6 @@ class Matrix:
         d = self._dens.get(j, 1)
         for i, v in self._lines.get(j, ()):
             out[i] = Fraction(v, d)
-        return out
-
-    def to_rows(self) -> list:
-        out = [[Q(0)] * self.cols for _ in range(self.rows)]
-        for j, col, d in self._columns():
-            for i, v in col:
-                out[i][j] = Fraction(v, d)
         return out
 
 
@@ -347,14 +332,16 @@ def _eliminate(col: dict, comb, owner: dict, reduced: list, combo) -> int | None
 
 
 class Reduction(NamedTuple):
-    """What ``_reduce`` returns.  ``owner`` maps each pivot row to the column
-    owning it (the pivot columns); ``reduced[j]`` is column j after
-    reduction as a sparse ``{row: int}`` dict, empty iff column j depends
-    on the columns before it.  If tracked, ``combo[j]`` writes
-    ``reduced[j]`` as ``{original column: int coefficient}``, supported on
-    j and pivot columns only, so a dependent column's combination is
-    unique up to scale; ``kernel`` and ``solve`` need it."""
+    """What ``_reduce`` returns for a ``rows``×``cols`` matrix.  ``owner``
+    maps each pivot row to the column owning it (the pivot columns);
+    ``reduced[j]`` is column j after reduction as a sparse ``{row: int}``
+    dict, empty iff column j depends on the columns before it.  If tracked,
+    ``combo[j]`` writes ``reduced[j]`` as ``{original column: int
+    coefficient}``, supported on j and pivot columns only, so a dependent
+    column's combination is unique up to scale; ``kernel`` and ``solve``
+    need it."""
 
+    rows: int
     cols: int
     owner: dict
     reduced: list
@@ -374,7 +361,10 @@ class Reduction(NamedTuple):
         """``(x, missing)``: column j of x solves m*x = rhs[:, j] on the
         pivot columns, or is zero for the j in the set ``missing`` that have
         no solution.  Each column is reduced against the pivot owners only,
-        so none becomes an owner and the reduction can be solved again."""
+        so none becomes an owner and the reduction can be solved again.
+        ValueError unless rhs has the reduced matrix's row count."""
+        if rhs.rows != self.rows:
+            raise ValueError(f"right-hand side has {rhs.rows} rows, not {self.rows}")
         n = self.cols
         pieces, missing = [], set()
         for j in range(rhs.cols):
@@ -419,7 +409,7 @@ def _reduce(m: Matrix, track: bool = False, clear=()) -> Reduction:
             owner[piv] = j
         if track:
             combo.append(comb)
-    return Reduction(m.cols, owner, reduced, combo)
+    return Reduction(m.rows, m.cols, owner, reduced, combo)
 
 
 def _select_columns(m: Matrix, cols) -> Matrix:

@@ -22,8 +22,15 @@ from itertools import combinations, repeat
 from math import lcm
 from types import MappingProxyType
 
-from .complexes import BlockMap, cell_shape, graded_dims, koszul_tensor, tensor_layout
-from .linalg import Matrix, _from_columns, _is_int, _q, _sum_of_products
+from .complexes import (
+    BlockMap,
+    _composite,
+    _first_failure,
+    graded_dims,
+    koszul_tensor,
+    tensor_layout,
+)
+from .linalg import Matrix, _from_columns, _is_int, _q
 
 
 class ModelValidationError(ValueError):
@@ -74,14 +81,14 @@ class WedgeBasis:
         return [monomial_label((i_set, j_set))
                 for i_set in self.factor[p] for j_set in self.factor[q]]
 
-    def tensor(self, hol: dict, anti: dict, bidegree: tuple) -> dict:
-        """Model blocks of the Koszul tensor f ⊗ 1 ± 1 ⊗ g of an operator
-        of the given bidegree, from its blocks f on the holomorphic and g on
-        the antiholomorphic factor, each keyed by degree."""
-        return koszul_tensor({(k, 0): len(ms) for k, ms in self.factor.items()},
-                             {(k, 0): m for k, m in hol.items()},
-                             {(0, k): len(ms) for k, ms in self.factor.items()},
-                             {(0, k): m for k, m in anti.items()}, bidegree)
+    def tensor(self, hol: dict, anti: dict, bidegree: tuple) -> BlockMap:
+        """The model operator f ⊗ 1 ± 1 ⊗ g of the given bidegree, the
+        Koszul tensor of its blocks f on the holomorphic and g on the
+        antiholomorphic factor, each keyed by degree."""
+        def factor(blocks, cell):
+            return BlockMap({cell(k): m for k, m in blocks.items()},
+                            {cell(k): len(ms) for k, ms in self.factor.items()}, bidegree)
+        return koszul_tensor(factor(hol, lambda k: (k, 0)), factor(anti, lambda k: (0, k)))
 
 
 def derivation_blocks(wedge: WedgeBasis, images: dict) -> dict:
@@ -139,6 +146,14 @@ def factor_contraction(wedge: WedgeBasis, pairs: dict) -> dict:
     return blocks
 
 
+def _complex_dimension(n) -> None:
+    """TypeError unless n is a plain int, ValueError if it is negative."""
+    if not _is_int(n):
+        raise TypeError(f"complex dimension must be int, not {type(n).__name__}")
+    if n < 0:
+        raise ValueError("complex dimension must be nonnegative")
+
+
 def _generator_index(i) -> int:
     """A 1-based generator index: a plain int (a bool or any other type
     raises TypeError; the range is the caller's to check)."""
@@ -193,10 +208,7 @@ class DolbeaultPoissonModel:
 
     def __init__(self, n, basis, del_blocks=None, delbar_blocks=None,
                  contraction_blocks=None, wedge=None, name="model", metadata=None):
-        if not _is_int(n):
-            raise TypeError(f"complex dimension must be int, not {type(n).__name__}")
-        if n < 0:
-            raise ValueError("complex dimension must be nonnegative")
+        _complex_dimension(n)
         for cell, labels in basis.items():
             if not (isinstance(labels, (list, tuple))
                     and all(map(isinstance, labels, repeat(str)))):
@@ -208,11 +220,10 @@ class DolbeaultPoissonModel:
         # read-only, so the stored validation cannot go stale
         object.__setattr__(self, "basis", MappingProxyType(clean_basis))
         object.__setattr__(self, "dims", MappingProxyType(dims))
-        object.__setattr__(self, "del_blocks", BlockMap(del_blocks, cell_shape(dims, (1, 0))))
-        object.__setattr__(self, "delbar_blocks",
-                           BlockMap(delbar_blocks, cell_shape(dims, (0, 1))))
+        object.__setattr__(self, "del_blocks", BlockMap(del_blocks, dims, (1, 0)))
+        object.__setattr__(self, "delbar_blocks", BlockMap(delbar_blocks, dims, (0, 1)))
         object.__setattr__(self, "contraction_blocks",
-                           BlockMap(contraction_blocks, cell_shape(dims, (-2, 0))))
+                           BlockMap(contraction_blocks, dims, (-2, 0)))
         object.__setattr__(self, "wedge", wedge)
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "metadata", dict(metadata or {}))
@@ -230,20 +241,14 @@ class DolbeaultPoissonModel:
     def total_dim(self) -> int:
         return sum(self.dims.values())
 
-    def del_at(self, p: int, q: int) -> Matrix:
-        return self.del_blocks.at((p, q))
-
     def delbar_at(self, p: int, q: int) -> Matrix:
         return self.delbar_blocks.at((p, q))
-
-    def contraction_at(self, p: int, q: int) -> Matrix:
-        return self.contraction_blocks.at((p, q))
 
     def __repr__(self):
         return f"DolbeaultPoissonModel({self.name!r}, n={self.n}, dim={self.total_dim()})"
 
 
-def contraction_from_bivector(model: DolbeaultPoissonModel, coeffs) -> dict:
+def contraction_from_bivector(model: DolbeaultPoissonModel, coeffs) -> BlockMap:
     """Blocks of l_pi ⊗ 1 on the wedge basis: the contraction
     :func:`factor_contraction` on the holomorphic factor."""
     if model.wedge is None:
@@ -254,11 +259,10 @@ def contraction_from_bivector(model: DolbeaultPoissonModel, coeffs) -> dict:
 
 def _koszul_blocks(m: DolbeaultPoissonModel) -> BlockMap:
     """The Koszul blocks delpi = contraction∘del - del∘contraction, (p,q)->(p-1,q)."""
-    dl, ct, dim = dict(m.del_blocks).get, dict(m.contraction_blocks).get, m.dims.get
-    return BlockMap({(p, q): _sum_of_products([(1, ct((p + 1, q)), dl((p, q))),
-                                               (-1, dl((p - 2, q)), ct((p, q)))],
-                                              dim((p - 1, q), 0), dim((p, q)))
-                     for (p, q) in m.cells()}, cell_shape(m.dims, (-1, 0)))
+    dl, ct = m.del_blocks, m.contraction_blocks
+    terms = [(1, ct, dl), (-1, dl, ct)]
+    return BlockMap({key: _composite(terms, key) for key in sorted({*dl, *ct})},
+                    m.dims, (-1, 0))
 
 
 @dataclass
@@ -298,42 +302,23 @@ def validate_model(m: DolbeaultPoissonModel) -> ValidationReport:
     """Check all five operator identities, reporting the first offending
     bidegree and the matrix residual per identity.
 
-    Every identity is summed on every cell by ``_sum_of_products``, on the
-    stored integer columns (absent blocks are skipped), which is exact.
-    The identities are checked once per model; later calls return the
-    stored report, and the Koszul blocks built for the check are kept for
+    Each identity is a list of terms s·a∘b, summed by
+    ``complexes._first_failure`` on the stored integer columns, which is
+    exact.  It visits only the cells where an inner operator has a block:
+    at every other cell the identity holds with nothing to sum.  The
+    identities are checked once per model; later calls return the stored
+    report, and the Koszul blocks built for the check are kept for
     :func:`koszul_differential`.
     """
     if m._validated is not None:
         return m._validated[0]
-    delpi = _koszul_blocks(m)
-    # plain dicts: their get is the inner loop's lookup
-    d, e, k = (dict(op).get for op in (m.del_blocks, m.delbar_blocks, delpi))
-    # per identity: the bidegree of its residual and its terms (s, a, b) at (p, q)
-    composites = {
-        "del∘del": ((2, 0), lambda p, q: [(1, d((p + 1, q)), d((p, q)))]),
-        "delbar∘delbar": ((0, 2), lambda p, q: [(1, e((p, q + 1)), e((p, q)))]),
-        "del∘delbar + delbar∘del":
-            ((1, 1), lambda p, q: [(1, d((p, q + 1)), e((p, q))),
-                                   (1, e((p + 1, q)), d((p, q)))]),
-        "delpi∘delpi": ((-2, 0), lambda p, q: [(1, k((p - 1, q)), k((p, q)))]),
-        "delbar∘delpi + delpi∘delbar":
-            ((-1, 1), lambda p, q: [(1, e((p - 1, q)), k((p, q))),
-                                    (1, k((p, q + 1)), e((p, q)))]),
-    }
-    cells, dim = m.cells(), m.dims.get
-    checks = []
-    for name in IDENTITY_NAMES:
-        (dp, dq), terms = composites[name]
-        failure = None
-        for (p, q) in cells:
-            residual = _sum_of_products(terms(p, q), dim((p + dp, q + dq), 0), dim((p, q)))
-            if residual is not None and not residual.is_zero():
-                failure = CheckResult(name, False, (p, q), residual)
-                break
-        checks.append(failure or CheckResult(name, True))
-    report = ValidationReport(checks)
-    object.__setattr__(m, "_validated", (report, delpi))
+    d, e, k = m.del_blocks, m.delbar_blocks, _koszul_blocks(m)
+    # the terms (s, a, b) of each identity, in the order of IDENTITY_NAMES
+    failures = map(_first_failure, ([(1, d, d)], [(1, e, e)], [(1, d, e), (1, e, d)],
+                                    [(1, k, k)], [(1, e, k), (1, k, e)]))
+    report = ValidationReport([CheckResult(name, not bad, *(bad or ()))
+                               for name, bad in zip(IDENTITY_NAMES, failures)])
+    object.__setattr__(m, "_validated", (report, k))
     return report
 
 
@@ -365,16 +350,14 @@ def product_model(mx: DolbeaultPoissonModel,
     """
     for part in (mx, my):
         require_valid(part, f"invalid product factor {part.name!r}")
-    dx, dy = mx.dims, my.dims
     basis = {cell: [f"{lx}*{ly}" for cx, cy in pairs
                     for lx in mx.basis[cx] for ly in my.basis[cy]]
-             for cell, pairs in tensor_layout(dx, dy)[0].items()}
+             for cell, pairs in tensor_layout(mx.dims, my.dims)[0].items()}
     result = DolbeaultPoissonModel(
         mx.n + my.n, basis,
-        del_blocks=koszul_tensor(dx, mx.del_blocks, dy, my.del_blocks, (1, 0)),
-        delbar_blocks=koszul_tensor(dx, mx.delbar_blocks, dy, my.delbar_blocks, (0, 1)),
-        contraction_blocks=koszul_tensor(dx, mx.contraction_blocks,
-                                         dy, my.contraction_blocks, (-2, 0)),
+        del_blocks=koszul_tensor(mx.del_blocks, my.del_blocks),
+        delbar_blocks=koszul_tensor(mx.delbar_blocks, my.delbar_blocks),
+        contraction_blocks=koszul_tensor(mx.contraction_blocks, my.contraction_blocks),
         name=f"{mx.name}x{my.name}",
         metadata={"product_of": f"{mx.name}, {my.name}"})
     bad = validate_model(result).first_failure()

@@ -34,7 +34,6 @@ from kbhom.complexes import (
     SpectralPages,
     _total_differentials,
     _total_layout,
-    cell_shape,
     tensor_double,
 )
 from kbhom.linalg import Matrix, Subspace, _reduce, kernel_basis
@@ -223,11 +222,25 @@ def _echelon(m: Matrix):
     return rows[:len(pivot_cols)], pivot_cols
 
 
+def dense(m: Matrix) -> list:
+    """m as a list of rows of Fractions, read off ``.entries``."""
+    return [[m.entries.get((i, j), Fraction(0)) for j in range(m.cols)] for i in range(m.rows)]
+
+
+def column_matrix(data) -> Matrix:
+    """The one-column matrix with the given entries."""
+    return Matrix.from_rows([[v] for v in data])
+
+
+def transpose(m: Matrix) -> Matrix:
+    return Matrix(m.cols, m.rows, {(j, i): v for (i, j), v in m.entries.items()})
+
+
 def oracle_product(a: Matrix, b: Matrix) -> Matrix:
     """a*b by the dense triple loop over Fractions."""
     if a.cols != b.rows:
         raise ValueError("shape mismatch in product")
-    left, right = a.to_rows(), b.to_rows()
+    left, right = dense(a), dense(b)
     entries = {}
     for i in range(a.rows):
         for j in range(b.cols):
@@ -243,15 +256,21 @@ def oracle_validate_model(m: DolbeaultPoissonModel) -> tuple:
     with the Koszul blocks kos = contraction∘del - del∘contraction as a
     ``BlockMap``.  The model's stored validation is neither read nor
     written."""
-    kos = BlockMap({(p, q): m.contraction_at(p + 1, q) * m.del_at(p, q)
-                    - m.del_at(p - 2, q) * m.contraction_at(p, q)
-                    for (p, q) in m.cells()}, cell_shape(m.dims, (-1, 0)))
+    def del_at(p, q):
+        return m.del_blocks.at((p, q))
+
+    def contraction_at(p, q):
+        return m.contraction_blocks.at((p, q))
+
+    kos = BlockMap({(p, q): contraction_at(p + 1, q) * del_at(p, q)
+                    - del_at(p - 2, q) * contraction_at(p, q)
+                    for (p, q) in m.cells()}, m.dims, (-1, 0))
     composites = {
-        "del∘del": lambda p, q: m.del_at(p + 1, q) * m.del_at(p, q),
+        "del∘del": lambda p, q: del_at(p + 1, q) * del_at(p, q),
         "delbar∘delbar": lambda p, q: m.delbar_at(p, q + 1) * m.delbar_at(p, q),
         "del∘delbar + delbar∘del":
-            lambda p, q: m.del_at(p, q + 1) * m.delbar_at(p, q)
-            + m.delbar_at(p + 1, q) * m.del_at(p, q),
+            lambda p, q: del_at(p, q + 1) * m.delbar_at(p, q)
+            + m.delbar_at(p + 1, q) * del_at(p, q),
         "delpi∘delpi": lambda p, q: kos.at((p - 1, q)) * kos.at((p, q)),
         "delbar∘delpi + delpi∘delbar":
             lambda p, q: m.delbar_at(p - 1, q) * kos.at((p, q))
@@ -479,8 +498,8 @@ def preimage_subspace(m: Matrix, s: Subspace) -> Subspace:
     """m^{-1}(S) as the kernel of C*m, where the rows of C cut out S."""
     if s.ambient_dim != m.rows:
         raise ValueError("subspace does not live in the codomain of m")
-    annihilator = oracle_kernel_basis(s.basis.transpose())
-    cutter = annihilator.basis.transpose()
+    annihilator = oracle_kernel_basis(transpose(s.basis))
+    cutter = transpose(annihilator.basis)
     return oracle_kernel_basis(cutter * m)
 
 
@@ -603,7 +622,7 @@ def oracle_les_from_ses(f, g) -> LongExactSequence:
         tgt_bound, tgt_reps = tgt
         return from_columns(tgt_reps.cols, [
             class_coords(tgt_bound, tgt_reps,
-                         oracle_product(mat, Matrix.from_column(src_reps.column(j))).column(0))
+                         oracle_product(mat, column_matrix(src_reps.column(j))).column(0))
             for j in range(src_reps.cols)])
 
     def connecting(k) -> Matrix:
@@ -613,7 +632,7 @@ def oracle_les_from_ses(f, g) -> LongExactSequence:
         for j in range(c_reps.cols):
             lift = oracle_solve(g.at(k), c_reps.column(j))
             assert lift is not None, "g is surjective but lift failed"
-            w = oracle_product(b.d(k), Matrix.from_column(lift)).column(0)
+            w = oracle_product(b.d(k), column_matrix(lift)).column(0)
             back = oracle_solve(f.at(k + 1), w)
             assert back is not None, "snake image missed the subcomplex"
             columns.append(class_coords(a_bound, a_reps, back))
@@ -916,10 +935,11 @@ def oracle_product_model(mx: DolbeaultPoissonModel,
 
     result = DolbeaultPoissonModel(
         mx.n + my.n, basis,
-        del_blocks=build(mx.del_at, my.del_at, 1, 0, signed=True),
+        del_blocks=build(lambda *c: mx.del_blocks.at(c), lambda *c: my.del_blocks.at(c),
+                         1, 0, signed=True),
         delbar_blocks=build(mx.delbar_at, my.delbar_at, 0, 1, signed=True),
-        contraction_blocks=build(mx.contraction_at, my.contraction_at, -2, 0,
-                                 signed=False),
+        contraction_blocks=build(lambda *c: mx.contraction_blocks.at(c),
+                                 lambda *c: my.contraction_blocks.at(c), -2, 0, signed=False),
         name=f"{mx.name}x{my.name}",
         metadata={"product_of": f"{mx.name}, {my.name}"})
     assert validate_model(result).ok

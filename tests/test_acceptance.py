@@ -49,7 +49,7 @@ from kbhom.zoo import (
     write_model,
 )
 
-from support import random_complex, random_split_ses
+from support import dense, random_complex, random_split_ses
 
 
 @contextmanager
@@ -204,7 +204,7 @@ def test_criterion_7_les_machinery():
 def _dense(mat):
     """(rows, cols, data) triple: shapes travel with the data so that
     zero-dimension matrices multiply correctly."""
-    return (mat.rows, mat.cols, mat.to_rows())
+    return (mat.rows, mat.cols, dense(mat))
 
 
 def _dmult(a, b):
@@ -238,10 +238,10 @@ def _dense_residual(model, identity, bidegree):
         return _dense(model.delbar_at(pp, qq))
 
     def dl(pp, qq):
-        return _dense(model.del_at(pp, qq))
+        return _dense(model.del_blocks.at((pp, qq)))
 
     def contraction(pp, qq):
-        return _dense(model.contraction_at(pp, qq))
+        return _dense(model.contraction_blocks.at((pp, qq)))
 
     def delpi(pp, qq):
         return _dcombine(_dmult(contraction(pp + 1, qq), dl(pp, qq)),

@@ -4,12 +4,15 @@ import re
 import pytest
 
 from kbhom.complexes import (
+    BlockMap,
     ChainMap,
     Complex,
     ComplexInvariantError,
     DoubleComplex,
     NotShortExactError,
+    _composite,
     homology_dims,
+    koszul_tensor,
     les_from_ses,
     shift,
     spectral_pages,
@@ -23,6 +26,7 @@ from kbhom.zoo import parallelizable, torus
 
 from support import (
     convolve,
+    dense,
     random_complex,
     random_double_complex,
     random_split_ses,
@@ -56,8 +60,8 @@ def test_total_complex_orders_a_degree_by_descending_p():
         d2={(0, 0): Matrix.from_rows([[3]]), (1, 0): Matrix.from_rows([[-3]])},
     )
     t = total_complex(dc)
-    assert t.d(0).to_rows() == [[2], [3]]   # rows (1, 0), (0, 1)
-    assert t.d(1).to_rows() == [[-3, 2]]    # columns (1, 0), (0, 1)
+    assert dense(t.d(0)) == [[2], [3]]   # rows (1, 0), (0, 1)
+    assert dense(t.d(1)) == [[-3, 2]]    # columns (1, 0), (0, 1)
 
 
 @pytest.mark.parametrize("build", [
@@ -111,6 +115,55 @@ def test_double_complex_rejects_commuting_differentials():
 def test_identity_failures_name_the_identity_and_where(build, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         build(Matrix.from_rows([[1]]))
+
+
+def test_block_map_steps_and_shapes_by_its_degree():
+    diffs = BlockMap({}, {0: 2, 1: 3}, 1)
+    assert (diffs.step(0), diffs.shape(0), diffs.shape(1)) == (1, (3, 2), (0, 3))
+    contraction = BlockMap({}, {(0, 0): 4, (2, 0): 1}, (-2, 0))
+    assert contraction.step((2, 0)) == (0, 0)
+    assert (contraction.shape((2, 0)), contraction.shape((0, 0))) == ((4, 1), (0, 4))
+    chain = BlockMap({}, {0: 2}, 0, {0: 5, 1: 1})
+    assert (chain.step(1), chain.shape(0), chain.shape(1)) == (1, (5, 2), (1, 0))
+    assert chain.at(0) == Matrix(5, 2)
+
+
+def test_koszul_tensor_refuses_operators_of_different_degrees():
+    dims = {(0, 0): 1, (1, 0): 1, (0, 1): 1}
+    with pytest.raises(ValueError, match=re.escape("bidegrees (1, 0) and (0, 1)")):
+        koszul_tensor(BlockMap({}, dims, (1, 0)), BlockMap({}, dims, (0, 1)))
+
+
+def test_composites_refuse_blocks_that_do_not_compose():
+    # a's block at 1 reads 2 coordinates, b's block at 0 writes 3
+    a = BlockMap({1: Matrix(1, 2, {(0, 0): 1})}, {1: 2, 2: 1}, 1)
+    b = BlockMap({0: Matrix(3, 1, {(0, 0): 1})}, {0: 1, 1: 3}, 1)
+    with pytest.raises(ValueError, match="do not compose"):
+        _composite([(1, a, b)], 0)
+
+
+@pytest.mark.parametrize("build, message", [
+    # the higher failing key is inserted first: the lowest one is reported
+    (lambda one: Complex({0: 1, 1: 1, 2: 1, 3: 1}, {2: one, 1: one, 0: one}),
+     "differential does not square to zero at degree 0"),
+    (lambda one: DoubleComplex({(3, 0): 1, (2, 0): 1, (1, 0): 1, (0, 0): 1},
+                               d1={(2, 0): one, (1, 0): one, (0, 0): one}),
+     "d1∘d1 ≠ 0 at (0, 0)"),
+    (lambda one: ChainMap(Complex({2: 1, 1: 1, 0: 1}, {0: one}),
+                          Complex({2: 1, 1: 1, 0: 1}, {1: one}), {2: one, 1: one, 0: one}),
+     "square does not commute at degree 0"),
+], ids=["Complex", "DoubleComplex", "ChainMap"])
+def test_identity_failures_report_the_lowest_key(build, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build(Matrix.from_rows([[1]]))
+
+
+def test_double_complex_reports_its_identities_in_order():
+    # d2∘d2 fails at (0, 0), below d1∘d1 at (5, 0); d1∘d1 is checked first
+    one = Matrix.from_rows([[1]])
+    with pytest.raises(ComplexInvariantError, match=re.escape("d1∘d1 ≠ 0 at (5, 0)")):
+        DoubleComplex({(0, 0): 1, (0, 1): 1, (0, 2): 1, (5, 0): 1, (6, 0): 1, (7, 0): 1},
+                      d1={(5, 0): one, (6, 0): one}, d2={(0, 0): one, (0, 1): one})
 
 
 def unit_square():

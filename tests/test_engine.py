@@ -105,6 +105,16 @@ def test_kbdims_rejects_out_of_range():
         KBDims(1, {0: -1})
 
 
+@pytest.mark.parametrize("make, error", [
+    (lambda: KBDims(1.5, {3: 1}), TypeError), (lambda: KBDims(True, {1: 1}), TypeError),
+    (lambda: KBDims(1.5, {}), TypeError), (lambda: HodgeDiamond(-1, {}), ValueError),
+])
+def test_tables_check_n_as_a_model_does(make, error):
+    # a float n used to be accepted, and broke records() later
+    with pytest.raises(error, match="complex dimension must be"):
+        make()
+
+
 @pytest.mark.parametrize("make, message", [
     (lambda: KBDims(1, {3: 1}), "dims[3] = 1 is outside [0, 2]"),
     (lambda: KBDims(1, {0: -1}), "dims[0] = -1 is negative"),

@@ -6,12 +6,15 @@ import pytest
 from kbhom.linalg import (
     Matrix,
     Subspace,
+    _reduce,
     kernel_basis,
     rank,
 )
 from support import (
     BAD_RATIONALS,
+    column_matrix,
     coordinate_subspace,
+    dense,
     full_subspace,
     image_subspace,
     oracle_contains,
@@ -21,6 +24,7 @@ from support import (
     subspace_arithmetic,
     subspace_intersection,
     subspace_sum,
+    transpose,
     zero_subspace,
 )
 
@@ -85,7 +89,7 @@ def test_matrix_dimensions_must_be_nonnegative():
 
 @pytest.mark.parametrize("key", [(1.0, 0), (0, 1.0), (True, 0), (0, False), ("0", 0)])
 def test_matrix_entry_indices_must_be_ints(key):
-    # a float index used to build, and broke to_rows() later
+    # a float index used to build, and broke dense reads later
     with pytest.raises(TypeError):
         Matrix(2, 2, {key: 1})
 
@@ -174,7 +178,7 @@ def test_rank_matches_plain_gaussian_oracle():
     rng = random.Random(11)
     for _ in range(40):
         m = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
-        assert rank(m) == gauss_rank(m.to_rows())
+        assert rank(m) == gauss_rank(dense(m))
 
 
 def test_rank_stress_larger_and_rank_deficient():
@@ -184,7 +188,7 @@ def test_rank_stress_larger_and_rank_deficient():
         m = random_matrix(rng, rows, cols, density=0.8)
         # adjoin multiples of existing rows: more rows, same rank
         extra = {}
-        base = m.to_rows()
+        base = dense(m)
         for i in range(rows):
             for j in range(cols):
                 extra[(i, j)] = base[i][j]
@@ -195,7 +199,7 @@ def test_rank_stress_larger_and_rank_deficient():
                 if base[src][j]:
                     extra[(rows + d, j)] = c * base[src][j]
         stacked = Matrix(rows + 3, cols, extra)
-        assert rank(stacked) == gauss_rank(stacked.to_rows())
+        assert rank(stacked) == gauss_rank(dense(stacked))
         assert rank(stacked) + kernel_basis(stacked).dim == cols
         assert (stacked * kernel_basis(stacked).basis).is_zero()
 
@@ -204,7 +208,7 @@ def test_rank_equals_rank_of_transpose():
     rng = random.Random(13)
     for _ in range(30):
         m = random_matrix(rng, rng.randint(0, 6), rng.randint(0, 6))
-        assert rank(m) == rank(m.transpose())
+        assert rank(m) == rank(transpose(m))
 
 
 def test_determinism_bitwise():
@@ -263,9 +267,17 @@ def test_solve_consistent_and_inconsistent():
     m = Matrix.from_rows([[1, 2], [2, 4]])
     x, unsolvable = reduction_solve(m, [[1, 2], [1, 3]])
     assert x is not None
-    col = m * Matrix.from_column(x)
+    col = m * column_matrix(x)
     assert col.column(0) == [Fraction(1), Fraction(2)]
     assert unsolvable is None
+
+
+@pytest.mark.parametrize("rhs", [Matrix(3, 1, {(2, 0): 1}), Matrix(1, 1, {(0, 0): 1})],
+                         ids=["taller", "shorter"])
+def test_solve_refuses_a_right_hand_side_of_another_height(rhs):
+    # both used to give an answer: a missing column, or a 2x1 "solution"
+    with pytest.raises(ValueError, match=f"has {rhs.rows} rows, not 2"):
+        _reduce(Matrix.identity(2), track=True).solve(rhs)
 
 
 def test_solve_random_in_image():
@@ -273,10 +285,10 @@ def test_solve_random_in_image():
     for _ in range(20):
         m = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
         target = [Fraction(rng.randint(-3, 3)) for _ in range(m.cols)]
-        b = (m * Matrix.from_column(target)).column(0)
+        b = (m * column_matrix(target)).column(0)
         [x] = reduction_solve(m, [b])
         assert x is not None
-        assert (m * Matrix.from_column(x)).column(0) == b
+        assert (m * column_matrix(x)).column(0) == b
 
 
 def test_image_and_preimage():

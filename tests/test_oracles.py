@@ -38,6 +38,8 @@ from kbhom.models import (
 from kbhom.stein import NotPoissonOnSlice, PolyBivector, slice_basis, stein_complex
 from kbhom.zoo import parallelizable, torus
 from support import (
+    column_matrix,
+    dense,
     oracle_kernel_basis,
     oracle_les_from_ses,
     oracle_product,
@@ -51,6 +53,7 @@ from support import (
     random_split_ses,
     reduction_solve,
     staircase_double_complex,
+    transpose,
     twisted_ses,
 )
 
@@ -107,7 +110,7 @@ def test_solve_columns_matches_oracle_column_by_column(data):
     for _ in range(data.draw(st.integers(0, 4))):
         if data.draw(st.booleans()):
             x = data.draw(st.lists(rationals, min_size=m.cols, max_size=m.cols))
-            columns.append(oracle_product(m, Matrix.from_column(x)).column(0)
+            columns.append(oracle_product(m, column_matrix(x)).column(0)
                            if m.cols else [Fraction(0)] * m.rows)
         else:
             columns.append(data.draw(st.lists(rationals, min_size=m.rows, max_size=m.rows)))
@@ -162,7 +165,7 @@ def test_coefficient_growth_matches_oracle(data):
     assert rank(m) == oracle_rank(m)
     assert kernel_basis(m).basis == oracle_kernel_basis(m).basis
     x = data.draw(st.lists(big_rationals, min_size=m.cols, max_size=m.cols))
-    consistent = oracle_product(m, Matrix.from_column(x)).column(0)
+    consistent = oracle_product(m, column_matrix(x)).column(0)
     arbitrary = data.draw(st.lists(big_rationals, min_size=m.rows, max_size=m.rows))
     assert reduction_solve(m, [consistent, arbitrary]) == [
         oracle_solve(m, b) for b in (consistent, arbitrary)]
@@ -211,10 +214,6 @@ def fraction_entries(draw, rows=None, cols=None):
     return rows, cols, entries
 
 
-def dense(m: Matrix) -> list:
-    return [[m.entries.get((i, j), Fraction(0)) for j in range(m.cols)] for i in range(m.rows)]
-
-
 @SETTINGS
 @given(fraction_entries())
 def test_entries_round_trip(case):
@@ -224,8 +223,7 @@ def test_entries_round_trip(case):
     want = {key: v for key, v in entries.items() if v}
     assert dict(m.entries) == want
     assert all(type(v) is Fraction for v in m.entries.values())
-    assert m.to_rows() == [[want.get((i, j), 0) for j in range(cols)] for i in range(rows)]
-    assert [m.column(j) for j in range(cols)] == [[r[j] for r in m.to_rows()] for j in range(cols)]
+    assert [m.column(j) for j in range(cols)] == [[r[j] for r in dense(m)] for j in range(cols)]
     assert Matrix(rows, cols, m.entries) == m
     assert m.is_zero() == (not want)
 
@@ -244,7 +242,7 @@ def test_eq_and_hash_agree_with_entrywise_equality(a_case, b_case, rnd):
     same = Matrix(rows, cols, spelled)
     assert same == a and hash(same) == hash(a)
     # and so do matrices reached through arithmetic
-    for other in (a.transpose().transpose(), (a + a) - a, -(-a), Fraction(1, 7) * (7 * a)):
+    for other in (transpose(transpose(a)), (a + a) - a, -(-a), Fraction(1, 7) * (7 * a)):
         assert other == a and hash(other) == hash(a)
     b = Matrix(*b_case)
     assert (a == b) == (a.shape == b.shape and dict(a.entries) == dict(b.entries))
