@@ -1,4 +1,4 @@
-"""Five measurements outside the perfbench ladder, for one checkout of kbhom.
+"""Six measurements outside the perfbench ladder, for one checkout of kbhom.
 
 * heis8: ``parallelizable(8, {(1,2,3): 1}, {(1,2): 1})`` built and
   validated, then ``kb_homology``; the best of ``REPS`` runs (wall time).
@@ -16,6 +16,8 @@
 * so(3)* weight 60: ``stein_complex`` of the linear bivector
   z3 ∂1∧∂2 + z1 ∂2∧∂3 + z2 ∂3∧∂1 on C³ at weight 60 (5673×5673 middle
   blocks), then ``homology_dims``; the best of ``REPS`` runs (wall time).
+* so(3)* weights 0..40: ``stein_homology`` of the same bivector over
+  weights 0..40 with cap 40; the best of ``REPS`` runs (wall time).
 
 Run from the root of a checkout, or point it at another one:
 
@@ -59,7 +61,7 @@ def main() -> int:
     from kbhom.complexes import homology_dims, spectral_pages
     from kbhom.engine import kb_double_complex, kb_homology
     from kbhom.models import DolbeaultPoissonModel, validate_model
-    from kbhom.stein import stein_complex
+    from kbhom.stein import stein_complex, stein_homology
     from kbhom.zoo import model_to_json, parallelizable
 
     def heis(n):
@@ -119,6 +121,8 @@ def main() -> int:
     best = best_of(lambda: stein_complex(3, so3, 60, cap=60), homology_dims)
     print(f"so(3)* weight 60 stein_complex+homology_dims: {best[0]:.3f} s best of {REPS} "
           f"(stein_complex {best[1]:.3f} s, homology_dims {best[2]:.3f} s)")
+    best = best_of(lambda: None, lambda _: stein_homology(3, so3, range(41), cap=40))
+    print(f"so(3)* weights 0..40 stein_homology: {best[0]:.3f} s best of {REPS}")
     return 0
 
 

@@ -391,7 +391,11 @@ def _cleared_owners(diffs) -> dict:
     The precondition D² = 0 is proved for every differential that reaches
     here: the ``Complex`` and ``DoubleComplex`` constructors check it, and
     where they are told not to, ``total_complex`` and ``kb_double_complex``
-    derive it from checked identities (the bicomplex's, or the model's).
+    derive it from checked identities (the bicomplex's, or the model's),
+    and ``stein.stein_complex`` from [pi, pi] = 0, checked once per
+    bivector by ``PolyBivector.is_poisson``: delpi∘delpi is, up to sign
+    and a factor 2, the Koszul operator of [pi, pi] (proof in
+    ``stein_complex``).
     """
     owners: dict = {}
     for k, d in diffs:

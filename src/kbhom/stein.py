@@ -25,6 +25,11 @@ What is left pairs the new generator of del with one of I, or
 differentiates the coefficient p_ij, or differentiates z^α along i or j
 (see ``stein_complex``).  Its signs, target index sets and ∂_h p_ij
 depend on I and the bivector only, so they are tabulated once per I.
+
+delpi∘delpi = 0 on every slice is proved once per bivector, by
+``PolyBivector.is_poisson``, rather than by multiplying each slice's
+consecutive differentials; only a bivector that fails it has its slices
+checked one by one (see ``stein_complex``).
 """
 
 from __future__ import annotations
@@ -53,6 +58,20 @@ class NotPoissonOnSlice(ValueError):
     """delpi fails to square to zero on the requested weight slice."""
 
 
+def _integer(x, name: str):
+    """x itself when it is a plain int; a bool or any other type raises
+    TypeError."""
+    if not _is_int(x):
+        raise TypeError(f"{name} must be an int, not {type(x).__name__}")
+    return x
+
+
+def _natural(x, name: str) -> None:
+    """TypeError unless x is a plain int, ValueError if it is negative."""
+    if _integer(x, name) < 0:
+        raise ValueError(f"{name} = {x} is negative")
+
+
 _TERM_FIELDS = ("i", "j", "coeff", "alpha")
 
 
@@ -62,8 +81,8 @@ class PolyBivector:
     __slots__ = ("n", "degree", "terms")
 
     def __init__(self, n: int, degree: int, terms: dict):
-        if n < 0:
-            raise ValueError(f"n = {n} is negative")
+        _natural(n, "n")
+        _natural(degree, "degree")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "terms", terms)
@@ -86,12 +105,16 @@ class PolyBivector:
         the term or its alpha is not iterable).  Indices are 1-based;
         i > j is normalized by antisymmetry; all monomials must share one
         degree |alpha| (the default degree of the zero bivector is 0
-        unless given).  Inputs are strictly typed:
-        indices and exponents are ints (TypeError otherwise), and
+        unless given).  Inputs are strictly typed: n, a declared degree,
+        indices and exponents are ints, never bools (TypeError otherwise),
+        a declared degree is nonnegative (ValueError otherwise), and
         coefficients are ints, Fractions or "a/b" strings, read by
         ``linalg._q`` (bools and floats raise TypeError, other strings
         ValueError).
         """
+        _integer(n, "n")
+        if degree is not None:
+            _natural(degree, "degree")
         terms: dict = {}
         seen_degree = None
         for idx, raw in enumerate(raw_terms):
@@ -153,6 +176,38 @@ class PolyBivector:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def is_poisson(self) -> bool:
+        """Whether [pi, pi] = 0, i.e. the Jacobiator
+
+            J^{ijk} = Σ_cyc Σ_l π^{li} ∂_l π^{jk},   π^{ji} = -π^{ij} = -p_ij,
+
+        vanishes for every i < j < k.  It is computed on the integer terms
+        of ``_integer_terms`` (L·π, whose Jacobiator is L² J), so exactly.
+        """
+        terms, _ = _integer_terms(self)
+
+        def entry(a, b):
+            return (1, terms.get((a, b), {})) if a < b else (-1, terms.get((b, a), {}))
+
+        gens = range(1, self.n + 1)
+        for i, j, k in combinations(gens, 3):
+            jac: dict = {}
+            for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                sign_bc, p_bc = entry(b, c)
+                for l in gens:
+                    sign_la, p_la = entry(l, a)
+                    for beta, x in p_bc.items():
+                        e = beta[l - 1]
+                        if not e:
+                            continue
+                        lowered = beta[:l - 1] + (e - 1,) + beta[l:]
+                        for gamma, y in p_la.items():
+                            mono = tuple(map(add, gamma, lowered))
+                            jac[mono] = jac.get(mono, 0) + sign_la * sign_bc * e * x * y
+            if any(jac.values()):
+                return False
+        return True
+
 
 def _compositions(total: int, parts: int) -> list:
     """All tuples of `parts` nonnegative ints summing to total, lex ascending.
@@ -173,9 +228,11 @@ def slice_basis(n: int, degree: int, w: int, cap: int) -> dict:
 
     Bases are ordered lexicographically in (alpha, I).  Raises
     SliceCapError when the slice would need |alpha| > cap; truncating
-    instead would break delpi-closure.  A negative cap is a ValueError.
+    instead would break delpi-closure.  A w or cap that is not a plain
+    int is a TypeError, a negative cap a ValueError.
     """
-    if cap < 0:
+    _integer(w, "w")
+    if _integer(cap, "cap") < 0:
         raise ValueError(f"cap must be nonnegative, got {cap}")
     out: dict = {}
     alphas: dict = {}  # the compositions of each |alpha|, shared by the degrees
@@ -215,14 +272,16 @@ class _KoszulTables:
     ``(delta, target, c)`` standing for c·z^{α+delta} dz_target.  The
     coefficients are scaled by ``scale`` as in ``_integer_terms``.  A table
     is built the first time its I is looked up, so only the index sets of
-    the slices actually built cost anything.
+    the slices actually built cost anything.  ``poisson`` is
+    ``pi.is_poisson()``, computed once for all the slices.
     """
 
-    __slots__ = ("pi", "terms", "scale", "_tables")
+    __slots__ = ("pi", "terms", "scale", "poisson", "_tables")
 
     def __init__(self, pi: PolyBivector):
         self.pi = pi
         self.terms, self.scale = _integer_terms(pi)
+        self.poisson = pi.is_poisson()
         self._tables: dict = {}
 
     def __getitem__(self, i_set):
@@ -284,7 +343,7 @@ class _KoszulTables:
 
 def _as_bivector(n: int, pi) -> PolyBivector:
     if isinstance(pi, PolyBivector):
-        if pi.n != n:
+        if pi.n != _integer(n, "n"):
             raise ValueError("bivector built for a different n")
         return pi
     return PolyBivector.from_terms(n, pi)
@@ -307,9 +366,22 @@ def stein_complex(n: int, pi, w: int, cap: int = 8) -> Complex:
     looked up in per-I tables (see ``_KoszulTables``).  Coefficients are
     integers after scaling the bivector by the common denominator L of
     its coefficients, and each column is emitted as those integers over
-    L, still exact, so the D² check multiplies integers.  The slice
-    is checked to be closed under delpi and delpi∘delpi = 0 is verified,
-    failing with "bivector not Poisson at weight w" otherwise.
+    L, still exact.  The slice is checked to be closed under delpi.
+
+    delpi∘delpi = 0 is proved, not multiplied out, when pi is Poisson.
+    delpi is the graded commutator [l_pi, del] of the contraction l_pi
+    (degree -2) and del (degree 1), and for bivectors P and Q,
+    [[l_P, del], [l_Q, del]] = ±[l_[P,Q], del], with [P, Q] the
+    Schouten–Nijenhuis bracket (Koszul, "Crochet de Schouten–Nijenhuis et
+    cohomologie", Astérisque 1985; Brylinski 1988).  So
+    2 delpi∘delpi = [delpi, delpi] is, up to sign, the Koszul operator of
+    [pi, pi], whose coefficients are those of the Jacobiator.  When
+    ``PolyBivector.is_poisson`` finds it zero, every slice squares to
+    zero and is built unchecked; ``homology_dims`` clears columns on that
+    proof, so a wrong "Poisson" would give wrong homology silently.
+    Otherwise each slice multiplies its consecutive differentials, and one
+    that does not square to zero fails with "bivector not Poisson at
+    weight w"; a slice that does is returned as usual.
     """
     return _slice_complex(_KoszulTables(_as_bivector(n, pi)), w, cap)
 
@@ -350,7 +422,7 @@ def _slice_complex(tables: _KoszulTables, w: int, cap: int) -> Complex:
             pieces.append((col, line, scale))
         diffs[-p] = _from_columns(len(basis.get(p - 1, ())), len(monos), pieces)
     try:
-        return Complex(spaces, diffs)
+        return Complex(spaces, diffs, check=not tables.poisson)
     except ComplexInvariantError:
         raise NotPoissonOnSlice(f"bivector not Poisson at weight {w}") from None
 

@@ -741,6 +741,36 @@ def oracle_stein_differentials(pi, w: int, cap: int) -> dict:
     return diffs
 
 
+def oracle_jacobiator(pi) -> dict:
+    """The Schouten bracket [pi, pi] of a PolyBivector, up to the factor 2,
+    as {(i, j, k): {alpha: Fraction}} with zeros omitted.
+
+    In odd variables θ_l = ∂/∂z_l, pi = Σ_{i<j} p_ij θ_i θ_j and
+    [pi, pi] = 2 Σ_l (∂pi/∂θ_l)(∂pi/∂z_l), the θ-derivative taken from the
+    left.  Its θ_i θ_j θ_k coefficient is the Jacobiator of pi.  Built with
+    Fractions from ``pi.terms``, wedge signs from a permutation sort."""
+    pieces = [(ij, beta, c) for ij, poly in pi.terms.items() for beta, c in poly.items()]
+    out: dict = {}
+    for l in range(1, pi.n + 1):
+        for ij, beta, c in pieces:
+            if l not in ij:
+                continue
+            # ∂/∂θ_l of c z^beta θ_i θ_j: the θ left after moving θ_l to the front
+            odd, sign = ((ij[1],), 1) if ij[0] == l else ((ij[0],), -1)
+            for ab, gamma, d in pieces:
+                e = gamma[l - 1]
+                if not e:
+                    continue
+                wedge_sign, ijk = _sort_sign(odd + ab)
+                if not wedge_sign:
+                    continue
+                mono = tuple(x + y - (m == l - 1) for m, (x, y) in enumerate(zip(beta, gamma)))
+                poly = out.setdefault(ijk, {})
+                poly[mono] = poly.get(mono, Fraction(0)) + wedge_sign * sign * c * d * e
+    return {ijk: nonzero for ijk, poly in out.items()
+            if (nonzero := {m: c for m, c in poly.items() if c})}
+
+
 # ----------------------------------------------------------------------------
 # The former model builders, kept as oracles for the Koszul tensor routine:
 # exterior models built on all 4^n wedge monomials with a permutation sort

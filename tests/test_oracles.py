@@ -9,6 +9,7 @@ entry.
 
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -35,11 +36,18 @@ from kbhom.models import (
     product_model,
     validate_model,
 )
-from kbhom.stein import NotPoissonOnSlice, PolyBivector, slice_basis, stein_complex
+from kbhom.stein import (
+    NotPoissonOnSlice,
+    PolyBivector,
+    slice_basis,
+    stein_complex,
+    stein_homology,
+)
 from kbhom.zoo import parallelizable, torus
 from support import (
     column_matrix,
     dense,
+    oracle_jacobiator,
     oracle_kernel_basis,
     oracle_les_from_ses,
     oracle_product,
@@ -326,6 +334,89 @@ def test_stein_slices_match_oracle_on_random_bivectors(slice_):
     else:
         with pytest.raises(NotPoissonOnSlice):
             stein_complex(pi.n, pi, w, cap)
+
+
+def test_non_poisson_outcomes_are_pinned():
+    """Non-Poisson bivectors keep the per-slice check: every slice that does
+    not square to zero raises, naming its weight, and the others count."""
+    linear = PolyBivector.from_terms(3, NOT_POISSON_LINEAR)
+    for w in range(7):
+        with pytest.raises(NotPoissonOnSlice, match=f"^bivector not Poisson at weight {w}$"):
+            stein_complex(3, linear, w, 40)
+    quadratic = PolyBivector.from_terms(3, NOT_POISSON_QUADRATIC)
+    for w, dims in ((0, {3: 1}), (1, {3: 3, 2: 3}), (2, {3: 4, 2: 5, 1: 1})):
+        table = stein_homology(3, quadratic, [w], 40)
+        assert {k: v for (_, k), v in table.items() if v} == dims
+    with pytest.raises(NotPoissonOnSlice, match="^bivector not Poisson at weight 3$"):
+        stein_complex(3, quadratic, 3, 40)
+    with pytest.raises(NotPoissonOnSlice, match="^bivector not Poisson at weight 3$"):
+        stein_homology(3, quadratic, range(7), 40)
+
+
+SMALL_COEFFS = [Fraction(c) for c in (-2, -1, 1, 2)] + [Fraction(1, 2), Fraction(-3, 2)]
+
+
+@st.composite
+def small_bivectors(draw):
+    """A homogeneous bivector on C^n, n = 2..4, of degree 0..2, Poisson or
+    not: a few terms with small coefficients, the Jacobian bivector
+    {z_a, z_b} = ∂F/∂z_c (cyclic in a < b < c) of a random F of degree
+    degree + 1 (Poisson for every F), or the sum of the two."""
+    n, degree = draw(st.integers(2, 4)), draw(st.integers(0, 2))
+
+    def monomial(size):
+        alpha = [0] * n
+        for g in draw(st.lists(st.integers(0, n - 1), min_size=size, max_size=size)):
+            alpha[g] += 1
+        return alpha
+
+    terms = []
+    kind = draw(st.sampled_from(["sparse", "jacobian", "both"]))
+    if kind != "jacobian":
+        for _ in range(draw(st.integers(1, 3))):
+            i, j = draw(st.permutations(range(1, n + 1)))[:2]
+            terms.append((i, j, draw(st.sampled_from(SMALL_COEFFS)), tuple(monomial(degree))))
+    if kind != "sparse" and n >= 3:
+        a, b, c = sorted(draw(st.permutations(range(1, n + 1)))[:3])
+        for _ in range(draw(st.integers(1, 3))):
+            f, coeff = monomial(degree + 1), draw(st.sampled_from(SMALL_COEFFS))
+            for x, y, h in ((a, b, c), (b, c, a), (c, a, b)):
+                if f[h - 1]:
+                    grad = f[:h - 1] + [f[h - 1] - 1] + f[h:]
+                    terms.append((x, y, coeff * f[h - 1], tuple(grad)))
+    return PolyBivector.from_terms(n, terms, degree=degree)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_bivectors())
+def test_is_poisson_is_the_schouten_oracle_and_proves_every_slice(pi):
+    """``is_poisson`` against [pi, pi] from the Schouten bracket; when it
+    holds, the composed Fraction differentials square to zero on every
+    slice of weight at most 8 with up to 200 basis elements.  The squares
+    are sparse ``Matrix`` products (``test_product_matches_oracle``): the
+    dense oracle product takes seconds on the larger slices."""
+    poisson = pi.is_poisson()
+    assert poisson == (not oracle_jacobiator(pi))
+    if not poisson:
+        return
+    cap = 40
+    for w in range(-2 if pi.degree == 0 else 0, 9):
+        if sum(map(len, slice_basis(pi.n, pi.degree, w, cap).values())) > 200:
+            continue
+        diffs = oracle_stein_differentials(pi, w, cap)
+        assert all((diffs[k + 1] * m).is_zero() for k, m in diffs.items() if k + 1 in diffs), w
+
+
+@pytest.mark.parametrize("a, b, c", list(permutations((1, 2, 3))))
+def test_is_poisson_reads_every_cyclic_term(a, b, c):
+    """{z_a, z_b} = z_a and {z_a, z_c} = z_b: one cyclic term of the
+    Jacobiator at (1, 2, 3) is z_b, the other two vanish, and the six
+    orderings put that term at each cyclic place."""
+    e = lambda g: tuple(int(x == g) for x in (1, 2, 3))
+    pi = PolyBivector.from_terms(3, [(a, b, 1, e(a)), (a, c, 1, e(b))])
+    (jac,) = oracle_jacobiator(pi).items()
+    assert jac[0] == (1, 2, 3) and list(jac[1].items()) in ([(e(b), 1)], [(e(b), -1)])
+    assert not pi.is_poisson()
 
 
 def assert_pages_match(dc, r_max):

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from kbhom.complexes import homology_dims
+from kbhom.complexes import Complex, homology_dims
 from kbhom.stein import (
     NonHomogeneousBivector,
     PolyBivector,
@@ -67,7 +67,8 @@ def test_per_slice_euler_identity():
 
 
 def test_slices_are_closed_and_squared_zero():
-    # construction itself asserts closure and d∘d = 0; touch many weights
+    # construction itself asserts closure, and both bivectors are Poisson,
+    # which proves d∘d = 0; touch many weights
     for w in range(-3, 5):
         stein_complex(2, CONSTANT, w)
         stein_complex(2, LINEAR, w)
@@ -196,3 +197,46 @@ def test_three_variable_poisson_slice():
         chi_h = sum((-1) ** k * v for k, v in homology_dims(c).items())
         chi_c = sum((-1) ** k * v for k, v in c.spaces.items())
         assert chi_h == chi_c
+
+
+SO3 = [(1, 2, 1, (0, 0, 1)), (2, 3, 1, (1, 0, 0)), (3, 1, 1, (0, 1, 0))]
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: PolyBivector.from_terms(3.0, []), TypeError, "n must be an int, not float"),
+    (lambda: PolyBivector.from_terms(True, []), TypeError, "n must be an int, not bool"),
+    (lambda: PolyBivector.from_terms("3", SO3), TypeError, "n must be an int, not str"),
+    (lambda: PolyBivector.from_terms(3, [], degree=1.5), TypeError,
+     "degree must be an int, not float"),
+    (lambda: PolyBivector.from_terms(3, SO3, degree=True), TypeError,
+     "degree must be an int, not bool"),
+    (lambda: PolyBivector.from_terms(3, [], degree=-1), ValueError, "degree = -1 is negative"),
+    (lambda: PolyBivector.zero(2, -1), ValueError, "degree = -1 is negative"),
+    (lambda: PolyBivector(2, 1.0, {}), TypeError, "degree must be an int, not float"),
+    (lambda: stein_complex(3, SO3, True, 8), TypeError, "w must be an int, not bool"),
+    (lambda: stein_complex(3, SO3, 1, 8.5), TypeError, "cap must be an int, not float"),
+    (lambda: stein_homology(3, SO3, [0, 1.0]), TypeError, "w must be an int, not float"),
+    (lambda: slice_basis(2, 0, 0, True), TypeError, "cap must be an int, not bool"),
+    (lambda: stein_complex(3.0, PolyBivector.from_terms(3, SO3), 1), TypeError,
+     "n must be an int, not float"),
+], ids=["n-float", "n-bool", "n-str", "degree-float", "degree-bool", "degree-negative",
+        "zero-degree-negative", "init-degree-float", "w-bool", "cap-float",
+        "homology-w-float", "basis-cap-bool", "complex-n-float"])
+def test_stein_arguments_are_strictly_typed(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
+
+
+def test_only_non_poisson_slices_are_squared(monkeypatch):
+    """A Poisson bivector's slices are built without the D² check, which
+    [pi, pi] = 0 proves; the slices of any other bivector are checked."""
+    squared = []
+    monkeypatch.setattr(Complex, "validate", lambda c: squared.append(c.spaces))
+    assert PolyBivector.from_terms(3, SO3).is_poisson()
+    stein_homology(3, SO3, range(4), 40)
+    assert squared == []
+    not_poisson = [(1, 2, 1, (2, 0, 0)), (1, 3, 1, (0, 0, 2))]
+    assert not PolyBivector.from_terms(3, not_poisson).is_poisson()
+    stein_homology(3, not_poisson, range(3), 40)
+    assert len(squared) == 3
