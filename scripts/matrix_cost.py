@@ -1,9 +1,9 @@
-"""Six measurements outside the perfbench ladder, for one checkout of kbhom.
+"""Nine measurements outside the perfbench ladder, for one checkout of kbhom.
 
 * heis8: ``parallelizable(8, {(1,2,3): 1}, {(1,2): 1})`` built and
   validated, then ``kb_homology``; the best of ``REPS`` runs (wall time).
-  Then ``validate_model`` alone, on fresh unvalidated copies of the
-  built model (its blocks shared); the best of ``REPS`` runs.
+* heis8 validation: ``validate_model`` alone, on fresh unvalidated copies
+  of the built model (its blocks shared); the best of ``REPS`` runs.
 * heis6 and heis7 spectral pages: the bicomplex ``kb_double_complex`` of
   the validated model, then ``spectral_pages(dc, 2)``; the best of
   ``REPS`` runs (wall time).
@@ -19,20 +19,27 @@
 * so(3)* weights 0..40: ``stein_homology`` of the same bivector over
   weights 0..40 with cap 40; the best of ``REPS`` runs (wall time).
 
-Run from the root of a checkout, or point it at another one:
+Each measurement runs in a fresh interpreter, one after the other, so
+none of them depends on what ran before it in the same process (the heap
+and caches that earlier cases leave behind).  Run from the root of a
+checkout, or point it at another one:
 
     python3 scripts/matrix_cost.py                 # this checkout's src/
     python3 scripts/matrix_cost.py --src /path/to/other/checkout/src
+    python3 scripts/matrix_cost.py --case so3-w60  # one measurement, in this process
 """
 
 import argparse
 import gc
+import subprocess
 import sys
 import time
 import tracemalloc
 from pathlib import Path
 
 REPS = 3
+CASES = ("heis8", "heis8-validate", "heis6-spectral", "heis7-spectral", "heis6-memory",
+         "heis5-json", "heis6-json", "so3-w60", "so3-w0-40")
 
 
 def best_of(build, measure) -> tuple:
@@ -52,12 +59,8 @@ def best_of(build, measure) -> tuple:
     return best
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"),
-                        help="the src/ directory to import kbhom from")
-    args = parser.parse_args()
-    sys.path.insert(0, args.src)
+def run_case(case: str) -> None:
+    """Runs one measurement of ``CASES`` and prints its line."""
     from kbhom.complexes import homology_dims, spectral_pages
     from kbhom.engine import kb_double_complex, kb_homology
     from kbhom.models import DolbeaultPoissonModel, validate_model
@@ -71,33 +74,33 @@ def main() -> int:
         validate_model(m)
         return m
 
-    best = best_of(lambda: validated(heis(8)), kb_homology)
-    print(f"heis8 build+validate+kb_homology: {best[0]:.3f} s best of {REPS} "
-          f"(build+validate {best[1]:.3f} s, kb_homology {best[2]:.3f} s)")
-
-    m = heis(8)
-    best = best_of(lambda: DolbeaultPoissonModel(m.n, m.basis, m.del_blocks, m.delbar_blocks,
-                                                 m.contraction_blocks), validate_model)
-    print(f"heis8 validate_model: {best[2]:.3f} s best of {REPS}")
-    del m
-
-    for n in (6, 7):
+    so3 = [(1, 2, 1, (0, 0, 1)), (2, 3, 1, (1, 0, 0)), (3, 1, 1, (0, 1, 0))]
+    if case == "heis8":
+        best = best_of(lambda: validated(heis(8)), kb_homology)
+        print(f"heis8 build+validate+kb_homology: {best[0]:.3f} s best of {REPS} "
+              f"(build+validate {best[1]:.3f} s, kb_homology {best[2]:.3f} s)")
+    elif case == "heis8-validate":
+        m = heis(8)
+        best = best_of(lambda: DolbeaultPoissonModel(m.n, m.basis, m.del_blocks, m.delbar_blocks,
+                                                     m.contraction_blocks), validate_model)
+        print(f"heis8 validate_model: {best[2]:.3f} s best of {REPS}")
+    elif case in ("heis6-spectral", "heis7-spectral"):
+        n = int(case[4])
         best = best_of(lambda: kb_double_complex(validated(heis(n))),
                        lambda dc: spectral_pages(dc, 2))
         print(f"heis{n} spectral_pages(kb_double_complex, 2): {best[2]:.3f} s best of {REPS} "
               f"(build+validate+bicomplex {best[1]:.3f} s)")
-
-    gc.collect()
-    tracemalloc.start()
-    m = heis(6)
-    validate_model(m)
-    current, peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
-    print(f"heis6 build+validate: tracemalloc peak {peak / 1024:.0f} KiB, "
-          f"{current / 1024:.0f} KiB still allocated")
-    del m
-
-    for n in (5, 6):
+    elif case == "heis6-memory":
+        gc.collect()
+        tracemalloc.start()
+        m = heis(6)
+        validate_model(m)
+        current, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        print(f"heis6 build+validate: tracemalloc peak {peak / 1024:.0f} KiB, "
+              f"{current / 1024:.0f} KiB still allocated")
+    elif case in ("heis5-json", "heis6-json"):
+        n = int(case[4])
         m = heis(n)
         best = float("inf")
         for _ in range(REPS):
@@ -112,17 +115,35 @@ def main() -> int:
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         size = len(text.encode())
-        del text
         print(f"heis{n} model_to_json ({size / 1e6:.1f} MB): {best:.3f} s best of {REPS}, "
               f"tracemalloc peak {peak / 2**20:.1f} MiB")
-        del m
+    elif case == "so3-w60":
+        best = best_of(lambda: stein_complex(3, so3, 60, cap=60), homology_dims)
+        print(f"so(3)* weight 60 stein_complex+homology_dims: {best[0]:.3f} s best of {REPS} "
+              f"(stein_complex {best[1]:.3f} s, homology_dims {best[2]:.3f} s)")
+    else:
+        best = best_of(lambda: None, lambda _: stein_homology(3, so3, range(41), cap=40))
+        print(f"so(3)* weights 0..40 stein_homology: {best[0]:.3f} s best of {REPS}")
 
-    so3 = [(1, 2, 1, (0, 0, 1)), (2, 3, 1, (1, 0, 0)), (3, 1, 1, (0, 1, 0))]
-    best = best_of(lambda: stein_complex(3, so3, 60, cap=60), homology_dims)
-    print(f"so(3)* weight 60 stein_complex+homology_dims: {best[0]:.3f} s best of {REPS} "
-          f"(stein_complex {best[1]:.3f} s, homology_dims {best[2]:.3f} s)")
-    best = best_of(lambda: None, lambda _: stein_homology(3, so3, range(41), cap=40))
-    print(f"so(3)* weights 0..40 stein_homology: {best[0]:.3f} s best of {REPS}")
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"),
+                        help="the src/ directory to import kbhom from")
+    parser.add_argument("--case", choices=CASES,
+                        help="run this one measurement in this process (default: every "
+                             "measurement, each in a fresh interpreter)")
+    args = parser.parse_args()
+    if args.case:
+        sys.path.insert(0, args.src)
+        run_case(args.case)
+        return 0
+    for case in CASES:
+        sys.stdout.flush()
+        done = subprocess.run([sys.executable, __file__, "--src", args.src, "--case", case])
+        if done.returncode:
+            print(f"{case}: exited with {done.returncode}", file=sys.stderr)
+            return done.returncode
     return 0
 
 

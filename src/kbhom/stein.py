@@ -12,24 +12,11 @@ the geometric indexing k = n - p and never summed into a statement
 about the full space of holomorphic forms.
 
 delpi is built from its closed form (Brylinski, "A differential complex
-for Poisson manifolds", 1988), not by composing l_pi and del.  Write
-s_g(I) for the sign in dz_g ∧ dz_I = ±dz_{I∪g}, and ε_ij(I) for the sign
-in dz_I = ±dz_i ∧ dz_j ∧ dz_{I∖{i,j}}, with which l_pi contracts the pair
-(both are ``models._wedge`` signs).  The terms of l_pi∘del whose pair
-{i, j} lies in I cancel, exactly, the terms of del∘l_pi that
-differentiate z^α along an h ∉ I, because
-
-    s_h(I) ε_ij(I∪h) = ε_ij(I) s_h(I∖{i,j}).
-
-What is left pairs the new generator of del with one of I, or
-differentiates the coefficient p_ij, or differentiates z^α along i or j
-(see ``stein_complex``).  Its signs, target index sets and ∂_h p_ij
-depend on I and the bivector only, so they are tabulated once per I.
-
-delpi∘delpi = 0 on every slice is proved once per bivector, by
-``PolyBivector.is_poisson``, rather than by multiplying each slice's
-consecutive differentials; only a bivector that fails it has its slices
-checked one by one (see ``stein_complex``).
+for Poisson manifolds", 1988), whose cancelling terms are never made; what
+depends on I and the bivector only is tabulated once per I, as offsets
+between int keys of monomials (``_KoszulTables``).  delpi∘delpi = 0 is
+proved once per bivector by ``PolyBivector.is_poisson``; only a bivector
+that fails it has its slices checked one by one (see ``stein_complex``).
 """
 
 from __future__ import annotations
@@ -37,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
-from operator import add
+from operator import add, mul
 
 from .complexes import Complex, ComplexInvariantError, homology_dims
 from .linalg import _from_columns, _is_int, _q
@@ -223,31 +210,30 @@ def _compositions(total: int, parts: int) -> list:
             for bars in combinations(range(slots), parts - 1)]
 
 
-def slice_basis(n: int, degree: int, w: int, cap: int) -> dict:
-    """Monomial basis of the weight-w slice, grouped by form degree p.
-
-    Bases are ordered lexicographically in (alpha, I).  Raises
-    SliceCapError when the slice would need |alpha| > cap; truncating
-    instead would break delpi-closure.  A w or cap that is not a plain
-    int is a TypeError, a negative cap a ValueError.
-    """
+def _slice_sizes(n: int, degree: int, w: int, cap: int) -> dict:
+    """``{p: |alpha|}`` over the form degrees p of the weight-w slice; a
+    SliceCapError if it needs |alpha| > cap (truncating would break
+    delpi-closure), TypeError unless w and cap are ints, ValueError if cap < 0."""
     _integer(w, "w")
     if _integer(cap, "cap") < 0:
         raise ValueError(f"cap must be nonnegative, got {cap}")
-    out: dict = {}
-    alphas: dict = {}  # the compositions of each |alpha|, shared by the degrees
-    for size in range(n + 1):
-        a = w - (degree - 1) * size
-        if a < 0:
-            continue
+    sizes = {p: w - (degree - 1) * p for p in range(n + 1)}
+    for p, a in sizes.items():
         if a > cap:
             raise SliceCapError(
-                f"weight {w} needs |alpha| = {a} > cap = {cap} at form degree {size}")
-        if a not in alphas:
-            alphas[a] = _compositions(a, n)
-        out[size] = [(alpha, i_set) for alpha in alphas[a]
-                     for i_set in combinations(range(1, n + 1), size)]
-    return out
+                f"weight {w} needs |alpha| = {a} > cap = {cap} at form degree {p}")
+    return {p: a for p, a in sizes.items() if a >= 0}
+
+
+def slice_basis(n: int, degree: int, w: int, cap: int) -> dict:
+    """Monomial basis of the weight-w slice, grouped by form degree p and
+    ordered lexicographically in (alpha, I); ``_slice_sizes`` checks the
+    arguments."""
+    sizes = _slice_sizes(n, degree, w, cap)
+    alphas = {size: _compositions(size, n) for size in set(sizes.values())}
+    return {p: [(alpha, i_set) for alpha in alphas[size]
+                for i_set in combinations(range(1, n + 1), p)]
+            for p, size in sizes.items()}
 
 
 def _integer_terms(pi: PolyBivector):
@@ -264,39 +250,62 @@ def _integer_terms(pi: PolyBivector):
 
 
 class _KoszulTables:
-    """The α-independent part of delpi(z^α dz_I), one table per index set I.
+    """The α-independent part of delpi(z^α dz_I), one table per index set I,
+    for slices with |α| ≤ ``cap``.  A monomial is one int,
 
-    ``tables[I]`` is ``(shifted, fixed)``.  ``shifted`` lists
-    ``(g, terms)`` and each ``(delta, target, c)`` in ``terms`` stands for
-    α_g·c·z^{α+delta} dz_target (g is 0-based); ``fixed`` lists the
-    ``(delta, target, c)`` standing for c·z^{α+delta} dz_target.  The
-    coefficients are scaled by ``scale`` as in ``_integer_terms``.  A table
-    is built the first time its I is looked up, so only the index sets of
-    the slices actually built cost anything.  ``poisson`` is
-    ``pi.is_poisson()``, computed once for all the slices.
+        key(α, I) = Σ_g α_g R^g 2^n + Σ_{i∈I} 2^{i-1},   R = cap + 1.
+
+    ``tables[I]`` is ``(shifted, fixed)``: ``shifted`` lists ``(g, terms)``,
+    each ``(offset, c)`` in ``terms`` standing for α_g·c·z^{α+δ} dz_J (g is
+    0-based), and ``fixed`` the ``(offset, c)`` standing for c·z^{α+δ} dz_J;
+    offset = key(δ, J) - key(0, I), c is scaled as in ``_integer_terms``.
+    Then key(α, I) + offset = key(α+δ, J), the key of no other monomial:
+    each term keeps the weight, |δ| + (d-1)(|J| - |I|) = 0, and has δ ≥ 0
+    but for δ_g ≥ -1 in a shifted term, which fires only if α_g ≥ 1.  So a
+    target has exponents ≥ 0 and weight w, whence |α+δ| ≤ cap < R by
+    ``_slice_sizes``, and every digit of its key is below R.  Both premises
+    are checked per term as the table is built, at the first lookup of its
+    I.  ``alphas(a)`` lists the (α, key(α, ∅)) with |α| = a; the slices
+    share these and ``poisson``, which is ``pi.is_poisson()``.
     """
 
-    __slots__ = ("pi", "terms", "scale", "poisson", "_tables")
+    __slots__ = ("pi", "cap", "terms", "scale", "poisson", "_tables", "_alphas")
 
-    def __init__(self, pi: PolyBivector):
-        self.pi = pi
+    def __init__(self, pi: PolyBivector, cap: int):
+        self.pi, self.cap, self._tables, self._alphas = pi, cap, {}, {}
         self.terms, self.scale = _integer_terms(pi)
         self.poisson = pi.is_poisson()
-        self._tables: dict = {}
+
+    def key(self, alpha, i_set) -> int:
+        radix = self.cap + 1
+        return ((sum(a * radix ** g for g, a in enumerate(alpha)) << self.pi.n)
+                + sum(1 << (i - 1) for i in i_set))
+
+    def alphas(self, size: int) -> list:
+        if size not in self._alphas:
+            units = [self.key((0,) * g + (1,), ()) for g in range(self.pi.n)]
+            self._alphas[size] = [(alpha, sum(map(mul, alpha, units)))
+                                  for alpha in _compositions(size, self.pi.n)]
+        return self._alphas[size]
 
     def __getitem__(self, i_set):
-        table = self._tables.get(i_set)
-        if table is None:
-            table = self._tables[i_set] = self._build(i_set)
-        return table
+        if i_set not in self._tables:
+            self._tables[i_set] = self._build(i_set)
+        return self._tables[i_set]
 
     def _build(self, i_set):
         n, terms = self.pi.n, self.terms
-        shifted: dict = {}
-        fixed: dict = {}
+        weight, base = self.pi.degree - 1, self.key((), i_set)
+        acc: dict = {}  # (g, offset) → c; g is None for the fixed terms
 
-        def lowered(beta, h):
-            return beta[:h - 1] + (beta[h - 1] - 1,) + beta[h:]
+        def put(g, beta, h, target, c):  # c·z^{α+δ} dz_target, δ = beta - e_h
+            delta = beta[:h - 1] + (beta[h - 1] - 1,) + beta[h:]
+            shift = sum(delta) + weight * (len(target) - len(i_set))
+            if shift or any(x < -(k == g) for k, x in enumerate(delta)):
+                raise AssertionError(f"delpi term z^{delta} dz_{target} of dz_{i_set} shifts the"
+                                     f" weight by {shift} or can take an exponent below 0")
+            key = (g, self.key(delta, target) - base)
+            acc[key] = acc.get(key, 0) + c
 
         # l_pi∘del through the new generator g ∉ I, paired with o ∈ I:
         #   α_g s_g(I) ε_go(I∪g) p_go z^{α-e_g} dz_{I∖o}
@@ -306,14 +315,10 @@ class _KoszulTables:
             s_g = _wedge((g,), i_set)[0]
             for o in i_set:
                 ij = (g, o) if g < o else (o, g)
-                poly = terms.get(ij)
-                if poly is None:
-                    continue
                 target = tuple(x for x in i_set if x != o)
                 sign = s_g * _wedge(ij, target)[0]
-                for beta, c in poly.items():
-                    key = (g - 1, lowered(beta, g), target)
-                    shifted[key] = shifted.get(key, 0) + sign * c
+                for beta, c in terms.get(ij, {}).items():
+                    put(g - 1, beta, g, target, sign * c)
         # -del∘l_pi over the pairs {i, j} ⊂ I, with K = I∖{i,j} and h ∉ K:
         #   -ε_ij(I) s_h(K) [(∂_h p_ij) z^α + [h∈{i,j}] α_h p_ij z^{α-e_h}] dz_{K∪h}
         for (i, j), poly in terms.items():
@@ -325,20 +330,16 @@ class _KoszulTables:
                 if h in rest:
                     continue
                 s_h, target = _wedge((h,), rest)
-                sign = -eps * s_h
                 for beta, c in poly.items():
                     if beta[h - 1]:
-                        key = (lowered(beta, h), target)
-                        fixed[key] = fixed.get(key, 0) + sign * c * beta[h - 1]
+                        put(None, beta, h, target, -eps * s_h * c * beta[h - 1])
                     if h == i or h == j:
-                        key = (h - 1, lowered(beta, h), target)
-                        shifted[key] = shifted.get(key, 0) + sign * c
+                        put(h - 1, beta, h, target, -eps * s_h * c)
         by_gen: dict = {}
-        for (g, delta, target), c in shifted.items():
+        for (g, offset), c in acc.items():
             if c:
-                by_gen.setdefault(g, []).append((delta, target, c))
-        return (list(by_gen.items()),
-                [(delta, target, c) for (delta, target), c in fixed.items() if c])
+                by_gen.setdefault(g, []).append((offset, c))
+        return [(g, t) for g, t in by_gen.items() if g is not None], by_gen.get(None, [])
 
 
 def _as_bivector(n: int, pi) -> PolyBivector:
@@ -366,7 +367,11 @@ def stein_complex(n: int, pi, w: int, cap: int = 8) -> Complex:
     looked up in per-I tables (see ``_KoszulTables``).  Coefficients are
     integers after scaling the bivector by the common denominator L of
     its coefficients, and each column is emitted as those integers over
-    L, still exact.  The slice is checked to be closed under delpi.
+    L, still exact.
+
+    A monomial is one int key, to which a table term adds an offset; each
+    term keeps the weight and exponents ≥ 0, so a target has |α| ≤ cap < R
+    and its key, in radix R = cap + 1, is its own (see ``_KoszulTables``).
 
     delpi∘delpi = 0 is proved, not multiplied out, when pi is Poisson.
     delpi is the graded commutator [l_pi, del] of the contraction l_pi
@@ -383,44 +388,39 @@ def stein_complex(n: int, pi, w: int, cap: int = 8) -> Complex:
     that does not square to zero fails with "bivector not Poisson at
     weight w"; a slice that does is returned as usual.
     """
-    return _slice_complex(_KoszulTables(_as_bivector(n, pi)), w, cap)
+    return _slice_complex(_KoszulTables(_as_bivector(n, pi), cap), w)
 
 
-def _slice_complex(tables: _KoszulTables, w: int, cap: int) -> Complex:
-    pi, scale = tables.pi, tables.scale
-    basis = slice_basis(pi.n, pi.degree, w, cap)
-    index = {p: {m: i for i, m in enumerate(monos)} for p, monos in basis.items()}
-    spaces = {-p: len(monos) for p, monos in basis.items()}
-    diffs = {}
-    for p, monos in basis.items():
-        if p == 0:
-            continue
-        rows = index.get(p - 1, {})
-        pieces = []
-        for col, (alpha, i_set) in enumerate(monos):
-            shifted, fixed = tables[i_set]
-            acc: dict = {}
-            for g, g_terms in shifted:
-                a_g = alpha[g]
-                if a_g:
-                    for delta, target, c in g_terms:
-                        mono = (tuple(map(add, alpha, delta)), target)
-                        acc[mono] = acc.get(mono, 0) + a_g * c
-            for delta, target, c in fixed:
-                mono = (tuple(map(add, alpha, delta)), target)
-                acc[mono] = acc.get(mono, 0) + c
-            line = {}
-            for mono, c in acc.items():
-                if not c:
-                    continue
-                row = rows.get(mono)
-                if row is None:
-                    raise AssertionError(
-                        f"delpi left the weight-{w} slice at {mono}; "
-                        "weight bookkeeping is broken")
-                line[row] = c
-            pieces.append((col, line, scale))
-        diffs[-p] = _from_columns(len(basis.get(p - 1, ())), len(monos), pieces)
+def _slice_complex(tables: _KoszulTables, w: int) -> Complex:
+    """The weight-w slice, walked α-major and I-minor as ``slice_basis``."""
+    n, scale = tables.pi.n, tables.scale
+    spaces, diffs, rows = {}, {}, {}  # rows: the keys of slice p - 1 to row indices
+    for p, size in _slice_sizes(n, tables.pi.degree, w, tables.cap).items():
+        i_sets = list(combinations(range(1, n + 1), p))
+        alphas, masks = tables.alphas(size), [tables.key((), i) for i in i_sets]
+        if p:
+            per_i = [(i_set, mask, *tables[i_set]) for i_set, mask in zip(i_sets, masks)]
+            pieces = []
+            try:
+                for alpha, a_key in alphas:
+                    for i_set, mask, shifted, fixed in per_i:
+                        key, line = a_key + mask, {}
+                        for g, g_terms in shifted:
+                            a_g = alpha[g]
+                            if a_g:
+                                for offset, c in g_terms:
+                                    row = rows[key + offset]
+                                    line[row] = line.get(row, 0) + a_g * c
+                        for offset, c in fixed:
+                            row = rows[key + offset]
+                            line[row] = line.get(row, 0) + c
+                        pieces.append((len(pieces), line, scale))
+            except KeyError:
+                raise AssertionError(f"delpi left the weight-{w} slice from {(alpha, i_set)}; "
+                                     "weight bookkeeping is broken") from None
+            diffs[-p] = _from_columns(len(rows), len(pieces), pieces)
+        keys = [a_key + mask for _, a_key in alphas for mask in masks]
+        spaces[-p], rows = len(keys), dict(zip(keys, range(len(keys))))
     try:
         return Complex(spaces, diffs, check=not tables.poisson)
     except ComplexInvariantError:
@@ -430,11 +430,11 @@ def _slice_complex(tables: _KoszulTables, w: int, cap: int) -> Complex:
 def stein_homology(n: int, pi, w_range, cap: int = 8) -> dict:
     """Per-weight homology dims, keyed (w, k) with k = n - p in [0, n].
 
-    The weights share one set of per-I tables."""
-    tables = _KoszulTables(_as_bivector(n, pi))
+    The weights share one set of per-I tables and of (α, key) lists."""
+    tables = _KoszulTables(_as_bivector(n, pi), cap)
     out: dict = {}
     for w in w_range:
-        h = homology_dims(_slice_complex(tables, w, cap))
+        h = homology_dims(_slice_complex(tables, w))
         for p in range(n + 1):
             out[(w, n - p)] = h.get(-p, 0)
     return out

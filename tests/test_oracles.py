@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from kbhom.complexes import (
     Complex,
+    homology_dims,
     les_from_ses,
     spectral_pages,
     tensor_double,
@@ -278,14 +279,24 @@ QUADRATIC = [(1, 2, 1, (1, 1))]
 RATIONAL = [(1, 2, "1/2", (0, 0, 1)), (2, 3, "-2/3", (1, 0, 0))]
 
 
+def tightest_cap(pi, w: int) -> int:
+    """The largest |alpha| of the weight-w slice (0 if it is empty): the
+    smallest cap it allows, so the radix cap + 1 of its monomial keys is as
+    small as it can be."""
+    return max(0, *(w - (pi.degree - 1) * p for p in range(pi.n + 1)))
+
+
 def test_stein_slices_match_fraction_builder():
+    """At a generous cap, at the tightest cap and at one above it."""
     for n, terms, weights, cap in ((3, SO3, range(0, 9), 40),
                                    (2, QUADRATIC, range(-2, 9), 8),
                                    (3, RATIONAL, range(0, 7), 40)):
         pi = PolyBivector.from_terms(n, terms)
         for w in weights:
-            assert stein_complex(n, pi, w, cap).diffs == \
-                oracle_stein_differentials(pi, w, cap), (terms, w)
+            top = tightest_cap(pi, w)
+            for c in (cap, top, top + 1):
+                assert stein_complex(n, pi, w, c).diffs == \
+                    oracle_stein_differentials(pi, w, c), (terms, w, c)
 
 
 @st.composite
@@ -316,15 +327,17 @@ NOT_POISSON_QUADRATIC = [(1, 2, 1, (2, 0, 0)), (1, 3, 1, (0, 0, 2))]
 
 
 @settings(max_examples=150, deadline=None)
-@given(stein_slices())
-@example((PolyBivector.from_terms(3, NOT_POISSON_LINEAR), 1))
-@example((PolyBivector.from_terms(3, NOT_POISSON_QUADRATIC), 2))  # D² = 0 here
-@example((PolyBivector.from_terms(3, NOT_POISSON_QUADRATIC), 3))  # but not here
-def test_stein_slices_match_oracle_on_random_bivectors(slice_):
+@given(stein_slices(), st.sampled_from([None, 0, 1]))
+@example((PolyBivector.from_terms(3, NOT_POISSON_LINEAR), 1), None)
+@example((PolyBivector.from_terms(3, NOT_POISSON_QUADRATIC), 2), None)  # D² = 0 here
+@example((PolyBivector.from_terms(3, NOT_POISSON_QUADRATIC), 3), None)  # but not here
+@example((PolyBivector.from_terms(3, SO3), 4), 0)
+def test_stein_slices_match_oracle_on_random_bivectors(slice_, above_tightest):
     """The closed-form builder against the composition l_pi∘del - del∘l_pi,
-    entry for entry; NotPoissonOnSlice exactly when the oracle's D² ≠ 0."""
+    entry for entry; NotPoissonOnSlice exactly when the oracle's D² ≠ 0.
+    The cap is 40, or the tightest cap of the slice plus 0 or 1."""
     pi, w = slice_
-    cap = 40
+    cap = 40 if above_tightest is None else tightest_cap(pi, w) + above_tightest
     assume(sum(map(len, slice_basis(pi.n, pi.degree, w, cap).values())) <= 120)
     expected = oracle_stein_differentials(pi, w, cap)
     squares_to_zero = all(oracle_product(expected[k + 1], m).is_zero()
@@ -351,6 +364,14 @@ def test_non_poisson_outcomes_are_pinned():
         stein_complex(3, quadratic, 3, 40)
     with pytest.raises(NotPoissonOnSlice, match="^bivector not Poisson at weight 3$"):
         stein_homology(3, quadratic, range(7), 40)
+
+
+def _slice_or_error(pi, w: int, cap: int):
+    """The slice's differentials, or the message of its NotPoissonOnSlice."""
+    try:
+        return stein_complex(pi.n, pi, w, cap).diffs
+    except NotPoissonOnSlice as error:
+        return str(error)
 
 
 SMALL_COEFFS = [Fraction(c) for c in (-2, -1, 1, 2)] + [Fraction(1, 2), Fraction(-3, 2)]
@@ -592,3 +613,28 @@ def test_validate_model_matches_fraction_product_oracle(seed, kind):
     assert validate_model(m).checks == report.checks
     if report.ok:
         assert koszul_differential(m) == kos
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_bivectors())
+def test_shared_tables_match_fresh_slices_at_every_cap(pi):
+    """``stein_homology`` shares one set of tables and of monomial keys
+    across its weights: each weight must come out as a fresh
+    ``stein_complex`` gives it.  A slice built at its tightest cap and at
+    cap 12 (keys in radix tightest + 1 and 13) has the same differentials,
+    or fails the same way."""
+    n, cap = pi.n, 12
+    weights = range(-2 if pi.degree == 0 else 0, 5)
+    fresh = {w: _slice_or_error(pi, w, cap) for w in weights}
+    for w in weights:
+        assert _slice_or_error(pi, w, tightest_cap(pi, w)) == fresh[w], w
+    failing = [out for out in fresh.values() if isinstance(out, str)]
+    if failing:
+        with pytest.raises(NotPoissonOnSlice, match=f"^{failing[0]}$"):
+            stein_homology(n, pi, weights, cap)
+        return
+    expected = {}
+    for w in weights:
+        h = homology_dims(stein_complex(n, pi, w, cap))
+        expected.update({(w, n - p): h.get(-p, 0) for p in range(n + 1)})
+    assert stein_homology(n, pi, weights, cap) == expected

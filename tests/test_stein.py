@@ -8,6 +8,8 @@ from kbhom.stein import (
     PolyBivector,
     SliceCapError,
     _compositions,
+    _KoszulTables,
+    _slice_complex,
     slice_basis,
     stein_complex,
     stein_homology,
@@ -240,3 +242,26 @@ def test_only_non_poisson_slices_are_squared(monkeypatch):
     assert not PolyBivector.from_terms(3, not_poisson).is_poisson()
     stein_homology(3, not_poisson, range(3), 40)
     assert len(squared) == 3
+
+
+def test_corrupted_tables_cannot_leave_the_slice():
+    """Monomial keys are sound only for table terms that keep the weight and
+    lower no exponent but α_g, by one, in a term weighted by α_g.  A term
+    breaking that is refused as its table is built; a term corrupted after
+    the build lands on a key outside the slice, which the builder refuses,
+    naming the weight."""
+    so3 = PolyBivector.from_terms(3, SO3)
+    for poly, shift in (({(0, 0, 2): 1}, 1),     # degree 2 in a degree-1 bivector
+                        ({(2, -1, 0): 1}, 0)):   # an exponent -1 off the generator
+        tables = _KoszulTables(so3, 40)
+        tables.terms[(1, 2)] = poly
+        with pytest.raises(AssertionError, match=rf"shifts the weight by {shift} or can take"):
+            _slice_complex(tables, 5)
+    tables = _KoszulTables(so3, 40)
+    shifted, fixed = tables[(1, 2)]
+    (g, [(offset, c), *rest]), *others = shifted
+    up = tables.key((1, 0, 0), ())  # one more z_1: the target's weight is 6
+    tables._tables[(1, 2)] = ([(g, [(offset + up, c), *rest]), *others], fixed)
+    with pytest.raises(AssertionError, match=r"^delpi left the weight-5 slice from \("):
+        _slice_complex(tables, 5)
+    assert _slice_complex(_KoszulTables(so3, 40), 5).diffs == stein_complex(3, so3, 5, 40).diffs
