@@ -139,7 +139,6 @@ def main() -> int:
         run_case(args.case)
         return 0
     for case in CASES:
-        sys.stdout.flush()
         done = subprocess.run([sys.executable, __file__, "--src", args.src, "--case", case])
         if done.returncode:
             print(f"{case}: exited with {done.returncode}", file=sys.stderr)

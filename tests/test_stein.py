@@ -252,7 +252,7 @@ def test_corrupted_tables_cannot_leave_the_slice():
     naming the weight."""
     so3 = PolyBivector.from_terms(3, SO3)
     for poly, shift in (({(0, 0, 2): 1}, 1),     # degree 2 in a degree-1 bivector
-                        ({(2, -1, 0): 1}, 0)):   # an exponent -1 off the generator
+                        ({(-1, 1, 1): 1}, 0)):   # an exponent -1 off the generator
         tables = _KoszulTables(so3, 40)
         tables.terms[(1, 2)] = poly
         with pytest.raises(AssertionError, match=rf"shifts the weight by {shift} or can take"):
