@@ -1,4 +1,4 @@
-"""Nine measurements outside the perfbench ladder, for one checkout of kbhom.
+"""Ten measurements outside the perfbench ladder, for one checkout of kbhom.
 
 * heis8: ``parallelizable(8, {(1,2,3): 1}, {(1,2): 1})`` built and
   validated, then ``kb_homology``; the best of ``REPS`` runs (wall time).
@@ -10,6 +10,10 @@
 * heis6 validation memory: the tracemalloc peak, above the start, of
   building ``parallelizable(6, ...)`` and running ``validate_model`` on it,
   and what stays allocated afterwards.
+* heis6 KB memory: the tracemalloc peak, above the start, of
+  ``kb_homology`` on the built and validated ``parallelizable(6, ...)``,
+  the stage where the stored columns, the total complex and the copies
+  that ``_reduce`` eliminates all live at once.
 * heis5 and heis6 model files: ``model_to_json`` on the built model, the
   best of ``REPS`` runs (wall time), and the tracemalloc peak, above the
   start, of one more run.
@@ -39,7 +43,7 @@ from pathlib import Path
 
 REPS = 3
 CASES = ("heis8", "heis8-validate", "heis6-spectral", "heis7-spectral", "heis6-memory",
-         "heis5-json", "heis6-json", "so3-w60", "so3-w0-40")
+         "heis6-kb-memory", "heis5-json", "heis6-json", "so3-w60", "so3-w0-40")
 
 
 def best_of(build, measure) -> tuple:
@@ -99,6 +103,14 @@ def run_case(case: str) -> None:
         tracemalloc.stop()
         print(f"heis6 build+validate: tracemalloc peak {peak / 1024:.0f} KiB, "
               f"{current / 1024:.0f} KiB still allocated")
+    elif case == "heis6-kb-memory":
+        m = validated(heis(6))
+        gc.collect()
+        tracemalloc.start()
+        kb_homology(m)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        print(f"heis6 kb_homology: tracemalloc peak {peak / 1024:.0f} KiB")
     elif case in ("heis5-json", "heis6-json"):
         n = int(case[4])
         m = heis(n)

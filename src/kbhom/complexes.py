@@ -28,6 +28,7 @@ from types import MappingProxyType
 from .linalg import (
     Matrix,
     _from_columns,
+    _is_int,
     _reduce,
     _select_columns,
     _select_rows,
@@ -269,7 +270,7 @@ def _total_differentials(dc: DoubleComplex, layouts) -> dict:
                 block, to = d.get(cell), tgt_off.get(d.step(cell))
                 if block is None or to is None:
                     continue
-                pieces += [(off + j, {to + i: v for i, v in col}, d)
+                pieces += [(off + j, {to + i: v for i, v in col.items()}, d)
                            for j, col, d in block._columns()]
         diffs[k] = _from_columns(target[1], total, pieces)
     return diffs
@@ -346,7 +347,7 @@ def koszul_tensor(f_a: BlockMap, f_b: BlockMap) -> BlockMap:
             if block is not None and tgt is not None:
                 for i1, col, d in block._columns():
                     pieces += [(src + i1 * dim_b + j,
-                                {tgt + i2 * dim_b + j: v for i2, v in col}, d)
+                                {tgt + i2 * dim_b + j: v for i2, v in col.items()}, d)
                                for j in range(dim_b)]
             # (-1)^{(dp+dq)(p_A+q_A)} 1 ⊗ f_B: column j1 of f_B, repeated over i
             tb = f_b.step(cb)
@@ -357,7 +358,7 @@ def koszul_tensor(f_a: BlockMap, f_b: BlockMap) -> BlockMap:
                 dim_tb = f_b.source[tb]
                 for j1, col, d in block._columns():
                     pieces += [(src + i * dim_b + j1,
-                                {tgt + i * dim_tb + j2: sign * v for j2, v in col}, d)
+                                {tgt + i * dim_tb + j2: sign * v for j2, v in col.items()}, d)
                                for i in range(dim_a)]
         if pieces:
             blocks[cell] = _from_columns(dims.get(f_a.step(cell), 0), dims[cell], pieces)
@@ -452,6 +453,8 @@ def spectral_pages(dc: DoubleComplex, r_max: int) -> SpectralPages:
     and the sequence degenerates at page 1 + max ℓ.  The limit page is
     recorded at r = width+1, past every pair.
     """
+    if not _is_int(r_max):
+        raise TypeError(f"r_max must be an int, not {type(r_max).__name__}")
     if r_max < 1:
         raise ValueError("r_max must be >= 1")
     layouts = _total_layout(dc)

@@ -1,14 +1,13 @@
 """Exact sparse linear algebra over the rationals.
 
 A ``Matrix`` stores each nonzero column j as ints over one denominator:
-``_lines[j]``, a tuple of ``(row, int)`` pairs (half the size of a dict
-on the one- and two-entry columns most blocks have), over
-``_dens.get(j, 1)``, the lcm of the column's reduced denominators; the
-form is canonical up to the order of the pairs.  Builders emit integer
-columns through ``_from_columns``, and ``Fraction`` appears only at the
-public edges.  Everything downstream reduces to one sparse column
-reduction, ``_reduce``, on copies of the stored columns, and products
-and the sums of products that check a model's identities
+``_lines[j]``, a ``{row: int}`` dict of the nonzero entries, over
+``_dens.get(j, 1)``, the lcm of the column's reduced denominators.
+Builders emit such dicts, which ``_from_columns`` stores as they are in
+this canonical form and nothing mutates afterwards, and ``Fraction``
+appears only at the public edges.  Everything downstream reduces to one
+sparse column reduction, ``_reduce``, on copies of the stored columns,
+and products and the sums of products that check a model's identities
 (``_sum_of_products``) combine integer columns.  There is no floating
 point and no modular arithmetic anywhere, and identical inputs give
 identical outputs.
@@ -22,9 +21,6 @@ from itertools import chain
 from math import gcd, lcm
 from types import MappingProxyType
 from typing import NamedTuple
-
-Q = Fraction
-
 
 _RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([1-9][0-9]*))?")
 
@@ -68,38 +64,37 @@ def _index(i, bound: int, what: str) -> None:
 
 def _from_columns(rows: int, cols: int, pieces) -> "Matrix":
     """The rows×cols matrix Σ col/d over ``pieces`` (j, col, d), each adding
-    col/d to column j: col a ``{row: int}`` dict (taken over, maybe changed
-    in place), d a nonzero int.  A column's pieces are summed over the lcm
+    col/d to column j: col a ``{row: int}`` dict, d a nonzero int.  Pieces
+    are taken over and stored (or changed in place), so callers pass fresh
+    dicts.  A column's pieces are summed into its first one over the lcm
     of their denominators; zero entries and columns are dropped, and each
     denominator is made positive and coprime to its column's entries (1 is
     left out).  One piece of nonzero ints over 1, the usual case, is stored
-    at once."""
+    as it is."""
     lines: dict = {}
-    dens: dict = {}
-    sums: dict = {}  # the other columns, as dicts, to be put in lowest terms
+    dens: dict = {}  # j: denominator, for the columns still to be put in lowest terms
     for j, col, d in pieces:
-        if j in lines:  # a second piece: sum as a dict
-            sums[j], dens[j] = dict(lines.pop(j)), 1
-        cur = sums.get(j)
+        cur = lines.get(j)
         if cur is None:
-            if d == 1 and col and all(col.values()):
-                lines[j] = tuple(col.items())
-            else:
-                sums[j], dens[j] = col, d
+            lines[j] = col
+            if d != 1 or not col or not all(col.values()):
+                dens[j] = d
             continue
-        common = lcm(dens[j], d)
-        if common != dens[j]:
-            g = common // dens[j]
+        old = dens.setdefault(j, 1)
+        common = lcm(old, d)
+        if common != old:
+            g = common // old
             for i in cur:
                 cur[i] *= g
             dens[j] = common
         f = common // d
         for i, v in col.items():
             cur[i] = cur.get(i, 0) + f * v
-    for j, col in sums.items():
-        d = dens.pop(j)
-        col = {i: v for i, v in col.items() if v}
+    pending, dens = dens, {}
+    for j, d in pending.items():
+        col = {i: v for i, v in lines[j].items() if v}
         if not col:
+            del lines[j]
             continue
         g = gcd(d, *col.values()) * (-1 if d < 0 else 1)
         if g != 1:
@@ -107,13 +102,13 @@ def _from_columns(rows: int, cols: int, pieces) -> "Matrix":
             col = {i: v // g for i, v in col.items()}
         if d != 1:
             dens[j] = d
-        lines[j] = tuple(col.items())
+        lines[j] = col
     return Matrix._of(rows, cols, lines, dens)
 
 
 class Matrix:
     """Immutable sparse matrix over Q (see the module docstring): it and
-    its stored columns are never mutated and are safe to share."""
+    its stored column dicts are never mutated and are safe to share."""
 
     __slots__ = ("_rows", "_cols", "_lines", "_dens")
     rows = property(lambda self: self._rows)
@@ -185,15 +180,17 @@ class Matrix:
         """The nonzero entries as a read-only ``{(row, col): Fraction}``
         mapping, derived from the columns on each access."""
         return MappingProxyType({(i, j): Fraction(v, d) for j, col, d in self._columns()
-                                 for i, v in col})
+                                 for i, v in col.items()})
 
     def __getitem__(self, key) -> Fraction:
         i, j = key
         _index(i, self.rows, "row index")
-        return self.column(j)[i]
+        _index(j, self.cols, "column index")
+        return Fraction(self._lines.get(j, {}).get(i, 0), self._dens.get(j, 1))
 
     def _key(self) -> tuple:
-        return self.shape, frozenset((j, frozenset(col), d) for j, col, d in self._columns())
+        return self.shape, frozenset((j, frozenset(col.items()), d)
+                                     for j, col, d in self._columns())
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Matrix) and self._key() == other._key()
@@ -232,16 +229,13 @@ class Matrix:
     def __rmul__(self, scalar) -> "Matrix":
         s = _q(scalar)
         return _from_columns(self.rows, self.cols,
-                             ((j, {i: s.numerator * v for i, v in col}, s.denominator * d)
+                             ((j, {i: s.numerator * v for i, v in col.items()}, s.denominator * d)
                               for j, col, d in self._columns()))
 
     def column(self, j: int) -> list:
         _index(j, self.cols, "column index")
-        out = [Q(0)] * self.rows
-        d = self._dens.get(j, 1)
-        for i, v in self._lines.get(j, ()):
-            out[i] = Fraction(v, d)
-        return out
+        col, d = self._lines.get(j, {}), self._dens.get(j, 1)
+        return [Fraction(col.get(i, 0), d) for i in range(self.rows)]
 
 
 def _sum_of_products(terms, rows: int, cols: int) -> Matrix | None:
@@ -259,21 +253,21 @@ def _sum_of_products(terms, rows: int, cols: int) -> Matrix | None:
         for _, a, b in terms:
             dens = a._dens
             for j, col, d in b._columns():
-                big[j] = lcm(big.get(j, 1), d * lcm(*(dens.get(k, 1) for k, _ in col)))
+                big[j] = lcm(big.get(j, 1), d * lcm(*(dens.get(k, 1) for k in col)))
     acc: dict = {}
     for s, a, b in terms:
         lines, dens, bdens = a._lines, a._dens, b._dens
         for j, col in b._lines.items():
             f = s * (big[j] // bdens.get(j, 1)) if big else s
             out = None
-            for k, x in col:
+            for k, x in col.items():
                 line = lines.get(k)
                 if line is None:
                     continue
                 if out is None:
                     out = acc.setdefault(j, {})
                 x *= f // dens.get(k, 1) if dens else f
-                for i, y in line:
+                for i, y in line.items():
                     out[i] = out.get(i, 0) + x * y
     # an identity's residual cancels to zero columns: drop them here
     return _from_columns(rows, cols, [(j, col, big.get(j, 1)) for j, col in acc.items()
@@ -370,7 +364,7 @@ class Reduction(NamedTuple):
         for j in range(rhs.cols):
             # the column is tracked under key n: at the end
             # 0 = c*b + m*y with c = comb[n], y the rest of comb; x = -y/c
-            col = dict(rhs._lines.get(j, ()))
+            col = dict(rhs._lines.get(j, {}))
             comb = {n: rhs._dens.get(j, 1)}
             if _eliminate(col, comb, self.owner, self.reduced, self.combo) is not None:
                 missing.add(j)
@@ -399,7 +393,7 @@ def _reduce(m: Matrix, track: bool = False, clear=()) -> Reduction:
     if track and clear:
         raise ValueError("a tracked reduction cannot clear columns")
     lines, dens = m._lines, m._dens
-    reduced = [{} if j in clear else dict(lines.get(j, ())) for j in range(m.cols)]
+    reduced = [{} if j in clear else dict(lines.get(j, {})) for j in range(m.cols)]
     owner = {}
     combo = [] if track else None
     for j, col in enumerate(reduced):
@@ -424,7 +418,7 @@ def _select_rows(m: Matrix, rows) -> Matrix:
     """The rows of m listed in rows, in that order."""
     new = {i: n for n, i in enumerate(rows)}
     return _from_columns(len(new), m.cols,
-                         ((j, {new[i]: v for i, v in col if i in new}, d)
+                         ((j, {new[i]: v for i, v in col.items() if i in new}, d)
                           for j, col, d in m._columns()))
 
 

@@ -139,7 +139,7 @@ def hodge_formal(h: HodgeDiamond) -> DolbeaultPoissonModel:
 def _matrix_to_strings(m: Matrix) -> list:
     rows = [["0"] * m.cols for _ in range(m.rows)]
     for j, col, d in m._columns():
-        for i, v in col:
+        for i, v in col.items():
             rows[i][j] = str(v if d == 1 else Fraction(v, d))
     return rows
 

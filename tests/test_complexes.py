@@ -305,6 +305,14 @@ def test_spectral_zero_differentials():
     assert sp.degeneration_page == 1
 
 
+@pytest.mark.parametrize("r_max", [True, 2.0, "2"])
+def test_spectral_pages_refuse_a_non_int_r_max(r_max):
+    with pytest.raises(TypeError, match="r_max must be an int"):
+        spectral_pages(one_torus_bicomplex(), r_max)
+    with pytest.raises(TypeError, match="r_max must be an int"):
+        kb_spectral(torus(1), r_max)
+
+
 def test_spectral_two_cell_collapse_at_page_two():
     dc = DoubleComplex({(0, 0): 1, (1, 0): 1},
                        d1={(0, 0): Matrix.identity(1)})

@@ -10,6 +10,7 @@ entry.
 import random
 from fractions import Fraction
 from itertools import permutations
+from math import gcd
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -26,7 +27,10 @@ from kbhom.complexes import (
 from kbhom.engine import kb_double_complex
 from kbhom.linalg import (
     Matrix,
+    _from_columns,
     _reduce,
+    _select_columns,
+    _select_rows,
     _sum_of_products,
     kernel_basis,
     rank,
@@ -272,6 +276,97 @@ def test_products_with_mixed_column_denominators_match_oracle(data):
     assert total.shape == (rows, cols)
     assert dense(total) == [[s * x + t * y for x, y in zip(r1, r2)]
                             for r1, r2 in zip(dense(ab), dense(cd))]
+
+
+@st.composite
+def raw_pieces(draw):
+    """``(rows, cols, pieces)``: the (j, {row: int}, d) pieces builders and
+    ``solve`` pass to ``_from_columns``, with repeated columns, negative and
+    unreduced denominators, empty dicts, zero values and pieces that cancel
+    an earlier one (as they are or scaled)."""
+    rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    pieces = []
+    for _ in range(draw(st.integers(0, 10)) if cols else 0):
+        j = draw(st.integers(0, cols - 1))
+        col = draw(st.dictionaries(st.integers(0, rows - 1), st.integers(-6, 6),
+                                   max_size=rows)) if rows else {}
+        d = draw(st.integers(-12, 12).filter(bool))
+        pieces.append((j, col, d))
+        if draw(st.booleans()):
+            f = draw(st.sampled_from([1, -1, 2, -3]))
+            pieces.append((j, {i: -f * v for i, v in col.items()}, f * d))
+    return rows, cols, pieces
+
+
+@SETTINGS
+@given(raw_pieces())
+@example((2, 2, [(0, {0: 1, 1: 0}, 1), (0, {0: -1}, 1), (1, {}, 1), (1, {1: 0}, -3)]))
+@example((1, 2, [(1, {0: 4}, -6), (1, {0: 2}, 6), (0, {0: 3}, 1)]))
+def test_from_columns_sums_raw_pieces_in_canonical_form(case):
+    """The stored form is the Fraction sum of the pieces, and canonical: no
+    zero entries or empty columns, and each stored denominator is above 1
+    and coprime to its column's entries."""
+    rows, cols, pieces = case
+    want: dict = {}
+    for j, col, d in pieces:
+        for i, v in col.items():
+            want[(i, j)] = want.get((i, j), 0) + Fraction(v, d)
+    want = {key: v for key, v in want.items() if v}
+    m = _from_columns(rows, cols, [(j, dict(col), d) for j, col, d in pieces])
+    assert m.shape == (rows, cols) and dict(m.entries) == want
+    assert set(m._dens) <= set(m._lines)
+    for j, col in m._lines.items():
+        d = m._dens.get(j, 1)
+        assert type(col) is dict and col and all(col.values())
+        assert 0 <= j < cols and all(0 <= i < rows for i in col)
+        assert (d > 1) == (j in m._dens) and gcd(d, *col.values()) == 1
+    assert m == Matrix(rows, cols, want)
+
+
+def fingerprints(*mats) -> list:
+    return [(m._key(), dict(m.entries)) for m in mats]
+
+
+@SETTINGS
+@given(st.data())
+def test_matrix_operations_leave_their_inputs_unchanged(data):
+    """Matrices share their stored column dicts (``_from_columns`` stores a
+    builder's dict as it is, ``_select_columns`` reuses them), so nothing
+    may change a stored dict: every input reads the same afterwards."""
+    rows, cols, width = (data.draw(st.integers(0, 5)) for _ in range(3))
+    a, b = (Matrix(*data.draw(fraction_entries(rows, cols))) for _ in range(2))
+    c = Matrix(*data.draw(fraction_entries(cols, width)))
+    rhs = Matrix(*data.draw(fraction_entries(rows, width)))
+    picked = data.draw(st.permutations(range(cols)))
+    twice = Matrix.hstack(a, _select_columns(a, picked))
+    inputs = (a, b, c, rhs, twice)
+    before = fingerprints(*inputs)
+    a + b, a - b, -a, Fraction(-3, 2) * a, a * c, Matrix.hstack(a, b, a)
+    sub = _select_columns(a, picked)
+    _select_rows(a, data.draw(st.permutations(range(rows))))
+    rank(a), rank(sub), _reduce(sub)
+    red = _reduce(a, track=True)
+    first = red.kernel(), red.solve(rhs)
+    assert (red.kernel().basis, red.solve(rhs)) == (first[0].basis, first[1])
+    # the picked copy of each column depends on the columns before it
+    assert len(_reduce(twice, clear=range(cols, 2 * cols)).owner) == rank(a)
+    assert fingerprints(*inputs) == before
+    assert fingerprints(sub) == fingerprints(_select_columns(a, picked))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_complex_operations_leave_their_differentials_unchanged(seed):
+    rng = random.Random(seed)
+    dc = random_double_complex(rng)
+    t = total_complex(dc)
+    f, g = random_split_ses(rng)
+    maps = [*dc.d1.values(), *dc.d2.values(), *t.diffs.values()]
+    maps += [m for h in (f, g) for m in (*h.blocks.values(), *h.source.diffs.values(),
+                                         *h.target.diffs.values())]
+    before = fingerprints(*maps)
+    homology_dims(t), spectral_pages(dc, 2), les_from_ses(f, g)
+    assert fingerprints(*maps) == before
 
 
 SO3 = [(1, 2, 1, (0, 0, 1)), (2, 3, 1, (1, 0, 0)), (3, 1, 1, (0, 1, 0))]
