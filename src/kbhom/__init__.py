@@ -13,7 +13,6 @@ from .complexes import (
     SpectralPages,
     homology_dims,
     les_from_ses,
-    shift,
     spectral_pages,
     tensor_double,
     total_complex,
@@ -34,7 +33,6 @@ from .models import (
     DolbeaultPoissonModel,
     ModelValidationError,
     ValidationReport,
-    contraction_from_bivector,
     koszul_differential,
     product_model,
     validate_model,

@@ -10,8 +10,6 @@ Conventions fixed here, once, for the whole package:
   sign ``(-1)^{deg}`` of the left factor in front of the right factor's
   operator when that operator has odd degree, which keeps the
   anticommuting convention (checked after every construction);
-* shifts relocate differentials without sign flips (dimension-level
-  output is sign-insensitive);
 * every graded operator (differentials, chain maps, model operators) is a
   read-only ``BlockMap`` that carries its degree, with nonzero blocks whose
   shapes are checked once, when it is built;
@@ -28,7 +26,7 @@ from types import MappingProxyType
 from .linalg import (
     Matrix,
     _from_columns,
-    _is_int,
+    _integer,
     _reduce,
     _select_columns,
     _select_rows,
@@ -289,14 +287,6 @@ def total_complex(dc: DoubleComplex) -> Complex:
     return Complex(spaces, _total_differentials(dc, layouts), check=False)
 
 
-def shift(dc: DoubleComplex, m: int, n: int) -> DoubleComplex:
-    """The shifted double complex: result(p,q) = dc(p+m, q+n)."""
-    spaces = {(p - m, q - n): d for (p, q), d in dc.spaces.items()}
-    d1 = {(p - m, q - n): blk for (p, q), blk in dc.d1.items()}
-    d2 = {(p - m, q - n): blk for (p, q), blk in dc.d2.items()}
-    return DoubleComplex(spaces, d1, d2, check=False)
-
-
 def tensor_layout(dims_a: dict, dims_b: dict) -> tuple:
     """The cells of A ⊗ B, from the cell dimensions of A and B.
 
@@ -453,9 +443,7 @@ def spectral_pages(dc: DoubleComplex, r_max: int) -> SpectralPages:
     and the sequence degenerates at page 1 + max ℓ.  The limit page is
     recorded at r = width+1, past every pair.
     """
-    if not _is_int(r_max):
-        raise TypeError(f"r_max must be an int, not {type(r_max).__name__}")
-    if r_max < 1:
+    if _integer(r_max, "r_max") < 1:
         raise ValueError("r_max must be >= 1")
     layouts = _total_layout(dc)
     if not dc.spaces:

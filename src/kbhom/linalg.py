@@ -54,6 +54,14 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _integer(x, name: str):
+    """x itself when it is a plain int; a bool or any other type raises
+    TypeError."""
+    if not _is_int(x):
+        raise TypeError(f"{name} must be an int, not {type(x).__name__}")
+    return x
+
+
 def _index(i, bound: int, what: str) -> None:
     """TypeError unless i is a plain int, IndexError unless 0 <= i < bound."""
     if not _is_int(i):

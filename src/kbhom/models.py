@@ -53,12 +53,6 @@ def _wedge(a: tuple, b: tuple):
     return (-1) ** sum(x > y for x in a for y in b), merged
 
 
-def monomial_label(mono) -> str:
-    hol, anti = mono
-    parts = [f"dz{i}" for i in hol] + [f"dzb{j}" for j in anti]
-    return "^".join(parts) if parts else "1"
-
-
 class WedgeBasis:
     """Wedge monomials on n generators, as the tensor product of a
     holomorphic and an antiholomorphic factor Λ(n).
@@ -78,8 +72,16 @@ class WedgeBasis:
         self.index = {k: {m: i for i, m in enumerate(ms)} for k, ms in self.factor.items()}
 
     def labels(self, p: int, q: int) -> list:
-        return [monomial_label((i_set, j_set))
-                for i_set in self.factor[p] for j_set in self.factor[q]]
+        """The labels at (p,q), joined from one string per factor monomial,
+        "dz1^dz2" for I and "dzb1" for J: "I^J", or the nonempty part
+        alone, or "1" when both are empty."""
+        hol = ["^".join(f"dz{i}" for i in m) for m in self.factor[p]]
+        anti = ["^".join(f"dzb{j}" for j in m) for m in self.factor[q]]
+        if not p:
+            return anti if q else ["1"]
+        if not q:
+            return hol
+        return [f"{i}^{j}" for i in hol for j in anti]
 
     def tensor(self, hol: dict, anti: dict, bidegree: tuple) -> BlockMap:
         """The model operator f ⊗ 1 ± 1 ⊗ g of the given bidegree, the
@@ -204,10 +206,10 @@ class DolbeaultPoissonModel:
     """
 
     __slots__ = ("n", "basis", "dims", "del_blocks", "delbar_blocks",
-                 "contraction_blocks", "wedge", "name", "metadata", "_validated")
+                 "contraction_blocks", "name", "metadata", "_validated")
 
     def __init__(self, n, basis, del_blocks=None, delbar_blocks=None,
-                 contraction_blocks=None, wedge=None, name="model", metadata=None):
+                 contraction_blocks=None, name="model", metadata=None):
         _complex_dimension(n)
         for cell, labels in basis.items():
             if not (isinstance(labels, (list, tuple))
@@ -224,7 +226,6 @@ class DolbeaultPoissonModel:
         object.__setattr__(self, "delbar_blocks", BlockMap(delbar_blocks, dims, (0, 1)))
         object.__setattr__(self, "contraction_blocks",
                            BlockMap(contraction_blocks, dims, (-2, 0)))
-        object.__setattr__(self, "wedge", wedge)
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "metadata", dict(metadata or {}))
         object.__setattr__(self, "_validated", None)
@@ -246,15 +247,6 @@ class DolbeaultPoissonModel:
 
     def __repr__(self):
         return f"DolbeaultPoissonModel({self.name!r}, n={self.n}, dim={self.total_dim()})"
-
-
-def contraction_from_bivector(model: DolbeaultPoissonModel, coeffs) -> BlockMap:
-    """Blocks of l_pi ⊗ 1 on the wedge basis: the contraction
-    :func:`factor_contraction` on the holomorphic factor."""
-    if model.wedge is None:
-        raise ValueError("model carries no wedge structure constants")
-    pairs = normalize_bivector_coeffs(model.n, coeffs)
-    return model.wedge.tensor(factor_contraction(model.wedge, pairs), {}, (-2, 0))
 
 
 def _koszul_blocks(m: DolbeaultPoissonModel) -> BlockMap:

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .engine import HHDims, HodgeDiamond, KBDims, euler_char
+from .linalg import _integer
 
 
 class InconsistentBlowupError(ValueError):
@@ -47,7 +48,8 @@ def leray_hirsch_hh(x: HHDims, classes) -> HHDims:
     >>> leray_hirsch_hh(HHDims({-1: 1, 0: 2, 1: 1}), [(0, 0)]).dims
     {-1: 1, 0: 2, 1: 1}
     """
-    classes = list(classes)
+    classes = [(_integer(u, "a class bidegree entry"), _integer(w, "a class bidegree entry"))
+               for u, w in classes]
     if not classes:
         raise ValueError("Leray-Hirsch needs a nonempty class list")
     dims: dict = {}
@@ -64,7 +66,7 @@ def flag_bundle_hh(x: HHDims, b_f: int) -> HHDims:
     >>> flag_bundle_hh(HHDims({-1: 1, 0: 2, 1: 1}), 6).dims
     {-1: 6, 0: 12, 1: 6}
     """
-    if b_f < 1:
+    if _integer(b_f, "b_f") < 1:
         raise ValueError("the Betti sum of the fiber must be at least 1")
     return HHDims({k: b_f * v for k, v in x.dims.items()})
 
@@ -77,7 +79,7 @@ def flag_manifold_kb(n: int, b: int) -> KBDims:
     >>> flag_manifold_kb(2, 3).dims
     {2: 3}
     """
-    if b < 1:
+    if _integer(b, "b") < 1:
         raise ValueError("the Betti sum must be at least 1")
     return KBDims(n, {n: b})
 
@@ -89,7 +91,7 @@ def projective_bundle_hodge(hy: HodgeDiamond, r: int) -> HodgeDiamond:
     >>> sorted(projective_bundle_hodge(pt, 3).h)
     [(0, 0), (1, 1), (2, 2)]
     """
-    if r < 1:
+    if _integer(r, "r") < 1:
         raise ValueError("fiber projectivization needs r >= 1")
     n = hy.n + r - 1
     h: dict = {}
@@ -108,7 +110,7 @@ def blowup_hodge(hx: HodgeDiamond, hy: HodgeDiamond, r: int) -> HodgeDiamond:
     >>> blowup_hodge(surface, HodgeDiamond(0, {(0, 0): 1}), 2).h[(1, 1)]
     2
     """
-    if r < 2:
+    if _integer(r, "r") < 2:
         raise ValueError("blow-up centers have codimension >= 2")
     if hy.n != hx.n - r:
         raise ValueError(
@@ -136,7 +138,7 @@ class BlowupData:
     dims_E: KBDims
 
     def __post_init__(self):
-        if self.r < 2:
+        if _integer(self.r, "r") < 2:
             raise ValueError("blow-up centers have codimension >= 2")
         if self.dims_Y.n != self.dims_X.n - self.r:
             raise ValueError("dims_Y.n must equal dims_X.n - r")

@@ -21,16 +21,13 @@ that fails it has its slices checked one by one (see ``stein_complex``).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 from math import lcm
 from operator import add, mul
 
 from .complexes import Complex, ComplexInvariantError, homology_dims
-from .linalg import _from_columns, _is_int, _q
+from .linalg import _from_columns, _integer, _is_int, _q
 from .models import _wedge
-
-Q = Fraction
 
 
 class NonHomogeneousBivector(ValueError):
@@ -43,14 +40,6 @@ class SliceCapError(ValueError):
 
 class NotPoissonOnSlice(ValueError):
     """delpi fails to square to zero on the requested weight slice."""
-
-
-def _integer(x, name: str):
-    """x itself when it is a plain int; a bool or any other type raises
-    TypeError."""
-    if not _is_int(x):
-        raise TypeError(f"{name} must be an int, not {type(x).__name__}")
-    return x
 
 
 def _natural(x, name: str) -> None:
@@ -149,7 +138,7 @@ class PolyBivector:
                     f"terms of degree {seen_degree} and {sum(alpha)} mixed")
             if coeff:
                 poly = terms.setdefault((i, j), {})
-                poly[alpha] = poly.get(alpha, Q(0)) + sign * coeff
+                poly[alpha] = poly.get(alpha, 0) + sign * coeff
         terms = {k: {a: c for a, c in poly.items() if c}
                  for k, poly in terms.items()}
         terms = {k: poly for k, poly in terms.items() if poly}
@@ -223,17 +212,6 @@ def _slice_sizes(n: int, degree: int, w: int, cap: int) -> dict:
             raise SliceCapError(
                 f"weight {w} needs |alpha| = {a} > cap = {cap} at form degree {p}")
     return {p: a for p, a in sizes.items() if a >= 0}
-
-
-def slice_basis(n: int, degree: int, w: int, cap: int) -> dict:
-    """Monomial basis of the weight-w slice, grouped by form degree p and
-    ordered lexicographically in (alpha, I); ``_slice_sizes`` checks the
-    arguments."""
-    sizes = _slice_sizes(n, degree, w, cap)
-    alphas = {size: _compositions(size, n) for size in set(sizes.values())}
-    return {p: [(alpha, i_set) for alpha in alphas[size]
-                for i_set in combinations(range(1, n + 1), p)]
-            for p, size in sizes.items()}
 
 
 def _integer_terms(pi: PolyBivector):
@@ -392,7 +370,9 @@ def stein_complex(n: int, pi, w: int, cap: int = 8) -> Complex:
 
 
 def _slice_complex(tables: _KoszulTables, w: int) -> Complex:
-    """The weight-w slice, walked α-major and I-minor as ``slice_basis``."""
+    """The weight-w slice.  Its basis in form degree p is the z^α dz_I with
+    |α| = w - (d-1)p, α-major and I-minor: α lex ascending, then the
+    p-subsets I of {1..n} lex ascending."""
     n, scale = tables.pi.n, tables.scale
     spaces, diffs, rows = {}, {}, {}  # rows: the keys of slice p - 1 to row indices
     for p, size in _slice_sizes(n, tables.pi.degree, w, tables.cap).items():

@@ -115,7 +115,7 @@ def _exterior_model(family: str, n: int, structure: dict,
         n, {(p, q): wedge.labels(p, q) for p in range(n + 1) for q in range(n + 1)},
         del_blocks=wedge.tensor(ce, {}, (1, 0)),
         delbar_blocks=wedge.tensor({}, ce, (0, 1)),
-        contraction_blocks=wedge.tensor(contraction, {}, (-2, 0)), wedge=wedge,
+        contraction_blocks=wedge.tensor(contraction, {}, (-2, 0)),
         name=f"{family}{n}",
         metadata={"family": family,
                   "asserts": "invariant forms compute the Dolbeault cohomology"})
@@ -176,7 +176,7 @@ def _parse_rational(s, where: str) -> tuple:
 
 
 def save_model(m: DolbeaultPoissonModel) -> dict:
-    """The kbmodel/1 dictionary for m (wedge data is not serialized)."""
+    """The kbmodel/1 dictionary for m."""
 
     def blocks_out(blocks: dict) -> list:
         return [{"from": [p, q], "matrix": _matrix_to_strings(mat)}

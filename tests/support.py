@@ -10,10 +10,10 @@ elimination for solve, a dense Fraction matrix product, spectral pages
 by subspace arithmetic on approximate cycles, the snake-lemma LES with
 one solve per column, and the Stein slice builder with Fraction
 coefficients.  They share no elimination or product code with
-``kbhom.linalg`` and no integer scaling with ``kbhom.stein``.  The
-former model builders, on all 4^n wedge monomials with their own tensor
-loops, share no tensor or sign code with ``kbhom.complexes`` and
-``kbhom.models``.  The former model validator sums ``Matrix`` products
+``kbhom.linalg`` and no integer scaling or slice enumeration with
+``kbhom.stein``.  The former model builders, on all 4^n wedge monomials
+with their own tensor loops and label formula, share no tensor, sign or
+label code with ``kbhom.complexes`` and ``kbhom.models``.  The former model validator sums ``Matrix`` products
 of zero-filled blocks, not the integer blocks of ``validate_model``.
 The former model writer is ``json.dumps`` itself, which shares no
 encoder code with ``kbhom.zoo.model_to_json``.  Homology dimensions come
@@ -43,11 +43,9 @@ from kbhom.models import (
     DolbeaultPoissonModel,
     ModelValidationError,
     ValidationReport,
-    monomial_label,
     normalize_bivector_coeffs,
     validate_model,
 )
-from kbhom.stein import slice_basis
 from kbhom.zoo import StructureConstantError, _structure_images, save_model
 
 # Strings that are not "a/b" rationals (optional sign, ASCII digits, an
@@ -720,6 +718,21 @@ def _oracle_delpi_monomial(pi, alpha, i_set) -> dict:
     return {m: c for m, c in acc.items() if c}
 
 
+def slice_basis(n: int, degree: int, w: int, cap: int) -> dict:
+    """The monomials (alpha, I) of the weight-w slice of a degree-``degree``
+    bivector on C^n, by form degree p: |alpha| = w - (degree - 1)p, alpha
+    from the recursive generator and I from ``combinations``, alpha-major.
+    Built only for slices whose |alpha| stay within the cap."""
+    basis = {}
+    for p in range(n + 1):
+        size = w - (degree - 1) * p
+        assert size <= cap, f"the weight-{w} slice needs |alpha| = {size} > cap = {cap}"
+        if size >= 0:
+            basis[p] = [(alpha, i_set) for alpha in oracle_compositions(size, n)
+                        for i_set in combinations(range(1, n + 1), p)]
+    return basis
+
+
 def oracle_stein_differentials(pi, w: int, cap: int) -> dict:
     """The weight-w slice differentials {-p: delpi on Ω^p}, built with
     Fraction coefficients straight from ``pi.terms`` (a PolyBivector);
@@ -792,6 +805,14 @@ def _sort_sign(seq):
     return sign, tuple(lst)
 
 
+def monomial_label(mono) -> str:
+    """The label of a wedge monomial (I, J): its generators dz_i, then
+    dzb_j, joined by "^", or "1" for (∅, ∅)."""
+    hol, anti = mono
+    parts = [f"dz{i}" for i in hol] + [f"dzb{j}" for j in anti]
+    return "^".join(parts) if parts else "1"
+
+
 class OracleWedgeBasis:
     """At (p,q) the monomials (I, J), I holomorphic and J antiholomorphic
     index sets, listed for every bidegree, with an index per bidegree."""
@@ -841,16 +862,14 @@ def oracle_derivation_blocks(wedge: OracleWedgeBasis, images: dict, hol: bool) -
     return blocks
 
 
-def oracle_contraction_from_bivector(model: DolbeaultPoissonModel, coeffs) -> dict:
+def oracle_contraction_from_bivector(wedge: OracleWedgeBasis, coeffs) -> dict:
     """l_pi on every wedge monomial, the sign read off the two positions."""
-    if model.wedge is None:
-        raise ValueError("model carries no wedge structure constants")
-    pairs = normalize_bivector_coeffs(model.n, coeffs)
+    pairs = normalize_bivector_coeffs(wedge.n, coeffs)
     blocks = {}
-    for (p, q), monos in model.wedge.monomials.items():
+    for (p, q), monos in wedge.monomials.items():
         if p < 2:
             continue
-        tindex = model.wedge.index[(p - 2, q)]
+        tindex = wedge.index[(p - 2, q)]
         entries: dict = {}
         for col, (i_set, j_set) in enumerate(monos):
             for (i, j), c in pairs.items():
@@ -861,7 +880,7 @@ def oracle_contraction_from_bivector(model: DolbeaultPoissonModel, coeffs) -> di
                     reduced = tuple(x for x in i_set if x != i and x != j)
                     key = (tindex[(reduced, j_set)], col)
                     entries[key] = entries.get(key, Fraction(0)) + sign * c
-        m = Matrix(len(model.wedge.monomials[(p - 2, q)]), len(monos), entries)
+        m = Matrix(len(wedge.monomials[(p - 2, q)]), len(monos), entries)
         if not m.is_zero():
             blocks[(p, q)] = m
     return blocks
@@ -881,12 +900,11 @@ _ASSERTS = "invariant forms compute the Dolbeault cohomology"
 def oracle_torus(n: int, pi_coeffs=None) -> DolbeaultPoissonModel:
     wedge = OracleWedgeBasis(n)
     basis = {cell: wedge.labels(*cell) for cell in wedge.monomials}
-    bare = DolbeaultPoissonModel(n, basis, wedge=wedge, name=f"torus{n}")
     contraction = {}
     if pi_coeffs is not None:
-        contraction = oracle_contraction_from_bivector(bare, pi_coeffs)
+        contraction = oracle_contraction_from_bivector(wedge, pi_coeffs)
     model = DolbeaultPoissonModel(
-        n, basis, contraction_blocks=contraction, wedge=wedge, name=f"torus{n}",
+        n, basis, contraction_blocks=contraction, name=f"torus{n}",
         metadata={"family": "torus", "asserts": _ASSERTS})
     _raise_if_invalid(model, "torus construction broke")
     return model
@@ -902,14 +920,12 @@ def oracle_parallelizable(n: int, structure: dict, pi_coeffs=None) -> DolbeaultP
     if upper is not None and lower is not None and not (upper * lower).is_zero():
         raise StructureConstantError("structure constants violate the Jacobi identity")
     basis = {cell: wedge.labels(*cell) for cell in wedge.monomials}
-    bare = DolbeaultPoissonModel(n, basis, del_blocks=del_blocks,
-                                 delbar_blocks=delbar_blocks, wedge=wedge)
     contraction = {}
     if pi_coeffs is not None:
-        contraction = oracle_contraction_from_bivector(bare, pi_coeffs)
+        contraction = oracle_contraction_from_bivector(wedge, pi_coeffs)
     model = DolbeaultPoissonModel(
         n, basis, del_blocks=del_blocks, delbar_blocks=delbar_blocks,
-        contraction_blocks=contraction, wedge=wedge, name=f"parallelizable{n}",
+        contraction_blocks=contraction, name=f"parallelizable{n}",
         metadata={"family": "parallelizable", "asserts": _ASSERTS})
     _raise_if_invalid(model, "bivector rejected")
     return model

@@ -14,7 +14,6 @@ from kbhom.complexes import (
     homology_dims,
     koszul_tensor,
     les_from_ses,
-    shift,
     spectral_pages,
     tensor_double,
     total_complex,
@@ -214,22 +213,6 @@ def test_constructors_reject_wrong_shaped_blocks(build, key):
 def test_double_complex_rejects_a_block_on_a_missing_cell():
     with pytest.raises(ComplexInvariantError, match=re.escape("expected (0, 0)")):
         DoubleComplex({(0, 0): 1}, d2={(7, 7): Matrix(5, 5, {(0, 0): 1})})
-
-
-def test_shift_zero_is_identity():
-    dc = one_torus_bicomplex()
-    assert shift(dc, 0, 0) == dc
-
-
-def test_shift_moves_single_cell():
-    dc = DoubleComplex({(0, 0): 1})
-    assert shift(dc, 1, -1).spaces == {(-1, 1): 1}
-
-
-def test_shift_inverse():
-    rng = random.Random(3)
-    dc = random_double_complex(rng)
-    assert shift(shift(dc, 2, -1), -2, 1) == dc
 
 
 def test_tensor_single_cells():

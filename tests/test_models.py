@@ -8,15 +8,14 @@ from kbhom.models import (
     DolbeaultPoissonModel,
     ModelValidationError,
     WedgeBasis,
-    contraction_from_bivector,
+    factor_contraction,
     koszul_differential,
-    monomial_label,
     normalize_bivector_coeffs,
     product_model,
     validate_model,
 )
 from kbhom.zoo import parallelizable, point, torus
-from support import BAD_RATIONALS
+from support import BAD_RATIONALS, OracleWedgeBasis, monomial_label
 
 
 def heisenberg3(pi=None):
@@ -63,51 +62,40 @@ def test_heisenberg_koszul_vanishes_for_pi13():
 
 
 def test_contraction_pairing_convention():
-    m = torus(2)
-    blocks = contraction_from_bivector(m, {(1, 2): 1})
+    m = torus(2, {(1, 2): 1})
+    blocks = m.contraction_blocks
     top = blocks[(2, 0)]
     assert top[label_index(m, (0, 0), "1"),
                label_index(m, (2, 0), "dz1^dz2")] == Fraction(1)
 
 
 def test_contraction_on_one_forms_is_zero():
-    m = torus(2)
-    blocks = contraction_from_bivector(m, {(1, 2): 1})
+    blocks = torus(2, {(1, 2): 1}).contraction_blocks
     assert (1, 0) not in blocks and (1, 1) not in blocks
 
 
 def test_contraction_interior_product_signs():
-    m = torus(3)
-    blocks = contraction_from_bivector(m, {(1, 2): 1})
-    blk = blocks[(3, 0)]
+    m = torus(3, {(1, 2): 1})
+    blk = m.contraction_blocks[(3, 0)]
     col = label_index(m, (3, 0), "dz1^dz2^dz3")
     assert blk[label_index(m, (1, 0), "dz3"), col] == Fraction(1)
     # and with the pair (1,3) the middle generator survives with a sign
-    blocks13 = contraction_from_bivector(m, {(1, 3): 1})
-    blk13 = blocks13[(3, 0)]
+    blk13 = torus(3, {(1, 3): 1}).contraction_blocks[(3, 0)]
     assert blk13[label_index(m, (1, 0), "dz2"), col] == Fraction(-1)
 
 
 def test_contraction_is_linear_in_the_bivector():
-    m = torus(3)
-    one = contraction_from_bivector(m, {(1, 2): 1, (2, 3): 1})
-    scaled = contraction_from_bivector(
-        m, {(1, 2): Fraction(5), (2, 3): Fraction(5)})
+    wedge = WedgeBasis(3)
+    one = factor_contraction(wedge, {(1, 2): 1, (2, 3): 1})
+    scaled = factor_contraction(wedge, {(1, 2): Fraction(5), (2, 3): Fraction(5)})
     assert set(one) == set(scaled)
     for cell, blk in one.items():
         assert scaled[cell] == Fraction(5) * blk
 
 
-def test_contraction_requires_wedge_data():
-    bare = DolbeaultPoissonModel(1, {(0, 0): ["1"]})
-    with pytest.raises(ValueError, match="wedge"):
-        contraction_from_bivector(bare, {})
-
-
 def test_contraction_rejects_non_antisymmetric_matrix():
-    m = torus(2)
     with pytest.raises(ValueError, match="antisymmetric"):
-        contraction_from_bivector(m, [[0, 1], [1, 0]])
+        torus(2, [[0, 1], [1, 0]])
 
 
 def test_validate_torus_passes():
@@ -211,12 +199,11 @@ def test_model_basis_drops_empty_cells_and_keeps_labels_as_given():
 
 
 def test_contraction_from_bivector_rejects_inexact_coefficients():
-    m = torus(2)
     for pi in ({(1, 2): 0.5}, {(1, 2): True}, [[0, 0.5], [-0.5, 0]]):
         with pytest.raises(TypeError):
-            contraction_from_bivector(m, pi)
-    assert contraction_from_bivector(m, {(1, 2): "1/2"}) == \
-        contraction_from_bivector(m, [[0, Fraction(1, 2)], [Fraction(-1, 2), 0]])
+            torus(2, pi)
+    assert torus(2, {(1, 2): "1/2"}).contraction_blocks == \
+        torus(2, [[0, Fraction(1, 2)], [Fraction(-1, 2), 0]]).contraction_blocks
 
 
 @pytest.mark.parametrize("bad", BAD_RATIONALS)
@@ -303,3 +290,12 @@ def test_wedge_labels():
     w = WedgeBasis(2)
     assert monomial_label(((), ())) == "1"
     assert w.labels(1, 1) == ["dz1^dzb1", "dz1^dzb2", "dz2^dzb1", "dz2^dzb2"]
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_wedge_labels_match_the_oracle_label_formula(n):
+    """The per-factor join against ``monomial_label`` on every monomial
+    of every cell."""
+    w, oracle = WedgeBasis(n), OracleWedgeBasis(n)
+    for (p, q), monos in oracle.monomials.items():
+        assert w.labels(p, q) == [monomial_label(m) for m in monos], (p, q)

@@ -44,7 +44,6 @@ from kbhom.models import (
 from kbhom.stein import (
     NotPoissonOnSlice,
     PolyBivector,
-    slice_basis,
     stein_complex,
     stein_homology,
 )
@@ -65,6 +64,7 @@ from support import (
     random_double_complex,
     random_split_ses,
     reduction_solve,
+    slice_basis,
     staircase_double_complex,
     transpose,
     twisted_ses,

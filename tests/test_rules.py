@@ -256,3 +256,32 @@ def test_mv_euler_check_inconsistent():
 def test_mv_euler_check_requires_same_n():
     with pytest.raises(ValueError):
         mv_euler_check(TORUS1, TORUS1, TORUS1, POINT)
+
+
+PT_DIAMOND = HodgeDiamond(0, {(0, 0): 1})
+SURFACE_DIAMOND = HodgeDiamond(2, {(0, 0): 1, (1, 1): 1, (2, 2): 1})
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: flag_manifold_kb(2, True), "b must be an int, not bool"),
+    (lambda: flag_manifold_kb(2, 2.0), "b must be an int, not float"),
+    (lambda: flag_bundle_hh(HHDims({0: 1}), True), "b_f must be an int, not bool"),
+    (lambda: flag_bundle_hh(HHDims({0: 1}), "2"), "b_f must be an int, not str"),
+    (lambda: leray_hirsch_hh(HHDims({0: 1}), [(True, 0)]),
+     "a class bidegree entry must be an int, not bool"),
+    (lambda: leray_hirsch_hh(HHDims({0: 1}), [(0, 0), (1, 1.0)]),
+     "a class bidegree entry must be an int, not float"),
+    (lambda: projective_bundle_hodge(PT_DIAMOND, True), "r must be an int, not bool"),
+    (lambda: projective_bundle_hodge(PT_DIAMOND, 2.0), "r must be an int, not float"),
+    (lambda: blowup_hodge(SURFACE_DIAMOND, PT_DIAMOND, 2.0), "r must be an int, not float"),
+    (lambda: blowup_hodge(SURFACE_DIAMOND, PT_DIAMOND, True), "r must be an int, not bool"),
+    (lambda: BlowupData(2.0, SURFACE, POINT, TORUS1), "r must be an int, not float"),
+    (lambda: BlowupData(True, SURFACE, POINT, TORUS1), "r must be an int, not bool"),
+], ids=["flag-b-bool", "flag-b-float", "bundle-b_f-bool", "bundle-b_f-str",
+        "leray-hirsch-bool", "leray-hirsch-float", "pbundle-r-bool", "pbundle-r-float",
+        "blowup-hodge-r-float", "blowup-hodge-r-bool", "blowup-data-r-float",
+        "blowup-data-r-bool"])
+def test_rules_take_plain_int_arguments(call, message):
+    with pytest.raises(TypeError) as info:
+        call()
+    assert type(info.value) is TypeError and str(info.value) == message

@@ -10,11 +10,10 @@ from kbhom.stein import (
     _compositions,
     _KoszulTables,
     _slice_complex,
-    slice_basis,
     stein_complex,
     stein_homology,
 )
-from support import BAD_RATIONALS, oracle_compositions
+from support import BAD_RATIONALS, oracle_compositions, slice_basis
 
 CONSTANT = [(1, 2, 1, (0, 0))]          # ∂/∂z1 ∧ ∂/∂z2 on C², degree 0
 LINEAR = [(1, 2, 1, (1, 0))]            # z1 ∂/∂z1 ∧ ∂/∂z2 on C², degree 1
@@ -81,8 +80,7 @@ def test_empty_weight_range():
 
 
 def test_negative_cap_is_a_value_error():
-    for call in (lambda: slice_basis(2, 0, -3, -1),
-                 lambda: stein_complex(2, CONSTANT, 0, cap=-1),
+    for call in (lambda: stein_complex(2, CONSTANT, 0, cap=-1),
                  lambda: stein_homology(2, CONSTANT, [0], cap=-1)):
         with pytest.raises(ValueError, match="cap must be nonnegative, got -1"):
             call()
@@ -217,13 +215,13 @@ SO3 = [(1, 2, 1, (0, 0, 1)), (2, 3, 1, (1, 0, 0)), (3, 1, 1, (0, 1, 0))]
     (lambda: PolyBivector(2, 1.0, {}), TypeError, "degree must be an int, not float"),
     (lambda: stein_complex(3, SO3, True, 8), TypeError, "w must be an int, not bool"),
     (lambda: stein_complex(3, SO3, 1, 8.5), TypeError, "cap must be an int, not float"),
+    (lambda: stein_complex(3, SO3, 1, True), TypeError, "cap must be an int, not bool"),
     (lambda: stein_homology(3, SO3, [0, 1.0]), TypeError, "w must be an int, not float"),
-    (lambda: slice_basis(2, 0, 0, True), TypeError, "cap must be an int, not bool"),
     (lambda: stein_complex(3.0, PolyBivector.from_terms(3, SO3), 1), TypeError,
      "n must be an int, not float"),
 ], ids=["n-float", "n-bool", "n-str", "degree-float", "degree-bool", "degree-negative",
         "zero-degree-negative", "init-degree-float", "w-bool", "cap-float",
-        "homology-w-float", "basis-cap-bool", "complex-n-float"])
+        "cap-bool", "homology-w-float", "complex-n-float"])
 def test_stein_arguments_are_strictly_typed(call, error, message):
     with pytest.raises(error) as info:
         call()

@@ -13,7 +13,6 @@ from kbhom.linalg import Matrix
 from kbhom.models import (
     DolbeaultPoissonModel,
     ModelValidationError,
-    contraction_from_bivector,
     koszul_differential,
     product_model,
     validate_model,
@@ -127,8 +126,6 @@ def test_builders_reject_non_int_bivector_indices(pi):
         torus(2, pi)
     with pytest.raises(TypeError, match="generator indices"):
         parallelizable(2, {(1, 2, 1): 1}, pi)
-    with pytest.raises(TypeError, match="generator indices"):
-        contraction_from_bivector(torus(2), pi)
 
 
 @pytest.mark.parametrize("structure", [{(True, 2, 3): 1}, {(1, 2, True): 1},
