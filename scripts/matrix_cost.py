@@ -1,4 +1,4 @@
-"""Ten measurements outside the perfbench ladder, for one checkout of kbhom.
+"""Eleven measurements outside the perfbench ladder, for one checkout of kbhom.
 
 * heis8: ``parallelizable(8, {(1,2,3): 1}, {(1,2): 1})`` built and
   validated, then ``kb_homology``; the best of ``REPS`` runs (wall time).
@@ -20,6 +20,10 @@
 * so(3)* weight 60: ``stein_complex`` of the linear bivector
   z3 ∂1∧∂2 + z1 ∂2∧∂3 + z2 ∂3∧∂1 on C³ at weight 60 (5673×5673 middle
   blocks), then ``homology_dims``; the best of ``REPS`` runs (wall time).
+* so(3)* weight 60 homology: ``stein_homology`` of the same bivector at
+  weight 60 with cap 60, which reduces each column as it is built and
+  never builds the ones that clearing discards; the best of ``REPS`` runs
+  (wall time).
 * so(3)* weights 0..40: ``stein_homology`` of the same bivector over
   weights 0..40 with cap 40; the best of ``REPS`` runs (wall time).
 
@@ -43,7 +47,7 @@ from pathlib import Path
 
 REPS = 3
 CASES = ("heis8", "heis8-validate", "heis6-spectral", "heis7-spectral", "heis6-memory",
-         "heis6-kb-memory", "heis5-json", "heis6-json", "so3-w60", "so3-w0-40")
+         "heis6-kb-memory", "heis5-json", "heis6-json", "so3-w60", "so3-w60-homology", "so3-w0-40")
 
 
 def best_of(build, measure) -> tuple:
@@ -133,6 +137,9 @@ def run_case(case: str) -> None:
         best = best_of(lambda: stein_complex(3, so3, 60, cap=60), homology_dims)
         print(f"so(3)* weight 60 stein_complex+homology_dims: {best[0]:.3f} s best of {REPS} "
               f"(stein_complex {best[1]:.3f} s, homology_dims {best[2]:.3f} s)")
+    elif case == "so3-w60-homology":
+        best = best_of(lambda: None, lambda _: stein_homology(3, so3, [60], cap=60))
+        print(f"so(3)* weight 60 stein_homology: {best[0]:.3f} s best of {REPS}")
     else:
         best = best_of(lambda: None, lambda _: stein_homology(3, so3, range(41), cap=40))
         print(f"so(3)* weights 0..40 stein_homology: {best[0]:.3f} s best of {REPS}")

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from operator import index
 from types import MappingProxyType
 
 from .linalg import (
@@ -126,23 +125,23 @@ def _first_failure(terms) -> tuple | None:
 def graded_dims(table, name: str = "spaces", cells: bool = False, bounds=None) -> dict:
     """The one reader of graded dimensions: the nonzero entries of
     ``table``, which maps degrees (ints) or, with ``cells``, cells (pairs
-    of ints) to dimensions.  Keys and values are cast with
-    ``operator.index``, so a float or a string raises TypeError rather
-    than being truncated or parsed; zeros are dropped, and a negative
+    of ints) to dimensions.  Keys and values are plain ints, so a bool, a
+    float or a string raises TypeError naming the table and the key rather
+    than being cast, truncated or parsed; zeros are dropped, and a negative
     value, a key of the wrong length (a degree is one int, a cell a pair),
     or a nonzero value at a key with a coordinate outside ``bounds``
     (``(lo, hi)``; None: unbounded) raises ValueError.  ``name`` names the
     table in the messages."""
     clean = {}
     for key, v in table.items():
-        v = index(v)
+        v = _integer(v, f"{name}[{key!r}]")
         if v < 0:
             raise ValueError(f"{name}[{key!r}] = {v} is negative")
         if cells != isinstance(key, tuple) or cells and len(key) != 2:
             raise ValueError(f"{name}[{key!r}] = {v}: the key is not "
                              + ("a cell (p, q)" if cells else "a degree"))
         # a degree k is range-checked as the cell (k, k)
-        p, q = (index(key[0]), index(key[1])) if cells else (index(key),) * 2
+        p, q = (_integer(x, f"{name} key {key!r}") for x in (key if cells else (key, key)))
         if not v:
             continue
         if bounds and not (bounds[0] <= p <= bounds[1] and bounds[0] <= q <= bounds[1]):
@@ -378,6 +377,15 @@ def _cleared_owners(diffs) -> dict:
     owners, the rank and the persistence pairs are those of the full
     reduction.  The saving is the cleared columns, about rank d^{k-1} of
     them, and the dearest ones, as each would be eliminated to zero.
+
+    The same argument lets a builder skip such a column altogether.
+    ``stein.stein_homology`` builds the d^{-p} of a Poisson bivector's
+    slice for p = n, ..., 1, eliminating each column as it is made, and
+    never makes the column of d^{-p} at a pivot row i of d^{-p-1}: as
+    d^{-p}∘d^{-p-1} = 0 (proved by ``is_poisson``, below), that column lies
+    in the span of the ones before it, would reduce to zero and own
+    nothing, so not building it leaves every owner and the rank as they
+    are.  Each column is a fresh dict, eliminated once, so in place.
 
     The precondition D² = 0 is proved for every differential that reaches
     here: the ``Complex`` and ``DoubleComplex`` constructors check it, and

@@ -48,6 +48,10 @@ def leray_hirsch_hh(x: HHDims, classes) -> HHDims:
     >>> leray_hirsch_hh(HHDims({-1: 1, 0: 2, 1: 1}), [(0, 0)]).dims
     {-1: 1, 0: 2, 1: 1}
     """
+    classes = list(classes)
+    for c in classes:
+        if not isinstance(c, (tuple, list)) or len(c) != 2:
+            raise TypeError(f"a class bidegree must be a pair (u, v), not {c!r}")
     classes = [(_integer(u, "a class bidegree entry"), _integer(w, "a class bidegree entry"))
                for u, w in classes]
     if not classes:

@@ -22,11 +22,11 @@ that fails it has its slices checked one by one (see ``stein_complex``).
 from __future__ import annotations
 
 from itertools import combinations
-from math import lcm
+from math import comb, lcm
 from operator import add, mul
 
 from .complexes import Complex, ComplexInvariantError, homology_dims
-from .linalg import _from_columns, _integer, _is_int, _q
+from .linalg import _eliminate, _from_columns, _integer, _is_int, _q
 from .models import _wedge
 
 
@@ -369,52 +369,94 @@ def stein_complex(n: int, pi, w: int, cap: int = 8) -> Complex:
     return _slice_complex(_KoszulTables(_as_bivector(n, pi), cap), w)
 
 
+def _slice_columns(tables: _KoszulTables, w: int, p: int, size: int, rows: dict, skip=()):
+    """``(j, line)`` for the columns j of d^{-p} on the weight-w slice, α-major
+    and I-minor, but those in ``skip``: line is L·delpi(z^α dz_I) as a fresh
+    ``{row: int}`` dict without zeros, rows keyed by ``rows`` (``_slice_rows``)."""
+    per_i = [(i_set, tables.key((), i_set), *tables[i_set])
+             for i_set in combinations(range(1, tables.pi.n + 1), p)]
+    j = -1
+    try:
+        for alpha, a_key in tables.alphas(size):
+            for i_set, mask, shifted, fixed in per_i:
+                j += 1
+                if j in skip:
+                    continue
+                key, line = a_key + mask, {}
+                for g, g_terms in shifted:
+                    a_g = alpha[g]
+                    if a_g:
+                        for offset, c in g_terms:
+                            row = rows[key + offset]
+                            line[row] = line.get(row, 0) + a_g * c
+                for offset, c in fixed:
+                    row = rows[key + offset]
+                    line[row] = line.get(row, 0) + c
+                yield j, line if all(line.values()) else {i: v for i, v in line.items() if v}
+    except KeyError:
+        raise AssertionError(f"delpi left the weight-{w} slice from {(alpha, i_set)}; "
+                             "weight bookkeeping is broken") from None
+
+
+def _slice_rows(tables: _KoszulTables, p: int, size: int) -> dict:
+    """The keys of the z^α dz_I with |α| = size and |I| = p to their indices,
+    α-major and I-minor: α lex ascending, then I lex ascending."""
+    masks = [tables.key((), i) for i in combinations(range(1, tables.pi.n + 1), p)]
+    keys = [a_key + mask for _, a_key in tables.alphas(size) for mask in masks]
+    return dict(zip(keys, range(len(keys))))
+
+
 def _slice_complex(tables: _KoszulTables, w: int) -> Complex:
     """The weight-w slice.  Its basis in form degree p is the z^α dz_I with
-    |α| = w - (d-1)p, α-major and I-minor: α lex ascending, then the
-    p-subsets I of {1..n} lex ascending."""
-    n, scale = tables.pi.n, tables.scale
+    |α| = w - (d-1)p, α-major and I-minor (``_slice_rows``)."""
     spaces, diffs, rows = {}, {}, {}  # rows: the keys of slice p - 1 to row indices
-    for p, size in _slice_sizes(n, tables.pi.degree, w, tables.cap).items():
-        i_sets = list(combinations(range(1, n + 1), p))
-        alphas, masks = tables.alphas(size), [tables.key((), i) for i in i_sets]
+    for p, size in _slice_sizes(tables.pi.n, tables.pi.degree, w, tables.cap).items():
         if p:
-            per_i = [(i_set, mask, *tables[i_set]) for i_set, mask in zip(i_sets, masks)]
-            pieces = []
-            try:
-                for alpha, a_key in alphas:
-                    for i_set, mask, shifted, fixed in per_i:
-                        key, line = a_key + mask, {}
-                        for g, g_terms in shifted:
-                            a_g = alpha[g]
-                            if a_g:
-                                for offset, c in g_terms:
-                                    row = rows[key + offset]
-                                    line[row] = line.get(row, 0) + a_g * c
-                        for offset, c in fixed:
-                            row = rows[key + offset]
-                            line[row] = line.get(row, 0) + c
-                        pieces.append((len(pieces), line, scale))
-            except KeyError:
-                raise AssertionError(f"delpi left the weight-{w} slice from {(alpha, i_set)}; "
-                                     "weight bookkeeping is broken") from None
+            pieces = [(j, line, tables.scale)
+                      for j, line in _slice_columns(tables, w, p, size, rows)]
             diffs[-p] = _from_columns(len(rows), len(pieces), pieces)
-        keys = [a_key + mask for _, a_key in alphas for mask in masks]
-        spaces[-p], rows = len(keys), dict(zip(keys, range(len(keys))))
+        rows = _slice_rows(tables, p, size)
+        spaces[-p] = len(rows)
     try:
         return Complex(spaces, diffs, check=not tables.poisson)
     except ComplexInvariantError:
         raise NotPoissonOnSlice(f"bivector not Poisson at weight {w}") from None
 
 
+def _cleared_homology(tables: _KoszulTables, w: int) -> dict:
+    """``{-p: dim H}`` of a Poisson bivector's weight-w slice (``stein_homology``)."""
+    n, h, owner = tables.pi.n, {}, {}
+    sizes = _slice_sizes(n, tables.pi.degree, w, tables.cap)
+    for p in sorted(sizes, reverse=True):
+        cleared, owner, reduced = owner, {}, {}
+        if p:
+            rows = _slice_rows(tables, p - 1, sizes[p - 1]) if p - 1 in sizes else {}
+            for j, line in _slice_columns(tables, w, p, sizes[p], rows, cleared):
+                piv = _eliminate(line, None, owner, reduced, None)
+                if piv is not None:
+                    owner[piv], reduced[j] = j, line
+        h[-p] = len(tables.alphas(sizes[p])) * comb(n, p) - len(owner) - len(cleared)
+    return h
+
+
 def stein_homology(n: int, pi, w_range, cap: int = 8) -> dict:
     """Per-weight homology dims, keyed (w, k) with k = n - p in [0, n].
 
-    The weights share one set of per-I tables and of (α, key) lists."""
+    The weights share one set of per-I tables and of (α, key) lists.  A
+    non-Poisson bivector's slices are built and checked (``_slice_complex``).
+    A Poisson one's d^{-p} are built for p = n, ..., 1, each column a fresh
+    dict eliminated once, in place, against the pivots before it, and
+    dim H^{-p} = dim Ω^p - rank d^{-p} - rank d^{-p-1}.  The columns of d^{-p}
+    at the pivot rows of d^{-p-1} are never built, which is exact: d^{-p}∘
+    d^{-p-1} = 0, proved once per bivector by ``is_poisson`` (see
+    ``stein_complex``), so such a column lies in the span of the ones before
+    it, would reduce to zero and own nothing; leaving it out changes no
+    owner and no rank (``complexes._cleared_owners``)."""
     tables = _KoszulTables(_as_bivector(n, pi), cap)
     out: dict = {}
     for w in w_range:
-        h = homology_dims(_slice_complex(tables, w))
+        h = (_cleared_homology(tables, w) if tables.poisson
+             else homology_dims(_slice_complex(tables, w)))
         for p in range(n + 1):
             out[(w, n - p)] = h.get(-p, 0)
     return out

@@ -2,7 +2,7 @@ import re
 
 import pytest
 
-from kbhom.complexes import spectral_pages, total_complex
+from kbhom.complexes import Complex, DoubleComplex, spectral_pages, total_complex
 from kbhom.engine import (
     HHDims,
     HodgeDiamond,
@@ -132,9 +132,11 @@ def test_tables_reject_negative_and_out_of_range_values(make, message):
 
 
 def test_tables_drop_zeros_cast_to_int_and_compare_by_class_and_fields():
-    assert KBDims(1, {0: True, 1: 0, 7: 0}).dims == {0: 1}
-    assert type(next(iter(KBDims(1, {True: 2}).dims))) is int
-    assert HodgeDiamond(1, {(True, 0): 1, (5, 5): 0}).h == {(1, 0): 1}
+    for make in (lambda: KBDims(1, {0: True, 1: 0, 7: 0}), lambda: KBDims(1, {True: 2}),
+                 lambda: HodgeDiamond(1, {(True, 0): 1, (5, 5): 0})):
+        with pytest.raises(TypeError, match="must be an int, not bool"):
+            make()
+    assert KBDims(1, {0: 1, 1: 0, 7: 0}).dims == {0: 1}
     assert HHDims({-9: 3, 2: 0}).dims == {-9: 3}
     assert KBDims(1, {0: 1, 2: 0}) == KBDims(1, {0: 1})
     assert KBDims(1, {0: 1}) != KBDims(2, {0: 1})
@@ -153,6 +155,21 @@ def test_tables_reject_keys_and_values_that_are_not_integers(make):
     # int() would truncate 1.5 and 2.5 and parse "1_0" as 10
     with pytest.raises(TypeError):
         make()
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: KBDims(1, {0: 1.0}), "dims[0] must be an int, not float"),
+    (lambda: HHDims({0: True}), "dims[0] must be an int, not bool"),
+    (lambda: HodgeDiamond(0, {(0, 0): True}), "h[(0, 0)] must be an int, not bool"),
+    (lambda: Complex({0: True}), "spaces[0] must be an int, not bool"),
+    (lambda: DoubleComplex({(True, 0): 1}), "spaces key (True, 0) must be an int, not bool"),
+], ids=["kb-value-float", "hh-value-bool", "hodge-value-bool",
+        "complex-value-bool", "double-complex-key-bool"])
+def test_graded_dims_name_the_table_and_key_of_a_value_that_is_not_an_int(make, message):
+    """Bools are ints to Python but never dimensions or degrees here."""
+    with pytest.raises(TypeError) as info:
+        make()
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("model", [

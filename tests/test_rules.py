@@ -271,6 +271,12 @@ SURFACE_DIAMOND = HodgeDiamond(2, {(0, 0): 1, (1, 1): 1, (2, 2): 1})
      "a class bidegree entry must be an int, not bool"),
     (lambda: leray_hirsch_hh(HHDims({0: 1}), [(0, 0), (1, 1.0)]),
      "a class bidegree entry must be an int, not float"),
+    (lambda: leray_hirsch_hh(HHDims({0: 1}), [(0, 0), (1,)]),
+     "a class bidegree must be a pair (u, v), not (1,)"),
+    (lambda: leray_hirsch_hh(HHDims({0: 1}), [1]),
+     "a class bidegree must be a pair (u, v), not 1"),
+    (lambda: leray_hirsch_hh(HHDims({0: 1}), [(1, 2, 3)]),
+     "a class bidegree must be a pair (u, v), not (1, 2, 3)"),
     (lambda: projective_bundle_hodge(PT_DIAMOND, True), "r must be an int, not bool"),
     (lambda: projective_bundle_hodge(PT_DIAMOND, 2.0), "r must be an int, not float"),
     (lambda: blowup_hodge(SURFACE_DIAMOND, PT_DIAMOND, 2.0), "r must be an int, not float"),
@@ -278,7 +284,8 @@ SURFACE_DIAMOND = HodgeDiamond(2, {(0, 0): 1, (1, 1): 1, (2, 2): 1})
     (lambda: BlowupData(2.0, SURFACE, POINT, TORUS1), "r must be an int, not float"),
     (lambda: BlowupData(True, SURFACE, POINT, TORUS1), "r must be an int, not bool"),
 ], ids=["flag-b-bool", "flag-b-float", "bundle-b_f-bool", "bundle-b_f-str",
-        "leray-hirsch-bool", "leray-hirsch-float", "pbundle-r-bool", "pbundle-r-float",
+        "leray-hirsch-bool", "leray-hirsch-float", "leray-hirsch-single",
+        "leray-hirsch-int", "leray-hirsch-triple", "pbundle-r-bool", "pbundle-r-float",
         "blowup-hodge-r-float", "blowup-hodge-r-bool", "blowup-data-r-float",
         "blowup-data-r-bool"])
 def test_rules_take_plain_int_arguments(call, message):

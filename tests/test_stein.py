@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from kbhom import stein
 from kbhom.complexes import Complex, homology_dims
 from kbhom.stein import (
     NonHomogeneousBivector,
@@ -13,7 +14,7 @@ from kbhom.stein import (
     stein_complex,
     stein_homology,
 )
-from support import BAD_RATIONALS, oracle_compositions, slice_basis
+from support import BAD_RATIONALS, oracle_compositions, oracle_rank, slice_basis
 
 CONSTANT = [(1, 2, 1, (0, 0))]          # ∂/∂z1 ∧ ∂/∂z2 on C², degree 0
 LINEAR = [(1, 2, 1, (1, 0))]            # z1 ∂/∂z1 ∧ ∂/∂z2 on C², degree 1
@@ -229,17 +230,40 @@ def test_stein_arguments_are_strictly_typed(call, error, message):
 
 
 def test_only_non_poisson_slices_are_squared(monkeypatch):
-    """A Poisson bivector's slices are built without the D² check, which
-    [pi, pi] = 0 proves; the slices of any other bivector are checked."""
-    squared = []
+    """A Poisson bivector's slices are reduced as they are built, with no
+    ``Complex`` and no ``Matrix`` (so no D² check, which [pi, pi] = 0
+    proves); the slices of any other bivector are built and checked."""
+    squared, built, matrices = [], [], []
     monkeypatch.setattr(Complex, "validate", lambda c: squared.append(c.spaces))
+    complex_init = Complex.__init__
+    monkeypatch.setattr(Complex, "__init__",
+                        lambda c, *args, **kw: built.append(complex_init(c, *args, **kw)))
+    from_columns = stein._from_columns
+    monkeypatch.setattr(stein, "_from_columns",
+                        lambda *args: matrices.append(1) or from_columns(*args))
     assert PolyBivector.from_terms(3, SO3).is_poisson()
-    stein_homology(3, SO3, range(4), 40)
-    assert squared == []
+    assert stein_homology(3, SO3, range(4), 40) == stein_homology(3, SO3, range(4), 40)
+    assert squared == built == matrices == []
     not_poisson = [(1, 2, 1, (2, 0, 0)), (1, 3, 1, (0, 0, 2))]
     assert not PolyBivector.from_terms(3, not_poisson).is_poisson()
     stein_homology(3, not_poisson, range(3), 40)
-    assert len(squared) == 3
+    assert len(squared) == len(built) == 3 and matrices
+
+
+def test_stein_homology_eliminates_only_the_uncleared_columns(monkeypatch):
+    """For a Poisson bivector each column of d^{-p} but those at the pivot
+    rows of d^{-p-1} is built and eliminated once: Σ (dim Ω^p - rank
+    d^{-p-1}) over the weights and the p >= 1, ranks by the dense oracle."""
+    calls = []
+    eliminate = stein._eliminate
+    monkeypatch.setattr(stein, "_eliminate",
+                        lambda *args: calls.append(1) or eliminate(*args))
+    stein_homology(3, SO3, range(13), 40)
+    expected = 0
+    for w in range(13):
+        c = stein_complex(3, SO3, w, 40)
+        expected += sum(c.dim(-p) - oracle_rank(c.d(-p - 1)) for p in range(1, 4))
+    assert len(calls) == expected == 1820
 
 
 def test_corrupted_tables_cannot_leave_the_slice():
