@@ -26,6 +26,7 @@ from .linalg import (
     Matrix,
     _from_columns,
     _integer,
+    _is_int,
     _reduce,
     _select_columns,
     _select_rows,
@@ -134,14 +135,17 @@ def graded_dims(table, name: str = "spaces", cells: bool = False, bounds=None) -
     table in the messages."""
     clean = {}
     for key, v in table.items():
-        v = _integer(v, f"{name}[{key!r}]")
+        if not _is_int(v):  # the messages are formatted only for a bad entry
+            _integer(v, f"{name}[{key!r}]")
         if v < 0:
             raise ValueError(f"{name}[{key!r}] = {v} is negative")
         if cells != isinstance(key, tuple) or cells and len(key) != 2:
             raise ValueError(f"{name}[{key!r}] = {v}: the key is not "
                              + ("a cell (p, q)" if cells else "a degree"))
         # a degree k is range-checked as the cell (k, k)
-        p, q = (_integer(x, f"{name} key {key!r}") for x in (key if cells else (key, key)))
+        p, q = key if cells else (key, key)
+        if not (_is_int(p) and _is_int(q)):
+            _integer(q if _is_int(p) else p, f"{name} key {key!r}")
         if not v:
             continue
         if bounds and not (bounds[0] <= p <= bounds[1] and bounds[0] <= q <= bounds[1]):
