@@ -12,8 +12,9 @@
   and what stays allocated afterwards.
 * heis6 KB memory: the tracemalloc peak, above the start, of
   ``kb_homology`` on the built and validated ``parallelizable(6, ...)``,
-  the stage where the stored columns, the total complex and the copies
-  that ``_reduce`` eliminates all live at once.
+  the stage where the stored columns and the total complex live at once,
+  with the copies of the pivot columns that the rank-only elimination
+  keeps for each differential.
 * heis5 and heis6 model files: ``model_to_json`` on the built model, the
   best of ``REPS`` runs (wall time), and the tracemalloc peak, above the
   start, of one more run.

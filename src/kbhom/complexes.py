@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import partial
 from types import MappingProxyType
 
 from .linalg import (
@@ -27,9 +28,11 @@ from .linalg import (
     _from_columns,
     _integer,
     _is_int,
+    _owners,
     _reduce,
     _select_columns,
     _select_rows,
+    _stored_columns,
     _sum_of_products,
     rank,
 )
@@ -368,10 +371,11 @@ def tensor_double(a: DoubleComplex, b: DoubleComplex) -> DoubleComplex:
 
 def _cleared_owners(diffs) -> dict:
     """The pivot owners of the differentials d^k, keyed by k: ``diffs``
-    yields the pairs (k, d^k) in ascending k, with d^{k+1} d^k = 0.  Each
-    is reduced once, rank only, with the pivot rows of d^{k-1} cleared
-    from d^k (Chen and Kerber, "Persistent homology computation with a
-    twist", 2011).
+    yields the pairs (k, columns) in ascending k, with d^{k+1} d^k = 0 and
+    ``columns(skip)`` a source of the columns of d^k but those in skip, as
+    ``linalg._owners`` takes them.  Each d^k is reduced once, rank only,
+    with the pivot rows of d^{k-1} cleared from it (Chen and Kerber,
+    "Persistent homology computation with a twist", 2011).
 
     Clearing is exact.  A reduced column of d^{k-1} with pivot i is a
     vector d^{k-1}x whose last nonzero entry is at row i, and d^k d^{k-1}x
@@ -380,39 +384,36 @@ def _cleared_owners(diffs) -> dict:
     no pivot, so leaving it out changes no other column's reduction: the
     owners, the rank and the persistence pairs are those of the full
     reduction.  The saving is the cleared columns, about rank d^{k-1} of
-    them, and the dearest ones, as each would be eliminated to zero.
-
-    The same argument lets a builder skip such a column altogether.
-    ``stein.stein_homology`` builds the d^{-p} of a Poisson bivector's
-    slice for p = n, ..., 1, eliminating each column as it is made, and
-    never makes the column of d^{-p} at a pivot row i of d^{-p-1}: as
-    d^{-p}∘d^{-p-1} = 0 (proved by ``is_poisson``, below), that column lies
-    in the span of the ones before it, would reduce to zero and own
-    nothing, so not building it leaves every owner and the rank as they
-    are.  Each column is a fresh dict, eliminated once, so in place.
+    them, and the dearest ones, as each would be eliminated to zero; a
+    source that builds columns as drawn (``stein``'s) never builds them.
 
     The precondition D² = 0 is proved for every differential that reaches
     here: the ``Complex`` and ``DoubleComplex`` constructors check it, and
     where they are told not to, ``total_complex`` and ``kb_double_complex``
     derive it from checked identities (the bicomplex's, or the model's),
-    and ``stein.stein_complex`` from [pi, pi] = 0, checked once per
+    and the ``stein`` slices from [pi, pi] = 0, checked once per
     bivector by ``PolyBivector.is_poisson``: delpi∘delpi is, up to sign
     and a factor 2, the Koszul operator of [pi, pi] (proof in
     ``stein_complex``).
     """
     owners: dict = {}
-    for k, d in diffs:
-        owners[k] = _reduce(d, clear=owners.get(k - 1, {}).keys()).owner
+    for k, columns in diffs:
+        owners[k] = _owners(columns(owners.get(k - 1, {}).keys()))
     return owners
 
 
+def _homology(spaces: dict, diffs) -> dict:
+    """dim H^k = dim C^k - rank d^k - rank d^{k-1} over ``spaces``, {k: dim
+    C^k}, the ranks by ``_cleared_owners(diffs)``, which reduces the columns
+    of C^k left after the rank d^{k-1} cleared ones: no dim is negative."""
+    ranks = {k: len(owner) for k, owner in _cleared_owners(diffs).items()}
+    return {k: dim - ranks.get(k, 0) - ranks.get(k - 1, 0) for k, dim in spaces.items()}
+
+
 def homology_dims(c: Complex) -> dict:
-    """dim H^k = dim C^k - rank d^k - rank d^{k-1}, for every supported
-    degree, the ranks by ``_cleared_owners``.  The columns of d^k that it
-    reduces are those of C^k left after the rank d^{k-1} cleared ones, so
-    rank d^k <= dim C^k - rank d^{k-1} and no dimension is negative."""
-    ranks = {k: len(owner) for k, owner in _cleared_owners(sorted(c.diffs.items())).items()}
-    return {k: c.dim(k) - ranks.get(k, 0) - ranks.get(k - 1, 0) for k in c.degrees()}
+    """dim H^k for every supported degree k (``_homology``)."""
+    return _homology({k: c.dim(k) for k in c.degrees()},
+                     ((k, partial(_stored_columns, d)) for k, d in sorted(c.diffs.items())))
 
 
 @dataclass
@@ -466,7 +467,7 @@ def spectral_pages(dc: DoubleComplex, r_max: int) -> SpectralPages:
     unpaired = dict(dc.spaces)
     lengths: dict = {cell: [] for cell in dc.spaces}
     diffs = sorted(_total_differentials(dc, layouts).items())
-    for k, owner in _cleared_owners(diffs).items():
+    for k, owner in _cleared_owners((k, partial(_stored_columns, d)) for k, d in diffs).items():
         for i, j in owner.items():
             src, tgt = cell_of[k][j], cell_of[k + 1][i]
             for cell in (src, tgt):
@@ -556,9 +557,9 @@ def _homology_bases(x: Complex, degrees) -> dict:
     boundaries = Matrix(x.dim(degrees[0]), 0)  # d^k = 0 below the range
     for k in degrees:
         d = x.d(k)
-        red = _reduce(d, track=True)
+        red = _reduce(d)
         cycles = red.kernel().basis
-        classes = _reduce(Matrix.hstack(boundaries, cycles), track=True)
+        classes = _reduce(Matrix.hstack(boundaries, cycles))
         nb = boundaries.cols
         at = sorted(p for p in classes.owner.values() if p >= nb)
         out[k] = (classes, at, _select_columns(cycles, [p - nb for p in at]))
@@ -603,8 +604,8 @@ def les_from_ses(f: ChainMap, g: ChainMap) -> LongExactSequence:
     if not degrees:
         return LongExactSequence(entries=[], maps=[])
     degrees = range(degrees[0], degrees[-1] + 1)
-    f_red = {k: _reduce(f.at(k), track=True) for k in degrees}
-    g_red = {k: _reduce(g.at(k), track=True) for k in degrees}
+    f_red = {k: _reduce(f.at(k)) for k in degrees}
+    g_red = {k: _reduce(g.at(k)) for k in degrees}
     for k in degrees:
         if len(f_red[k].owner) != a.dim(k):
             raise NotShortExactError(f"f is not injective at degree {k}")

@@ -5,9 +5,10 @@ A ``Matrix`` stores each nonzero column j as ints over one denominator:
 ``_dens.get(j, 1)``, the lcm of the column's reduced denominators.
 Builders emit such dicts, which ``_from_columns`` stores as they are in
 this canonical form and nothing mutates afterwards, and ``Fraction``
-appears only at the public edges.  Everything downstream reduces to one
-sparse column reduction, ``_reduce``, on copies of the stored columns,
-and products and the sums of products that check a model's identities
+appears only at the public edges.  Everything downstream reduces to
+``_eliminate`` on copies of the stored columns: rank only over a stream of
+columns (``_owners``), or tracked (``_reduce``), for kernels and solve;
+products and the sums of products that check a model's identities
 (``_sum_of_products``) combine integer columns.  There is no floating
 point and no modular arithmetic anywhere, and identical inputs give
 identical outputs.
@@ -131,9 +132,9 @@ class Matrix:
             raise ValueError("matrix dimensions must be nonnegative")
         pieces = []
         for key, v in (entries or {}).items():
-            i, j = key
+            i, j = key if isinstance(key, tuple) and len(key) == 2 else (None, None)
             if not (_is_int(i) and _is_int(j)):
-                raise TypeError(f"matrix entry indices must be ints, not {key!r}")
+                raise TypeError(f"matrix entry key {key!r} is not a pair (row, col) of ints")
             if not (0 <= i < rows and 0 <= j < cols):
                 raise ValueError(f"entry ({i},{j}) out of bounds for {rows}x{cols} matrix")
             v = _q(v)
@@ -337,17 +338,16 @@ class Reduction(NamedTuple):
     """What ``_reduce`` returns for a ``rows``×``cols`` matrix.  ``owner``
     maps each pivot row to the column owning it (the pivot columns);
     ``reduced[j]`` is column j after reduction as a sparse ``{row: int}``
-    dict, empty iff column j depends on the columns before it.  If tracked,
-    ``combo[j]`` writes ``reduced[j]`` as ``{original column: int
-    coefficient}``, supported on j and pivot columns only, so a dependent
-    column's combination is unique up to scale; ``kernel`` and ``solve``
-    need it."""
+    dict, empty iff column j depends on the columns before it.  ``combo[j]``
+    writes ``reduced[j]`` as ``{original column: int coefficient}``,
+    supported on j and pivot columns only, so a dependent column's
+    combination is unique up to scale; ``kernel`` and ``solve`` need it."""
 
     rows: int
     cols: int
     owner: dict
     reduced: list
-    combo: list | None
+    combo: list
 
     def kernel(self) -> "Subspace":
         """The right kernel: one basis column per dependent column j, with 1
@@ -381,36 +381,41 @@ class Reduction(NamedTuple):
         return _from_columns(n, rhs.cols, pieces), missing
 
 
-def _reduce(m: Matrix, track: bool = False, clear=()) -> Reduction:
-    """Fraction-free column reduction of m, left to right.
+def _stored_columns(m: Matrix, skip=()):
+    """``(j, col)`` over the stored columns j of m not in ``skip``, in
+    ascending j whatever order the builder stored them in: col is a fresh
+    copy of column j times its denominator."""
+    lines = m._lines
+    return ((j, dict(lines[j])) for j in sorted(lines) if j not in skip)
 
-    Each column is reduced by ``_eliminate`` against the columns before
-    it and owns the pivot it ends on.  The reduction starts from copies of
-    the stored integer columns (column j of m times its denominator), so
-    every reduced column is a nonzero rational multiple of the one an
-    elimination over Q would give, with the same owners, pivot columns and
-    persistence pairs.  ``track`` records what ``kernel`` and ``solve`` need.
 
-    ``clear`` is a container of columns the caller has proved to depend on
-    the columns before them: each is left as an empty reduced column, not
-    copied or eliminated.  Such a column would reduce to zero and own no
-    pivot, so the owners, and the rank, are those of the full reduction
-    (see ``complexes._cleared_owners``).  The combinations of the cleared
-    columns are unknown, so ``clear`` refuses ``track``.
-    """
-    if track and clear:
-        raise ValueError("a tracked reduction cannot clear columns")
+def _owners(columns) -> dict:
+    """``{pivot row: column}`` of the rank-only reduction of ``columns``,
+    fresh ``(j, col)`` integer columns in ascending j (``_stored_columns``),
+    each eliminated once, in place, against the ones before it."""
+    owner, reduced = {}, {}
+    for j, col in columns:
+        piv = _eliminate(col, None, owner, reduced, None)
+        if piv is not None:
+            owner[piv], reduced[j] = j, col
+    return owner
+
+
+def _reduce(m: Matrix) -> Reduction:
+    """Fraction-free, tracked column reduction of m, left to right: each
+    column, a copy of the stored integer column (column j of m times its
+    denominator), is reduced by ``_eliminate`` against the ones before it
+    and owns the pivot it ends on, so it is a nonzero rational multiple of
+    what an elimination over Q gives, with the owners ``_owners`` finds."""
     lines, dens = m._lines, m._dens
-    reduced = [{} if j in clear else dict(lines.get(j, {})) for j in range(m.cols)]
-    owner = {}
-    combo = [] if track else None
+    reduced = [dict(lines.get(j, {})) for j in range(m.cols)]
+    owner, combo = {}, []
     for j, col in enumerate(reduced):
-        comb = {j: dens.get(j, 1)} if track else None
+        comb = {j: dens.get(j, 1)}
         piv = _eliminate(col, comb, owner, reduced, combo)
         if piv is not None:
             owner[piv] = j
-        if track:
-            combo.append(comb)
+        combo.append(comb)
     return Reduction(m.rows, m.cols, owner, reduced, combo)
 
 
@@ -432,12 +437,12 @@ def _select_rows(m: Matrix, rows) -> Matrix:
 
 def rank(m: Matrix) -> int:
     """Exact rank of m over Q."""
-    return len(_reduce(m).owner)
+    return len(_owners(_stored_columns(m)))
 
 
 def kernel_basis(m: Matrix) -> "Subspace":
     """Right kernel of m as a subspace of Q^cols (see ``Reduction.kernel``)."""
-    return _reduce(m, track=True).kernel()
+    return _reduce(m).kernel()
 
 
 class Subspace:

@@ -21,12 +21,13 @@ that fails it has its slices checked one by one (see ``stein_complex``).
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import combinations
 from math import comb, lcm
 from operator import add, mul
 
-from .complexes import Complex, ComplexInvariantError, homology_dims
-from .linalg import _eliminate, _from_columns, _integer, _is_int, _q
+from .complexes import Complex, ComplexInvariantError, _homology, homology_dims
+from .linalg import _from_columns, _integer, _is_int, _q
 from .models import _wedge
 
 
@@ -425,18 +426,14 @@ def _slice_complex(tables: _KoszulTables, w: int) -> Complex:
 
 def _cleared_homology(tables: _KoszulTables, w: int) -> dict:
     """``{-p: dim H}`` of a Poisson bivector's weight-w slice (``stein_homology``)."""
-    n, h, owner = tables.pi.n, {}, {}
-    sizes = _slice_sizes(n, tables.pi.degree, w, tables.cap)
-    for p in sorted(sizes, reverse=True):
-        cleared, owner, reduced = owner, {}, {}
-        if p:
-            rows = _slice_rows(tables, p - 1, sizes[p - 1]) if p - 1 in sizes else {}
-            for j, line in _slice_columns(tables, w, p, sizes[p], rows, cleared):
-                piv = _eliminate(line, None, owner, reduced, None)
-                if piv is not None:
-                    owner[piv], reduced[j] = j, line
-        h[-p] = len(tables.alphas(sizes[p])) * comb(n, p) - len(owner) - len(cleared)
-    return h
+    n, sizes = tables.pi.n, _slice_sizes(tables.pi.n, tables.pi.degree, w, tables.cap)
+
+    def columns(p: int):  # d^{-p}, its rows keyed as slice p - 1's, built only as drawn
+        rows = _slice_rows(tables, p - 1, sizes[p - 1]) if p - 1 in sizes else {}
+        return partial(_slice_columns, tables, w, p, sizes[p], rows)
+
+    return _homology({-p: len(tables.alphas(size)) * comb(n, p) for p, size in sizes.items()},
+                     ((-p, columns(p)) for p in sorted(sizes, reverse=True) if p))
 
 
 def stein_homology(n: int, pi, w_range, cap: int = 8) -> dict:
@@ -444,14 +441,10 @@ def stein_homology(n: int, pi, w_range, cap: int = 8) -> dict:
 
     The weights share one set of per-I tables and of (α, key) lists.  A
     non-Poisson bivector's slices are built and checked (``_slice_complex``).
-    A Poisson one's d^{-p} are built for p = n, ..., 1, each column a fresh
-    dict eliminated once, in place, against the pivots before it, and
-    dim H^{-p} = dim Ω^p - rank d^{-p} - rank d^{-p-1}.  The columns of d^{-p}
-    at the pivot rows of d^{-p-1} are never built, which is exact: d^{-p}∘
-    d^{-p-1} = 0, proved once per bivector by ``is_poisson`` (see
-    ``stein_complex``), so such a column lies in the span of the ones before
-    it, would reduce to zero and own nothing; leaving it out changes no
-    owner and no rank (``complexes._cleared_owners``)."""
+    A Poisson one's d^{-p} are never built as matrices: for p = n, ..., 1
+    each column of d^{-p} is made as it is reduced, with clearing
+    (``complexes._cleared_owners``), which needs d^{-p}∘d^{-p-1} = 0;
+    ``is_poisson`` proves it once per bivector (see ``stein_complex``)."""
     tables = _KoszulTables(_as_bivector(n, pi), cap)
     out: dict = {}
     for w in w_range:

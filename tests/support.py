@@ -221,8 +221,10 @@ def _echelon(m: Matrix):
 
 
 def dense(m: Matrix) -> list:
-    """m as a list of rows of Fractions, read off ``.entries``."""
-    return [[m.entries.get((i, j), Fraction(0)) for j in range(m.cols)] for i in range(m.rows)]
+    """m as a list of rows of Fractions, read off ``.entries`` (built anew on
+    each access, so read once)."""
+    entries = m.entries
+    return [[entries.get((i, j), Fraction(0)) for j in range(m.cols)] for i in range(m.rows)]
 
 
 def column_matrix(data) -> Matrix:
@@ -407,13 +409,13 @@ def oracle_solve(m: Matrix, b) -> list | None:
 
 
 def reduction_solve(m: Matrix, columns) -> list:
-    """``_reduce(m, track=True).solve(rhs)`` on the right-hand sides in
+    """``_reduce(m).solve(rhs)`` on the right-hand sides in
     ``columns`` (lists of m.rows values), each answer in the form of
     ``oracle_solve``: a list of m.cols Fractions, or None where the column
     has no solution."""
     rhs = Matrix(m.rows, len(columns), {(i, j): v for j, col in enumerate(columns)
                                         for i, v in enumerate(col)})
-    x, missing = _reduce(m, track=True).solve(rhs)
+    x, missing = _reduce(m).solve(rhs)
     return [None if j in missing else x.column(j) for j in range(rhs.cols)]
 
 

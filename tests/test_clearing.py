@@ -23,7 +23,7 @@ from kbhom.complexes import (
     total_complex,
 )
 from kbhom.engine import HodgeDiamond, kb_double_complex
-from kbhom.linalg import Matrix, _reduce
+from kbhom.linalg import Matrix, _owners, _stored_columns
 from kbhom.models import product_model
 from kbhom.stein import PolyBivector, stein_complex
 from kbhom.zoo import hodge_formal, parallelizable, point, torus
@@ -62,19 +62,33 @@ def zoo_complexes(model):
                       {q: model.delbar_at(p, q) for q in range(n + 1)})
 
 
+def recording(m: Matrix, drawn: list):
+    """A column source of m that appends to ``drawn`` each column it yields."""
+    def columns(skip):
+        for j, col in _stored_columns(m, skip):
+            drawn.append(j)
+            yield j, col
+    return columns
+
+
 def assert_clearing_is_exact(c: Complex) -> int:
     """The lemma behind clearing: every pivot row of d^{k-1} indexes a
-    column of d^k that the full reduction reduces to zero; and the owners
-    found with clearing are those of the full reductions.  Returns the
+    column of d^k that the full reduction reduces to zero, so owns nothing;
+    the owners found with clearing are those of the full reductions; and
+    clearing draws every stored column of d^k but those.  Returns the
     number of columns cleared."""
-    full = {k: _reduce(m) for k, m in c.diffs.items()}
+    full = {k: _owners(_stored_columns(m)) for k, m in c.diffs.items()}
     cleared = 0
-    for k, red in full.items():
+    for k, owner in full.items():
         if k - 1 in full:
-            for i in full[k - 1].owner:
-                assert not red.reduced[i], (k, i)
+            for i in full[k - 1]:
+                assert i not in owner.values(), (k, i)
                 cleared += 1
-    assert _cleared_owners(sorted(c.diffs.items())) == {k: red.owner for k, red in full.items()}
+    drawn = {k: [] for k in c.diffs}
+    assert _cleared_owners([(k, recording(m, drawn[k]))
+                            for k, m in sorted(c.diffs.items())]) == full
+    for k, m in c.diffs.items():
+        assert drawn[k] == sorted(set(m._lines) - set(full.get(k - 1, ()))), k
     return cleared
 
 
@@ -132,16 +146,13 @@ def test_zoo_totals_and_hodge_columns_match_oracle(name):
         assert_clearing_is_exact(c)
 
 
-def test_clearing_cannot_be_tracked():
-    m = Matrix.from_rows([[1, 1], [0, 1]])
-    with pytest.raises(ValueError, match="cannot clear"):
-        _reduce(m, track=True, clear={0})
-
-
-def test_cleared_columns_are_left_empty():
-    # the first two columns are cleared however they would reduce
-    m = Matrix.from_rows([[1, 0, 1], [0, 1, 1]])
-    red = _reduce(m, clear={0, 1})
-    assert red.reduced[:2] == [{}, {}]
-    assert red.owner == {1: 2}
-    assert _reduce(m).owner == {0: 0, 1: 1}
+def test_cleared_columns_are_never_drawn():
+    # d^0 owns pivot row 1, so column 1 of d^1, which is minus column 0 and
+    # not zero, is never drawn from its source; the owners are the full ones
+    d0 = Matrix.from_rows([[1], [1], [0]])
+    d1 = Matrix.from_rows([[1, -1, 0], [0, 0, 1]])
+    drawn = {0: [], 1: []}
+    owners = _cleared_owners([(0, recording(d0, drawn[0])), (1, recording(d1, drawn[1]))])
+    assert owners == {0: {1: 0}, 1: {0: 0, 1: 2}}
+    assert drawn == {0: [0], 1: [0, 2]}
+    assert _owners(_stored_columns(d1)) == {0: 0, 1: 2}

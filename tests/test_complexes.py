@@ -461,19 +461,20 @@ def test_les_reduces_a_bounded_number_of_matrices_per_degree(monkeypatch):
     """Per degree: one tracked reduction of each differential and of each
     [B_k | Z_k] in A, B and C, one of f^k and one of g^k, and 3 ranks in
     check_exact, however many homology classes the degree has (130 in all
-    here); every _reduce call is counted, including the ones complexes
-    makes itself."""
+    here); every _reduce and _owners call is counted, including the ones
+    complexes makes itself."""
     heis3 = parallelizable(3, {(1, 2, 3): 1}, {(1, 2): 1})
     a = total_complex(kb_double_complex(heis3))
     c = total_complex(kb_double_complex(torus(3, {(1, 2): 1})))
     f, g = twisted_ses(random.Random(0), a, c)
     calls = counting(monkeypatch, linalg, "_reduce")
     monkeypatch.setattr(complexes, "_reduce", linalg._reduce)
+    ranks = counting(monkeypatch, linalg, "_owners")
     les = les_from_ses(f, g)
     degrees = {int(label[2:label.index("(")]) for label, _ in les.entries}
     assert sum(dim for _, dim in les.entries) == 130
     assert len(degrees) == 7
-    assert len(calls) <= 11 * len(degrees) + 2
+    assert ranks and len(calls) + len(ranks) <= 11 * len(degrees) + 2
 
 
 def test_kb_spectral_builds_the_total_differentials_once(monkeypatch):
@@ -499,7 +500,8 @@ def test_spectral_pages_reduces_the_total_differentials_as_built(monkeypatch):
     spectral_pages(kb_double_complex(parallelizable(3, {(1, 2, 3): 1}, {(1, 2): 1})), 2)
     [diffs] = built
     assert [k for k, _ in reduced] == sorted(diffs)
-    assert all(d is diffs[k] for k, d in reduced)
+    assert all(columns.func is linalg._stored_columns and len(columns.args) == 1
+               and columns.args[0] is diffs[k] for k, columns in reduced)
 
 
 def test_check_exact_ranks_each_map_once(monkeypatch):

@@ -94,6 +94,14 @@ def test_matrix_entry_indices_must_be_ints(key):
         Matrix(2, 2, {key: 1})
 
 
+@pytest.mark.parametrize("key", [(0,), 0, (0, 0, 0)])
+def test_matrix_entry_keys_must_be_pairs(key):
+    # each used to raise a bare unpacking error that did not name the key
+    with pytest.raises(TypeError) as err:
+        Matrix(2, 2, {key: 1})
+    assert str(err.value) == f"matrix entry key {key!r} is not a pair (row, col) of ints"
+
+
 @pytest.mark.parametrize("key", [(2, 0), (0, 2), (-1, 0), (0, -1)])
 def test_matrix_entry_out_of_bounds(key):
     with pytest.raises(ValueError):
@@ -277,7 +285,7 @@ def test_solve_consistent_and_inconsistent():
 def test_solve_refuses_a_right_hand_side_of_another_height(rhs):
     # both used to give an answer: a missing column, or a 2x1 "solution"
     with pytest.raises(ValueError, match=f"has {rhs.rows} rows, not 2"):
-        _reduce(Matrix.identity(2), track=True).solve(rhs)
+        _reduce(Matrix.identity(2)).solve(rhs)
 
 
 def test_solve_random_in_image():

@@ -28,9 +28,11 @@ from kbhom.engine import kb_double_complex
 from kbhom.linalg import (
     Matrix,
     _from_columns,
+    _owners,
     _reduce,
     _select_columns,
     _select_rows,
+    _stored_columns,
     _sum_of_products,
     kernel_basis,
     rank,
@@ -100,6 +102,8 @@ def deficient_matrices(draw):
 def test_rank_kernel_and_span_match_oracle(m):
     assert rank(m) == oracle_rank(m)
     assert kernel_basis(m).basis == oracle_kernel_basis(m).basis
+    # the rank-only and the tracked reduction find the same owners
+    assert _owners(_stored_columns(m)) == _reduce(m).owner
 
 
 @SETTINGS
@@ -136,7 +140,7 @@ def test_solve_columns_edge_shapes():
     columns = [[1, 2], [1, 3], [0, 0]]                    # solvable, not, zero
     assert reduction_solve(m, columns) == [oracle_solve(m, col) for col in columns]
     assert reduction_solve(m, columns)[1] is None
-    x, missing = _reduce(m, track=True).solve(Matrix.from_rows([[1, 1, 0], [2, 3, 0]]))
+    x, missing = _reduce(m).solve(Matrix.from_rows([[1, 1, 0], [2, 3, 0]]))
     assert missing == {1} and x.column(1) == [Fraction(0)] * 3
     assert reduction_solve(m, []) == []
     assert reduction_solve(Matrix(0, 3), [[], []]) == [[Fraction(0)] * 3] * 2
@@ -346,11 +350,11 @@ def test_matrix_operations_leave_their_inputs_unchanged(data):
     sub = _select_columns(a, picked)
     _select_rows(a, data.draw(st.permutations(range(rows))))
     rank(a), rank(sub), _reduce(sub)
-    red = _reduce(a, track=True)
+    red = _reduce(a)
     first = red.kernel(), red.solve(rhs)
     assert (red.kernel().basis, red.solve(rhs)) == (first[0].basis, first[1])
     # the picked copy of each column depends on the columns before it
-    assert len(_reduce(twice, clear=range(cols, 2 * cols)).owner) == rank(a)
+    assert len(_owners(_stored_columns(twice, range(cols, 2 * cols)))) == rank(a)
     assert fingerprints(*inputs) == before
     assert fingerprints(sub) == fingerprints(_select_columns(a, picked))
 

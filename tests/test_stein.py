@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from kbhom import stein
+from kbhom import linalg, stein
 from kbhom.complexes import Complex, homology_dims
 from kbhom.stein import (
     NonHomogeneousBivector,
@@ -255,8 +255,8 @@ def test_stein_homology_eliminates_only_the_uncleared_columns(monkeypatch):
     rows of d^{-p-1} is built and eliminated once: Σ (dim Ω^p - rank
     d^{-p-1}) over the weights and the p >= 1, ranks by the dense oracle."""
     calls = []
-    eliminate = stein._eliminate
-    monkeypatch.setattr(stein, "_eliminate",
+    eliminate = linalg._eliminate
+    monkeypatch.setattr(linalg, "_eliminate",
                         lambda *args: calls.append(1) or eliminate(*args))
     stein_homology(3, SO3, range(13), 40)
     expected = 0
