@@ -1,4 +1,4 @@
-"""Eleven measurements outside the perfbench ladder, for one checkout of kbhom.
+"""Twelve measurements outside the perfbench ladder, for one checkout of kbhom.
 
 * heis8: ``parallelizable(8, {(1,2,3): 1}, {(1,2): 1})`` built and
   validated, then ``kb_homology``; the best of ``REPS`` runs (wall time).
@@ -18,6 +18,10 @@
 * heis5 and heis6 model files: ``model_to_json`` on the built model, the
   best of ``REPS`` runs (wall time), and the tracemalloc peak, above the
   start, of one more run.
+* heis5 model read: ``read_model(path, validate=False)`` of the heis5
+  kbmodel/1 text split in two, ``json.loads`` of the text and
+  ``load_model(data, validate=False)`` of what it returns; the best of
+  ``REPS`` runs (wall time).
 * so(3)* weight 60: ``stein_complex`` of the linear bivector
   z3 ∂1∧∂2 + z1 ∂2∧∂3 + z2 ∂3∧∂1 on C³ at weight 60 (5673×5673 middle
   blocks), then ``homology_dims``; the best of ``REPS`` runs (wall time).
@@ -40,6 +44,7 @@ checkout, or point it at another one:
 
 import argparse
 import gc
+import json
 import subprocess
 import sys
 import time
@@ -48,7 +53,7 @@ from pathlib import Path
 
 REPS = 3
 CASES = ("heis8", "heis8-validate", "heis6-spectral", "heis7-spectral", "heis6-memory",
-         "heis6-kb-memory", "heis5-json", "heis6-json", "so3-w60", "so3-w60-homology", "so3-w0-40")
+         "heis6-kb-memory", "heis5-json", "heis6-json", "heis5-read", "so3-w60", "so3-w60-homology", "so3-w0-40")
 
 
 def best_of(build, measure) -> tuple:
@@ -74,7 +79,7 @@ def run_case(case: str) -> None:
     from kbhom.engine import kb_double_complex, kb_homology
     from kbhom.models import DolbeaultPoissonModel, validate_model
     from kbhom.stein import stein_complex, stein_homology
-    from kbhom.zoo import model_to_json, parallelizable
+    from kbhom.zoo import load_model, model_to_json, parallelizable
 
     def heis(n):
         return parallelizable(n, {(1, 2, 3): 1}, {(1, 2): 1})
@@ -134,6 +139,11 @@ def run_case(case: str) -> None:
         size = len(text.encode())
         print(f"heis{n} model_to_json ({size / 1e6:.1f} MB): {best:.3f} s best of {REPS}, "
               f"tracemalloc peak {peak / 2**20:.1f} MiB")
+    elif case == "heis5-read":
+        text = model_to_json(heis(5))
+        best = best_of(lambda: json.loads(text), lambda data: load_model(data, validate=False))
+        print(f"heis5 read_model ({len(text.encode()) / 1e6:.1f} MB): {best[0]:.3f} s best of "
+              f"{REPS} (json.loads {best[1]:.3f} s, load_model {best[2]:.3f} s)")
     elif case == "so3-w60":
         best = best_of(lambda: stein_complex(3, so3, 60, cap=60), homology_dims)
         print(f"so(3)* weight 60 stein_complex+homology_dims: {best[0]:.3f} s best of {REPS} "

@@ -21,6 +21,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import partial
+from math import lcm
 from types import MappingProxyType
 
 from .linalg import (
@@ -261,23 +262,37 @@ def _total_layout(dc: DoubleComplex):
     return layouts
 
 
-def _total_differentials(dc: DoubleComplex, layouts) -> dict:
-    diffs = {}
-    for k, (lay, total) in layouts.items():
-        target = layouts.get(k + 1)
-        if target is None:
-            continue
-        tgt_off = dict(target[0])
-        pieces = []
-        for cell, off in lay:
-            for d in (dc.d1, dc.d2):
-                block, to = d.get(cell), tgt_off.get(d.step(cell))
-                if block is None or to is None:
-                    continue
-                pieces += [(off + j, {to + i: v for i, v in col.items()}, d)
-                           for j, col, d in block._columns()]
-        diffs[k] = _from_columns(target[1], total, pieces)
-    return diffs
+def _total_columns(dc: DoubleComplex, layouts, k: int, skip=(), dens=None):
+    """The one totalization: ``(j, col)`` over the nonzero columns j of total
+    d^k not in ``skip``, ascending; col is a fresh ``{row: int}`` dict, column
+    j times L (written to ``dens[j]`` if dens is given and L is not 1), the
+    lcm of the denominators of its cell's d1 and d2 blocks, over which its
+    parts merge (in different cells, so with no sum).  ``_cleared_owners``
+    shows that the scale L is harmless."""
+    to = dict(layouts[k + 1][0])
+    for cell, off in layouts[k][0]:
+        # a stored block is nonzero, so its target cell is in the layout
+        parts = [(to[d.step(cell)], b._lines, b._dens)
+                 for d in (dc.d1, dc.d2) if (b := d.get(cell)) is not None]
+        big = lcm(*(den for _, _, bdens in parts for den in bdens.values()))
+        for j in sorted({j for _, lines, _ in parts for j in lines}):
+            if off + j in skip:
+                continue
+            col = {}
+            for at, lines, bdens in parts:
+                if j in lines:
+                    f = big // bdens.get(j, 1)
+                    col.update({at + i: f * v for i, v in lines[j].items()})
+            if big != 1 and dens is not None:
+                dens[off + j] = big
+            yield off + j, col
+
+
+def _total_sources(dc: DoubleComplex) -> tuple:
+    """``_total_layout(dc)`` and the (k, source of d^k) in ascending k."""
+    layouts = _total_layout(dc)
+    return layouts, [(k, partial(_total_columns, dc, layouts, k))
+                     for k in sorted(layouts) if k + 1 in layouts]
 
 
 def total_complex(dc: DoubleComplex) -> Complex:
@@ -288,9 +303,13 @@ def total_complex(dc: DoubleComplex) -> Complex:
     ``DoubleComplex`` constructor checks (or, for ``kb_double_complex``,
     that the model validation has proved).
     """
-    layouts = _total_layout(dc)
-    spaces = {k: total for k, (_, total) in layouts.items()}
-    return Complex(spaces, _total_differentials(dc, layouts), check=False)
+    layouts, sources = _total_sources(dc)
+    diffs = {}
+    for k, columns in sources:
+        dens: dict = {}
+        diffs[k] = _from_columns(layouts[k + 1][1], layouts[k][1],
+                                 ((j, col, dens.get(j, 1)) for j, col in columns((), dens)))
+    return Complex({k: total for k, (_, total) in layouts.items()}, diffs, check=False)
 
 
 def tensor_layout(dims_a: dict, dims_b: dict) -> tuple:
@@ -385,7 +404,14 @@ def _cleared_owners(diffs) -> dict:
     owners, the rank and the persistence pairs are those of the full
     reduction.  The saving is the cleared columns, about rank d^{k-1} of
     them, and the dearest ones, as each would be eliminated to zero; a
-    source that builds columns as drawn (``stein``'s) never builds them.
+    source that builds columns only as they are drawn (``stein``'s slices,
+    a bicomplex's ``_total_columns``) never builds them.
+
+    A source may scale each column by a nonzero constant.  Column j ends on
+    pivot i iff r(i, j) - r(i, j-1) - r(i+1, j) + r(i+1, j-1) = 1, r(i, j)
+    the rank of the rows >= i of the columns <= j: the reduction keeps each
+    r and ends with r(i, j) columns <= j at pivots >= i.  A scale changes
+    no r, so no owner, rank or persistence pair.
 
     The precondition D² = 0 is proved for every differential that reaches
     here: the ``Complex`` and ``DoubleComplex`` constructors check it, and
@@ -444,10 +470,10 @@ def spectral_pages(dc: DoubleComplex, r_max: int) -> SpectralPages:
 
     The filtration is by columns (first index): F^p, the span of the cells
     with first index >= p, is a prefix of each total degree's coordinates
-    (``_total_layout``).  So each total differential, as built, is
-    column-reduced with clearing, which leaves the pairs as they are
-    (``_cleared_owners``).  A pivot then pairs a coordinate in column p_j
-    with one in column p_i >= p_j; both survive to page ℓ = p_i - p_j,
+    (``_total_layout``).  So each total differential, drawn column by
+    column from ``_total_columns``, is reduced with clearing, which leaves
+    the pairs as they are (``_cleared_owners``).  A pivot then pairs a
+    coordinate in column p_j with one in column p_i >= p_j; both survive to page ℓ = p_i - p_j,
     where d_ℓ kills them.  Hence
 
         dim E_r^{p,q} = (unpaired coordinates in (p,q))
@@ -458,7 +484,7 @@ def spectral_pages(dc: DoubleComplex, r_max: int) -> SpectralPages:
     """
     if _integer(r_max, "r_max") < 1:
         raise ValueError("r_max must be >= 1")
-    layouts = _total_layout(dc)
+    layouts, sources = _total_sources(dc)
     if not dc.spaces:
         return SpectralPages(pages=[(r, {}) for r in range(1, r_max + 1)],
                              degeneration_page=1)
@@ -466,8 +492,7 @@ def spectral_pages(dc: DoubleComplex, r_max: int) -> SpectralPages:
                for k, (lay, _) in layouts.items()}
     unpaired = dict(dc.spaces)
     lengths: dict = {cell: [] for cell in dc.spaces}
-    diffs = sorted(_total_differentials(dc, layouts).items())
-    for k, owner in _cleared_owners((k, partial(_stored_columns, d)) for k, d in diffs).items():
+    for k, owner in _cleared_owners(sources).items():
         for i, j in owner.items():
             src, tgt = cell_of[k][j], cell_of[k + 1][i]
             for cell in (src, tgt):

@@ -16,7 +16,7 @@ delpi² = 0, delbar² = 0 and delbar∘delpi + delpi∘delbar = 0, the same
 term lists for the same composite routine, which ``koszul_differential``
 has proved before the bicomplex is built, so ``kb_double_complex`` skips
 the ``DoubleComplex`` check.  The total differential's D² = 0 is made of
-the same three identities, so ``total_complex`` does not check it either.
+the same three identities, so the totalization does not check it either.
 """
 
 from __future__ import annotations
@@ -27,10 +27,11 @@ from .complexes import (
     Complex,
     DoubleComplex,
     SpectralPages,
+    _homology,
+    _total_sources,
     graded_dims,
     homology_dims,
     spectral_pages,
-    total_complex,
 )
 from .models import DolbeaultPoissonModel, _complex_dimension, koszul_differential
 
@@ -109,9 +110,10 @@ def kb_double_complex(m: DolbeaultPoissonModel) -> DoubleComplex:
 
 
 def kb_homology(m: DolbeaultPoissonModel) -> KBDims:
-    """H_k for k in [0, 2n], read off the total complex at degree k - n."""
-    total = total_complex(kb_double_complex(m))
-    h = homology_dims(total)
+    """H_k for k in [0, 2n], read off the total complex at degree k - n,
+    its columns reduced as drawn from the bicomplex, with no ``Matrix``."""
+    layouts, sources = _total_sources(kb_double_complex(m))
+    h = _homology({k: total for k, (_, total) in layouts.items()}, sources)
     return KBDims(m.n, {k: h.get(k - m.n, 0) for k in range(2 * m.n + 1)})
 
 
@@ -130,11 +132,13 @@ def kb_spectral(m: DolbeaultPoissonModel, r_max: int) -> tuple[KBDims, SpectralP
 
 
 def hodge_diamond(m: DolbeaultPoissonModel) -> HodgeDiamond:
-    """h^{p,q} = dim H^q of the column (p, •) under delbar."""
+    """h^{p,q} = dim H^q of the column (p, •) under delbar; delbar² = 0 is
+    checked unless the stored validation proved it (its ``checks[1]``)."""
+    proved = m._validated is not None and m._validated[0].checks[1].ok
     out = {}
     for p in range(m.n + 1):
         column = Complex({q: m.dim(p, q) for q in range(m.n + 1)},
-                         {q: m.delbar_at(p, q) for q in range(m.n + 1)})
+                         {q: m.delbar_at(p, q) for q in range(m.n + 1)}, check=not proved)
         for q, h in homology_dims(column).items():
             if h:
                 out[(p, q)] = h

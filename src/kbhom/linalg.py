@@ -71,6 +71,14 @@ def _index(i, bound: int, what: str) -> None:
         raise IndexError(f"{what} {i} out of range(0, {bound})")
 
 
+def _pair(key, what: str) -> tuple:
+    """key if it is a pair (row, col) of plain ints, else TypeError."""
+    i, j = key if isinstance(key, tuple) and len(key) == 2 else (None, None)
+    if not (_is_int(i) and _is_int(j)):
+        raise TypeError(f"{what} {key!r} is not a pair (row, col) of ints")
+    return key
+
+
 def _from_columns(rows: int, cols: int, pieces) -> "Matrix":
     """The rows×cols matrix Σ col/d over ``pieces`` (j, col, d), each adding
     col/d to column j: col a ``{row: int}`` dict, d a nonzero int.  Pieces
@@ -132,9 +140,7 @@ class Matrix:
             raise ValueError("matrix dimensions must be nonnegative")
         pieces = []
         for key, v in (entries or {}).items():
-            i, j = key if isinstance(key, tuple) and len(key) == 2 else (None, None)
-            if not (_is_int(i) and _is_int(j)):
-                raise TypeError(f"matrix entry key {key!r} is not a pair (row, col) of ints")
+            i, j = _pair(key, "matrix entry key")
             if not (0 <= i < rows and 0 <= j < cols):
                 raise ValueError(f"entry ({i},{j}) out of bounds for {rows}x{cols} matrix")
             v = _q(v)
@@ -192,7 +198,7 @@ class Matrix:
                                  for i, v in col.items()})
 
     def __getitem__(self, key) -> Fraction:
-        i, j = key
+        i, j = _pair(key, "matrix index")
         _index(i, self.rows, "row index")
         _index(j, self.cols, "column index")
         return Fraction(self._lines.get(j, {}).get(i, 0), self._dens.get(j, 1))

@@ -23,9 +23,10 @@ import io
 import json
 import re
 from fractions import Fraction
+from functools import cache
 from itertools import compress, repeat
 from json.encoder import encode_basestring as _json_str
-from operator import ne
+from operator import is_not
 from pathlib import Path
 
 from .engine import HodgeDiamond
@@ -162,17 +163,14 @@ def _cell_key(key: str) -> tuple:
     return p, q
 
 
-def _parse_rational(s, where: str) -> tuple:
+def _parse_rational(s) -> tuple:
     """A matrix entry as ``(a, b)``, the value a/b with b > 0: an int, or a
-    string that ``linalg._rational_pair`` reads."""
+    string that ``linalg._rational_pair`` reads; ValueError otherwise."""
     if isinstance(s, str):
-        try:
-            return _rational_pair(s)
-        except ValueError:
-            pass
-    elif _is_int(s):
-        return s, 1
-    raise ModelFileError(f"{where}: {s!r} is not a rational 'a/b' or integer string")
+        return _rational_pair(s)
+    if not _is_int(s):
+        raise ValueError(s)
+    return s, 1
 
 
 def save_model(m: DolbeaultPoissonModel) -> dict:
@@ -258,19 +256,31 @@ def load_model(data: dict, lax: bool = False,
             if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
                 raise ModelFileError(f"{where}: 'matrix' must be a list of rows")
             ncols = len(rows[0]) if rows else 0
-            pieces = []
+            cols, pieces = {}, []  # integer columns; (j, {i: a}, b) for the a/b, b > 1
             for i, row in enumerate(rows):
                 if len(row) != ncols:
                     raise ModelFileError(f"{where}: ragged matrix rows")
                 # most entries are "0", absent from the sparse matrix: skip
-                # all-zero rows, and the "0"s of the others, at C speed
+                # all-zero rows, and the json parser's one "0" object in the
+                # others, at C speed (an equal "0" object is parsed and dropped)
                 if row.count("0") == ncols:
                     continue
-                for j, s in compress(enumerate(row), map(ne, row, repeat("0"))):
-                    num, den = _parse_rational(s, f"{where}.matrix[{i}][{j}]")
-                    pieces.append((j, {i: num}, den))
-            out[tuple(src)] = _from_columns(len(rows), ncols, pieces)
+                for j in compress(range(ncols), map(is_not, row, repeat("0"))):
+                    s = row[j]
+                    try:
+                        num, den = parse(s) if type(s) is str else _parse_rational(s)
+                    except ValueError:
+                        raise ModelFileError(f"{where}.matrix[{i}][{j}]: {s!r} is not "
+                                             "a rational 'a/b' or integer string") from None
+                    if num and den == 1:
+                        cols.setdefault(j, {})[i] = num
+                    elif num:
+                        pieces.append((j, {i: num}, den))
+            out[tuple(src)] = _from_columns(
+                len(rows), ncols, [(j, col, 1) for j, col in cols.items()] + pieces)
         return out
+
+    parse = cache(_rational_pair)  # strs only, once per file: True == 1
 
     name = data.get("name", "model")
     if not isinstance(name, str):

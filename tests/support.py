@@ -32,8 +32,6 @@ from kbhom.complexes import (
     DoubleComplex,
     LongExactSequence,
     SpectralPages,
-    _total_differentials,
-    _total_layout,
     tensor_double,
 )
 from kbhom.linalg import Matrix, Subspace, _reduce, kernel_basis
@@ -292,6 +290,19 @@ def oracle_rank(m: Matrix) -> int:
     return len(_echelon(m)[1])
 
 
+def oracle_pivot_rows(m: Matrix) -> set:
+    """The pivot rows of a column reduction of m, each column's pivot its
+    last nonzero row: i is one iff the rows >= i of m have rank one more
+    than the rows > i, ranks by Bareiss."""
+    rows = dense(m)
+
+    def rank_from(i: int) -> int:
+        return oracle_rank(Matrix.from_rows(rows[i:])) if i < m.rows else 0
+
+    ranks = [rank_from(i) for i in range(m.rows + 1)]
+    return {i for i in range(m.rows) if ranks[i] > ranks[i + 1]}
+
+
 def oracle_homology_dims(c: Complex) -> dict:
     """dim H^k = dim C^k - rank d^k - rank d^{k-1}, each differential's
     rank by Bareiss on its own, nothing cleared."""
@@ -503,6 +514,39 @@ def preimage_subspace(m: Matrix, s: Subspace) -> Subspace:
     return oracle_kernel_basis(cutter * m)
 
 
+def _oracle_total(dc: DoubleComplex) -> tuple:
+    """``(offsets, totals, diffs)`` of the total complex of dc, assembled
+    densely: degree k holds the cells p + q = k by descending p, from
+    ``offsets[cell]`` on, ``totals[k]`` coordinates in all, and ``diffs[k]``
+    is D = d1 + d2 from degree k, a dense sum of the zero-filled blocks."""
+    offsets, totals = {}, {}
+    for k in sorted({p + q for p, q in dc.spaces}):
+        totals[k] = 0
+        for cell in sorted((c for c in dc.spaces if c[0] + c[1] == k), reverse=True):
+            offsets[cell] = totals[k]
+            totals[k] += dc.spaces[cell]
+    diffs = {}
+    for k in totals:
+        if k + 1 not in totals:
+            continue
+        rows = [[Fraction(0)] * totals[k] for _ in range(totals[k + 1])]
+        for d, (dp, dq) in ((dc.d1, (1, 0)), (dc.d2, (0, 1))):
+            for (p, q), block in d.items():
+                if p + q == k:
+                    src, tgt = offsets[(p, q)], offsets[(p + dp, q + dq)]
+                    for i, row in enumerate(dense(block)):
+                        for j, v in enumerate(row):
+                            rows[tgt + i][src + j] += v
+        diffs[k] = Matrix.from_rows(rows)
+    return offsets, totals, diffs
+
+
+def oracle_total_complex(dc: DoubleComplex) -> Complex:
+    """The total complex of dc (``_oracle_total``), unchecked."""
+    _, totals, diffs = _oracle_total(dc)
+    return Complex(totals, diffs, check=False)
+
+
 def oracle_spectral_pages(dc: DoubleComplex, r_max: int) -> SpectralPages:
     """Spectral pages by subspace arithmetic on approximate cycles.
 
@@ -515,32 +559,24 @@ def oracle_spectral_pages(dc: DoubleComplex, r_max: int) -> SpectralPages:
     """
     if r_max < 1:
         raise ValueError("r_max must be >= 1")
-    layouts = _total_layout(dc)
     if not dc.spaces:
         return SpectralPages(pages=[(r, {}) for r in range(1, r_max + 1)],
                              degeneration_page=1)
-    diffs = _total_differentials(dc, layouts)
+    offsets, totals, diffs = _oracle_total(dc)
     p_values = [p for (p, _) in dc.spaces]
     r_lim = max(p_values) - min(p_values) + 2
     r_top = max(r_max, r_lim)
 
-    def dim_total(k: int) -> int:
-        lay = layouts.get(k)
-        return lay[1] if lay else 0
-
     def differential(k: int) -> Matrix:
         m = diffs.get(k)
-        return m if m is not None else Matrix.zero(dim_total(k + 1), dim_total(k))
+        return m if m is not None else Matrix.zero(totals.get(k + 1, 0), totals.get(k, 0))
 
     def filtration(p: int, k: int) -> Subspace:
-        lay = layouts.get(k)
-        if lay is None:
-            return zero_subspace(0)
         coords = []
-        for cell, off in lay[0]:
-            if cell[0] >= p:
-                coords.extend(range(off, off + dc.spaces[cell]))
-        return coordinate_subspace(lay[1], coords)
+        for (pp, qq), off in offsets.items():
+            if pp + qq == k and pp >= p:
+                coords.extend(range(off, off + dc.spaces[(pp, qq)]))
+        return coordinate_subspace(totals.get(k, 0), coords)
 
     z_cache: dict = {}
 

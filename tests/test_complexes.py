@@ -19,13 +19,15 @@ from kbhom.complexes import (
     total_complex,
 )
 from kbhom import complexes, linalg
-from kbhom.engine import kb_double_complex, kb_spectral
+from kbhom.engine import kb_double_complex, kb_homology, kb_spectral
 from kbhom.linalg import Matrix, rank
 from kbhom.zoo import parallelizable, torus
 
 from support import (
     convolve,
     dense,
+    oracle_pivot_rows,
+    oracle_total_complex,
     random_complex,
     random_double_complex,
     random_split_ses,
@@ -477,31 +479,35 @@ def test_les_reduces_a_bounded_number_of_matrices_per_degree(monkeypatch):
     assert ranks and len(calls) + len(ranks) <= 11 * len(degrees) + 2
 
 
-def test_kb_spectral_builds_the_total_differentials_once(monkeypatch):
-    calls = counting(monkeypatch, complexes, "_total_differentials")
-    kb_spectral(parallelizable(3, {(1, 2, 3): 1}, {(1, 2): 1}), 2)
-    assert len(calls) == 1
+def test_kb_homology_and_pages_build_no_matrix(monkeypatch):
+    """On a validated model, kb_homology and kb_spectral draw the columns of
+    each total differential from the bicomplex as they reduce them: no
+    total ``Matrix``, and no other one, is built."""
+    heis3 = parallelizable(3, {(1, 2, 3): 1}, {(1, 2): 1})
+    built = counting(monkeypatch, Matrix, "_of")
+    assert kb_homology(heis3) == kb_spectral(heis3, 2)[0]
+    assert built == []
 
 
-def test_spectral_pages_reduces_the_total_differentials_as_built(monkeypatch):
-    built, reduced = [], []
-    real_build, real_owners = complexes._total_differentials, complexes._cleared_owners
-
-    def build(*args):
-        built.append(real_build(*args))
-        return built[-1]
-
-    def owners(diffs):
-        reduced.extend(diffs)
-        return real_owners(reduced)
-
-    monkeypatch.setattr(complexes, "_total_differentials", build)
-    monkeypatch.setattr(complexes, "_cleared_owners", owners)
-    spectral_pages(kb_double_complex(parallelizable(3, {(1, 2, 3): 1}, {(1, 2): 1})), 2)
-    [diffs] = built
-    assert [k for k, _ in reduced] == sorted(diffs)
-    assert all(columns.func is linalg._stored_columns and len(columns.args) == 1
-               and columns.args[0] is diffs[k] for k, columns in reduced)
+@pytest.mark.parametrize("pages", [None, 2])
+def test_kb_reductions_never_draw_a_cleared_column(monkeypatch, pages):
+    """Each nonzero column of total d^k but those at the pivot rows of
+    d^{k-1} is drawn and eliminated once, by kb_homology and by
+    kb_spectral alike: Σ_k (nonzero columns of d^k less the pivot rows of
+    d^{k-1}), from the dense total complex and the oracle's pivot rows."""
+    heis4 = parallelizable(4, {(1, 2, 3): 1}, {(1, 2): 1})
+    total = oracle_total_complex(kb_double_complex(heis4))
+    expected = drawn = 0
+    for k, d in total.diffs.items():
+        nonzero = {j for _, j in d.entries}
+        drawn += len(nonzero)
+        expected += len(nonzero - oracle_pivot_rows(total.d(k - 1)))
+    calls = counting(monkeypatch, linalg, "_eliminate")
+    if pages is None:
+        kb_homology(heis4)
+    else:
+        kb_spectral(heis4, pages)
+    assert len(calls) == expected == 80 < drawn == 88
 
 
 def test_check_exact_ranks_each_map_once(monkeypatch):
