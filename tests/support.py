@@ -18,7 +18,9 @@ of zero-filled blocks, not the integer blocks of ``validate_model``.
 The former model writer is ``json.dumps`` itself, which shares no
 encoder code with ``kbhom.zoo.model_to_json``.  Homology dimensions come
 from one Bareiss rank per differential, with no clearing, and Stein
-slice exponents from the former recursive generator.
+slice exponents from the former recursive generator.  The total complex
+of a bicomplex is assembled densely on a layout of its own, sharing no
+totalization code with ``kbhom.complexes``.
 """
 
 import json
@@ -344,6 +346,17 @@ def elementary_complex(rng, homology: dict, edges: dict) -> Complex:
         d = Matrix(dims[k + 1], dims[k], {(tgt + i, src + i): 1 for i in range(e)})
         diffs[k] = oracle_product(oracle_product(bases[k + 1][0], d), bases[k][1])
     return Complex(dims, diffs)
+
+
+def rescaled(rng, c: Complex) -> Complex:
+    """c in a basis rescaled by random nonzero rationals s_k,i, coordinate
+    by coordinate: d^k[i, j] becomes s_{k+1,i} d^k[i, j] / s_{k,j}, so
+    columns and rows pick up different denominators and d∘d = 0 still."""
+    scale = {k: [Fraction(rng.choice([1, -1, 2, -3, 5]), rng.choice([1, 2, 3, 4, 7]))
+                 for _ in range(d)] for k, d in c.spaces.items()}
+    return Complex(c.spaces, {k: Matrix(m.rows, m.cols, {(i, j): scale[k + 1][i] * v / scale[k][j]
+                                                         for (i, j), v in m.entries.items()})
+                              for k, m in c.diffs.items()})
 
 
 def oracle_compositions(total: int, parts: int):

@@ -1,14 +1,18 @@
 """Clearing in the complex reductions against the unclearing oracles.
 
-``homology_dims`` and ``spectral_pages`` reduce d^k with the pivot rows
-of d^{k-1} cleared (``complexes._cleared_owners``).  Their results must
-equal one Bareiss rank per differential (``oracle_homology_dims``) and
-the subspace-arithmetic pages (``oracle_spectral_pages``), and the lemma
-behind clearing, that each cleared column reduces to zero in the full
-reduction, is checked on its own.
+``homology_dims``, ``kb_homology`` and ``spectral_pages`` reduce d^k with
+the pivot rows of d^{k-1} cleared (``complexes._cleared_owners``), the
+last two as the columns are drawn from a bicomplex
+(``complexes._total_columns``).  Their results must equal one Bareiss rank
+per differential (``oracle_homology_dims``) and the subspace-arithmetic
+pages (``oracle_spectral_pages``), ``total_complex`` must equal the dense
+assembly (``oracle_total_complex``), and the lemma behind clearing, that
+each cleared column reduces to zero in the full reduction, is checked on
+its own.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -17,12 +21,14 @@ from hypothesis import strategies as st
 from kbhom.complexes import (
     Complex,
     _cleared_owners,
+    _homology,
+    _total_sources,
     homology_dims,
     spectral_pages,
     tensor_double,
     total_complex,
 )
-from kbhom.engine import HodgeDiamond, kb_double_complex
+from kbhom.engine import HodgeDiamond, kb_double_complex, kb_homology
 from kbhom.linalg import Matrix, _owners, _stored_columns
 from kbhom.models import product_model
 from kbhom.stein import PolyBivector, stein_complex
@@ -32,6 +38,8 @@ from support import (
     elementary_complex,
     oracle_homology_dims,
     oracle_spectral_pages,
+    oracle_total_complex,
+    rescaled,
 )
 
 SO3 = [(1, 2, 1, (0, 0, 1)), (2, 3, 1, (1, 0, 0)), (3, 1, 1, (0, 1, 0))]
@@ -45,6 +53,8 @@ ZOO = {
     "heis2": lambda: parallelizable(2, {(1, 2, 1): 1}, {(1, 2): 1}),
     "heis3": lambda: parallelizable(3, {(1, 2, 3): 1}, {(1, 2): 1}),
     "heis4": lambda: parallelizable(4, {(1, 2, 3): 1}, {(1, 2): 1}),
+    "heis3-rational": lambda: parallelizable(3, {(1, 2, 3): Fraction(2, 3)},
+                                             {(1, 2): Fraction(-1, 7)}),
     "filiform4": lambda: parallelizable(4, {(1, 2, 3): 1, (1, 3, 4): 1}),
     "torus1-x-heis2": lambda: product_model(
         torus(1), parallelizable(2, {(1, 2, 1): 1}, {(1, 2): 1})),
@@ -54,8 +64,11 @@ ZOO = {
 
 
 def zoo_complexes(model):
-    """The model's KB total complex and its Hodge columns under delbar."""
-    yield total_complex(kb_double_complex(model))
+    """The model's KB total complex, as the dense oracle builds it too, and
+    its Hodge columns under delbar."""
+    total = total_complex(kb_double_complex(model))
+    assert total == oracle_total_complex(kb_double_complex(model))
+    yield total
     n = model.n
     for p in range(n + 1):
         yield Complex({q: model.dim(p, q) for q in range(n + 1)},
@@ -123,6 +136,35 @@ def test_pages_of_elementary_bicomplexes_match_oracle(row, col, r_max):
     assert new.degeneration_page == old.degeneration_page
 
 
+@st.composite
+def rescaled_bicomplexes(draw):
+    """A row complex ⊗ a column complex, each elementary (``support``) in
+    a rescaled basis (``support.rescaled``), so the blocks are fractional
+    and, each complex having an edge from degree 0, some total columns
+    are fed by both d1 and d2, with parts over different denominators."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    parts = []
+    for direction in (1, 2):
+        homology = {k: draw(st.integers(0, 2)) for k in range(3)}
+        edges = {0: draw(st.integers(1, 2)), 1: draw(st.integers(0, 2))}
+        parts.append(dc_from_complex(rescaled(rng, elementary_complex(rng, homology, edges)),
+                                     direction))
+    return tensor_double(*parts)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rescaled_bicomplexes(), st.integers(1, 3))
+def test_total_columns_match_the_dense_oracles(dc, r_max):
+    total = oracle_total_complex(dc)
+    assert total_complex(dc) == total
+    layouts, sources = _total_sources(dc)
+    assert _homology({k: t for k, (_, t) in layouts.items()}, sources) \
+        == oracle_homology_dims(total)
+    new, old = spectral_pages(dc, r_max), oracle_spectral_pages(dc, r_max)
+    assert new.pages == old.pages
+    assert new.degeneration_page == old.degeneration_page
+
+
 @pytest.mark.parametrize("w", range(17))
 def test_so3_slices_match_oracle(w):
     c = stein_complex(3, PolyBivector.from_terms(3, SO3), w, 40)
@@ -141,7 +183,11 @@ def test_quadratic_slices_match_oracle():
 
 @pytest.mark.parametrize("name", sorted(ZOO))
 def test_zoo_totals_and_hodge_columns_match_oracle(name):
-    for c in zoo_complexes(ZOO[name]()):
+    model = ZOO[name]()
+    total = oracle_total_complex(kb_double_complex(model))
+    assert kb_homology(model).dims == {k + model.n: h for k, h in
+                                       oracle_homology_dims(total).items() if h}
+    for c in zoo_complexes(model):
         assert homology_dims(c) == oracle_homology_dims(c)
         assert_clearing_is_exact(c)
 

@@ -491,23 +491,29 @@ def test_kb_homology_and_pages_build_no_matrix(monkeypatch):
 
 @pytest.mark.parametrize("pages", [None, 2])
 def test_kb_reductions_never_draw_a_cleared_column(monkeypatch, pages):
-    """Each nonzero column of total d^k but those at the pivot rows of
-    d^{k-1} is drawn and eliminated once, by kb_homology and by
-    kb_spectral alike: Σ_k (nonzero columns of d^k less the pivot rows of
-    d^{k-1}), from the dense total complex and the oracle's pivot rows."""
+    """kb_homology and kb_spectral build, and eliminate once, each nonzero
+    column of total d^k but those at the pivot rows of d^{k-1}: the dense
+    total complex and the oracle's pivot rows give the columns expected."""
     heis4 = parallelizable(4, {(1, 2, 3): 1}, {(1, 2): 1})
     total = oracle_total_complex(kb_double_complex(heis4))
-    expected = drawn = 0
-    for k, d in total.diffs.items():
-        nonzero = {j for _, j in d.entries}
-        drawn += len(nonzero)
-        expected += len(nonzero - oracle_pivot_rows(total.d(k - 1)))
+    nonzero = {k: {j for _, j in d.entries} for k, d in total.diffs.items()}
+    expected = sorted((k, j) for k in nonzero
+                      for j in nonzero[k] - oracle_pivot_rows(total.d(k - 1)))
+    drawn, columns = [], complexes._total_columns
+
+    def recording(*args):
+        for j, col in columns(*args):
+            drawn.append((args[2], j))
+            yield j, col
+
+    monkeypatch.setattr(complexes, "_total_columns", recording)
     calls = counting(monkeypatch, linalg, "_eliminate")
     if pages is None:
         kb_homology(heis4)
     else:
         kb_spectral(heis4, pages)
-    assert len(calls) == expected == 80 < drawn == 88
+    assert drawn == expected
+    assert len(calls) == len(expected) == 80 < sum(map(len, nonzero.values())) == 88
 
 
 def test_check_exact_ranks_each_map_once(monkeypatch):

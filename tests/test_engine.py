@@ -2,7 +2,13 @@ import re
 
 import pytest
 
-from kbhom.complexes import Complex, DoubleComplex, spectral_pages, total_complex
+from kbhom.complexes import (
+    Complex,
+    ComplexInvariantError,
+    DoubleComplex,
+    spectral_pages,
+    total_complex,
+)
 from kbhom.engine import (
     HHDims,
     HodgeDiamond,
@@ -15,7 +21,7 @@ from kbhom.engine import (
     kb_spectral,
 )
 from kbhom.linalg import Matrix
-from kbhom.models import DolbeaultPoissonModel, ModelValidationError
+from kbhom.models import DolbeaultPoissonModel, ModelValidationError, validate_model
 from kbhom.zoo import hodge_formal, parallelizable, point, torus
 
 
@@ -235,6 +241,31 @@ def test_hodge_diamond_of_heisenberg():
     chi = sum((-1) ** (p + q) * v for (p, q), v in diamond.h.items())
     assert chi == 0
     assert total > 0
+
+
+def test_hodge_diamond_squares_delbar_only_without_a_stored_proof(monkeypatch):
+    """A model whose stored validation proved delbar∘delbar has no column
+    squared again; an unvalidated model, or one whose validation failed
+    there, has every column checked, and a nonzero delbar² raises as it
+    always has."""
+    squared = []
+    validate = Complex.validate
+    monkeypatch.setattr(Complex, "validate", lambda c: squared.append(c) or validate(c))
+    heis = heisenberg3()
+    diamond = hodge_diamond(heis)
+    assert squared == []
+    fresh = DolbeaultPoissonModel(heis.n, heis.basis, heis.del_blocks, heis.delbar_blocks,
+                                  heis.contraction_blocks)
+    assert hodge_diamond(fresh) == diamond and len(squared) == 4
+    broken = DolbeaultPoissonModel(2, {(0, 0): ["a"], (0, 1): ["b"], (0, 2): ["c"]},
+                                   delbar_blocks={(0, 0): Matrix(1, 1, {(0, 0): 1}),
+                                                  (0, 1): Matrix(1, 1, {(0, 0): 1})})
+    for validated in (False, True):
+        if validated:
+            assert validate_model(broken).first_failure().identity == "delbar∘delbar"
+        with pytest.raises(ComplexInvariantError,
+                           match="^differential does not square to zero at degree 0$"):
+            hodge_diamond(broken)
 
 
 def test_formal_model_homology_concentrates_antidiagonals():

@@ -102,6 +102,14 @@ def test_matrix_entry_keys_must_be_pairs(key):
     assert str(err.value) == f"matrix entry key {key!r} is not a pair (row, col) of ints"
 
 
+@pytest.mark.parametrize("key", [(0,), 0, (0, 0, 0)])
+def test_matrix_indices_must_be_pairs(key):
+    # each used to raise a bare unpacking error that did not name the key
+    with pytest.raises(TypeError) as err:
+        Matrix(2, 2, {(0, 1): 1})[key]
+    assert str(err.value) == f"matrix index {key!r} is not a pair (row, col) of ints"
+
+
 @pytest.mark.parametrize("key", [(2, 0), (0, 2), (-1, 0), (0, -1)])
 def test_matrix_entry_out_of_bounds(key):
     with pytest.raises(ValueError):

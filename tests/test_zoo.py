@@ -32,7 +32,7 @@ from kbhom.zoo import (
     torus,
     write_model,
 )
-from support import BAD_RATIONALS, oracle_model_to_json
+from support import BAD_RATIONALS, dense, oracle_model_to_json
 
 
 def test_torus1_shape():
@@ -329,6 +329,60 @@ def test_all_zero_rows_are_skipped_but_ragged_rows_are_not():
         load_model(_one_block_delbar([["0"] * 4, ["0"] * 3]))
     with pytest.raises(ModelFileError, match="ragged"):
         load_model(_one_block_delbar([["0"] * 4, ["0"] * 5]))
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([["0", "x"], ["0"]], "delbar[0].matrix[0][1]: 'x' is not a rational 'a/b' or integer string"),
+    ([["0", "0"], ["0"], ["x", "0"]], "delbar[0]: ragged matrix rows"),
+    ([["0", "0"], ["x"]], "delbar[0]: ragged matrix rows"),
+], ids=["entry-then-ragged", "ragged-then-entry", "ragged-row-with-a-bad-entry"])
+def test_the_first_bad_row_names_the_error(rows, message):
+    # rows are read in order, each checked for its length before its entries
+    data = save_model(torus(1))
+    data["delbar"] = [{"from": [0, 0], "matrix": rows}]
+    with pytest.raises(ModelFileError) as err:
+        load_model(data)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("first", ["1", 1])
+def test_true_is_refused_after_an_equal_entry(first):
+    # each entry string is parsed once per file; True == 1, so nothing else
+    # may be looked up among them
+    data = save_model(torus(1))
+    data["del"] = [{"from": [0, 0], "matrix": [[first]]}]
+    data["delbar"] = [{"from": [0, 0], "matrix": [[first, True]]}]
+    with pytest.raises(ModelFileError,
+                       match=r"^delbar\[0\]\.matrix\[0\]\[1\]: True is not a rational"):
+        load_model(json.loads(json.dumps(data)), validate=False)
+
+
+# every spelling of 0 the reader takes, str(0) a "0" that is not the json
+# parser's one "0" object, then nonzero strings and ints
+ENTRIES = ["0", str(0), "-0", "+0", "00", "0/7", 0, "1", "-1", "+2", "12", "3/4", "-6/4",
+           "5/10", 7, -2]
+
+
+@st.composite
+def entry_matrices(draw, rows, cols):
+    return [[draw(st.sampled_from(ENTRIES)) for _ in range(cols)] for _ in range(rows)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(1, 4), st.integers(1, 4), st.integers(1, 4))
+def test_read_blocks_match_a_dense_fraction_oracle(data, d00, d10, d01):
+    """The del and delbar blocks from (0, 0) of an n = 1 model, read as given
+    and through json, equal the entries read one by one as Fractions."""
+    blocks = {"del": data.draw(entry_matrices(d10, d00)),
+              "delbar": data.draw(entry_matrices(d01, d00))}
+    raw = {"format": "kbmodel/1", "n": 1, "contraction": [],
+           "basis": {"0,0": ["a"] * d00, "1,0": ["b"] * d10, "0,1": ["c"] * d01},
+           **{field: [{"from": [0, 0], "matrix": rows}] for field, rows in blocks.items()}}
+    for file in (raw, json.loads(json.dumps(raw))):
+        m = load_model(file, validate=False)
+        for field, rows in blocks.items():
+            block = getattr(m, f"{field}_blocks").at((0, 0))
+            assert dense(block) == [[Fraction(x) for x in row] for row in rows], field
 
 
 @pytest.mark.parametrize("build", [
