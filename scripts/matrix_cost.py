@@ -53,7 +53,8 @@ from pathlib import Path
 
 REPS = 3
 CASES = ("heis8", "heis8-validate", "heis6-spectral", "heis7-spectral", "heis6-memory",
-         "heis6-kb-memory", "heis5-json", "heis6-json", "heis5-read", "so3-w60", "so3-w60-homology", "so3-w0-40")
+         "heis6-kb-memory", "heis5-json", "heis6-json", "heis5-read", "so3-w60",
+         "so3-w60-homology", "so3-w0-40")
 
 
 def best_of(build, measure) -> tuple:
@@ -92,7 +93,7 @@ def run_case(case: str) -> None:
     if case == "heis8":
         best = best_of(lambda: validated(heis(8)), kb_homology)
         print(f"heis8 build+validate+kb_homology: {best[0]:.3f} s best of {REPS} "
-              f"(build+validate {best[1]:.3f} s, kb_homology {best[2]:.3f} s)")
+              f"(build+validate {best[1]:.3f} s, kb_homology {best[2]:.4f} s)")
     elif case == "heis8-validate":
         m = heis(8)
         best = best_of(lambda: DolbeaultPoissonModel(m.n, m.basis, m.del_blocks, m.delbar_blocks,
@@ -102,7 +103,7 @@ def run_case(case: str) -> None:
         n = int(case[4])
         best = best_of(lambda: kb_double_complex(validated(heis(n))),
                        lambda dc: spectral_pages(dc, 2))
-        print(f"heis{n} spectral_pages(kb_double_complex, 2): {best[2]:.3f} s best of {REPS} "
+        print(f"heis{n} spectral_pages(kb_double_complex, 2): {best[2]:.4f} s best of {REPS} "
               f"(build+validate+bicomplex {best[1]:.3f} s)")
     elif case == "heis6-memory":
         gc.collect()
@@ -142,8 +143,8 @@ def run_case(case: str) -> None:
     elif case == "heis5-read":
         text = model_to_json(heis(5))
         best = best_of(lambda: json.loads(text), lambda data: load_model(data, validate=False))
-        print(f"heis5 read_model ({len(text.encode()) / 1e6:.1f} MB): {best[0]:.3f} s best of "
-              f"{REPS} (json.loads {best[1]:.3f} s, load_model {best[2]:.3f} s)")
+        print(f"heis5 read_model ({len(text.encode()) / 1e6:.1f} MB): {best[0]:.4f} s best of "
+              f"{REPS} (json.loads {best[1]:.4f} s, load_model {best[2]:.4f} s)")
     elif case == "so3-w60":
         best = best_of(lambda: stein_complex(3, so3, 60, cap=60), homology_dims)
         print(f"so(3)* weight 60 stein_complex+homology_dims: {best[0]:.3f} s best of {REPS} "

@@ -268,24 +268,27 @@ def _total_columns(dc: DoubleComplex, layouts, k: int, skip=(), dens=None):
     j times L (written to ``dens[j]`` if dens is given and L is not 1), the
     lcm of the denominators of its cell's d1 and d2 blocks, over which its
     parts merge (in different cells, so with no sum).  ``_cleared_owners``
-    shows that the scale L is harmless."""
+    shows that the scale L is harmless.  The columns of one cell are built
+    together, before the first is yielded, and a skipped one never."""
     to = dict(layouts[k + 1][0])
     for cell, off in layouts[k][0]:
         # a stored block is nonzero, so its target cell is in the layout
-        parts = [(to[d.step(cell)], b._lines, b._dens)
-                 for d in (dc.d1, dc.d2) if (b := d.get(cell)) is not None]
-        big = lcm(*(den for _, _, bdens in parts for den in bdens.values()))
-        for j in sorted({j for _, lines, _ in parts for j in lines}):
-            if off + j in skip:
-                continue
-            col = {}
-            for at, lines, bdens in parts:
-                if j in lines:
-                    f = big // bdens.get(j, 1)
-                    col.update({at + i: f * v for i, v in lines[j].items()})
+        blocks = [(to[d.step(cell)], b) for d in (dc.d1, dc.d2) if (b := d.get(cell)) is not None]
+        big = lcm(*(den for _, b in blocks for den in b._dens.values()))
+        cols: dict = {}
+        for at, b in blocks:
+            for j, line in b._lines.items():
+                if off + j not in skip:
+                    f = big // b._dens.get(j, 1)
+                    part = {at + i: f * v for i, v in line.items()}
+                    if j in cols:
+                        cols[j].update(part)
+                    else:
+                        cols[j] = part
+        for j in sorted(cols):
             if big != 1 and dens is not None:
                 dens[off + j] = big
-            yield off + j, col
+            yield off + j, cols[j]
 
 
 def _total_sources(dc: DoubleComplex) -> tuple:
