@@ -280,7 +280,8 @@ def load_model(data: dict, lax: bool = False,
                 len(rows), ncols, [(j, col, 1) for j, col in cols.items()] + pieces)
         return out
 
-    parse = cache(_rational_pair)  # strs only, once per file: True == 1
+    # each entry str is parsed once per file; no other type is cached, as True == 1
+    parse = cache(_rational_pair)
 
     name = data.get("name", "model")
     if not isinstance(name, str):
