@@ -1,4 +1,4 @@
-"""Twelve measurements outside the perfbench ladder, for one checkout of kbhom.
+"""Thirteen measurements outside the perfbench ladder, for one checkout of kbhom.
 
 * heis8: ``parallelizable(8, {(1,2,3): 1}, {(1,2): 1})`` built and
   validated, then ``kb_homology``; the best of ``REPS`` runs (wall time).
@@ -7,6 +7,9 @@
 * heis6 and heis7 spectral pages: the bicomplex ``kb_double_complex`` of
   the validated model, then ``spectral_pages(dc, 2)``; the best of
   ``REPS`` runs (wall time).
+* heis7 total complex: ``total_complex`` of the bicomplex
+  ``kb_double_complex`` of the validated model, which stores every total
+  differential as a ``Matrix``; the best of ``REPS`` runs (wall time).
 * heis6 validation memory: the tracemalloc peak, above the start, of
   building ``parallelizable(6, ...)`` and running ``validate_model`` on it,
   and what stays allocated afterwards.
@@ -52,8 +55,8 @@ import tracemalloc
 from pathlib import Path
 
 REPS = 3
-CASES = ("heis8", "heis8-validate", "heis6-spectral", "heis7-spectral", "heis6-memory",
-         "heis6-kb-memory", "heis5-json", "heis6-json", "heis5-read", "so3-w60",
+CASES = ("heis8", "heis8-validate", "heis6-spectral", "heis7-spectral", "heis7-total",
+         "heis6-memory", "heis6-kb-memory", "heis5-json", "heis6-json", "heis5-read", "so3-w60",
          "so3-w60-homology", "so3-w0-40")
 
 
@@ -76,7 +79,7 @@ def best_of(build, measure) -> tuple:
 
 def run_case(case: str) -> None:
     """Runs one measurement of ``CASES`` and prints its line."""
-    from kbhom.complexes import homology_dims, spectral_pages
+    from kbhom.complexes import homology_dims, spectral_pages, total_complex
     from kbhom.engine import kb_double_complex, kb_homology
     from kbhom.models import DolbeaultPoissonModel, validate_model
     from kbhom.stein import stein_complex, stein_homology
@@ -104,6 +107,10 @@ def run_case(case: str) -> None:
         best = best_of(lambda: kb_double_complex(validated(heis(n))),
                        lambda dc: spectral_pages(dc, 2))
         print(f"heis{n} spectral_pages(kb_double_complex, 2): {best[2]:.4f} s best of {REPS} "
+              f"(build+validate+bicomplex {best[1]:.3f} s)")
+    elif case == "heis7-total":
+        best = best_of(lambda: kb_double_complex(validated(heis(7))), total_complex)
+        print(f"heis7 total_complex(kb_double_complex): {best[2]:.4f} s best of {REPS} "
               f"(build+validate+bicomplex {best[1]:.3f} s)")
     elif case == "heis6-memory":
         gc.collect()

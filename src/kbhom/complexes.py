@@ -262,14 +262,12 @@ def _total_layout(dc: DoubleComplex):
     return layouts
 
 
-def _total_columns(dc: DoubleComplex, layouts, k: int, skip=(), dens=None):
-    """The one totalization: ``(j, col)`` over the nonzero columns j of total
-    d^k not in ``skip``, ascending; col is a fresh ``{row: int}`` dict, column
-    j times L (written to ``dens[j]`` if dens is given and L is not 1), the
-    lcm of the denominators of its cell's d1 and d2 blocks, over which its
-    parts merge (in different cells, so with no sum).  ``_cleared_owners``
-    shows that the scale L is harmless.  The columns of one cell are built
-    together, before the first is yielded, and a skipped one never."""
+def _total_columns(dc: DoubleComplex, layouts, k: int, skip=()):
+    """The one totalization, a source: the column stream of total d^k but
+    ``skip``, column j as ``(j, col, L)``, L the lcm of the denominators of
+    its cell's d1 and d2 blocks, over which its parts merge (in different
+    cells, so with no sum).  The columns of one cell are built together,
+    before the first is yielded, and a skipped one never."""
     to = dict(layouts[k + 1][0])
     for cell, off in layouts[k][0]:
         # a stored block is nonzero, so its target cell is in the layout
@@ -286,16 +284,24 @@ def _total_columns(dc: DoubleComplex, layouts, k: int, skip=(), dens=None):
                     else:
                         cols[j] = part
         for j in sorted(cols):
-            if big != 1 and dens is not None:
-                dens[off + j] = big
-            yield off + j, cols[j]
+            yield off + j, cols[j], big
 
 
 def _total_sources(dc: DoubleComplex) -> tuple:
-    """``_total_layout(dc)`` and the (k, source of d^k) in ascending k."""
+    """``(spaces, sources)`` of the total complex of dc: ``{k: dim}`` and
+    the (k, source of d^k) in ascending k."""
     layouts = _total_layout(dc)
-    return layouts, [(k, partial(_total_columns, dc, layouts, k))
-                     for k in sorted(layouts) if k + 1 in layouts]
+    return ({k: total for k, (_, total) in layouts.items()},
+            [(k, partial(_total_columns, dc, layouts, k)) for k in sorted(layouts)
+             if k + 1 in layouts])
+
+
+def _complex_of(spaces: dict, sources, check: bool) -> Complex:
+    """The complex on ``spaces``, {k: dim}, whose d^k is drawn whole from
+    its source, for each (k, source) of ``sources``; D² = 0 is checked
+    iff ``check``."""
+    return Complex(spaces, {k: _from_columns(spaces.get(k + 1, 0), spaces[k], source(()))
+                            for k, source in sources}, check=check)
 
 
 def total_complex(dc: DoubleComplex) -> Complex:
@@ -306,13 +312,7 @@ def total_complex(dc: DoubleComplex) -> Complex:
     ``DoubleComplex`` constructor checks (or, for ``kb_double_complex``,
     that the model validation has proved).
     """
-    layouts, sources = _total_sources(dc)
-    diffs = {}
-    for k, columns in sources:
-        dens: dict = {}
-        diffs[k] = _from_columns(layouts[k + 1][1], layouts[k][1],
-                                 ((j, col, dens.get(j, 1)) for j, col in columns((), dens)))
-    return Complex({k: total for k, (_, total) in layouts.items()}, diffs, check=False)
+    return _complex_of(*_total_sources(dc), check=False)
 
 
 def tensor_layout(dims_a: dict, dims_b: dict) -> tuple:
@@ -393,11 +393,10 @@ def tensor_double(a: DoubleComplex, b: DoubleComplex) -> DoubleComplex:
 
 def _cleared_owners(diffs) -> dict:
     """The pivot owners of the differentials d^k, keyed by k: ``diffs``
-    yields the pairs (k, columns) in ascending k, with d^{k+1} d^k = 0 and
-    ``columns(skip)`` a source of the columns of d^k but those in skip, as
-    ``linalg._owners`` takes them.  Each d^k is reduced once, rank only,
-    with the pivot rows of d^{k-1} cleared from it (Chen and Kerber,
-    "Persistent homology computation with a twist", 2011).
+    yields the (k, source of d^k) in ascending k (``linalg``), with d^{k+1}
+    d^k = 0.  Each d^k is reduced once by ``linalg._owners``, with the pivot
+    rows of d^{k-1} cleared from it (Chen and Kerber, "Persistent homology
+    computation with a twist", 2011).
 
     Clearing is exact.  A reduced column of d^{k-1} with pivot i is a
     vector d^{k-1}x whose last nonzero entry is at row i, and d^k d^{k-1}x
@@ -409,12 +408,6 @@ def _cleared_owners(diffs) -> dict:
     them, and the dearest ones, as each would be eliminated to zero; a
     source that builds columns only as they are drawn (``stein``'s slices,
     a bicomplex's ``_total_columns``) never builds them.
-
-    A source may scale each column by a nonzero constant.  Column j ends on
-    pivot i iff r(i, j) - r(i, j-1) - r(i+1, j) + r(i+1, j-1) = 1, r(i, j)
-    the rank of the rows >= i of the columns <= j: the reduction keeps each
-    r and ends with r(i, j) columns <= j at pivots >= i.  A scale changes
-    no r, so no owner, rank or persistence pair.
 
     The precondition D² = 0 is proved for every differential that reaches
     here: the ``Complex`` and ``DoubleComplex`` constructors check it, and
@@ -487,12 +480,12 @@ def spectral_pages(dc: DoubleComplex, r_max: int) -> SpectralPages:
     """
     if _integer(r_max, "r_max") < 1:
         raise ValueError("r_max must be >= 1")
-    layouts, sources = _total_sources(dc)
     if not dc.spaces:
         return SpectralPages(pages=[(r, {}) for r in range(1, r_max + 1)],
                              degeneration_page=1)
     cell_of = {k: [cell for cell, _ in lay for _ in range(dc.spaces[cell])]
-               for k, (lay, _) in layouts.items()}
+               for k, (lay, _) in _total_layout(dc).items()}
+    _, sources = _total_sources(dc)
     unpaired = dict(dc.spaces)
     lengths: dict = {cell: [] for cell in dc.spaces}
     for k, owner in _cleared_owners(sources).items():

@@ -112,8 +112,7 @@ def kb_double_complex(m: DolbeaultPoissonModel) -> DoubleComplex:
 def kb_homology(m: DolbeaultPoissonModel) -> KBDims:
     """H_k for k in [0, 2n], read off the total complex at degree k - n,
     its columns reduced as drawn from the bicomplex, with no ``Matrix``."""
-    layouts, sources = _total_sources(kb_double_complex(m))
-    h = _homology({k: total for k, (_, total) in layouts.items()}, sources)
+    h = _homology(*_total_sources(kb_double_complex(m)))
     return KBDims(m.n, {k: h.get(k - m.n, 0) for k in range(2 * m.n + 1)})
 
 

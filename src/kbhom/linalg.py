@@ -6,12 +6,18 @@ A ``Matrix`` stores each nonzero column j as ints over one denominator:
 Builders emit such dicts, which ``_from_columns`` stores as they are in
 this canonical form and nothing mutates afterwards, and ``Fraction``
 appears only at the public edges.  Everything downstream reduces to
-``_eliminate`` on copies of the stored columns: rank only over a stream of
-columns (``_owners``), or tracked (``_reduce``), for kernels and solve;
+``_eliminate`` on copies of the stored columns: rank only over a column
+stream (``_owners``), or tracked (``_reduce``), for kernels and solve;
 products and the sums of products that check a model's identities
 (``_sum_of_products``) combine integer columns.  There is no floating
 point and no modular arithmetic anywhere, and identical inputs give
 identical outputs.
+
+A *column stream* is one matrix as the pieces ``(j, col, d)`` that
+``_from_columns`` takes, fresh and in strictly ascending j: column j is
+col/d, col a ``{row: int}`` dict with no zero entry, d > 0.  A *source*
+``source(skip)`` is a stream without the columns in skip (``_stored_columns``,
+``complexes._total_columns``, ``stein._slice_columns``).
 """
 
 from __future__ import annotations
@@ -388,19 +394,23 @@ class Reduction(NamedTuple):
 
 
 def _stored_columns(m: Matrix, skip=()):
-    """``(j, col)`` over the stored columns j of m not in ``skip``, in
-    ascending j whatever order the builder stored them in: col is a fresh
-    copy of column j times its denominator."""
-    lines = m._lines
-    return ((j, dict(lines[j])) for j in sorted(lines) if j not in skip)
+    """The column stream of m without the columns in ``skip``: its stored
+    columns in ascending j, whatever order the builder stored them in, each
+    a fresh copy over its denominator."""
+    lines, dens = m._lines, m._dens
+    return ((j, dict(lines[j]), dens.get(j, 1)) for j in sorted(lines) if j not in skip)
 
 
 def _owners(columns) -> dict:
-    """``{pivot row: column}`` of the rank-only reduction of ``columns``,
-    fresh ``(j, col)`` integer columns in ascending j (``_stored_columns``),
-    each eliminated once, in place, against the ones before it."""
+    """``{pivot row: column}`` of the rank-only reduction of a column stream,
+    each col eliminated once, in place, against the ones before it.  d is
+    never read, as no scale of a column changes an owner: column j ends on
+    pivot i iff r(i, j) - r(i, j-1) - r(i+1, j) + r(i+1, j-1) = 1, r(i, j)
+    the rank of the rows >= i of the columns <= j, since the reduction keeps
+    each r and ends with r(i, j) columns <= j at pivots >= i; a scale
+    changes no r, so no owner, rank or persistence pair."""
     owner, reduced = {}, {}
-    for j, col in columns:
+    for j, col, _ in columns:
         piv = _eliminate(col, None, owner, reduced, None)
         if piv is not None:
             owner[piv], reduced[j] = j, col

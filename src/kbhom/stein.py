@@ -26,8 +26,8 @@ from itertools import combinations
 from math import comb, lcm
 from operator import add, mul
 
-from .complexes import Complex, ComplexInvariantError, _homology, homology_dims
-from .linalg import _from_columns, _integer, _is_int, _q
+from .complexes import Complex, ComplexInvariantError, _complex_of, _homology, homology_dims
+from .linalg import _integer, _is_int, _q
 from .models import _wedge
 
 
@@ -371,9 +371,9 @@ def stein_complex(n: int, pi, w: int, cap: int = 8) -> Complex:
 
 
 def _slice_columns(tables: _KoszulTables, w: int, p: int, size: int, rows: dict, skip=()):
-    """``(j, line)`` for the columns j of d^{-p} on the weight-w slice, α-major
-    and I-minor, but those in ``skip``: line is L·delpi(z^α dz_I) as a fresh
-    ``{row: int}`` dict without zeros, rows keyed by ``rows`` (``_slice_rows``)."""
+    """The column stream of d^{-p} on the weight-w slice without the columns
+    in ``skip``: ``(j, line, L)`` for the columns j, α-major and I-minor,
+    line being L·delpi(z^α dz_I), rows keyed by ``rows`` (``_slice_rows``)."""
     per_i = [(i_set, tables.key((), i_set), *tables[i_set])
              for i_set in combinations(range(1, tables.pi.n + 1), p)]
     j = -1
@@ -393,7 +393,8 @@ def _slice_columns(tables: _KoszulTables, w: int, p: int, size: int, rows: dict,
                 for offset, c in fixed:
                     row = rows[key + offset]
                     line[row] = line.get(row, 0) + c
-                yield j, line if all(line.values()) else {i: v for i, v in line.items() if v}
+                yield (j, line if all(line.values()) else {i: v for i, v in line.items() if v},
+                       tables.scale)
     except KeyError:
         raise AssertionError(f"delpi left the weight-{w} slice from {(alpha, i_set)}; "
                              "weight bookkeeping is broken") from None
@@ -407,33 +408,24 @@ def _slice_rows(tables: _KoszulTables, p: int, size: int) -> dict:
     return dict(zip(keys, range(len(keys))))
 
 
+def _slice_sources(tables: _KoszulTables, w: int) -> tuple:
+    """``(spaces, sources)`` of the weight-w slice: ``{-p: dim Ω^p}`` and the
+    (-p, source of d^{-p}) in ascending -p, each with the rows of slice
+    p - 1, which are tabulated only as the sources are drawn."""
+    n, sizes = tables.pi.n, _slice_sizes(tables.pi.n, tables.pi.degree, w, tables.cap)
+    return ({-p: len(tables.alphas(size)) * comb(n, p) for p, size in sizes.items()},
+            ((-p, partial(_slice_columns, tables, w, p, sizes[p],
+                          _slice_rows(tables, p - 1, sizes[p - 1]) if p - 1 in sizes else {}))
+             for p in sorted(sizes, reverse=True) if p))
+
+
 def _slice_complex(tables: _KoszulTables, w: int) -> Complex:
     """The weight-w slice.  Its basis in form degree p is the z^α dz_I with
     |α| = w - (d-1)p, α-major and I-minor (``_slice_rows``)."""
-    spaces, diffs, rows = {}, {}, {}  # rows: the keys of slice p - 1 to row indices
-    for p, size in _slice_sizes(tables.pi.n, tables.pi.degree, w, tables.cap).items():
-        if p:
-            pieces = [(j, line, tables.scale)
-                      for j, line in _slice_columns(tables, w, p, size, rows)]
-            diffs[-p] = _from_columns(len(rows), len(pieces), pieces)
-        rows = _slice_rows(tables, p, size)
-        spaces[-p] = len(rows)
     try:
-        return Complex(spaces, diffs, check=not tables.poisson)
+        return _complex_of(*_slice_sources(tables, w), check=not tables.poisson)
     except ComplexInvariantError:
         raise NotPoissonOnSlice(f"bivector not Poisson at weight {w}") from None
-
-
-def _cleared_homology(tables: _KoszulTables, w: int) -> dict:
-    """``{-p: dim H}`` of a Poisson bivector's weight-w slice (``stein_homology``)."""
-    n, sizes = tables.pi.n, _slice_sizes(tables.pi.n, tables.pi.degree, w, tables.cap)
-
-    def columns(p: int):  # d^{-p}, its rows keyed as slice p - 1's, built only as drawn
-        rows = _slice_rows(tables, p - 1, sizes[p - 1]) if p - 1 in sizes else {}
-        return partial(_slice_columns, tables, w, p, sizes[p], rows)
-
-    return _homology({-p: len(tables.alphas(size)) * comb(n, p) for p, size in sizes.items()},
-                     ((-p, columns(p)) for p in sorted(sizes, reverse=True) if p))
 
 
 def stein_homology(n: int, pi, w_range, cap: int = 8) -> dict:
@@ -442,13 +434,14 @@ def stein_homology(n: int, pi, w_range, cap: int = 8) -> dict:
     The weights share one set of per-I tables and of (α, key) lists.  A
     non-Poisson bivector's slices are built and checked (``_slice_complex``).
     A Poisson one's d^{-p} are never built as matrices: for p = n, ..., 1
-    each column of d^{-p} is made as it is reduced, with clearing
-    (``complexes._cleared_owners``), which needs d^{-p}∘d^{-p-1} = 0;
-    ``is_poisson`` proves it once per bivector (see ``stein_complex``)."""
+    each column of d^{-p} is made as it is reduced (``_slice_sources``),
+    with clearing (``complexes._cleared_owners``), which needs
+    d^{-p}∘d^{-p-1} = 0; ``is_poisson`` proves it once per bivector (see
+    ``stein_complex``)."""
     tables = _KoszulTables(_as_bivector(n, pi), cap)
     out: dict = {}
     for w in w_range:
-        h = (_cleared_homology(tables, w) if tables.poisson
+        h = (_homology(*_slice_sources(tables, w)) if tables.poisson
              else homology_dims(_slice_complex(tables, w)))
         for p in range(n + 1):
             out[(w, n - p)] = h.get(-p, 0)

@@ -354,7 +354,8 @@ def read_json(path) -> tuple:
     """Parse the UTF-8 JSON file at path, reading it once.
 
     Returns the data and the sha256 hex digest of the bytes parsed.
-    Unreadable files and JSON syntax errors raise ``ModelFileError``.
+    Unreadable files, bytes that are not UTF-8 and JSON syntax errors raise
+    ``ModelFileError``.
     """
     try:
         raw = Path(path).read_bytes()
@@ -363,6 +364,8 @@ def read_json(path) -> tuple:
         return json.loads(text), hashlib.sha256(raw).hexdigest()
     except json.JSONDecodeError as exc:
         raise ModelFileError(f"{path}: line {exc.lineno}: {exc.msg}") from None
+    except UnicodeDecodeError as exc:
+        raise ModelFileError(f"{path}: not UTF-8: {exc.reason}") from None
     except OSError as exc:
         raise ModelFileError(f"{path}: {exc.strerror or exc}") from None
 

@@ -8,11 +8,14 @@ per differential (``oracle_homology_dims``) and the subspace-arithmetic
 pages (``oracle_spectral_pages``), ``total_complex`` must equal the dense
 assembly (``oracle_total_complex``), and the lemma behind clearing, that
 each cleared column reduces to zero in the full reduction, is checked on
-its own.
+its own.  Every column source keeps the column-stream contract of
+``kbhom.linalg`` and stands for its matrix, and the owners of a stream do
+not depend on the scale of its columns.
 """
 
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -29,20 +32,25 @@ from kbhom.complexes import (
     total_complex,
 )
 from kbhom.engine import HodgeDiamond, kb_double_complex, kb_homology
-from kbhom.linalg import Matrix, _owners, _stored_columns
+from kbhom.linalg import Matrix, _from_columns, _owners, _stored_columns
 from kbhom.models import product_model
-from kbhom.stein import PolyBivector, stein_complex
+from kbhom.stein import PolyBivector, _KoszulTables, _slice_sources, stein_complex
 from kbhom.zoo import hodge_formal, parallelizable, point, torus
 from support import (
     dc_from_complex,
     elementary_complex,
     oracle_homology_dims,
+    oracle_pivot_rows,
     oracle_spectral_pages,
+    oracle_stein_differentials,
     oracle_total_complex,
     rescaled,
 )
 
 SO3 = [(1, 2, 1, (0, 0, 1)), (2, 3, 1, (1, 0, 0)), (3, 1, 1, (0, 1, 0))]
+# a Lie-Poisson bivector of the same shape, with coefficients over L = 105
+RATIONAL_SO3 = [(1, 2, Fraction(2, 3), (0, 0, 1)), (2, 3, Fraction(-1, 5), (1, 0, 0)),
+                (3, 1, Fraction(3, 7), (0, 1, 0))]
 QUADRATIC = [(1, 2, 1, (1, 1))]
 
 ZOO = {
@@ -78,9 +86,9 @@ def zoo_complexes(model):
 def recording(m: Matrix, drawn: list):
     """A column source of m that appends to ``drawn`` each column it yields."""
     def columns(skip):
-        for j, col in _stored_columns(m, skip):
+        for j, col, d in _stored_columns(m, skip):
             drawn.append(j)
-            yield j, col
+            yield j, col, d
     return columns
 
 
@@ -157,9 +165,7 @@ def rescaled_bicomplexes(draw):
 def test_total_columns_match_the_dense_oracles(dc, r_max):
     total = oracle_total_complex(dc)
     assert total_complex(dc) == total
-    layouts, sources = _total_sources(dc)
-    assert _homology({k: t for k, (_, t) in layouts.items()}, sources) \
-        == oracle_homology_dims(total)
+    assert _homology(*_total_sources(dc)) == oracle_homology_dims(total)
     new, old = spectral_pages(dc, r_max), oracle_spectral_pages(dc, r_max)
     assert new.pages == old.pages
     assert new.degeneration_page == old.degeneration_page
@@ -202,3 +208,87 @@ def test_cleared_columns_are_never_drawn():
     assert owners == {0: {1: 0}, 1: {0: 0, 1: 2}}
     assert drawn == {0: [0], 1: [0, 2]}
     assert _owners(_stored_columns(d1)) == {0: 0, 1: 2}
+
+
+def assert_stream(source, rows: int, cols: int, m: Matrix) -> None:
+    """``source`` keeps the column-stream contract of ``kbhom.linalg`` and
+    stands for the rows×cols matrix m: j strictly ascending in range(cols),
+    d > 0, rows in range(rows) and no zero entry; each draw fresh, so that
+    emptying every col of one draw leaves the next as it was;
+    ``source(skip)`` the same stream without skip; and the pieces of one
+    draw sum to m in ``_from_columns``."""
+    first = list(source(()))
+    want = [(j, dict(col), d) for j, col, d in first]
+    js = [j for j, _, _ in first]
+    assert all(a < b for a, b in zip(js, js[1:])) and all(0 <= j < cols for j in js)
+    for j, col, d in first:
+        assert d > 0 and all(col.values()) and all(0 <= i < rows for i in col), j
+        col.clear()
+        col[-1] = 1
+    assert list(source(())) == want
+    skip = set(js[::2])
+    assert list(source(skip)) == [piece for piece in want if piece[0] not in skip]
+    assert _from_columns(rows, cols, source(())) == m
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_stored_columns_keep_the_stream_contract(data):
+    """Fractional entries, stored in the random order of their keys."""
+    rows, cols = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 5))
+    entries = data.draw(st.dictionaries(
+        st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1)),
+        st.builds(Fraction, st.integers(-4, 4), st.integers(1, 6)))) if rows and cols else {}
+    m = Matrix(rows, cols, entries)
+    assert_stream(partial(_stored_columns, m), rows, cols, m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rescaled_bicomplexes())
+def test_total_sources_keep_the_stream_contract(dc):
+    """Each total column is fed by blocks over denominators, so it is
+    yielded over their lcm L; the dense oracle assembles the same d^k."""
+    total = oracle_total_complex(dc)
+    spaces, sources = _total_sources(dc)
+    assert spaces == dict(total.spaces)
+    assert {k for k, _ in sources} >= set(total.diffs)
+    for k, source in sources:
+        assert_stream(source, spaces.get(k + 1, 0), spaces[k], total.d(k))
+
+
+@pytest.mark.parametrize("terms", [SO3, RATIONAL_SO3], ids=["so3", "rational"])
+def test_slice_sources_keep_the_stream_contract(terms):
+    """Each slice column is yielded as L·delpi(z^α dz_I) over L; the
+    Fraction oracle builds the same d^{-p}, and so does ``stein_complex``."""
+    pi, cap = PolyBivector.from_terms(3, terms), 12
+    for w in range(7):
+        spaces, sources = _slice_sources(_KoszulTables(pi, cap), w)
+        c, oracle = stein_complex(3, pi, w, cap), oracle_stein_differentials(pi, w, cap)
+        assert dict(c.spaces) == {k: v for k, v in spaces.items() if v}
+        for k, source in sources:
+            rows, cols = spaces.get(k + 1, 0), spaces[k]
+            assert c.d(k) == oracle.get(k, Matrix(rows, cols))
+            assert_stream(source, rows, cols, c.d(k))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_owners_do_not_depend_on_the_scale_of_a_column(data):
+    """The scale lemma of ``linalg._owners``: a stream of random sparse
+    integer columns and the same stream with each column times a random
+    nonzero int, under any d, have the same owners, whose rows are the
+    pivot rows that Bareiss ranks predict for the matrix of the first."""
+    rows, cols = data.draw(st.integers(1, 5)), data.draw(st.integers(0, 7))
+    stream = []
+    for j in range(cols):
+        col = data.draw(st.dictionaries(st.integers(0, rows - 1),
+                                        st.integers(-2, 2).filter(bool), max_size=rows))
+        if col:
+            stream.append((j, col, data.draw(st.integers(1, 12))))
+    nonzero = st.integers(-9, 9).filter(bool)
+    scaled = [(j, {i: s * v for i, v in col.items()}, d)
+              for j, col, _ in stream for s, d in [(data.draw(nonzero), data.draw(nonzero))]]
+    owners = _owners((j, dict(col), d) for j, col, d in stream)
+    assert _owners(scaled) == owners
+    m = _from_columns(rows, cols, [(j, dict(col), d) for j, col, d in stream])
+    assert set(owners) == oracle_pivot_rows(m)

@@ -10,7 +10,15 @@ from kbhom.cli import main
 from kbhom.complexes import ComplexInvariantError
 from kbhom.engine import HodgeDiamond, hodge_diamond, kb_homology
 from kbhom.models import product_model
-from kbhom.zoo import hodge_formal, parallelizable, save_model, torus, write_model
+from kbhom.zoo import (
+    ModelFileError,
+    hodge_formal,
+    parallelizable,
+    read_model,
+    save_model,
+    torus,
+    write_model,
+)
 from support import BAD_RATIONALS
 
 
@@ -84,13 +92,20 @@ def test_missing_input_names_path_and_exits_1(tmp_path, torus1_table, capsys,
 
 
 def test_utf16_inputs_exit_1(tmp_path, torus1_table, capsys):
+    """A file that is not UTF-8 (here UTF-16, which starts with the bytes
+    ff fe) is a parse error naming the file, from the CLI and the reader."""
     model = tmp_path / "m16.json"
     model.write_text(json.dumps(save_model(torus(1))), encoding="utf-16")
     table = tmp_path / "t16.json"
     table.write_text(Path(torus1_table).read_text(encoding="utf-8"),
                      encoding="utf-16")
-    assert main(["check", str(model)]) == 1
-    assert main(["kunneth", str(table), torus1_table]) == 1
+    for argv, path in ((["check", str(model)], model),
+                       (["kunneth", str(table), torus1_table], table)):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"kbhom: parse error: {path}: not UTF-8: invalid start byte\n")
+    with pytest.raises(ModelFileError, match=r"m16\.json: not UTF-8: invalid start byte$"):
+        read_model(model)
 
 
 def test_check_corrupted_matrix_shape_exits_1(tmp_path, capsys):

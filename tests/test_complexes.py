@@ -502,9 +502,9 @@ def test_kb_reductions_never_draw_a_cleared_column(monkeypatch, pages):
     drawn, columns = [], complexes._total_columns
 
     def recording(*args):
-        for j, col in columns(*args):
+        for j, col, d in columns(*args):
             drawn.append((args[2], j))
-            yield j, col
+            yield j, col, d
 
     monkeypatch.setattr(complexes, "_total_columns", recording)
     calls = counting(monkeypatch, linalg, "_eliminate")

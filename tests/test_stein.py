@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from kbhom import linalg, stein
+from kbhom import complexes, linalg
 from kbhom.complexes import Complex, homology_dims
 from kbhom.stein import (
     NonHomogeneousBivector,
@@ -238,8 +238,8 @@ def test_only_non_poisson_slices_are_squared(monkeypatch):
     complex_init = Complex.__init__
     monkeypatch.setattr(Complex, "__init__",
                         lambda c, *args, **kw: built.append(complex_init(c, *args, **kw)))
-    from_columns = stein._from_columns
-    monkeypatch.setattr(stein, "_from_columns",
+    from_columns = complexes._from_columns
+    monkeypatch.setattr(complexes, "_from_columns",
                         lambda *args: matrices.append(1) or from_columns(*args))
     assert PolyBivector.from_terms(3, SO3).is_poisson()
     assert stein_homology(3, SO3, range(4), 40) == stein_homology(3, SO3, range(4), 40)
