@@ -296,12 +296,12 @@ def _total_sources(dc: DoubleComplex) -> tuple:
              if k + 1 in layouts])
 
 
-def _complex_of(spaces: dict, sources, check: bool) -> Complex:
+def _complex_of(spaces: dict, sources) -> Complex:
     """The complex on ``spaces``, {k: dim}, whose d^k is drawn whole from
-    its source, for each (k, source) of ``sources``; D² = 0 is checked
-    iff ``check``."""
+    its source, for each (k, source) of ``sources``.  D² = 0 is not
+    checked: each caller states its proof."""
     return Complex(spaces, {k: _from_columns(spaces.get(k + 1, 0), spaces[k], source(()))
-                            for k, source in sources}, check=check)
+                            for k, source in sources}, check=False)
 
 
 def total_complex(dc: DoubleComplex) -> Complex:
@@ -312,7 +312,7 @@ def total_complex(dc: DoubleComplex) -> Complex:
     ``DoubleComplex`` constructor checks (or, for ``kb_double_complex``,
     that the model validation has proved).
     """
-    return _complex_of(*_total_sources(dc), check=False)
+    return _complex_of(*_total_sources(dc))
 
 
 def tensor_layout(dims_a: dict, dims_b: dict) -> tuple:
@@ -413,8 +413,8 @@ def _cleared_owners(diffs) -> dict:
     here: the ``Complex`` and ``DoubleComplex`` constructors check it, and
     where they are told not to, ``total_complex`` and ``kb_double_complex``
     derive it from checked identities (the bicomplex's, or the model's),
-    and the ``stein`` slices from [pi, pi] = 0, checked once per
-    bivector by ``PolyBivector.is_poisson``: delpi∘delpi is, up to sign
+    and the ``stein`` slices from [pi, pi] = 0, which both ``stein``
+    entries require of the bivector: delpi∘delpi is, up to sign
     and a factor 2, the Koszul operator of [pi, pi] (proof in
     ``stein_complex``).
     """

@@ -14,9 +14,10 @@ about the full space of holomorphic forms.
 delpi is built from its closed form (Brylinski, "A differential complex
 for Poisson manifolds", 1988), whose cancelling terms are never made; what
 depends on I and the bivector only is tabulated once per I, as offsets
-between int keys of monomials (``_KoszulTables``).  delpi∘delpi = 0 is
-proved once per bivector by ``PolyBivector.is_poisson``; only a bivector
-that fails it has its slices checked one by one (see ``stein_complex``).
+between int keys of monomials (``_KoszulTables``).  delpi∘delpi = 0
+exactly when [pi, pi] = 0, which ``PolyBivector.is_poisson`` decides once
+per bivector; both entries refuse a bivector that fails it before any
+slice is built (see ``stein_complex``), so no slice is ever squared.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from itertools import combinations
 from math import comb, lcm
 from operator import add, mul
 
-from .complexes import Complex, ComplexInvariantError, _complex_of, _homology, homology_dims
+from .complexes import Complex, _complex_of, _homology
 from .linalg import _integer, _is_int, _q
 from .models import _wedge
 
@@ -40,7 +41,7 @@ class SliceCapError(ValueError):
 
 
 class NotPoissonOnSlice(ValueError):
-    """delpi fails to square to zero on the requested weight slice."""
+    """The bivector is not Poisson, so delpi does not square to zero."""
 
 
 def _natural(x, name: str) -> None:
@@ -154,12 +155,16 @@ class PolyBivector:
         return not self.terms
 
     def is_poisson(self) -> bool:
-        """Whether [pi, pi] = 0, i.e. the Jacobiator
+        """Whether [pi, pi] = 0 (see ``_jacobiator_failure``)."""
+        return self._jacobiator_failure() is None
+
+    def _jacobiator_failure(self):
+        """The least (i, j, k), i < j < k, at which the Jacobiator
 
             J^{ijk} = Σ_cyc Σ_l π^{li} ∂_l π^{jk},   π^{ji} = -π^{ij} = -p_ij,
 
-        vanishes for every i < j < k.  It is computed on the integer terms
-        of ``_integer_terms`` (L·π, whose Jacobiator is L² J), so exactly.
+        is nonzero (None if [pi, pi] = 0), computed exactly on the integer
+        terms of ``_integer_terms`` (L·π, whose Jacobiator is L² J).
         """
         terms, _ = _integer_terms(self)
 
@@ -182,8 +187,8 @@ class PolyBivector:
                             mono = tuple(map(add, gamma, lowered))
                             jac[mono] = jac.get(mono, 0) + sign_la * sign_bc * e * x * y
             if any(jac.values()):
-                return False
-        return True
+                return i, j, k
+        return None
 
 
 def _compositions(total: int, parts: int) -> list:
@@ -244,16 +249,15 @@ class _KoszulTables:
     target has exponents ≥ 0 and weight w, whence |α+δ| ≤ cap < R by
     ``_slice_sizes``, and every digit of its key is below R.  Both premises
     are checked per term as the table is built, at the first lookup of its
-    I.  ``alphas(a)`` lists the (α, key(α, ∅)) with |α| = a; the slices
-    share these and ``poisson``, which is ``pi.is_poisson()``.
+    I.  ``alphas(a)`` lists the (α, key(α, ∅)) with |α| = a, which the
+    slices share.  The closed form holds for any bivector, Poisson or not.
     """
 
-    __slots__ = ("pi", "cap", "terms", "scale", "poisson", "_tables", "_alphas")
+    __slots__ = ("pi", "cap", "terms", "scale", "_tables", "_alphas")
 
     def __init__(self, pi: PolyBivector, cap: int):
         self.pi, self.cap, self._tables, self._alphas = pi, cap, {}, {}
         self.terms, self.scale = _integer_terms(pi)
-        self.poisson = pi.is_poisson()
 
     def key(self, alpha, i_set) -> int:
         radix = self.cap + 1
@@ -322,15 +326,22 @@ class _KoszulTables:
 
 
 def _as_bivector(n: int, pi) -> PolyBivector:
-    if isinstance(pi, PolyBivector):
-        if pi.n != _integer(n, "n"):
-            raise ValueError("bivector built for a different n")
-        return pi
-    return PolyBivector.from_terms(n, pi)
+    """pi as a PolyBivector on C^n, refused unless [pi, pi] = 0."""
+    if not isinstance(pi, PolyBivector):
+        pi = PolyBivector.from_terms(n, pi)
+    elif pi.n != _integer(n, "n"):
+        raise ValueError("bivector built for a different n")
+    if failure := pi._jacobiator_failure():
+        raise NotPoissonOnSlice(
+            f"bivector not Poisson: Jacobiator nonzero at (i, j, k) = {failure}")
+    return pi
 
 
 def stein_complex(n: int, pi, w: int, cap: int = 8) -> Complex:
-    """The weight-w slice as a complex with Ω^p placed in degree -p.
+    """The weight-w slice as a complex with Ω^p placed in degree -p.  Its
+    basis in form degree p is the z^α dz_I with |α| = w - (d-1)p, α-major
+    and I-minor (``_slice_rows``).  A non-Poisson pi is refused with
+    NotPoissonOnSlice before w and cap are read.
 
     delpi = l_pi∘del - del∘l_pi is written from its closed form rather
     than composed term by term.  With s_g(I) the sign in dz_g ∧ dz_I =
@@ -352,22 +363,19 @@ def stein_complex(n: int, pi, w: int, cap: int = 8) -> Complex:
     term keeps the weight and exponents ≥ 0, so a target has |α| ≤ cap < R
     and its key, in radix R = cap + 1, is its own (see ``_KoszulTables``).
 
-    delpi∘delpi = 0 is proved, not multiplied out, when pi is Poisson.
-    delpi is the graded commutator [l_pi, del] of the contraction l_pi
-    (degree -2) and del (degree 1), and for bivectors P and Q,
-    [[l_P, del], [l_Q, del]] = ±[l_[P,Q], del], with [P, Q] the
-    Schouten–Nijenhuis bracket (Koszul, "Crochet de Schouten–Nijenhuis et
-    cohomologie", Astérisque 1985; Brylinski 1988).  So
-    2 delpi∘delpi = [delpi, delpi] is, up to sign, the Koszul operator of
-    [pi, pi], whose coefficients are those of the Jacobiator.  When
-    ``PolyBivector.is_poisson`` finds it zero, every slice squares to
-    zero and is built unchecked; ``homology_dims`` clears columns on that
-    proof, so a wrong "Poisson" would give wrong homology silently.
-    Otherwise each slice multiplies its consecutive differentials, and one
-    that does not square to zero fails with "bivector not Poisson at
-    weight w"; a slice that does is returned as usual.
+    delpi∘delpi = 0 is proved, not multiplied out.  delpi is the graded
+    commutator [l_pi, del] of the contraction l_pi (degree -2) and del
+    (degree 1), and for bivectors P and Q, [[l_P, del], [l_Q, del]] =
+    ±[l_[P,Q], del], with [P, Q] the Schouten–Nijenhuis bracket (Koszul,
+    "Crochet de Schouten–Nijenhuis et cohomologie", Astérisque 1985;
+    Brylinski 1988).  So 2 delpi∘delpi = [delpi, delpi] is, up to sign,
+    the Koszul operator of [pi, pi], whose coefficients are those of the
+    Jacobiator.  ``_as_bivector`` has found it zero, so every slice
+    squares to zero and is built unchecked; ``homology_dims`` clears
+    columns on that proof, so a wrong "Poisson" would give wrong homology
+    silently.
     """
-    return _slice_complex(_KoszulTables(_as_bivector(n, pi), cap), w)
+    return _complex_of(*_slice_sources(_KoszulTables(_as_bivector(n, pi), cap), w))
 
 
 def _slice_columns(tables: _KoszulTables, w: int, p: int, size: int, rows: dict, skip=()):
@@ -419,30 +427,20 @@ def _slice_sources(tables: _KoszulTables, w: int) -> tuple:
              for p in sorted(sizes, reverse=True) if p))
 
 
-def _slice_complex(tables: _KoszulTables, w: int) -> Complex:
-    """The weight-w slice.  Its basis in form degree p is the z^α dz_I with
-    |α| = w - (d-1)p, α-major and I-minor (``_slice_rows``)."""
-    try:
-        return _complex_of(*_slice_sources(tables, w), check=not tables.poisson)
-    except ComplexInvariantError:
-        raise NotPoissonOnSlice(f"bivector not Poisson at weight {w}") from None
-
-
 def stein_homology(n: int, pi, w_range, cap: int = 8) -> dict:
     """Per-weight homology dims, keyed (w, k) with k = n - p in [0, n].
 
     The weights share one set of per-I tables and of (α, key) lists.  A
-    non-Poisson bivector's slices are built and checked (``_slice_complex``).
-    A Poisson one's d^{-p} are never built as matrices: for p = n, ..., 1
-    each column of d^{-p} is made as it is reduced (``_slice_sources``),
-    with clearing (``complexes._cleared_owners``), which needs
-    d^{-p}∘d^{-p-1} = 0; ``is_poisson`` proves it once per bivector (see
+    non-Poisson pi is refused with NotPoissonOnSlice before any weight is
+    read.  The d^{-p} are never built as matrices: for p = n, ..., 1 each
+    column of d^{-p} is made as it is reduced (``_slice_sources``), with
+    clearing (``complexes._cleared_owners``), which needs
+    d^{-p}∘d^{-p-1} = 0; ``_as_bivector`` proves it once per bivector (see
     ``stein_complex``)."""
     tables = _KoszulTables(_as_bivector(n, pi), cap)
     out: dict = {}
     for w in w_range:
-        h = (_homology(*_slice_sources(tables, w)) if tables.poisson
-             else homology_dims(_slice_complex(tables, w)))
+        h = _homology(*_slice_sources(tables, w))
         for p in range(n + 1):
             out[(w, n - p)] = h.get(-p, 0)
     return out

@@ -8,8 +8,10 @@ The oracles are the original dense algorithms: fraction-free (Bareiss)
 row elimination for rank, kernel and column space, a dense Fraction
 elimination for solve, a dense Fraction matrix product, spectral pages
 by subspace arithmetic on approximate cycles, the snake-lemma LES with
-one solve per column, and the Stein slice builder with Fraction
-coefficients.  They share no elimination or product code with
+one solve per column, the Stein slice builder with Fraction
+coefficients, and the Poisson cohomology of a weight slice, which shares
+no formula with delpi: a Schouten bracket on polyvectors, twisted by the
+modular vector field.  They share no elimination or product code with
 ``kbhom.linalg`` and no integer scaling or slice enumeration with
 ``kbhom.stein``.  The former model builders, on all 4^n wedge monomials
 with their own tensor loops and label formula, share no tensor, sign or
@@ -25,7 +27,7 @@ totalization code with ``kbhom.complexes``.
 
 import json
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import lcm
 
 from kbhom.complexes import (
@@ -833,6 +835,102 @@ def oracle_jacobiator(pi) -> dict:
                 poly[mono] = poly.get(mono, Fraction(0)) + wedge_sign * sign * c * d * e
     return {ijk: nonzero for ijk, poly in out.items()
             if (nonzero := {m: c for m, c in poly.items() if c})}
+
+
+def _super_product(a: dict, b: dict) -> dict:
+    """The product of two superpolynomials {(alpha, J): Fraction}, J the
+    sorted odd variables θ_j = ∂/∂z_j, signs from a permutation sort."""
+    out: dict = {}
+    for (alpha, j_set), x in a.items():
+        for (beta, k_set), y in b.items():
+            sign, jk = _sort_sign(j_set + k_set)
+            if sign:
+                mono = (tuple(map(sum, zip(alpha, beta))), jk)
+                out[mono] = out.get(mono, Fraction(0)) + sign * x * y
+    return out
+
+
+def _super_derivative(a: dict, g: int, odd: bool, right: bool = False) -> dict:
+    """∂/∂z_g of a, or with ``odd`` ∂/∂θ_g, taken from the left, or with
+    ``right`` from the right (θ_g moved to the end of θ_J first)."""
+    out: dict = {}
+    for (alpha, j_set), x in a.items():
+        if odd:
+            if g not in j_set:
+                continue
+            t = j_set.index(g)
+            sign = (-1) ** (len(j_set) - 1 - t if right else t)
+            mono = (alpha, j_set[:t] + j_set[t + 1:])
+        else:
+            e = alpha[g - 1]
+            if not e:
+                continue
+            sign, mono = e, (alpha[:g - 1] + (e - 1,) + alpha[g:], j_set)
+        out[mono] = out.get(mono, Fraction(0)) + sign * x
+    return out
+
+
+def _schouten(p: dict, q: dict, n: int) -> dict:
+    """The Schouten bracket Σ_l (p ∂⃖/∂θ_l)(∂q/∂z_l) - (∂p/∂z_l)(∂q/∂θ_l),
+    the convention with [X, f] = X(f) and [X, Y] the Lie bracket of vector
+    fields."""
+    out: dict = {}
+    for l in range(1, n + 1):
+        for sign, a, b in ((1, _super_derivative(p, l, True, right=True),
+                            _super_derivative(q, l, False)),
+                           (-1, _super_derivative(p, l, False), _super_derivative(q, l, True))):
+            for mono, c in _super_product(a, b).items():
+                out[mono] = out.get(mono, Fraction(0)) + sign * c
+    return out
+
+
+def _superpolynomial(pi) -> dict:
+    """Σ_{i<j} p_ij θ_i θ_j, from ``pi.terms``."""
+    return {(beta, ij): Fraction(c) for ij, poly in pi.terms.items() for beta, c in poly.items()}
+
+
+def oracle_modular_vector(pi) -> dict:
+    """X = Σ_j X^j θ_j, X^j = Σ_i ∂_i π^{ij}, as a superpolynomial with
+    zeros omitted: Σ_i ∂/∂z_i of the left θ_i-derivative of π."""
+    poly, out = _superpolynomial(pi), {}
+    for i in range(1, pi.n + 1):
+        for mono, c in _super_derivative(_super_derivative(poly, i, True), i, False).items():
+            out[mono] = out.get(mono, Fraction(0)) + c
+    return {mono: c for mono, c in out.items() if c}
+
+
+def oracle_poisson_cohomology(pi, w: int, twisted: bool = True) -> dict:
+    """{k: dim H^k} of the weight-w slice of the Lichnerowicz complex of a
+    PolyBivector: the polyvectors z^α ∂_J with |J| = k and weight
+    |α| + (d-1)(n-k) = w, enumerated here, and d_π = [π, ·] from
+    ``_schouten``, less X∧· if ``twisted``, X the modular vector field of
+    π for dz_1∧…∧dz_n (``oracle_modular_vector``).  Contraction with that
+    volume form sends z^α ∂_J to ±z^α dz_{J^c} and the twisted d_π to delpi
+    (Koszul, Astérisque 1985; Xu, Comm. Math. Phys. 1999), so H^k is the
+    KB homology H_k of the slice, and with X = 0 so is the untwisted H^k.
+    Reads only ``pi.terms``; each rank is ``oracle_homology_dims``'s."""
+    n, degree = pi.n, pi.degree
+    poly, modular = _superpolynomial(pi), oracle_modular_vector(pi)
+    basis = {}
+    for k in range(n + 1):
+        size = w - (degree - 1) * (n - k)
+        basis[k] = [(alpha, j_set) for alpha in product(range(size + 1), repeat=n)
+                    if sum(alpha) == size for j_set in combinations(range(1, n + 1), k)]
+    diffs = {}
+    for k in range(n):
+        index = {mono: i for i, mono in enumerate(basis[k + 1])}
+        entries: dict = {}
+        for col, mono in enumerate(basis[k]):
+            image = _schouten(poly, {mono: Fraction(1)}, n)
+            if twisted:
+                for target, c in _super_product(modular, {mono: Fraction(1)}).items():
+                    image[target] = image.get(target, Fraction(0)) - c
+            for target, c in image.items():
+                if c:
+                    entries[(index[target], col)] = c
+        diffs[k] = Matrix(len(basis[k + 1]), len(basis[k]), entries)
+    h = oracle_homology_dims(Complex({k: len(monos) for k, monos in basis.items()}, diffs))
+    return {k: h.get(k, 0) for k in range(n + 1)}
 
 
 # ----------------------------------------------------------------------------

@@ -216,6 +216,20 @@ def test_stein_mixed_degree_exits_2(tmp_path, capsys):
     assert "validation error" in capsys.readouterr().err
 
 
+def test_stein_refuses_a_non_poisson_bivector(tmp_path, capsys):
+    # z1² ∂1∧∂2 + z3² ∂1∧∂3: delpi squares to zero at weights 0..2 only,
+    # but no slice of a bivector with [pi, pi] ≠ 0 is KB homology
+    pi = write_json(tmp_path / "pi.json",
+                    [{"i": 1, "j": 2, "coeff": "1", "alpha": [2, 0, 0]},
+                     {"i": 1, "j": 3, "coeff": "1", "alpha": [0, 0, 2]}])
+    argv = ["stein", pi, "--n", "3", "--weights", "0..2", "--json", "--no-timestamp"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("kbhom: validation error: bivector not Poisson: "
+                   "Jacobiator nonzero at (i, j, k) = (1, 2, 3)\n")
+
+
 def test_stein_cap_exceeded_exits_3(tmp_path, capsys):
     pi = write_json(tmp_path / "pi.json",
                     [{"i": 1, "j": 2, "coeff": "1", "alpha": [0, 0]}])

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from kbhom.complexes import (
     Complex,
+    _complex_of,
     homology_dims,
     les_from_ses,
     spectral_pages,
@@ -46,6 +47,8 @@ from kbhom.models import (
 from kbhom.stein import (
     NotPoissonOnSlice,
     PolyBivector,
+    _KoszulTables,
+    _slice_sources,
     stein_complex,
     stein_homology,
 )
@@ -57,6 +60,8 @@ from support import (
     oracle_jacobiator,
     oracle_kernel_basis,
     oracle_les_from_ses,
+    oracle_modular_vector,
+    oracle_poisson_cohomology,
     oracle_product,
     oracle_rank,
     oracle_solve,
@@ -426,6 +431,12 @@ NOT_POISSON_LINEAR = [(1, 2, 1, (1, 0, 0)), (1, 3, 1, (0, 0, 1))]
 NOT_POISSON_QUADRATIC = [(1, 2, 1, (2, 0, 0)), (1, 3, 1, (0, 0, 2))]
 
 
+def built_slice(pi, w: int, cap: int) -> dict:
+    """The builder's differentials of the weight-w slice, past the entries'
+    refusal: the closed form of delpi holds for any bivector."""
+    return _complex_of(*_slice_sources(_KoszulTables(pi, cap), w)).diffs
+
+
 @settings(max_examples=150, deadline=None)
 @given(stein_slices(), st.sampled_from([None, 0, 1]))
 @example((PolyBivector.from_terms(3, NOT_POISSON_LINEAR), 1), None)
@@ -434,44 +445,36 @@ NOT_POISSON_QUADRATIC = [(1, 2, 1, (2, 0, 0)), (1, 3, 1, (0, 0, 2))]
 @example((PolyBivector.from_terms(3, SO3), 4), 0)
 def test_stein_slices_match_oracle_on_random_bivectors(slice_, above_tightest):
     """The closed-form builder against the composition l_pi∘del - del∘l_pi,
-    entry for entry; NotPoissonOnSlice exactly when the oracle's D² ≠ 0.
-    The cap is 40, or the tightest cap of the slice plus 0 or 1."""
+    entry for entry, on every draw, Poisson or not; ``stein_complex``
+    returns that slice exactly when [pi, pi] = 0 by the Schouten oracle,
+    and refuses the bivector otherwise.  The cap is 40, or the tightest
+    cap of the slice plus 0 or 1."""
     pi, w = slice_
     cap = 40 if above_tightest is None else tightest_cap(pi, w) + above_tightest
     assume(sum(map(len, slice_basis(pi.n, pi.degree, w, cap).values())) <= 120)
     expected = oracle_stein_differentials(pi, w, cap)
-    squares_to_zero = all(oracle_product(expected[k + 1], m).is_zero()
-                          for k, m in expected.items() if k + 1 in expected)
-    if squares_to_zero:
-        assert stein_complex(pi.n, pi, w, cap).diffs == expected
-    else:
+    assert built_slice(pi, w, cap) == expected
+    if oracle_jacobiator(pi):
         with pytest.raises(NotPoissonOnSlice):
             stein_complex(pi.n, pi, w, cap)
+    else:
+        assert stein_complex(pi.n, pi, w, cap).diffs == expected
 
 
 def test_non_poisson_outcomes_are_pinned():
-    """Non-Poisson bivectors keep the per-slice check: every slice that does
-    not square to zero raises, naming its weight, and the others count."""
-    linear = PolyBivector.from_terms(3, NOT_POISSON_LINEAR)
-    for w in range(7):
-        with pytest.raises(NotPoissonOnSlice, match=f"^bivector not Poisson at weight {w}$"):
-            stein_complex(3, linear, w, 40)
-    quadratic = PolyBivector.from_terms(3, NOT_POISSON_QUADRATIC)
-    for w, dims in ((0, {3: 1}), (1, {3: 3, 2: 3}), (2, {3: 4, 2: 5, 1: 1})):
-        table = stein_homology(3, quadratic, [w], 40)
-        assert {k: v for (_, k), v in table.items() if v} == dims
-    with pytest.raises(NotPoissonOnSlice, match="^bivector not Poisson at weight 3$"):
-        stein_complex(3, quadratic, 3, 40)
-    with pytest.raises(NotPoissonOnSlice, match="^bivector not Poisson at weight 3$"):
-        stein_homology(3, quadratic, range(7), 40)
-
-
-def _slice_or_error(pi, w: int, cap: int):
-    """The slice's differentials, or the message of its NotPoissonOnSlice."""
-    try:
-        return stein_complex(pi.n, pi, w, cap).diffs
-    except NotPoissonOnSlice as error:
-        return str(error)
+    """Both entries refuse a non-Poisson bivector at every weight, even
+    where its slice squares to zero (NOT_POISSON_QUADRATIC at weights
+    0..2, whose homology would be the KB homology of nothing), naming
+    the first triple at which the Jacobiator is nonzero."""
+    message = r"^bivector not Poisson: Jacobiator nonzero at \(i, j, k\) = \(1, 2, 3\)$"
+    for terms in (NOT_POISSON_LINEAR, NOT_POISSON_QUADRATIC):
+        pi = PolyBivector.from_terms(3, terms)
+        for w in range(7):
+            with pytest.raises(NotPoissonOnSlice, match=message):
+                stein_complex(3, pi, w, 40)
+        for weights in (range(3), range(7)):
+            with pytest.raises(NotPoissonOnSlice, match=message):
+                stein_homology(3, terms, weights, 40)
 
 
 SMALL_COEFFS = [Fraction(c) for c in (-2, -1, 1, 2)] + [Fraction(1, 2), Fraction(-3, 2)]
@@ -561,6 +564,88 @@ def test_is_poisson_reads_every_cyclic_term(a, b, c):
     (jac,) = oracle_jacobiator(pi).items()
     assert jac[0] == (1, 2, 3) and list(jac[1].items()) in ([(e(b), 1)], [(e(b), -1)])
     assert not pi.is_poisson()
+
+
+# {z1, z3} = z2 and {z2, z4} = z1 + z2: [pi, pi] ≠ 0 at (1, 3, 4) and
+# (2, 3, 4) only, so the least failing triple is neither (1, 2, 3) nor the last
+TWO_FAILURES = [(1, 3, 1, (0, 1, 0, 0)), (2, 4, 1, (1, 0, 0, 0)), (2, 4, 1, (0, 1, 0, 0))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_bivectors())
+@example(PolyBivector.from_terms(4, TWO_FAILURES))
+def test_stein_entries_refuse_exactly_the_non_poisson_bivectors(pi):
+    """Both entries refuse pi exactly when the Schouten oracle's [pi, pi] is
+    nonzero, naming its least (i, j, k), and refuse it before the weights
+    and the cap are read (a cap of -1 is not reported)."""
+    jacobiator, n = oracle_jacobiator(pi), pi.n
+    calls = (lambda cap: stein_complex(n, pi, 0, cap),
+             lambda cap: stein_homology(n, pi, range(2), cap))
+    if not jacobiator:
+        for call in calls:
+            call(8)
+        return
+    message = f"bivector not Poisson: Jacobiator nonzero at (i, j, k) = {min(jacobiator)}"
+    for call in calls:
+        for cap in (8, -1):
+            with pytest.raises(NotPoissonOnSlice) as info:
+                call(cap)
+            assert str(info.value) == message
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_bivectors())
+def test_twisted_poisson_cohomology_is_the_kb_homology(pi):
+    """Contraction with dz_1∧…∧dz_n carries d_π - X∧· on polyvectors to
+    delpi on forms, so at each weight H^k of the twisted Lichnerowicz
+    complex is the KB homology H_k, and so is H^k of the untwisted one
+    when the modular vector field X is zero.  The oracle shares no
+    formula with delpi.  Slices with more than 150 basis elements are
+    left out: dense Bareiss takes seconds on them."""
+    assume(not oracle_jacobiator(pi))
+    n, cap, unimodular = pi.n, 12, not oracle_modular_vector(pi)
+    weights = range(-2 if pi.degree == 0 else 0, 4)
+    table = stein_homology(n, pi, weights, cap)
+    for w in weights:
+        if sum(map(len, slice_basis(n, pi.degree, w, cap).values())) > 150:
+            continue
+        kb = {k: table[(w, k)] for k in range(n + 1)}
+        assert oracle_poisson_cohomology(pi, w) == kb, w
+        if unimodular:
+            assert oracle_poisson_cohomology(pi, w, twisted=False) == kb, w
+
+
+AFF1 = [(1, 2, 1, (0, 1))]  # {z1, z2} = z2, X = -∂/∂z1
+# {z_a, z_b} = ∂F/∂z_c, (a, b, c) cyclic, F = z1³ + z2³ + z3³
+FERMAT = [(1, 2, 3, (0, 0, 2)), (2, 3, 3, (2, 0, 0)), (3, 1, 3, (0, 2, 0))]
+
+
+def test_poisson_cohomology_of_aff1_needs_the_twist():
+    """aff(1)* is not unimodular: only the twisted complex is the KB
+    homology, 0, 1, 1 at every weight; the untwisted one is 1, 1, 0 at
+    weight 0 and zero after."""
+    aff = PolyBivector.from_terms(2, AFF1)
+    table = stein_homology(2, aff, range(8), 40)
+    for w in range(8):
+        kb = {k: table[(w, k)] for k in range(3)}
+        assert kb == oracle_poisson_cohomology(aff, w) == {0: 0, 1: 1, 2: 1}, w
+        assert oracle_poisson_cohomology(aff, w, twisted=False) == \
+            ({0: 1, 1: 1, 2: 0} if w == 0 else {0: 0, 1: 0, 2: 0}), w
+
+
+def test_poisson_cohomology_of_the_fermat_cubic():
+    """A Jacobian structure is unimodular, so both complexes give the KB
+    homology.  H_3 repeats 3, 3, 2 from weight 1 on, and the Casimirs
+    1, F, F² (the z^α dz_1∧dz_2∧dz_3 of weight |α| + 3) put H_0 = 1
+    exactly at weights 3, 6 and 9."""
+    fermat = PolyBivector.from_terms(3, FERMAT)
+    table = stein_homology(3, fermat, range(10), 40)
+    assert [table[(w, 3)] for w in range(10)] == [1, 3, 3, 2, 3, 3, 2, 3, 3, 2]
+    assert [table[(w, 0)] for w in range(10)] == [0, 0, 0, 1, 0, 0, 1, 0, 0, 1]
+    for w in range(10):
+        kb = {k: table[(w, k)] for k in range(4)}
+        assert oracle_poisson_cohomology(fermat, w) == kb, w
+        assert oracle_poisson_cohomology(fermat, w, twisted=False) == kb, w
 
 
 def assert_pages_match(dc, r_max):
@@ -741,19 +826,17 @@ def test_validate_model_matches_fraction_product_oracle(seed, kind):
 @settings(max_examples=60, deadline=None)
 @given(small_bivectors())
 def test_shared_tables_match_fresh_slices_at_every_cap(pi):
-    """``stein_homology`` shares one set of tables and of monomial keys
-    across its weights: each weight must come out as a fresh
-    ``stein_complex`` gives it.  A slice built at its tightest cap and at
-    cap 12 (keys in radix tightest + 1 and 13) has the same differentials,
-    or fails the same way."""
+    """A slice built at its tightest cap and at cap 12 (keys in radix
+    tightest + 1 and 13) has the same differentials, Poisson or not.
+    ``stein_homology`` shares one set of tables and of monomial keys
+    across its weights: for a Poisson bivector each weight must come out
+    as a fresh ``stein_complex`` gives it, and any other is refused."""
     n, cap = pi.n, 12
     weights = range(-2 if pi.degree == 0 else 0, 5)
-    fresh = {w: _slice_or_error(pi, w, cap) for w in weights}
     for w in weights:
-        assert _slice_or_error(pi, w, tightest_cap(pi, w)) == fresh[w], w
-    failing = [out for out in fresh.values() if isinstance(out, str)]
-    if failing:
-        with pytest.raises(NotPoissonOnSlice, match=f"^{failing[0]}$"):
+        assert built_slice(pi, w, tightest_cap(pi, w)) == built_slice(pi, w, cap), w
+    if oracle_jacobiator(pi):
+        with pytest.raises(NotPoissonOnSlice, match="^bivector not Poisson: "):
             stein_homology(n, pi, weights, cap)
         return
     expected = {}

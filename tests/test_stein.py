@@ -3,14 +3,15 @@ from fractions import Fraction
 import pytest
 
 from kbhom import complexes, linalg
-from kbhom.complexes import Complex, homology_dims
+from kbhom.complexes import Complex, _complex_of, homology_dims
 from kbhom.stein import (
     NonHomogeneousBivector,
+    NotPoissonOnSlice,
     PolyBivector,
     SliceCapError,
     _compositions,
     _KoszulTables,
-    _slice_complex,
+    _slice_sources,
     stein_complex,
     stein_homology,
 )
@@ -230,10 +231,11 @@ def test_stein_arguments_are_strictly_typed(call, error, message):
 
 
 def test_only_non_poisson_slices_are_squared(monkeypatch):
-    """A Poisson bivector's slices are reduced as they are built, with no
-    ``Complex`` and no ``Matrix`` (so no D² check, which [pi, pi] = 0
-    proves); the slices of any other bivector are built and checked."""
-    squared, built, matrices = [], [], []
+    """No slice is squared: ``stein_homology`` reduces a Poisson bivector's
+    slices as they are built, with no ``Complex`` and no ``Matrix`` (so no
+    D² check, which [pi, pi] = 0 proves), and refuses any other bivector
+    before a single per-I table of ``_KoszulTables`` is built."""
+    squared, built, matrices, entries = [], [], [], []
     monkeypatch.setattr(Complex, "validate", lambda c: squared.append(c.spaces))
     complex_init = Complex.__init__
     monkeypatch.setattr(Complex, "__init__",
@@ -241,13 +243,18 @@ def test_only_non_poisson_slices_are_squared(monkeypatch):
     from_columns = complexes._from_columns
     monkeypatch.setattr(complexes, "_from_columns",
                         lambda *args: matrices.append(1) or from_columns(*args))
+    build = _KoszulTables._build
+    monkeypatch.setattr(_KoszulTables, "_build",
+                        lambda tables, i_set: entries.append(i_set) or build(tables, i_set))
     assert PolyBivector.from_terms(3, SO3).is_poisson()
     assert stein_homology(3, SO3, range(4), 40) == stein_homology(3, SO3, range(4), 40)
-    assert squared == built == matrices == []
+    assert entries
+    entries.clear()
     not_poisson = [(1, 2, 1, (2, 0, 0)), (1, 3, 1, (0, 0, 2))]
     assert not PolyBivector.from_terms(3, not_poisson).is_poisson()
-    stein_homology(3, not_poisson, range(3), 40)
-    assert len(squared) == len(built) == 3 and matrices
+    with pytest.raises(NotPoissonOnSlice):
+        stein_homology(3, not_poisson, range(3), 40)
+    assert squared == built == matrices == entries == []
 
 
 def test_stein_homology_eliminates_only_the_uncleared_columns(monkeypatch):
@@ -278,12 +285,13 @@ def test_corrupted_tables_cannot_leave_the_slice():
         tables = _KoszulTables(so3, 40)
         tables.terms[(1, 2)] = poly
         with pytest.raises(AssertionError, match=rf"shifts the weight by {shift} or can take"):
-            _slice_complex(tables, 5)
+            _complex_of(*_slice_sources(tables, 5))
     tables = _KoszulTables(so3, 40)
     shifted, fixed = tables[(1, 2)]
     (g, [(offset, c), *rest]), *others = shifted
     up = tables.key((1, 0, 0), ())  # one more z_1: the target's weight is 6
     tables._tables[(1, 2)] = ([(g, [(offset + up, c), *rest]), *others], fixed)
     with pytest.raises(AssertionError, match=r"^delpi left the weight-5 slice from \("):
-        _slice_complex(tables, 5)
-    assert _slice_complex(_KoszulTables(so3, 40), 5).diffs == stein_complex(3, so3, 5, 40).diffs
+        _complex_of(*_slice_sources(tables, 5))
+    fresh = _complex_of(*_slice_sources(_KoszulTables(so3, 40), 5))
+    assert fresh.diffs == stein_complex(3, so3, 5, 40).diffs
