@@ -1,4 +1,4 @@
-"""Thirteen measurements outside the perfbench ladder, for one checkout of kbhom.
+"""Fourteen measurements outside the perfbench ladder, for one checkout of kbhom.
 
 * heis8: ``parallelizable(8, {(1,2,3): 1}, {(1,2): 1})`` built and
   validated, then ``kb_homology``; the best of ``REPS`` runs (wall time).
@@ -34,6 +34,11 @@
   (wall time).
 * so(3)* weights 0..40: ``stein_homology`` of the same bivector over
   weights 0..40 with cap 40; the best of ``REPS`` runs (wall time).
+* heis4 ⊃ torus4 LES: ``les_from_ses`` of 0 -> A -> B -> C -> 0, A and C
+  the KB total complexes of heis4 and of ``torus(4, {(1, 2): 1})`` (zero
+  differential), B = A ⊕ C twisted by h: C^k -> Z^{k+1}(A), dense ±1
+  (``random.Random(0)``) on the kernel basis of d_A^{k+1}, so the
+  connecting maps are not zero; the best of ``REPS`` runs (wall time).
 
 Each measurement runs in a fresh interpreter, one after the other, so
 none of them depends on what ran before it in the same process (the heap
@@ -48,6 +53,7 @@ checkout, or point it at another one:
 import argparse
 import gc
 import json
+import random
 import subprocess
 import sys
 import time
@@ -57,7 +63,7 @@ from pathlib import Path
 REPS = 3
 CASES = ("heis8", "heis8-validate", "heis6-spectral", "heis7-spectral", "heis7-total",
          "heis6-memory", "heis6-kb-memory", "heis5-json", "heis6-json", "heis5-read", "so3-w60",
-         "so3-w60-homology", "so3-w0-40")
+         "so3-w60-homology", "so3-w0-40", "les-heis4")
 
 
 def best_of(build, measure) -> tuple:
@@ -79,11 +85,13 @@ def best_of(build, measure) -> tuple:
 
 def run_case(case: str) -> None:
     """Runs one measurement of ``CASES`` and prints its line."""
-    from kbhom.complexes import homology_dims, spectral_pages, total_complex
+    from kbhom.complexes import (ChainMap, Complex, homology_dims, les_from_ses,
+                                 spectral_pages, total_complex)
     from kbhom.engine import kb_double_complex, kb_homology
+    from kbhom.linalg import Matrix, kernel_basis
     from kbhom.models import DolbeaultPoissonModel, validate_model
     from kbhom.stein import stein_complex, stein_homology
-    from kbhom.zoo import load_model, model_to_json, parallelizable
+    from kbhom.zoo import load_model, model_to_json, parallelizable, torus
 
     def heis(n):
         return parallelizable(n, {(1, 2, 3): 1}, {(1, 2): 1})
@@ -159,9 +167,31 @@ def run_case(case: str) -> None:
     elif case == "so3-w60-homology":
         best = best_of(lambda: None, lambda _: stein_homology(3, so3, [60], cap=60))
         print(f"so(3)* weight 60 stein_homology: {best[0]:.3f} s best of {REPS}")
-    else:
+    elif case == "so3-w0-40":
         best = best_of(lambda: None, lambda _: stein_homology(3, so3, range(41), cap=40))
         print(f"so(3)* weights 0..40 stein_homology: {best[0]:.3f} s best of {REPS}")
+    else:
+        a = total_complex(kb_double_complex(heis(4)))
+        c = total_complex(kb_double_complex(torus(4, {(1, 2): 1})))
+        rng, spaces, diffs = random.Random(0), {}, {}
+        for k in sorted(set(a.spaces) | set(c.spaces)):
+            entries = dict(a.d(k).entries)
+            cycles = kernel_basis(a.d(k + 1)).basis
+            if cycles.cols and c.dim(k):
+                h = cycles * Matrix(cycles.cols, c.dim(k), {(i, j): rng.choice((-1, 1))
+                                                            for i in range(cycles.cols)
+                                                            for j in range(c.dim(k))})
+                entries.update({(i, a.dim(k) + j): v for (i, j), v in h.entries.items()})
+            spaces[k] = a.dim(k) + c.dim(k)
+            diffs[k] = Matrix(a.dim(k + 1) + c.dim(k + 1), spaces[k], entries)
+        b = Complex(spaces, diffs)
+        f = ChainMap(a, b, {k: Matrix(b.dim(k), a.dim(k), {(i, i): 1 for i in range(a.dim(k))})
+                            for k in a.spaces})
+        g = ChainMap(b, c, {k: Matrix(c.dim(k), b.dim(k), {(i, a.dim(k) + i): 1
+                                                           for i in range(c.dim(k))})
+                            for k in c.spaces})
+        best = best_of(lambda: None, lambda _: les_from_ses(f, g))
+        print(f"heis4 ⊃ torus4 les_from_ses: {best[0]:.4f} s best of {REPS}")
 
 
 def main() -> int:

@@ -26,13 +26,12 @@ from types import MappingProxyType
 
 from .linalg import (
     Matrix,
+    Reduction,
     _from_columns,
     _integer,
     _is_int,
     _owners,
     _reduce,
-    _select_columns,
-    _select_rows,
     _stored_columns,
     _sum_of_products,
     rank,
@@ -567,24 +566,46 @@ class LongExactSequence:
 
 
 def _homology_bases(x: Complex, degrees) -> dict:
-    """Per degree k of the contiguous range ``degrees``: ``(classes, at,
-    reps)``.  One tracked reduction of d^k gives the cycles Z_k (its
-    kernel) and the boundaries B_{k+1} (its pivot columns); ``classes``
-    reduces [B_k | Z_k].  B_k is independent, so the pivot columns there
-    are B_k and the representatives ``reps``, the columns of Z_k completing
-    B_k to a basis of Z_k; ``at`` lists their columns in [B_k | Z_k].
+    """Per degree k of the contiguous range ``degrees``: ``(classes, reps)``,
+    the representatives of H^k as the columns of ``reps``, and ``classes``,
+    an echelon basis of the cycles Z^k as a ``Reduction`` whose ``solve``
+    gives the class coordinates of cycles (``_class_coords``).  Each d^k is
+    reduced once, tracked, and the classes are read off its pivots.
+
+    For each dependent column j of d^k, z_j = combo[j] is a cycle whose
+    last nonzero row is j (it is supported on j and the pivot columns
+    before it); the z_j are a basis of Z^k.  A reduced pivot column of
+    d^{k-1} is a boundary that ends at its pivot row i, so i is dependent
+    in d^k (the clearing lemma of ``_cleared_owners``).  Let P be those
+    pivot rows.  The reduced pivot columns of d^{k-1} and the z_j at the
+    dependent j not in P have distinct last rows, so they are independent,
+    and there are rank d^{k-1} + (dim Z^k - rank d^{k-1}) = dim Z^k of
+    them: an echelon basis of Z^k whose first part spans B^k.  So the z_j,
+    j not in P, complete B^k to a basis of Z^k, and they are the columns of
+    [z_j] that a left-to-right reduction of [B^k | z] leaves as pivots: for
+    j in P, the boundary b ending at row j, written in the z basis, has z_j
+    last, so z_j lies in the span of b and the z before it, and the
+    dim Z^k - dim B^k pivots left are the z_j, j not in P.
+
+    A cycle v reduces to zero against the echelon basis, v = Σ β·b + Σ
+    α_j·z_j, and its coordinates α_j on the representatives are unique, the
+    basis being one; a vector that is not a cycle ends on an unowned pivot.
+    So the echelon, keyed by last row, has empty combinations at the
+    boundaries and {n: combo[j][j]} at the n-th representative, combo[j][j]
+    times the n-th column of ``reps``.
     """
     out = {}
-    boundaries = Matrix(x.dim(degrees[0]), 0)  # d^k = 0 below the range
+    boundaries: dict = {}  # pivot row: reduced column of d^{k-1}, none below the range
     for k in degrees:
-        d = x.d(k)
-        red = _reduce(d)
-        cycles = red.kernel().basis
-        classes = _reduce(Matrix.hstack(boundaries, cycles))
-        nb = boundaries.cols
-        at = sorted(p for p in classes.owner.values() if p >= nb)
-        out[k] = (classes, at, _select_columns(cycles, [p - nb for p in at]))
-        boundaries = _select_columns(d, sorted(red.owner.values()))
+        red = _reduce(x.d(k))
+        reps = [j for j, col in enumerate(red.reduced) if not col and j not in boundaries]
+        echelon, coords = dict(boundaries), dict.fromkeys(boundaries, {})
+        for n, j in enumerate(reps):
+            echelon[j], coords[j] = red.combo[j], {n: red.combo[j][j]}
+        out[k] = (Reduction(x.dim(k), len(reps), dict(zip(echelon, echelon)), echelon, coords),
+                  _from_columns(x.dim(k), len(reps), ((n, dict(red.combo[j]), red.combo[j][j])
+                                                      for n, j in enumerate(reps))))
+        boundaries = {i: red.reduced[j] for i, j in red.owner.items()}
     return out
 
 
@@ -599,13 +620,14 @@ def _solved(red, rhs: Matrix, failure: str) -> Matrix:
 
 def _class_coords(bases, vectors: Matrix) -> Matrix:
     """Coordinates of the homology classes of the cycles in the columns of
-    vectors, in the representatives of ``bases`` (from ``_homology_bases``).
-    The solution against [B_k | Z_k] is supported on its pivot columns, B_k
-    and the representatives, so it is the one against [B_k | reps]."""
-    classes, at, _ = bases
-    if not at:
+    vectors, on the representatives of ``bases`` (``_homology_bases``):
+    each cycle is reduced against the echelon basis of the cycles, and the
+    combination tracked along, on the representatives only, is its
+    coordinates."""
+    classes, reps = bases
+    if not reps.cols:
         return Matrix(0, vectors.cols)
-    return _select_rows(_solved(classes, vectors, "vector is not a cycle modulo boundaries"), at)
+    return _solved(classes, vectors, "vector is not a cycle modulo boundaries")
 
 
 def les_from_ses(f: ChainMap, g: ChainMap) -> LongExactSequence:
@@ -614,9 +636,11 @@ def les_from_ses(f: ChainMap, g: ChainMap) -> LongExactSequence:
     The input maps are verified to form a degreewise short exact sequence
     of complexes; the connecting homomorphism is realized by lifting
     through g, applying d, and pulling back through f (the snake lemma).
-    Each matrix is reduced once: d^k gives cycles and boundaries,
-    [B_k | Z_k] the representatives and every class coordinate, and f^k
-    and g^k the injectivity and surjectivity checks, lifts and pull-backs.
+    Each matrix is reduced once: d^k gives the representatives and, with
+    the reduced pivot columns of d^{k-1}, an echelon basis of the cycles
+    against which every class coordinate is read (``_homology_bases``),
+    and f^k and g^k the injectivity and surjectivity checks, lifts and
+    pull-backs.
     """
     a, b, c = f.source, f.target, g.target
     if g.source != b:
@@ -641,11 +665,11 @@ def les_from_ses(f: ChainMap, g: ChainMap) -> LongExactSequence:
     entries = []
     maps = []
     for k in degrees:
-        entries += [(f"H^{k}({name})", h[name][k][2].cols) for name in "ABC"]
-        maps.append(_class_coords(h["B"][k], f.at(k) * h["A"][k][2]))
-        maps.append(_class_coords(h["C"][k], g.at(k) * h["B"][k][2]))
+        entries += [(f"H^{k}({name})", h[name][k][1].cols) for name in "ABC"]
+        maps.append(_class_coords(h["B"][k], f.at(k) * h["A"][k][1]))
+        maps.append(_class_coords(h["C"][k], g.at(k) * h["B"][k][1]))
         if k < degrees[-1]:
-            lifts = _solved(g_red[k], h["C"][k][2], "g is surjective but lift failed")
+            lifts = _solved(g_red[k], h["C"][k][1], "g is surjective but lift failed")
             back = _solved(f_red[k + 1], b.d(k) * lifts, "snake image missed the subcomplex")
             maps.append(_class_coords(h["A"][k + 1], back))
     les = LongExactSequence(entries=entries, maps=maps)

@@ -7,7 +7,11 @@ Builders emit such dicts, which ``_from_columns`` stores as they are in
 this canonical form and nothing mutates afterwards, and ``Fraction``
 appears only at the public edges.  Everything downstream reduces to
 ``_eliminate`` on copies of the stored columns: rank only over a column
-stream (``_owners``), or tracked (``_reduce``), for kernels and solve;
+stream (``_owners``), or tracked (``_reduce``), for kernels and solve
+(``Reduction.solve``, which also reads homology classes off an echelon
+basis of the cycles, ``complexes._homology_bases``), a column being
+divided by its content only after a step that scaled it (the unit-step
+lemma, in ``_eliminate``);
 products and the sums of products that check a model's identities
 (``_sum_of_products``) combine integer columns.  There is no floating
 point and no modular arithmetic anywhere, and identical inputs give
@@ -314,17 +318,31 @@ def _divide_content(col: dict, g: int) -> None:
             col[i] //= g
 
 
-def _eliminate(col: dict, comb, owner: dict, reduced: list, combo) -> int | None:
+def _eliminate(col: dict, comb, owner: dict, reduced, combo) -> int | None:
     """Reduce one integer column in place against the owned pivots.
 
-    The pivot of a column is its last nonzero row; while an earlier
-    reduced column owns that pivot, the column is replaced by
-    ``a*col - b*owner``, with ``a``, ``b`` the two pivot entries divided
-    by their gcd, and then divided by its content.  With a combination
-    ``comb`` (a dict), the same steps are applied to it with the owners'
-    combinations ``combo[k]``, and content is divided out of column and
-    combination together.  Returns the unowned pivot the column ends on,
-    or None when it reduces to zero.
+    The pivot of a column is its last nonzero row; while a reduced column
+    ``own = reduced[k]``, k = ``owner[pivot]``, owns that pivot, the column
+    is replaced by ``a*col - b*own``, a and b the pivot entries of own and
+    col divided by their gcd taken with the sign of own's, so a > 0.  With
+    a combination ``comb`` (a dict), the same step is applied to it with
+    the owner's combination ``combo[k]``.  Only after a step with a > 1 is
+    the column (with comb) divided by its content.  Returns the unowned
+    pivot the column ends on, or None when it reduces to zero.
+
+    A unit step, a = 1, needs no division.  Say col = s·v, v the column
+    that elimination over Q has reached and s a nonzero scale, and own =
+    σ·w, w the rational owner.  Then b = q/p and col - b·own = s·(v -
+    (v_piv/w_piv)·w) = s·v', the next rational column at the same scale.  A
+    step with a > 1 multiplies the scale by a, and the division divides it
+    by the content.  So each column stays a nonzero multiple of its
+    rational counterpart, with the same pivots, and comb the same multiple
+    of its rational combination; by the scale lemma of ``_owners`` no
+    owner, rank, kernel, solve or persistence pair depends on when content
+    is divided, and ``_from_columns`` puts every stored result in lowest
+    terms.  A unit step may leave content behind (column (1, 2) against
+    (3, 1) ends as (-5, 0)): that is s times the rational column, not
+    growth, and the next step with a > 1 divides it out.
     """
     while col:
         piv = max(col)
@@ -333,27 +351,33 @@ def _eliminate(col: dict, comb, owner: dict, reduced: list, combo) -> int | None
             return piv
         own = reduced[k]
         p, q = own[piv], col[piv]
-        g = gcd(p, q)
+        g = gcd(p, q) if p > 0 else -gcd(p, q)
         a, b = p // g, q // g
         _combine(col, a, b, own)
         if comb is not None:
             _combine(comb, a, b, combo[k])
-            g = gcd(*col.values(), *comb.values())
-            _divide_content(comb, g)
-        else:
-            g = gcd(*col.values())
-        _divide_content(col, g)
+        if a != 1:
+            if comb is not None:
+                g = gcd(*col.values(), *comb.values())
+                _divide_content(comb, g)
+            else:
+                g = gcd(*col.values())
+            _divide_content(col, g)
     return None
 
 
 class Reduction(NamedTuple):
-    """What ``_reduce`` returns for a ``rows``×``cols`` matrix.  ``owner``
+    """What ``_reduce`` returns for a ``rows``×``cols`` matrix m.  ``owner``
     maps each pivot row to the column owning it (the pivot columns);
     ``reduced[j]`` is column j after reduction as a sparse ``{row: int}``
     dict, empty iff column j depends on the columns before it.  ``combo[j]``
-    writes ``reduced[j]`` as ``{original column: int coefficient}``,
-    supported on j and pivot columns only, so a dependent column's
-    combination is unique up to scale; ``kernel`` and ``solve`` need it."""
+    writes ``reduced[j]`` as ``{column of m: int coefficient}``, supported
+    on j and pivot columns only, so a dependent column's combination is
+    unique up to scale; ``kernel`` and ``solve`` need it.  ``solve`` reads
+    ``owner``, ``reduced`` and ``combo`` by key only, so it also takes an
+    echelon keyed by last row whose combinations write each vector in other
+    coordinates (``complexes._homology_bases``: class coordinates, with the
+    boundaries written as zero)."""
 
     rows: int
     cols: int
@@ -375,7 +399,8 @@ class Reduction(NamedTuple):
         """``(x, missing)``: column j of x solves m*x = rhs[:, j] on the
         pivot columns, or is zero for the j in the set ``missing`` that have
         no solution.  Each column is reduced against the pivot owners only,
-        so none becomes an owner and the reduction can be solved again.
+        so none becomes an owner and the reduction can be solved again; its
+        combination, tracked step by step as in ``_reduce``, is x.
         ValueError unless rhs has the reduced matrix's row count."""
         if rhs.rows != self.rows:
             raise ValueError(f"right-hand side has {rhs.rows} rows, not {self.rows}")
@@ -433,22 +458,6 @@ def _reduce(m: Matrix) -> Reduction:
             owner[piv] = j
         combo.append(comb)
     return Reduction(m.rows, m.cols, owner, reduced, combo)
-
-
-def _select_columns(m: Matrix, cols) -> Matrix:
-    """The columns of m listed in cols, in that order."""
-    new = {j: n for n, j in enumerate(cols)}
-    return Matrix._of(m.rows, len(new),
-                      {new[j]: col for j, col in m._lines.items() if j in new},
-                      {new[j]: d for j, d in m._dens.items() if j in new})
-
-
-def _select_rows(m: Matrix, rows) -> Matrix:
-    """The rows of m listed in rows, in that order."""
-    new = {i: n for n, i in enumerate(rows)}
-    return _from_columns(len(new), m.cols,
-                         ((j, {new[i]: v for i, v in col.items() if i in new}, d)
-                          for j, col, d in m._columns()))
 
 
 def rank(m: Matrix) -> int:

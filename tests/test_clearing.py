@@ -25,6 +25,7 @@ from kbhom.complexes import (
     Complex,
     _cleared_owners,
     _homology,
+    _homology_bases,
     _total_sources,
     homology_dims,
     spectral_pages,
@@ -41,9 +42,12 @@ from support import (
     elementary_complex,
     oracle_homology_dims,
     oracle_pivot_rows,
+    oracle_product,
+    oracle_rank,
     oracle_spectral_pages,
     oracle_stein_differentials,
     oracle_total_complex,
+    random_split_ses,
     rescaled,
 )
 
@@ -113,6 +117,28 @@ def assert_clearing_is_exact(c: Complex) -> int:
     return cleared
 
 
+
+def assert_classes_read_off_the_pivots(c: Complex) -> None:
+    """The lemma behind ``_homology_bases``: per degree k, the reduced
+    pivot columns of d^{k-1} (the echelon columns with no class
+    coordinates) and the representatives end at distinct rows, each column
+    at its key; there are dim Z^k of them, all cycles, rank d^{k-1} of them
+    boundaries, and as many representatives as the oracle's dim H^k."""
+    if not c.spaces:
+        return
+    homology = oracle_homology_dims(c)
+    degrees = c.degrees()
+    for k, (classes, reps) in _homology_bases(c, range(degrees[0], degrees[-1] + 1)).items():
+        rows = sorted(classes.owner)
+        assert all(classes.owner[i] == i == max(classes.reduced[i]) for i in rows), k
+        echelon = Matrix(c.dim(k), len(rows), {(i, n): v for n, row in enumerate(rows)
+                                               for i, v in classes.reduced[row].items()})
+        assert len(rows) == c.dim(k) - oracle_rank(c.d(k)) == oracle_rank(echelon), k
+        assert oracle_product(c.d(k), echelon).is_zero()
+        assert sum(not classes.combo[i] for i in rows) == oracle_rank(c.d(k - 1)), k
+        assert reps.cols == classes.cols == homology.get(k, 0), k
+        assert oracle_product(c.d(k), reps).is_zero()
+
 @st.composite
 def elementary_complexes(draw, length=5, count=3):
     """``(c, homology)``: a sum of lone Q's and Q -> Q in random bases
@@ -133,6 +159,16 @@ def test_homology_of_elementary_complexes_is_known(case):
     c, homology = case
     assert homology_dims(c) == homology == oracle_homology_dims(c)
     assert_clearing_is_exact(c)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), elementary_complexes())
+def test_homology_classes_are_read_off_the_pivots(seed, case):
+    """On the three complexes of a random split sequence and on an
+    elementary complex (pivots anywhere, homology known)."""
+    f, g = random_split_ses(random.Random(seed), -1, 2)
+    for c in (f.source, f.target, g.target, case[0]):
+        assert_classes_read_off_the_pivots(c)
 
 
 @settings(max_examples=30, deadline=None)

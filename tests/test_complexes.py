@@ -460,11 +460,12 @@ def counting(monkeypatch, module, name):
 
 
 def test_les_reduces_a_bounded_number_of_matrices_per_degree(monkeypatch):
-    """Per degree: one tracked reduction of each differential and of each
-    [B_k | Z_k] in A, B and C, one of f^k and one of g^k, and 3 ranks in
-    check_exact, however many homology classes the degree has (130 in all
-    here); every _reduce and _owners call is counted, including the ones
-    complexes makes itself."""
+    """Per degree: one tracked reduction of each differential in A, B and
+    C, one of f^k and one of g^k, and 3 ranks in check_exact, however many
+    homology classes the degree has (130 in all here); every _reduce and
+    _owners call is counted, including the ones complexes makes itself.
+    The classes are read off the reductions of the differentials, so no
+    [B_k | Z_k] is stacked."""
     heis3 = parallelizable(3, {(1, 2, 3): 1}, {(1, 2): 1})
     a = total_complex(kb_double_complex(heis3))
     c = total_complex(kb_double_complex(torus(3, {(1, 2): 1})))
@@ -472,11 +473,13 @@ def test_les_reduces_a_bounded_number_of_matrices_per_degree(monkeypatch):
     calls = counting(monkeypatch, linalg, "_reduce")
     monkeypatch.setattr(complexes, "_reduce", linalg._reduce)
     ranks = counting(monkeypatch, linalg, "_owners")
+    stacked = counting(monkeypatch, Matrix, "hstack")
     les = les_from_ses(f, g)
     degrees = {int(label[2:label.index("(")]) for label, _ in les.entries}
     assert sum(dim for _, dim in les.entries) == 130
     assert len(degrees) == 7
-    assert ranks and len(calls) + len(ranks) <= 11 * len(degrees) + 2
+    assert ranks and len(calls) + len(ranks) <= 8 * len(degrees) + 2
+    assert stacked == []
 
 
 def test_kb_homology_and_pages_build_no_matrix(monkeypatch):

@@ -31,8 +31,6 @@ from kbhom.linalg import (
     _from_columns,
     _owners,
     _reduce,
-    _select_columns,
-    _select_rows,
     _stored_columns,
     _sum_of_products,
     kernel_basis,
@@ -194,6 +192,37 @@ def test_coefficient_growth_matches_oracle(data):
         oracle_solve(m, b) for b in (consistent, arbitrary)]
 
 
+
+def test_unit_step_leaves_content_behind():
+    """Columns (3, 1) and (1, 2): the owner's pivot entry 1 divides 2, so
+    the step is col - 2·own = (-5, 0), and its content 5 is left there, the
+    rational elimination's column times the same scale.  Rank, kernel and
+    solve still equal the oracles', here and with a third, dependent,
+    column (4, 3) reduced against it."""
+    m = Matrix.from_rows([[3, 1], [1, 2]])
+    red = _reduce(m)
+    assert red.reduced == [{0: 3, 1: 1}, {0: -5}]
+    assert red.combo == [{0: 1}, {1: 1, 0: -2}]
+    for m in (m, Matrix.from_rows([[3, 1, 4], [1, 2, 3]])):
+        assert rank(m) == oracle_rank(m) == 2
+        assert kernel_basis(m).basis == oracle_kernel_basis(m).basis
+        columns = [[1, 0], [0, 1], [7, -3], [0, 0]]
+        assert reduction_solve(m, columns) == [oracle_solve(m, col) for col in columns]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(deficient_matrices(), growth_matrices()))
+def test_reduced_columns_are_m_times_their_combinations(m):
+    """Each column's scalars, composed once it ends, give its combination:
+    reduced[j] = m·combo[j] exactly, combo[j] ending at j with a positive
+    entry there (what ``kernel`` divides by)."""
+    red = _reduce(m)
+    assert len(red.reduced) == len(red.combo) == m.cols
+    for j, (col, comb) in enumerate(zip(red.reduced, red.combo)):
+        product = oracle_product(m, Matrix(m.cols, 1, {(i, 0): v for i, v in comb.items()}))
+        assert product == Matrix(m.rows, 1, {(i, 0): v for i, v in col.items()})
+        assert max(comb) == j and comb[j] > 0
+
 @st.composite
 def mixed_matrices(draw, rows, cols):
     """Each row and each column is integral or not; an entry may have a
@@ -341,27 +370,23 @@ def fingerprints(*mats) -> list:
 @given(st.data())
 def test_matrix_operations_leave_their_inputs_unchanged(data):
     """Matrices share their stored column dicts (``_from_columns`` stores a
-    builder's dict as it is, ``_select_columns`` reuses them), so nothing
-    may change a stored dict: every input reads the same afterwards."""
+    builder's dict as it is), so nothing may change a stored dict: every
+    input reads the same afterwards."""
     rows, cols, width = (data.draw(st.integers(0, 5)) for _ in range(3))
     a, b = (Matrix(*data.draw(fraction_entries(rows, cols))) for _ in range(2))
     c = Matrix(*data.draw(fraction_entries(cols, width)))
     rhs = Matrix(*data.draw(fraction_entries(rows, width)))
-    picked = data.draw(st.permutations(range(cols)))
-    twice = Matrix.hstack(a, _select_columns(a, picked))
+    twice = Matrix.hstack(a, a)
     inputs = (a, b, c, rhs, twice)
     before = fingerprints(*inputs)
     a + b, a - b, -a, Fraction(-3, 2) * a, a * c, Matrix.hstack(a, b, a)
-    sub = _select_columns(a, picked)
-    _select_rows(a, data.draw(st.permutations(range(rows))))
-    rank(a), rank(sub), _reduce(sub)
+    rank(a), rank(twice), _reduce(twice)
     red = _reduce(a)
     first = red.kernel(), red.solve(rhs)
     assert (red.kernel().basis, red.solve(rhs)) == (first[0].basis, first[1])
-    # the picked copy of each column depends on the columns before it
+    # the second copy of each column depends on the columns before it
     assert len(_owners(_stored_columns(twice, range(cols, 2 * cols)))) == rank(a)
     assert fingerprints(*inputs) == before
-    assert fingerprints(sub) == fingerprints(_select_columns(a, picked))
 
 
 @settings(max_examples=40, deadline=None)
@@ -371,11 +396,15 @@ def test_complex_operations_leave_their_differentials_unchanged(seed):
     dc = random_double_complex(rng)
     t = total_complex(dc)
     f, g = random_split_ses(rng)
+    # a twisted sequence has nonzero connecting maps, whose class
+    # coordinates read the reduced columns of d^{k-1} that the echelon borrows
+    tf, tg = twisted_ses(rng, random_complex(rng, 0, 2),
+                         Complex({k: rng.randint(0, 3) for k in range(3)}))
     maps = [*dc.d1.values(), *dc.d2.values(), *t.diffs.values()]
-    maps += [m for h in (f, g) for m in (*h.blocks.values(), *h.source.diffs.values(),
-                                         *h.target.diffs.values())]
+    maps += [m for h in (f, g, tf, tg) for m in (*h.blocks.values(), *h.source.diffs.values(),
+                                                 *h.target.diffs.values())]
     before = fingerprints(*maps)
-    homology_dims(t), spectral_pages(dc, 2), les_from_ses(f, g)
+    homology_dims(t), spectral_pages(dc, 2), les_from_ses(f, g), les_from_ses(tf, tg)
     assert fingerprints(*maps) == before
 
 
