@@ -117,7 +117,6 @@ def assert_clearing_is_exact(c: Complex) -> int:
     return cleared
 
 
-
 def assert_classes_read_off_the_pivots(c: Complex) -> None:
     """The lemma behind ``_homology_bases``: per degree k, the reduced
     pivot columns of d^{k-1} (the echelon columns with no class
@@ -138,6 +137,7 @@ def assert_classes_read_off_the_pivots(c: Complex) -> None:
         assert sum(not classes.combo[i] for i in rows) == oracle_rank(c.d(k - 1)), k
         assert reps.cols == classes.cols == homology.get(k, 0), k
         assert oracle_product(c.d(k), reps).is_zero()
+
 
 @st.composite
 def elementary_complexes(draw, length=5, count=3):
