@@ -572,7 +572,7 @@ def _homology_bases(x: Complex, degrees) -> dict:
     gives the class coordinates of cycles (``_class_coords``).  Each d^k is
     reduced once, tracked, and the classes are read off its pivots.
 
-    For each dependent column j of d^k, z_j = combo[j] is a cycle whose
+    For each dependent column j of d^k, z_j = free[j] is a cycle whose
     last nonzero row is j (it is supported on j and the pivot columns
     before it); the z_j are a basis of Z^k.  A reduced pivot column of
     d^{k-1} is a boundary that ends at its pivot row i, so i is dependent
@@ -589,23 +589,23 @@ def _homology_bases(x: Complex, degrees) -> dict:
 
     A cycle v reduces to zero against the echelon basis, v = Σ β·b + Σ
     α_j·z_j, and its coordinates α_j on the representatives are unique, the
-    basis being one; a vector that is not a cycle ends on an unowned pivot.
-    So the echelon, keyed by last row, has empty combinations at the
-    boundaries and {n: combo[j][j]} at the n-th representative, combo[j][j]
-    times the n-th column of ``reps``.
+    basis being one; a vector that is not a cycle ends on a row outside the
+    echelon.  So the echelon, keyed by last row, has empty combinations at
+    the boundaries and {n: free[j][j]} at the n-th representative,
+    free[j][j] times the n-th column of ``reps``.
     """
     out = {}
     boundaries: dict = {}  # pivot row: reduced column of d^{k-1}, none below the range
     for k in degrees:
         red = _reduce(x.d(k))
-        reps = [j for j, col in enumerate(red.reduced) if not col and j not in boundaries]
+        reps = [j for j in red.free if j not in boundaries]
         echelon, coords = dict(boundaries), dict.fromkeys(boundaries, {})
         for n, j in enumerate(reps):
-            echelon[j], coords[j] = red.combo[j], {n: red.combo[j][j]}
-        out[k] = (Reduction(x.dim(k), len(reps), dict(zip(echelon, echelon)), echelon, coords),
-                  _from_columns(x.dim(k), len(reps), ((n, dict(red.combo[j]), red.combo[j][j])
+            echelon[j], coords[j] = red.free[j], {n: red.free[j][j]}
+        out[k] = (Reduction(x.dim(k), len(reps), echelon, coords, {}),
+                  _from_columns(x.dim(k), len(reps), ((n, dict(red.free[j]), red.free[j][j])
                                                       for n, j in enumerate(reps))))
-        boundaries = {i: red.reduced[j] for i, j in red.owner.items()}
+        boundaries = red.pivots
     return out
 
 
@@ -623,11 +623,9 @@ def _class_coords(bases, vectors: Matrix) -> Matrix:
     vectors, on the representatives of ``bases`` (``_homology_bases``):
     each cycle is reduced against the echelon basis of the cycles, and the
     combination tracked along, on the representatives only, is its
-    coordinates."""
-    classes, reps = bases
-    if not reps.cols:
-        return Matrix(0, vectors.cols)
-    return _solved(classes, vectors, "vector is not a cycle modulo boundaries")
+    coordinates.  AssertionError when a column is not a cycle, in every
+    degree, H^k = 0 included."""
+    return _solved(bases[0], vectors, "vector is not a cycle modulo boundaries")
 
 
 def les_from_ses(f: ChainMap, g: ChainMap) -> LongExactSequence:
@@ -652,9 +650,9 @@ def les_from_ses(f: ChainMap, g: ChainMap) -> LongExactSequence:
     f_red = {k: _reduce(f.at(k)) for k in degrees}
     g_red = {k: _reduce(g.at(k)) for k in degrees}
     for k in degrees:
-        if len(f_red[k].owner) != a.dim(k):
+        if len(f_red[k].pivots) != a.dim(k):
             raise NotShortExactError(f"f is not injective at degree {k}")
-        if len(g_red[k].owner) != c.dim(k):
+        if len(g_red[k].pivots) != c.dim(k):
             raise NotShortExactError(f"g is not surjective at degree {k}")
         if not (g.at(k) * f.at(k)).is_zero():
             raise NotShortExactError(f"g∘f ≠ 0 at degree {k}")

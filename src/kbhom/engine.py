@@ -33,7 +33,7 @@ from .complexes import (
     homology_dims,
     spectral_pages,
 )
-from .models import DolbeaultPoissonModel, _complex_dimension, koszul_differential
+from .models import DolbeaultPoissonModel, _complex_dimension, _proved, koszul_differential
 
 
 class _Table:
@@ -132,8 +132,8 @@ def kb_spectral(m: DolbeaultPoissonModel, r_max: int) -> tuple[KBDims, SpectralP
 
 def hodge_diamond(m: DolbeaultPoissonModel) -> HodgeDiamond:
     """h^{p,q} = dim H^q of the column (p, •) under delbar; delbar² = 0 is
-    checked unless the stored validation proved it (its ``checks[1]``)."""
-    proved = m._validated is not None and m._validated[0].checks[1].ok
+    checked unless the stored validation proved it (``models._proved``)."""
+    proved = _proved(m, "delbar∘delbar")
     out = {}
     for p in range(m.n + 1):
         column = Complex({q: m.dim(p, q) for q in range(m.n + 1)},

@@ -8,10 +8,10 @@ this canonical form and nothing mutates afterwards, and ``Fraction``
 appears only at the public edges.  Everything downstream reduces to
 ``_eliminate`` on copies of the stored columns: rank only over a column
 stream (``_owners``), or tracked (``_reduce``), for kernels and solve
-(``Reduction.solve``, which also reads homology classes off an echelon
-basis of the cycles, ``complexes._homology_bases``), a column being
-divided by its content only after a step that scaled it (the unit-step
-lemma, in ``_eliminate``);
+(``Reduction``, an echelon keyed by the row each column ends at, as is
+the cycle basis of ``complexes._homology_bases``), a column being divided
+by its content only after a step that scaled it (the unit-step lemma, in
+``_eliminate``);
 products and the sums of products that check a model's identities
 (``_sum_of_products``) combine integer columns.  There is no floating
 point and no modular arithmetic anywhere, and identical inputs give
@@ -318,27 +318,28 @@ def _divide_content(col: dict, g: int) -> None:
             col[i] //= g
 
 
-def _eliminate(col: dict, comb, owner: dict, reduced, combo) -> int | None:
-    """Reduce one integer column in place against the owned pivots.
+def _eliminate(col: dict, comb, pivots: dict, combos) -> int | None:
+    """Reduce one integer column in place against an echelon keyed by row.
 
     The pivot of a column is its last nonzero row; while a reduced column
-    ``own = reduced[k]``, k = ``owner[pivot]``, owns that pivot, the column
-    is replaced by ``a*col - b*own``, a and b the pivot entries of own and
-    col divided by their gcd taken with the sign of own's, so a > 0.  With
-    a combination ``comb`` (a dict), the same step is applied to it with
-    the owner's combination ``combo[k]``.  Only after a step with a > 1 is
-    the column (with comb) divided by its content.  Returns the unowned
-    pivot the column ends on, or None when it reduces to zero.
+    ``own = pivots[pivot]`` ends at that row, the column is replaced by
+    ``a*col - b*own``, a and b the pivot entries of own and col divided by
+    their gcd taken with the sign of own's, so a > 0.  With a combination
+    ``comb`` (a dict), the same step is applied to it with own's
+    combination ``combos[pivot]`` (``combos`` is None for rank only).  Only
+    after a step with a > 1 is the column (with comb) divided by its
+    content.  Returns the row outside ``pivots`` that the column ends on,
+    or None when it reduces to zero.
 
     A unit step, a = 1, needs no division.  Say col = s·v, v the column
     that elimination over Q has reached and s a nonzero scale, and own =
-    σ·w, w the rational owner.  Then b = q/p and col - b·own = s·(v -
+    σ·w, w the rational column.  Then b = q/p and col - b·own = s·(v -
     (v_piv/w_piv)·w) = s·v', the next rational column at the same scale.  A
     step with a > 1 multiplies the scale by a, and the division divides it
     by the content.  So each column stays a nonzero multiple of its
     rational counterpart, with the same pivots, and comb the same multiple
     of its rational combination; by the scale lemma of ``_owners`` no
-    owner, rank, kernel, solve or persistence pair depends on when content
+    pivot, rank, kernel, solve or persistence pair depends on when content
     is divided, and ``_from_columns`` puts every stored result in lowest
     terms.  A unit step may leave content behind (column (1, 2) against
     (3, 1) ends as (-5, 0)): that is s times the rational column, not
@@ -346,16 +347,15 @@ def _eliminate(col: dict, comb, owner: dict, reduced, combo) -> int | None:
     """
     while col:
         piv = max(col)
-        k = owner.get(piv)
-        if k is None:
+        own = pivots.get(piv)
+        if own is None:
             return piv
-        own = reduced[k]
         p, q = own[piv], col[piv]
         g = gcd(p, q) if p > 0 else -gcd(p, q)
         a, b = p // g, q // g
         _combine(col, a, b, own)
         if comb is not None:
-            _combine(comb, a, b, combo[k])
+            _combine(comb, a, b, combos[piv])
         if a != 1:
             if comb is not None:
                 g = gcd(*col.values(), *comb.values())
@@ -367,39 +367,35 @@ def _eliminate(col: dict, comb, owner: dict, reduced, combo) -> int | None:
 
 
 class Reduction(NamedTuple):
-    """What ``_reduce`` returns for a ``rows``×``cols`` matrix m.  ``owner``
-    maps each pivot row to the column owning it (the pivot columns);
-    ``reduced[j]`` is column j after reduction as a sparse ``{row: int}``
-    dict, empty iff column j depends on the columns before it.  ``combo[j]``
-    writes ``reduced[j]`` as ``{column of m: int coefficient}``, supported
-    on j and pivot columns only, so a dependent column's combination is
-    unique up to scale; ``kernel`` and ``solve`` need it.  ``solve`` reads
-    ``owner``, ``reduced`` and ``combo`` by key only, so it also takes an
-    echelon keyed by last row whose combinations write each vector in other
-    coordinates (``complexes._homology_bases``: class coordinates, with the
-    boundaries written as zero)."""
+    """What ``_reduce`` returns for a ``rows``×``cols`` matrix m, an echelon
+    keyed by row: ``pivots[i]`` is the reduced column that ends at row i, a
+    sparse ``{row: int}`` dict, ``combos[i]`` writes it as ``{column of m:
+    int coefficient}``, and ``free[j]``, keys ascending, is the combination
+    that reduced dependent column j to zero.  A combination ends at its own
+    column and is otherwise supported on pivot columns, so a dependent
+    column's is unique up to scale.  ``kernel`` reads ``free``, and
+    ``solve`` reads ``pivots`` and ``combos``."""
 
     rows: int
     cols: int
-    owner: dict
-    reduced: list
-    combo: list
+    pivots: dict
+    combos: dict
+    free: dict
 
     def kernel(self) -> "Subspace":
         """The right kernel: one basis column per dependent column j, with 1
         at j and 0 at the other dependent coordinates, so the columns are
         independent and their order is deterministic."""
-        free = [j for j, col in enumerate(self.reduced) if not col]
-        basis = _from_columns(self.cols, len(free),
-                              ((idx, dict(self.combo[j]), self.combo[j][j])
-                               for idx, j in enumerate(free)))
+        basis = _from_columns(self.cols, len(self.free),
+                              ((idx, dict(comb), comb[j])
+                               for idx, (j, comb) in enumerate(self.free.items())))
         return Subspace(self.cols, basis, _checked=True)
 
     def solve(self, rhs: Matrix) -> tuple:
         """``(x, missing)``: column j of x solves m*x = rhs[:, j] on the
         pivot columns, or is zero for the j in the set ``missing`` that have
-        no solution.  Each column is reduced against the pivot owners only,
-        so none becomes an owner and the reduction can be solved again; its
+        no solution.  Each column is reduced against the pivots only, so
+        none joins them and the reduction can be solved again; its
         combination, tracked step by step as in ``_reduce``, is x.
         ValueError unless rhs has the reduced matrix's row count."""
         if rhs.rows != self.rows:
@@ -411,7 +407,7 @@ class Reduction(NamedTuple):
             # 0 = c*b + m*y with c = comb[n], y the rest of comb; x = -y/c
             col = dict(rhs._lines.get(j, {}))
             comb = {n: rhs._dens.get(j, 1)}
-            if _eliminate(col, comb, self.owner, self.reduced, self.combo) is not None:
+            if _eliminate(col, comb, self.pivots, self.combos) is not None:
                 missing.add(j)
             else:
                 pieces.append((j, comb, -comb.pop(n)))
@@ -427,18 +423,18 @@ def _stored_columns(m: Matrix, skip=()):
 
 
 def _owners(columns) -> dict:
-    """``{pivot row: column}`` of the rank-only reduction of a column stream,
-    each col eliminated once, in place, against the ones before it.  d is
-    never read, as no scale of a column changes an owner: column j ends on
-    pivot i iff r(i, j) - r(i, j-1) - r(i+1, j) + r(i+1, j-1) = 1, r(i, j)
-    the rank of the rows >= i of the columns <= j, since the reduction keeps
-    each r and ends with r(i, j) columns <= j at pivots >= i; a scale
-    changes no r, so no owner, rank or persistence pair."""
-    owner, reduced = {}, {}
+    """``{pivot row: column j}`` of the rank-only reduction of a column
+    stream, each col eliminated once, in place, against the ones before
+    it.  d is never read, as no scale of a column changes a pivot: column j
+    ends on pivot i iff r(i, j) - r(i, j-1) - r(i+1, j) + r(i+1, j-1) = 1,
+    r(i, j) the rank of the rows >= i of the columns <= j, since the
+    reduction keeps each r and ends with r(i, j) columns <= j at pivots
+    >= i; a scale changes no r, so no pivot, rank or persistence pair."""
+    owner, pivots = {}, {}
     for j, col, _ in columns:
-        piv = _eliminate(col, None, owner, reduced, None)
+        piv = _eliminate(col, None, pivots, None)
         if piv is not None:
-            owner[piv], reduced[j] = j, col
+            owner[piv], pivots[piv] = j, col
     return owner
 
 
@@ -446,18 +442,18 @@ def _reduce(m: Matrix) -> Reduction:
     """Fraction-free, tracked column reduction of m, left to right: each
     column, a copy of the stored integer column (column j of m times its
     denominator), is reduced by ``_eliminate`` against the ones before it
-    and owns the pivot it ends on, so it is a nonzero rational multiple of
-    what an elimination over Q gives, with the owners ``_owners`` finds."""
+    and kept at the row it ends on, a nonzero rational multiple of what an
+    elimination over Q gives, at the pivots ``_owners`` finds."""
     lines, dens = m._lines, m._dens
-    reduced = [dict(lines.get(j, {})) for j in range(m.cols)]
-    owner, combo = {}, []
-    for j, col in enumerate(reduced):
-        comb = {j: dens.get(j, 1)}
-        piv = _eliminate(col, comb, owner, reduced, combo)
-        if piv is not None:
-            owner[piv] = j
-        combo.append(comb)
-    return Reduction(m.rows, m.cols, owner, reduced, combo)
+    pivots, combos, free = {}, {}, {}
+    for j in range(m.cols):
+        col, comb = dict(lines.get(j, {})), {j: dens.get(j, 1)}
+        piv = _eliminate(col, comb, pivots, combos)
+        if piv is None:
+            free[j] = comb
+        else:
+            pivots[piv], combos[piv] = col, comb
+    return Reduction(m.rows, m.cols, pivots, combos, free)
 
 
 def rank(m: Matrix) -> int:

@@ -198,7 +198,8 @@ class DolbeaultPoissonModel:
 
     ``n`` is a plain nonnegative int and ``basis`` maps cells (p, q) in
     [0, n]² to lists of label strings; its dimensions are read by
-    ``complexes.graded_dims`` (empty cells are dropped).
+    ``complexes.graded_dims`` (empty cells are dropped).  ``metadata`` is a
+    read-only copy, like ``basis`` and ``dims``.
 
     The first ``validate_model`` call stores its report and the blocks of
     the derived Koszul differential in ``_validated``; the model cannot
@@ -227,7 +228,7 @@ class DolbeaultPoissonModel:
         object.__setattr__(self, "contraction_blocks",
                            BlockMap(contraction_blocks, dims, (-2, 0)))
         object.__setattr__(self, "name", name)
-        object.__setattr__(self, "metadata", dict(metadata or {}))
+        object.__setattr__(self, "metadata", MappingProxyType(dict(metadata or {})))
         object.__setattr__(self, "_validated", None)
 
     def __setattr__(self, name, value):
@@ -312,6 +313,12 @@ def validate_model(m: DolbeaultPoissonModel) -> ValidationReport:
                                for name, bad in zip(IDENTITY_NAMES, failures)])
     object.__setattr__(m, "_validated", (report, k))
     return report
+
+
+def _proved(m: DolbeaultPoissonModel, identity: str) -> bool:
+    """Whether m's stored validation, if any, proved ``identity`` (one of
+    ``IDENTITY_NAMES``); no validation is run."""
+    return m._validated is not None and m._validated[0].checks[IDENTITY_NAMES.index(identity)].ok
 
 
 def require_valid(m: DolbeaultPoissonModel, context: str) -> None:

@@ -53,17 +53,47 @@ def _natural(x, name: str) -> None:
 _TERM_FIELDS = ("i", "j", "coeff", "alpha")
 
 
+def _term_sign(n: int, i, j, alpha) -> int:
+    """The sign of the term at the stored key (min(i, j), max(i, j)):
+    TypeError unless i, j and the exponents are plain ints, ValueError
+    unless i ≠ j lie in [1, n] and alpha is n nonnegative exponents."""
+    for x in (i, j, *alpha):
+        if not _is_int(x):
+            raise TypeError(f"bivector indices and exponents must be integers, not {x!r}")
+    if i == j:
+        raise ValueError("bivector term with i == j")
+    lo, hi = sorted((i, j))
+    if not (1 <= lo and hi <= n):
+        raise ValueError(f"bivector indices ({lo},{hi}) out of range for n={n}")
+    if len(alpha) != n or any(a < 0 for a in alpha):
+        raise ValueError(f"monomial exponent {alpha} is not a valid multi-index")
+    return 1 if i < j else -1
+
+
 class PolyBivector:
     """Σ_{i<j} p_ij(z) ∂/∂z_i ∧ ∂/∂z_j with homogeneous rational p_ij."""
 
     __slots__ = ("n", "degree", "terms")
 
     def __init__(self, n: int, degree: int, terms: dict):
+        """``terms`` in the stored form ``{(i, j): {alpha: coeff}}``, i < j and
+        |alpha| = ``degree`` (else the errors of ``from_terms``); a fresh dict
+        of the nonzero coefficients, read by ``linalg._q``, is kept."""
         _natural(n, "n")
         _natural(degree, "degree")
+        stored: dict = {}
+        for (i, j), poly in terms.items():
+            for alpha, coeff in poly.items():
+                if _term_sign(n, i, j, alpha) < 0:
+                    raise ValueError(f"bivector key ({i},{j}) is not stored as i < j")
+                if sum(alpha) != degree:
+                    raise NonHomogeneousBivector(
+                        f"declared degree {degree} does not match terms of degree {sum(alpha)}")
+                if coeff := _q(coeff):
+                    stored.setdefault((i, j), {})[tuple(alpha)] = coeff
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "terms", stored)
 
     def __setattr__(self, name, value):
         raise AttributeError("PolyBivector is immutable")
@@ -120,19 +150,9 @@ class PolyBivector:
                 raise TypeError(f"term {idx}: alpha must be a list of exponents, "
                                 f"not {type(alpha).__name__}") from None
             coeff = _q(coeff)
-            for x in (i, j, *alpha):
-                if not _is_int(x):
-                    raise TypeError(
-                        f"bivector indices and exponents must be integers, not {x!r}")
-            if i == j:
-                raise ValueError("bivector term with i == j")
-            sign = 1
-            if i > j:
-                i, j, sign = j, i, -1
-            if not (1 <= i < j <= n):
-                raise ValueError(f"bivector indices ({i},{j}) out of range for n={n}")
-            if len(alpha) != n or any(a < 0 for a in alpha):
-                raise ValueError(f"monomial exponent {alpha} is not a valid multi-index")
+            sign = _term_sign(n, i, j, alpha)
+            if sign < 0:
+                i, j = j, i
             if seen_degree is None:
                 seen_degree = sum(alpha)
             elif sum(alpha) != seen_degree:
@@ -141,9 +161,6 @@ class PolyBivector:
             if coeff:
                 poly = terms.setdefault((i, j), {})
                 poly[alpha] = poly.get(alpha, 0) + sign * coeff
-        terms = {k: {a: c for a, c in poly.items() if c}
-                 for k, poly in terms.items()}
-        terms = {k: poly for k, poly in terms.items() if poly}
         if seen_degree is None:
             seen_degree = 0 if degree is None else degree
         elif degree is not None and degree != seen_degree:

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 from kbhom.complexes import (
     Complex,
+    _class_coords,
     _cleared_owners,
     _homology,
     _homology_bases,
@@ -128,13 +129,14 @@ def assert_classes_read_off_the_pivots(c: Complex) -> None:
     homology = oracle_homology_dims(c)
     degrees = c.degrees()
     for k, (classes, reps) in _homology_bases(c, range(degrees[0], degrees[-1] + 1)).items():
-        rows = sorted(classes.owner)
-        assert all(classes.owner[i] == i == max(classes.reduced[i]) for i in rows), k
+        rows = sorted(classes.pivots)
+        assert classes.combos.keys() == classes.pivots.keys() and not classes.free, k
+        assert all(i == max(classes.pivots[i]) for i in rows), k
         echelon = Matrix(c.dim(k), len(rows), {(i, n): v for n, row in enumerate(rows)
-                                               for i, v in classes.reduced[row].items()})
+                                               for i, v in classes.pivots[row].items()})
         assert len(rows) == c.dim(k) - oracle_rank(c.d(k)) == oracle_rank(echelon), k
         assert oracle_product(c.d(k), echelon).is_zero()
-        assert sum(not classes.combo[i] for i in rows) == oracle_rank(c.d(k - 1)), k
+        assert sum(not classes.combos[i] for i in rows) == oracle_rank(c.d(k - 1)), k
         assert reps.cols == classes.cols == homology.get(k, 0), k
         assert oracle_product(c.d(k), reps).is_zero()
 
@@ -169,6 +171,18 @@ def test_homology_classes_are_read_off_the_pivots(seed, case):
     f, g = random_split_ses(random.Random(seed), -1, 2)
     for c in (f.source, f.target, g.target, case[0]):
         assert_classes_read_off_the_pivots(c)
+
+
+def test_class_coords_refuse_a_non_cycle_where_homology_is_zero():
+    """Q -> Q has H^0 = 0, and its e_0 is not a cycle: the class
+    coordinates refuse it there as in every other degree, and take the
+    zero cycle to no coordinates."""
+    c = Complex({0: 1, 1: 1}, {0: Matrix(1, 1, {(0, 0): 1})})
+    bases = _homology_bases(c, range(0, 2))
+    assert bases[0][1].cols == 0
+    with pytest.raises(AssertionError, match="vector is not a cycle modulo boundaries"):
+        _class_coords(bases[0], Matrix(1, 1, {(0, 0): 1}))
+    assert _class_coords(bases[0], Matrix(1, 1)) == Matrix(0, 1)
 
 
 @settings(max_examples=30, deadline=None)

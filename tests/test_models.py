@@ -14,7 +14,7 @@ from kbhom.models import (
     product_model,
     validate_model,
 )
-from kbhom.zoo import parallelizable, point, torus
+from kbhom.zoo import model_to_json, parallelizable, point, torus
 from support import BAD_RATIONALS, OracleWedgeBasis, monomial_label
 
 
@@ -162,6 +162,20 @@ def test_model_mappings_are_read_only_after_validation(field):
         mapping.clear()
     assert dict(mapping) == before
     assert validate_model(m).ok
+
+
+def test_model_metadata_is_a_read_only_copy():
+    """A validated model's file cannot change: its metadata takes no item
+    assignment, and changing the dict it was built from changes nothing."""
+    m = torus(1)
+    assert validate_model(m).ok
+    with pytest.raises(TypeError):
+        m.metadata["family"] = "x"
+    source = {"family": "hand-made"}
+    hand_made = DolbeaultPoissonModel(1, {(0, 0): ["1"]}, metadata=source)
+    before = model_to_json(hand_made)
+    source["family"] = "x"
+    assert model_to_json(hand_made) == before
 
 
 @pytest.mark.parametrize("field, cell, expected", [

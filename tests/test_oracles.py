@@ -105,8 +105,9 @@ def deficient_matrices(draw):
 def test_rank_kernel_and_span_match_oracle(m):
     assert rank(m) == oracle_rank(m)
     assert kernel_basis(m).basis == oracle_kernel_basis(m).basis
-    # the rank-only and the tracked reduction find the same owners
-    assert _owners(_stored_columns(m)) == _reduce(m).owner
+    # the rank-only and the tracked reduction find the same pivots; a pivot
+    # column is the last column of its combination
+    assert _owners(_stored_columns(m)) == {i: max(c) for i, c in _reduce(m).combos.items()}
 
 
 @SETTINGS
@@ -201,8 +202,9 @@ def test_unit_step_leaves_content_behind():
     column (4, 3) reduced against it."""
     m = Matrix.from_rows([[3, 1], [1, 2]])
     red = _reduce(m)
-    assert red.reduced == [{0: 3, 1: 1}, {0: -5}]
-    assert red.combo == [{0: 1}, {1: 1, 0: -2}]
+    assert red.pivots == {1: {0: 3, 1: 1}, 0: {0: -5}}
+    assert red.combos == {1: {0: 1}, 0: {1: 1, 0: -2}}
+    assert red.free == {}
     for m in (m, Matrix.from_rows([[3, 1, 4], [1, 2, 3]])):
         assert rank(m) == oracle_rank(m) == 2
         assert kernel_basis(m).basis == oracle_kernel_basis(m).basis
@@ -214,13 +216,22 @@ def test_unit_step_leaves_content_behind():
 @given(st.one_of(deficient_matrices(), growth_matrices()))
 def test_reduced_columns_are_m_times_their_combinations(m):
     """Each column's scalars, composed once it ends, give its combination:
-    reduced[j] = m·combo[j] exactly, combo[j] ending at j with a positive
-    entry there (what ``kernel`` divides by)."""
+    pivots[i] = m·combos[i] exactly, pivots[i] ending at row i, and
+    m·free[j] = 0.  Each combination ends at its own column j with a
+    positive entry there (what ``kernel`` divides by), and every column
+    is a pivot column or a key of ``free``, ascending."""
+    def column(entries, rows):
+        return Matrix(rows, 1, {(i, 0): v for i, v in entries.items()})
+
     red = _reduce(m)
-    assert len(red.reduced) == len(red.combo) == m.cols
-    for j, (col, comb) in enumerate(zip(red.reduced, red.combo)):
-        product = oracle_product(m, Matrix(m.cols, 1, {(i, 0): v for i, v in comb.items()}))
-        assert product == Matrix(m.rows, 1, {(i, 0): v for i, v in col.items()})
+    assert red.combos.keys() == red.pivots.keys() and list(red.free) == sorted(red.free)
+    assert sorted([*red.free, *map(max, red.combos.values())]) == list(range(m.cols))
+    for i, col in red.pivots.items():
+        assert oracle_product(m, column(red.combos[i], m.cols)) == column(col, m.rows)
+        assert max(col) == i
+    for comb in red.free.values():
+        assert oracle_product(m, column(comb, m.cols)).is_zero()
+    for j, comb in (*red.free.items(), *((max(c), c) for c in red.combos.values())):
         assert max(comb) == j and comb[j] > 0
 
 @st.composite
@@ -538,6 +549,17 @@ def small_bivectors(draw):
                     grad = f[:h - 1] + [f[h - 1] - 1] + f[h:]
                     terms.append((x, y, coeff * f[h - 1], tuple(grad)))
     return PolyBivector.from_terms(n, terms, degree=degree)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_bivectors())
+def test_stored_terms_round_trip_through_the_constructor(pi):
+    """The constructor takes ``from_terms``' stored form as it is and keeps
+    a fresh copy of it, inner dicts included."""
+    again = PolyBivector(pi.n, pi.degree, pi.terms)
+    assert again.terms == pi.terms and again.degree == pi.degree
+    assert again.terms is not pi.terms
+    assert not any(again.terms[key] is poly for key, poly in pi.terms.items())
 
 
 @settings(max_examples=150, deadline=None)

@@ -202,6 +202,8 @@ def test_three_variable_poisson_slice():
 
 
 SO3 = [(1, 2, 1, (0, 0, 1)), (2, 3, 1, (1, 0, 0)), (3, 1, 1, (0, 1, 0))]
+# from_terms(3, [(2, 1, 1, (0, 0, 1))]) is -z3 ∂1∧∂2, stored as below
+SWAPPED = {(1, 2): {(0, 0, 1): Fraction(-1)}}
 
 
 @pytest.mark.parametrize("call, error, message", [
@@ -215,6 +217,20 @@ SO3 = [(1, 2, 1, (0, 0, 1)), (2, 3, 1, (1, 0, 0)), (3, 1, 1, (0, 1, 0))]
     (lambda: PolyBivector.from_terms(3, [], degree=-1), ValueError, "degree = -1 is negative"),
     (lambda: PolyBivector.zero(2, -1), ValueError, "degree = -1 is negative"),
     (lambda: PolyBivector(2, 1.0, {}), TypeError, "degree must be an int, not float"),
+    (lambda: PolyBivector(3, 1, {(2, 1): {(0, 0, 1): Fraction(1)}}), ValueError,
+     "bivector key (2,1) is not stored as i < j"),
+    (lambda: PolyBivector(3, 2, SWAPPED), NonHomogeneousBivector,
+     "declared degree 2 does not match terms of degree 1"),
+    (lambda: PolyBivector(3, 1, {(1, 2): {(0, 1): 1}}), ValueError,
+     "monomial exponent (0, 1) is not a valid multi-index"),
+    (lambda: PolyBivector(3, 1, {(1, 2): {(0, 0, 1): 1.0}}), TypeError,
+     "1.0 is not an exact rational"),
+    (lambda: PolyBivector(3, 1, {(1, 4): {(0, 0, 1): 1}}), ValueError,
+     "bivector indices (1,4) out of range for n=3"),
+    (lambda: PolyBivector(3, 1, {(1, 1): {(0, 0, 1): 1}}), ValueError,
+     "bivector term with i == j"),
+    (lambda: PolyBivector(3, 1, {(1, 2): {(0, 0, True): 1}}), TypeError,
+     "bivector indices and exponents must be integers, not True"),
     (lambda: stein_complex(3, SO3, True, 8), TypeError, "w must be an int, not bool"),
     (lambda: stein_complex(3, SO3, 1, 8.5), TypeError, "cap must be an int, not float"),
     (lambda: stein_complex(3, SO3, 1, True), TypeError, "cap must be an int, not bool"),
@@ -222,12 +238,27 @@ SO3 = [(1, 2, 1, (0, 0, 1)), (2, 3, 1, (1, 0, 0)), (3, 1, 1, (0, 1, 0))]
     (lambda: stein_complex(3.0, PolyBivector.from_terms(3, SO3), 1), TypeError,
      "n must be an int, not float"),
 ], ids=["n-float", "n-bool", "n-str", "degree-float", "degree-bool", "degree-negative",
-        "zero-degree-negative", "init-degree-float", "w-bool", "cap-float",
+        "zero-degree-negative", "init-degree-float", "init-swapped-key", "init-degree",
+        "init-short-alpha", "init-float", "init-range", "init-diagonal",
+        "init-bool-exponent", "w-bool", "cap-float",
         "cap-bool", "homology-w-float", "complex-n-float"])
 def test_stein_arguments_are_strictly_typed(call, error, message):
     with pytest.raises(error) as info:
         call()
     assert type(info.value) is error and str(info.value) == message
+
+
+def test_constructor_keeps_a_fresh_copy():
+    """The bivector reads the same after its input dict changes, and
+    integer or string coefficients are stored as Fractions, zeros dropped."""
+    expected = stein_homology(3, PolyBivector.from_terms(3, [(2, 1, 1, (0, 0, 1))]), [1])
+    terms = {(1, 2): {(0, 0, 1): -1, (1, 0, 0): "0"}}
+    pi = PolyBivector(3, 1, terms)
+    assert pi.terms == SWAPPED and pi.terms is not terms
+    terms[(1, 2)][(0, 0, 1)] = 5
+    terms[(2, 3)] = {(1, 0, 0): 1}
+    assert pi.terms == SWAPPED
+    assert stein_homology(3, pi, [1]) == expected
 
 
 def test_only_non_poisson_slices_are_squared(monkeypatch):
