@@ -28,6 +28,7 @@ from .linalg import (
     Matrix,
     Reduction,
     _from_columns,
+    _Frozen,
     _integer,
     _is_int,
     _owners,
@@ -46,7 +47,7 @@ class NotShortExactError(ValueError):
     """Input to les_from_ses is not a short exact sequence of complexes."""
 
 
-class BlockMap(Mapping):
+class BlockMap(_Frozen, Mapping):
     """The nonzero blocks, keyed by source degree or cell, of a graded
     operator of degree ``degree`` (an int on degrees, a pair on cells) from
     ``source`` to ``target`` (dimensions by key; target defaults to source).
@@ -59,10 +60,9 @@ class BlockMap(Mapping):
     __slots__ = ("_blocks", "source", "target", "degree")
 
     def __init__(self, blocks, source, degree, target=None):
-        self._blocks = {}
-        self.source = source
-        self.target = source if target is None else target
-        self.degree = degree
+        self._freeze(source=source, target=source if target is None else target,
+                     degree=degree)
+        kept = {}
         for key, m in (blocks or {}).items():
             if m is None:
                 continue
@@ -70,7 +70,8 @@ class BlockMap(Mapping):
                 raise ComplexInvariantError(
                     f"block at {key} has shape {m.shape}, expected {self.shape(key)}")
             if not m.is_zero():
-                self._blocks[key] = m
+                kept[key] = m
+        self._freeze(_blocks=kept)
 
     def step(self, key):
         d = self.degree
@@ -157,20 +158,16 @@ def graded_dims(table, name: str = "spaces", cells: bool = False, bounds=None) -
     return clean
 
 
-class Complex:
+class Complex(_Frozen):
     """A bounded cochain complex: finite dims per degree, d of degree +1."""
 
     __slots__ = ("spaces", "diffs")
 
     def __init__(self, spaces, diffs=None, check=True):
-        sp = graded_dims(spaces)
-        object.__setattr__(self, "spaces", MappingProxyType(sp))
-        object.__setattr__(self, "diffs", BlockMap(diffs, sp, 1))
+        sp = MappingProxyType(graded_dims(spaces))
+        self._freeze(spaces=sp, diffs=BlockMap(diffs, sp, 1))
         if check:
             self.validate()
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Complex is immutable")
 
     def dim(self, k: int) -> int:
         return self.spaces.get(k, 0)
@@ -198,21 +195,16 @@ class Complex:
         return f"Complex({self.spaces})"
 
 
-class DoubleComplex:
+class DoubleComplex(_Frozen):
     """A bounded double complex with anticommuting differentials."""
 
     __slots__ = ("spaces", "d1", "d2")
 
     def __init__(self, spaces, d1=None, d2=None, check=True):
-        sp = graded_dims(spaces, cells=True)
-        object.__setattr__(self, "spaces", MappingProxyType(sp))
-        object.__setattr__(self, "d1", BlockMap(d1, sp, (1, 0)))
-        object.__setattr__(self, "d2", BlockMap(d2, sp, (0, 1)))
+        sp = MappingProxyType(graded_dims(spaces, cells=True))
+        self._freeze(spaces=sp, d1=BlockMap(d1, sp, (1, 0)), d2=BlockMap(d2, sp, (0, 1)))
         if check:
             self.validate()
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DoubleComplex is immutable")
 
     def dim(self, p: int, q: int) -> int:
         return self.spaces.get((p, q), 0)
@@ -508,19 +500,15 @@ def spectral_pages(dc: DoubleComplex, r_max: int) -> SpectralPages:
     return SpectralPages(pages=pages, degeneration_page=longest + 1)
 
 
-class ChainMap:
+class ChainMap(_Frozen):
     """A degreewise linear map between complexes commuting with d."""
 
     __slots__ = ("source", "target", "blocks")
 
     def __init__(self, source: Complex, target: Complex, blocks):
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "blocks", BlockMap(blocks, source.spaces, 0, target.spaces))
+        self._freeze(source=source, target=target,
+                     blocks=BlockMap(blocks, source.spaces, 0, target.spaces))
         self.validate()
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ChainMap is immutable")
 
     def at(self, k: int) -> Matrix:
         return self.blocks.at(k)

@@ -89,6 +89,21 @@ def _pair(key, what: str) -> tuple:
     return key
 
 
+class _Frozen:
+    """The one immutability rule: ``_freeze`` sets each attribute once, in
+    the constructor (a model's validation cache, once, later), and any other
+    assignment raises, so nothing proved about a value can go stale."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _freeze(self, **attrs) -> None:
+        for name, value in attrs.items():
+            object.__setattr__(self, name, value)
+
+
 def _from_columns(rows: int, cols: int, pieces) -> "Matrix":
     """The rows×cols matrix Σ col/d over ``pieces`` (j, col, d), each adding
     col/d to column j: col a ``{row: int}`` dict, d a nonzero int.  Pieces
@@ -466,7 +481,7 @@ def kernel_basis(m: Matrix) -> "Subspace":
     return _reduce(m).kernel()
 
 
-class Subspace:
+class Subspace(_Frozen):
     """A linear subspace of Q^n carried by a basis matrix (columns)."""
 
     __slots__ = ("ambient_dim", "basis")
@@ -476,11 +491,7 @@ class Subspace:
             raise ValueError("basis rows must equal the ambient dimension")
         if not _checked and rank(basis) != basis.cols:
             raise ValueError("basis columns are linearly dependent")
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", basis)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Subspace is immutable")
+        self._freeze(ambient_dim=ambient_dim, basis=basis)
 
     @property
     def dim(self) -> int:

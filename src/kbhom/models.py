@@ -30,7 +30,7 @@ from .complexes import (
     koszul_tensor,
     tensor_layout,
 )
-from .linalg import Matrix, _from_columns, _is_int, _q
+from .linalg import Matrix, _from_columns, _Frozen, _is_int, _q
 
 
 class ModelValidationError(ValueError):
@@ -168,8 +168,10 @@ def normalize_bivector_coeffs(n: int, coeffs) -> dict:
     """Accept an n×n antisymmetric matrix or an {(i,j): value} dict (i<j, 1-based)."""
     pairs: dict = {}
     if isinstance(coeffs, dict):
-        for (i, j), v in coeffs.items():
-            i, j = _generator_index(i), _generator_index(j)
+        for key, v in coeffs.items():
+            if not (isinstance(key, tuple) and len(key) == 2):
+                raise TypeError(f"bivector key {key!r} is not a pair (i, j)")
+            i, j = map(_generator_index, key)
             if not (1 <= i < j <= n):
                 raise ValueError(f"bivector pair ({i},{j}) must satisfy 1 <= i < j <= {n}")
             v = _q(v)
@@ -193,7 +195,7 @@ def normalize_bivector_coeffs(n: int, coeffs) -> dict:
     return pairs
 
 
-class DolbeaultPoissonModel:
+class DolbeaultPoissonModel(_Frozen):
     """Immutable finite model; each operator is a read-only ``BlockMap``.
 
     ``n`` is a plain nonnegative int and ``basis`` maps cells (p, q) in
@@ -216,23 +218,16 @@ class DolbeaultPoissonModel:
             if not (isinstance(labels, (list, tuple))
                     and all(map(isinstance, labels, repeat(str)))):
                 raise TypeError(f"basis[{cell!r}] must be a list of strings")
-        dims = graded_dims({cell: len(labels) for cell, labels in basis.items()},
-                           "basis", cells=True, bounds=(0, n))
-        clean_basis = {cell: tuple(basis[cell]) for cell in dims}
-        object.__setattr__(self, "n", n)
         # read-only, so the stored validation cannot go stale
-        object.__setattr__(self, "basis", MappingProxyType(clean_basis))
-        object.__setattr__(self, "dims", MappingProxyType(dims))
-        object.__setattr__(self, "del_blocks", BlockMap(del_blocks, dims, (1, 0)))
-        object.__setattr__(self, "delbar_blocks", BlockMap(delbar_blocks, dims, (0, 1)))
-        object.__setattr__(self, "contraction_blocks",
-                           BlockMap(contraction_blocks, dims, (-2, 0)))
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "metadata", MappingProxyType(dict(metadata or {})))
-        object.__setattr__(self, "_validated", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("model is immutable")
+        dims = MappingProxyType(graded_dims(
+            {cell: len(labels) for cell, labels in basis.items()},
+            "basis", cells=True, bounds=(0, n)))
+        self._freeze(n=n, basis=MappingProxyType({cell: tuple(basis[cell]) for cell in dims}),
+                     dims=dims, del_blocks=BlockMap(del_blocks, dims, (1, 0)),
+                     delbar_blocks=BlockMap(delbar_blocks, dims, (0, 1)),
+                     contraction_blocks=BlockMap(contraction_blocks, dims, (-2, 0)),
+                     name=name, metadata=MappingProxyType(dict(metadata or {})),
+                     _validated=None)
 
     def dim(self, p: int, q: int) -> int:
         return self.dims.get((p, q), 0)
@@ -258,7 +253,7 @@ def _koszul_blocks(m: DolbeaultPoissonModel) -> BlockMap:
                     m.dims, (-1, 0))
 
 
-@dataclass
+@dataclass(frozen=True)
 class CheckResult:
     identity: str
     ok: bool
@@ -266,9 +261,12 @@ class CheckResult:
     residual: Matrix | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class ValidationReport:
-    checks: list
+    checks: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "checks", tuple(self.checks))
 
     @property
     def ok(self) -> bool:
@@ -301,7 +299,9 @@ def validate_model(m: DolbeaultPoissonModel) -> ValidationReport:
     at every other cell the identity holds with nothing to sum.  The
     identities are checked once per model; later calls return the stored
     report, and the Koszul blocks built for the check are kept for
-    :func:`koszul_differential`.
+    :func:`koszul_differential`.  This is the one slot of the model set
+    after its construction, once, through ``_freeze``: the model cannot
+    change, so the report it stores cannot go stale.
     """
     if m._validated is not None:
         return m._validated[0]
@@ -311,7 +311,7 @@ def validate_model(m: DolbeaultPoissonModel) -> ValidationReport:
                                     [(1, k, k)], [(1, e, k), (1, k, e)]))
     report = ValidationReport([CheckResult(name, not bad, *(bad or ()))
                                for name, bad in zip(IDENTITY_NAMES, failures)])
-    object.__setattr__(m, "_validated", (report, k))
+    m._freeze(_validated=(report, k))
     return report
 
 

@@ -26,9 +26,10 @@ from functools import partial
 from itertools import combinations
 from math import comb, lcm
 from operator import add, mul
+from types import MappingProxyType
 
 from .complexes import Complex, _complex_of, _homology
-from .linalg import _integer, _is_int, _q
+from .linalg import _Frozen, _integer, _is_int, _q
 from .models import _wedge
 
 
@@ -53,50 +54,59 @@ def _natural(x, name: str) -> None:
 _TERM_FIELDS = ("i", "j", "coeff", "alpha")
 
 
-def _term_sign(n: int, i, j, alpha) -> int:
-    """The sign of the term at the stored key (min(i, j), max(i, j)):
-    TypeError unless i, j and the exponents are plain ints, ValueError
-    unless i ≠ j lie in [1, n] and alpha is n nonnegative exponents."""
-    for x in (i, j, *alpha):
+def _term_sign(n: int, key) -> int:
+    """The sign of the term at key = (i, j) when it is stored at the key
+    (min(i, j), max(i, j)): TypeError unless key is a pair of plain ints,
+    ValueError unless i ≠ j lie in [1, n]."""
+    if not (isinstance(key, tuple) and len(key) == 2):
+        raise TypeError(f"bivector key {key!r} is not a pair (i, j)")
+    for x in key:
         if not _is_int(x):
             raise TypeError(f"bivector indices and exponents must be integers, not {x!r}")
+    i, j = key
     if i == j:
         raise ValueError("bivector term with i == j")
-    lo, hi = sorted((i, j))
+    lo, hi = sorted(key)
     if not (1 <= lo and hi <= n):
         raise ValueError(f"bivector indices ({lo},{hi}) out of range for n={n}")
-    if len(alpha) != n or any(a < 0 for a in alpha):
-        raise ValueError(f"monomial exponent {alpha} is not a valid multi-index")
     return 1 if i < j else -1
 
 
-class PolyBivector:
+def _multi_index(n: int, alpha) -> None:
+    """TypeError unless the exponents are plain ints, ValueError unless
+    alpha is n nonnegative exponents."""
+    for x in alpha:
+        if not _is_int(x):
+            raise TypeError(f"bivector indices and exponents must be integers, not {x!r}")
+    if len(alpha) != n or any(a < 0 for a in alpha):
+        raise ValueError(f"monomial exponent {alpha} is not a valid multi-index")
+
+
+class PolyBivector(_Frozen):
     """Σ_{i<j} p_ij(z) ∂/∂z_i ∧ ∂/∂z_j with homogeneous rational p_ij."""
 
     __slots__ = ("n", "degree", "terms")
 
     def __init__(self, n: int, degree: int, terms: dict):
         """``terms`` in the stored form ``{(i, j): {alpha: coeff}}``, i < j and
-        |alpha| = ``degree`` (else the errors of ``from_terms``); a fresh dict
-        of the nonzero coefficients, read by ``linalg._q``, is kept."""
+        |alpha| = ``degree`` (else the errors of ``from_terms``; a key that
+        is not a pair raises TypeError); a read-only copy of the nonzero
+        coefficients, read by ``linalg._q``, is kept."""
         _natural(n, "n")
         _natural(degree, "degree")
         stored: dict = {}
-        for (i, j), poly in terms.items():
+        for key, poly in terms.items():
+            if _term_sign(n, key) < 0:
+                raise ValueError(f"bivector key ({key[0]},{key[1]}) is not stored as i < j")
             for alpha, coeff in poly.items():
-                if _term_sign(n, i, j, alpha) < 0:
-                    raise ValueError(f"bivector key ({i},{j}) is not stored as i < j")
+                _multi_index(n, alpha)
                 if sum(alpha) != degree:
                     raise NonHomogeneousBivector(
                         f"declared degree {degree} does not match terms of degree {sum(alpha)}")
                 if coeff := _q(coeff):
-                    stored.setdefault((i, j), {})[tuple(alpha)] = coeff
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "terms", stored)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PolyBivector is immutable")
+                    stored.setdefault(key, {})[tuple(alpha)] = coeff
+        self._freeze(n=n, degree=degree, terms=MappingProxyType(
+            {key: MappingProxyType(poly) for key, poly in stored.items()}))
 
     @classmethod
     def zero(cls, n: int, degree: int = 0) -> "PolyBivector":
@@ -150,7 +160,8 @@ class PolyBivector:
                 raise TypeError(f"term {idx}: alpha must be a list of exponents, "
                                 f"not {type(alpha).__name__}") from None
             coeff = _q(coeff)
-            sign = _term_sign(n, i, j, alpha)
+            sign = _term_sign(n, (i, j))
+            _multi_index(n, alpha)
             if sign < 0:
                 i, j = j, i
             if seen_degree is None:

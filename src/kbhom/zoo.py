@@ -35,6 +35,7 @@ from .models import (
     DolbeaultPoissonModel,
     ModelValidationError,
     WedgeBasis,
+    _complex_dimension,
     _generator_index,
     derivation_blocks,
     factor_contraction,
@@ -67,8 +68,11 @@ def point() -> DolbeaultPoissonModel:
 
 def _structure_images(n: int, structure: dict) -> dict:
     images: dict = {}
-    for (i, j, k), c in structure.items():
-        i, j, k = (_generator_index(x) for x in (i, j, k))
+    for key, c in structure.items():
+        if not (isinstance(key, tuple) and len(key) == 3):
+            raise StructureConstantError(
+                f"structure constant key {key!r} is not a triple (i, j, k)")
+        i, j, k = (_generator_index(x) for x in key)
         if not (1 <= i < j <= n):
             raise StructureConstantError(
                 f"structure constant key ({i},{j},{k}) must have 1 <= i < j <= n")
@@ -103,6 +107,7 @@ def _exterior_model(family: str, n: int, structure: dict,
     rational, so conjugation is the identity), and the contraction is
     l_pi ⊗ 1.
     """
+    _complex_dimension(n)
     wedge = WedgeBasis(n)
     ce = derivation_blocks(wedge, _structure_images(n, structure))
     # Jacobi <=> the CE differential squares to zero on the generators

@@ -268,6 +268,27 @@ def test_hodge_diamond_squares_delbar_only_without_a_stored_proof(monkeypatch):
             hodge_diamond(broken)
 
 
+def test_a_stored_report_cannot_be_changed():
+    """The report a model stores is frozen: flipping or clearing a check of a
+    model whose delbar∘delbar fails raises, and the model is still refused."""
+    broken = DolbeaultPoissonModel(2, {(0, 0): ["a"], (0, 1): ["b"], (0, 2): ["c"]},
+                                   delbar_blocks={(0, 0): Matrix(1, 1, {(0, 0): 1}),
+                                                  (0, 1): Matrix(1, 1, {(0, 0): 1})})
+    report = validate_model(broken)
+    with pytest.raises(AttributeError):
+        report.checks[1].ok = True
+    with pytest.raises(AttributeError):  # a tuple has no clear()
+        report.checks.clear()
+    with pytest.raises(AttributeError):
+        report.checks = ()
+    with pytest.raises(AttributeError):
+        broken._validated = None
+    assert validate_model(broken) is report and not report.ok
+    with pytest.raises(ModelValidationError, match="^not a valid holomorphic Poisson model: "
+                       "delbar∘delbar fails at bidegree \\(0, 0\\)$"):
+        kb_homology(broken)
+
+
 def test_formal_model_homology_concentrates_antidiagonals():
     diamond = HodgeDiamond(2, {(0, 0): 1, (1, 1): 1, (2, 2): 1})
     m = hodge_formal(diamond)

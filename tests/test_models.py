@@ -1,9 +1,11 @@
 import re
+from collections.abc import Mapping
 from fractions import Fraction
 
 import pytest
 
-from kbhom.linalg import Matrix
+from kbhom.complexes import ChainMap, Complex, DoubleComplex
+from kbhom.linalg import Matrix, Subspace
 from kbhom.models import (
     DolbeaultPoissonModel,
     ModelValidationError,
@@ -14,6 +16,7 @@ from kbhom.models import (
     product_model,
     validate_model,
 )
+from kbhom.stein import PolyBivector
 from kbhom.zoo import model_to_json, parallelizable, point, torus
 from support import BAD_RATIONALS, OracleWedgeBasis, monomial_label
 
@@ -176,6 +179,48 @@ def test_model_metadata_is_a_read_only_copy():
     before = model_to_json(hand_made)
     source["family"] = "x"
     assert model_to_json(hand_made) == before
+
+
+def checked_value(kind: str):
+    """A built value of class ``kind``, one whose checks are made once."""
+    one = Matrix.from_rows([[1]])
+    c = Complex({0: 1, 1: 1}, {0: one})
+    m = heisenberg3({(1, 2): 1})
+    return {"BlockMap": lambda: m.del_blocks, "Complex": lambda: c,
+            "DoubleComplex": lambda: DoubleComplex({(0, 0): 1, (1, 0): 1}, d1={(0, 0): one}),
+            "ChainMap": lambda: ChainMap(c, c, {0: one, 1: one}),
+            "Subspace": lambda: Subspace(1, one), "DolbeaultPoissonModel": lambda: m,
+            "PolyBivector": lambda: PolyBivector.from_terms(2, [(1, 2, 1, (1, 0))]),
+            "ValidationReport": lambda: validate_model(m),
+            "CheckResult": lambda: validate_model(m).checks[0]}[kind]()
+
+
+@pytest.mark.parametrize("kind, fields", [
+    ("BlockMap", ["source", "target", "degree"]),
+    ("Complex", ["spaces", "diffs"]),
+    ("DoubleComplex", ["spaces", "d1", "d2"]),
+    ("ChainMap", ["source", "target", "blocks"]),
+    ("Subspace", ["ambient_dim", "basis"]),
+    ("DolbeaultPoissonModel", ["n", "basis", "dims", "del_blocks", "delbar_blocks",
+                               "contraction_blocks", "name", "metadata"]),
+    ("PolyBivector", ["n", "degree", "terms"]),
+    ("ValidationReport", ["checks"]),
+    ("CheckResult", ["identity", "ok", "bidegree", "residual"]),
+])
+def test_checked_values_cannot_be_reassigned(kind, fields):
+    """No public attribute of a checked value can be reassigned, and none
+    that is a mapping takes item assignment, so no check made on the value
+    can go stale."""
+    value = checked_value(kind)
+    assert type(value).__name__ == kind
+    for name in fields:
+        before = getattr(value, name)
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        assert getattr(value, name) is before
+        if isinstance(before, Mapping):
+            with pytest.raises(TypeError):
+                before[(0, 0)] = None
 
 
 @pytest.mark.parametrize("field, cell, expected", [

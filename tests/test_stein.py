@@ -231,6 +231,11 @@ SWAPPED = {(1, 2): {(0, 0, 1): Fraction(-1)}}
      "bivector term with i == j"),
     (lambda: PolyBivector(3, 1, {(1, 2): {(0, 0, True): 1}}), TypeError,
      "bivector indices and exponents must be integers, not True"),
+    (lambda: PolyBivector(3, 1, {(5, 9): {}}), ValueError,
+     "bivector indices (5,9) out of range for n=3"),
+    (lambda: PolyBivector(3, 1, {5: {}}), TypeError, "bivector key 5 is not a pair (i, j)"),
+    (lambda: PolyBivector(3, 1, {(1, 2, 3): {(0, 0, 1): 1}}), TypeError,
+     "bivector key (1, 2, 3) is not a pair (i, j)"),
     (lambda: stein_complex(3, SO3, True, 8), TypeError, "w must be an int, not bool"),
     (lambda: stein_complex(3, SO3, 1, 8.5), TypeError, "cap must be an int, not float"),
     (lambda: stein_complex(3, SO3, 1, True), TypeError, "cap must be an int, not bool"),
@@ -240,8 +245,8 @@ SWAPPED = {(1, 2): {(0, 0, 1): Fraction(-1)}}
 ], ids=["n-float", "n-bool", "n-str", "degree-float", "degree-bool", "degree-negative",
         "zero-degree-negative", "init-degree-float", "init-swapped-key", "init-degree",
         "init-short-alpha", "init-float", "init-range", "init-diagonal",
-        "init-bool-exponent", "w-bool", "cap-float",
-        "cap-bool", "homology-w-float", "complex-n-float"])
+        "init-bool-exponent", "init-empty-range", "init-int-key", "init-triple-key",
+        "w-bool", "cap-float", "cap-bool", "homology-w-float", "complex-n-float"])
 def test_stein_arguments_are_strictly_typed(call, error, message):
     with pytest.raises(error) as info:
         call()
@@ -259,6 +264,18 @@ def test_constructor_keeps_a_fresh_copy():
     terms[(2, 3)] = {(1, 0, 0): 1}
     assert pi.terms == SWAPPED
     assert stein_homology(3, pi, [1]) == expected
+
+
+def test_stored_terms_are_read_only():
+    """A built bivector's terms take no item assignment, neither a new key
+    nor a new coefficient, so none skips the stored-form checks; they still
+    compare equal to the plain dict."""
+    pi = PolyBivector.from_terms(3, [(2, 1, 1, (0, 0, 1))])
+    with pytest.raises(TypeError):
+        pi.terms[(1, 3)] = {(1, 0, 0): Fraction(1)}
+    with pytest.raises(TypeError):
+        pi.terms[(1, 2)][(0, 0, 1)] = Fraction(5)
+    assert pi.terms == SWAPPED
 
 
 def test_only_non_poisson_slices_are_squared(monkeypatch):

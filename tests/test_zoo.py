@@ -135,6 +135,20 @@ def test_parallelizable_rejects_non_int_structure_indices(structure):
         parallelizable(3, structure)
 
 
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: torus(2, {1: 1}), TypeError, "bivector key 1 is not a pair (i, j)"),
+    (lambda: torus(2, {(1, 2, 3): 1}), TypeError, "bivector key (1, 2, 3) is not a pair (i, j)"),
+    (lambda: parallelizable(3, {(1, 2): 1}), StructureConstantError,
+     "structure constant key (1, 2) is not a triple (i, j, k)"),
+    (lambda: torus(2.0), TypeError, "complex dimension must be int, not float"),
+    (lambda: DolbeaultPoissonModel(2.0, {}), TypeError, "complex dimension must be int, not float"),
+], ids=["pi-int-key", "pi-triple-key", "structure-pair-key", "torus-float-n", "model-float-n"])
+def test_builders_name_a_malformed_key_or_dimension(build, error, message):
+    with pytest.raises(error) as info:
+        build()
+    assert type(info.value) is error and str(info.value) == message
+
+
 def test_structure_key_order_enforced():
     with pytest.raises(StructureConstantError):
         parallelizable(2, {(2, 1, 1): 1})
