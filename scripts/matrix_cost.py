@@ -1,4 +1,4 @@
-"""Fourteen measurements outside the perfbench ladder, for one checkout of kbhom.
+"""Fifteen measurements outside the perfbench ladder, for one checkout of kbhom.
 
 * heis8: ``parallelizable(8, {(1,2,3): 1}, {(1,2): 1})`` built and
   validated, then ``kb_homology``; the best of ``REPS`` runs (wall time).
@@ -34,6 +34,10 @@
   (wall time).
 * so(3)* weights 0..40: ``stein_homology`` of the same bivector over
   weights 0..40 with cap 40; the best of ``REPS`` runs (wall time).
+* z1z2 ∂1∧∂2 weights 0..30: ``stein_homology`` of that quadratic
+  bivector on C³ over weights 0..30 with cap 30, a scan of small slices
+  whose cost is their enumeration more than their elimination; the best
+  of ``REPS`` runs (wall time).
 * heis4 ⊃ torus4 LES: ``les_from_ses`` of 0 -> A -> B -> C -> 0, A and C
   the KB total complexes of heis4 and of ``torus(4, {(1, 2): 1})`` (zero
   differential), B = A ⊕ C twisted by h: C^k -> Z^{k+1}(A), dense ±1
@@ -63,7 +67,7 @@ from pathlib import Path
 REPS = 3
 CASES = ("heis8", "heis8-validate", "heis6-spectral", "heis7-spectral", "heis7-total",
          "heis6-memory", "heis6-kb-memory", "heis5-json", "heis6-json", "heis5-read", "so3-w60",
-         "so3-w60-homology", "so3-w0-40", "les-heis4")
+         "so3-w60-homology", "so3-w0-40", "quad-w0-30", "les-heis4")
 
 
 def best_of(build, measure) -> tuple:
@@ -101,6 +105,7 @@ def run_case(case: str) -> None:
         return m
 
     so3 = [(1, 2, 1, (0, 0, 1)), (2, 3, 1, (1, 0, 0)), (3, 1, 1, (0, 1, 0))]
+    quad = [(1, 2, 1, (1, 1, 0))]
     if case == "heis8":
         best = best_of(lambda: validated(heis(8)), kb_homology)
         print(f"heis8 build+validate+kb_homology: {best[0]:.3f} s best of {REPS} "
@@ -170,6 +175,9 @@ def run_case(case: str) -> None:
     elif case == "so3-w0-40":
         best = best_of(lambda: None, lambda _: stein_homology(3, so3, range(41), cap=40))
         print(f"so(3)* weights 0..40 stein_homology: {best[0]:.3f} s best of {REPS}")
+    elif case == "quad-w0-30":
+        best = best_of(lambda: None, lambda _: stein_homology(3, quad, range(31), cap=30))
+        print(f"z1z2 ∂1∧∂2 weights 0..30 stein_homology: {best[0]:.3f} s best of {REPS}")
     else:
         a = total_complex(kb_double_complex(heis(4)))
         c = total_complex(kb_double_complex(torus(4, {(1, 2): 1})))

@@ -22,6 +22,7 @@ the same three identities, so the totalization does not check it either.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from types import MappingProxyType
 
 from .complexes import (
     Complex,
@@ -40,7 +41,8 @@ class _Table:
     """The cleaning shared by the dimension tables: construction checks a
     table's ``n`` as a model's and reads its last field, which maps its keys
     (ints, or with ``cells`` pairs of ints) to dimensions, through
-    ``complexes.graded_dims`` with the ``bounds`` each class supplies."""
+    ``complexes.graded_dims`` with the ``bounds`` each class supplies, kept
+    read-only as ``DolbeaultPoissonModel.dims`` is."""
 
     bounds = None
     cells = False
@@ -48,8 +50,8 @@ class _Table:
     def __post_init__(self):
         _complex_dimension(getattr(self, "n", 0))
         name = fields(self)[-1].name
-        object.__setattr__(self, name, graded_dims(getattr(self, name), name,
-                                                   self.cells, self.bounds))
+        object.__setattr__(self, name, MappingProxyType(graded_dims(
+            getattr(self, name), name, self.cells, self.bounds)))
 
     def __getitem__(self, key) -> int:
         return getattr(self, fields(self)[-1].name).get(key, 0)

@@ -91,12 +91,15 @@ def _pair(key, what: str) -> tuple:
 
 class _Frozen:
     """The one immutability rule: ``_freeze`` sets each attribute once, in
-    the constructor (a model's validation cache, once, later), and any other
-    assignment raises, so nothing proved about a value can go stale."""
+    the constructor (a model's validation cache, once, later); any other
+    assignment, and any deletion, raises, so no proof about a value goes stale."""
 
     __slots__ = ()
 
     def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def _freeze(self, **attrs) -> None:

@@ -29,7 +29,7 @@ def kunneth_dims(a: KBDims, b: KBDims) -> KBDims:
 
     >>> t = KBDims(1, {0: 1, 1: 2, 2: 1})
     >>> kunneth_dims(t, t).dims
-    {0: 1, 1: 4, 2: 6, 3: 4, 4: 1}
+    mappingproxy({0: 1, 1: 4, 2: 6, 3: 4, 4: 1})
     >>> kunneth_dims(KBDims(0, {0: 1}), t) == t
     True
     """
@@ -44,9 +44,9 @@ def leray_hirsch_hh(x: HHDims, classes) -> HHDims:
     """HH of a fiber bundle from fiberwise classes of bidegrees (u_i, v_i).
 
     >>> leray_hirsch_hh(HHDims({0: 1}), [(0, 0), (1, 1)]).dims
-    {0: 2}
+    mappingproxy({0: 2})
     >>> leray_hirsch_hh(HHDims({-1: 1, 0: 2, 1: 1}), [(0, 0)]).dims
-    {-1: 1, 0: 2, 1: 1}
+    mappingproxy({-1: 1, 0: 2, 1: 1})
     """
     classes = list(classes)
     for c in classes:
@@ -68,7 +68,7 @@ def flag_bundle_hh(x: HHDims, b_f: int) -> HHDims:
     """HH of a flag bundle: b(F) copies of the base dimensions.
 
     >>> flag_bundle_hh(HHDims({-1: 1, 0: 2, 1: 1}), 6).dims
-    {-1: 6, 0: 12, 1: 6}
+    mappingproxy({-1: 6, 0: 12, 1: 6})
     """
     if _integer(b_f, "b_f") < 1:
         raise ValueError("the Betti sum of the fiber must be at least 1")
@@ -79,9 +79,9 @@ def flag_manifold_kb(n: int, b: int) -> KBDims:
     """KB dimensions of a flag manifold: everything sits at k = n.
 
     >>> flag_manifold_kb(1, 2).dims
-    {1: 2}
+    mappingproxy({1: 2})
     >>> flag_manifold_kb(2, 3).dims
-    {2: 3}
+    mappingproxy({2: 3})
     """
     if _integer(b, "b") < 1:
         raise ValueError("the Betti sum must be at least 1")
@@ -172,7 +172,7 @@ def blowup_point_kb(x: KBDims) -> KBDims:
     """Blow up one point: k = n gains n - 1, nothing else changes.
 
     >>> blowup_point_kb(KBDims(2, {0: 1, 1: 4, 2: 6, 3: 4, 4: 1})).dims
-    {0: 1, 1: 4, 2: 7, 3: 4, 4: 1}
+    mappingproxy({0: 1, 1: 4, 2: 7, 3: 4, 4: 1})
     """
     if x.n < 2:
         raise ValueError("point blow-ups need complex dimension >= 2")

@@ -23,9 +23,9 @@ slice is built (see ``stein_complex``), so no slice is ever squared.
 from __future__ import annotations
 
 from functools import partial
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import comb, lcm
-from operator import add, mul
+from operator import add, mul, sub
 from types import MappingProxyType
 
 from .complexes import Complex, _complex_of, _homology
@@ -222,15 +222,16 @@ class PolyBivector(_Frozen):
 def _compositions(total: int, parts: int) -> list:
     """All tuples of `parts` nonnegative ints summing to total, lex ascending.
 
-    Stars and bars: the parts - 1 bars take ascending positions among
-    total + parts - 1 slots, and each part counts the stars between two
-    bars.  The parts' partial sums are the bar positions less their
-    indices, so combinations' lex order is the parts' lex order."""
+    The first parts - 1 partial sums s are any nondecreasing tuple in
+    [0, total], and each part is the difference of two neighbours in
+    (0, *s, total).  Two compositions first differ in the same place as
+    their partial sums, so combinations_with_replacement's lex order is
+    the parts' lex order."""
     if total < 0 or parts == 0:
         return [()] if total == parts == 0 else []
-    slots = total + parts - 1
-    return [tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, slots)))
-            for bars in combinations(range(slots), parts - 1)]
+    end = (total,)
+    return [tuple(map(sub, s + end, (0,) + s))
+            for s in combinations_with_replacement(range(total + 1), parts - 1)]
 
 
 def _slice_sizes(n: int, degree: int, w: int, cap: int) -> dict:
@@ -265,36 +266,56 @@ class _KoszulTables:
     """The α-independent part of delpi(z^α dz_I), one table per index set I,
     for slices with |α| ≤ ``cap``.  A monomial is one int,
 
-        key(α, I) = Σ_g α_g R^g 2^n + Σ_{i∈I} 2^{i-1},   R = cap + 1.
+        key(α, I) = Σ_g α_g R^g 2^n + Σ_{i∈I} 2^{i-1},   R = cap + 1,
 
-    ``tables[I]`` is ``(shifted, fixed)``: ``shifted`` lists ``(g, terms)``,
-    each ``(offset, c)`` in ``terms`` standing for α_g·c·z^{α+δ} dz_J (g is
-    0-based), and ``fixed`` the ``(offset, c)`` standing for c·z^{α+δ} dz_J;
+    summed from parts cached for every slice: ``units()``, the key(e_g, ∅),
+    computed only once a slice has type-checked cap (``_slice_sizes``);
+    ``masks(p)``, the (I, key(0, I)) with |I| = p; and ``alphas(a)``, the
+    (α, key(α, ∅)) with |α| = a.
+
+    ``tables[I]`` is ``(terms, distinct)``: each ``(g, offset, c)`` in the
+    flat list ``terms`` stands for α'_g·c·z^{α+δ} dz_J, α' = (*α, 1) (g is
+    0-based, and g = n, the trailing factor 1, marks a term free of α);
     offset = key(δ, J) - key(0, I), c is scaled as in ``_integer_terms``.
     Then key(α, I) + offset = key(α+δ, J), the key of no other monomial:
     each term keeps the weight, |δ| + (d-1)(|J| - |I|) = 0, and has δ ≥ 0
-    but for δ_g ≥ -1 in a shifted term, which fires only if α_g ≥ 1.  So a
-    target has exponents ≥ 0 and weight w, whence |α+δ| ≤ cap < R by
-    ``_slice_sizes``, and every digit of its key is below R.  Both premises
-    are checked per term as the table is built, at the first lookup of its
-    I.  ``alphas(a)`` lists the (α, key(α, ∅)) with |α| = a, which the
-    slices share.  The closed form holds for any bivector, Poisson or not.
+    but for δ_g ≥ -1 in a term weighted by α_g, which fires only if
+    α_g ≥ 1.  So a target has exponents ≥ 0 and weight w, whence
+    |α+δ| ≤ cap < R by ``_slice_sizes``, and every digit of its key is
+    below R.  Both premises are checked per term as the table is built, at
+    the first lookup of its I.  The closed form holds for any bivector,
+    Poisson or not.
+
+    ``distinct`` says that no two terms share an offset; then no entry of a
+    column of I is zero, as distinct offsets land on distinct keys and each
+    entry is one α'_g·c, with c ≠ 0 (zeros are dropped here) and α'_g ≠ 0
+    (a term is taken only then).  Only the columns of a table that maps two
+    terms to one offset (z1z2 ∂1∧∂2 at I = (1, 2)) are checked for zeros.
     """
 
-    __slots__ = ("pi", "cap", "terms", "scale", "_tables", "_alphas")
+    __slots__ = ("pi", "cap", "terms", "scale", "_tables", "_alphas", "_masks", "_units")
 
     def __init__(self, pi: PolyBivector, cap: int):
-        self.pi, self.cap, self._tables, self._alphas = pi, cap, {}, {}
-        self.terms, self.scale = _integer_terms(pi)
+        self.pi, self.cap, self._tables, self._alphas, self._masks = pi, cap, {}, {}, {}
+        self.terms, self.scale, self._units = *_integer_terms(pi), None
+
+    def units(self) -> list:
+        if self._units is None:
+            self._units = [(self.cap + 1) ** g << self.pi.n for g in range(self.pi.n)]
+        return self._units
 
     def key(self, alpha, i_set) -> int:
-        radix = self.cap + 1
-        return ((sum(a * radix ** g for g, a in enumerate(alpha)) << self.pi.n)
-                + sum(1 << (i - 1) for i in i_set))
+        return sum(map(mul, alpha, self.units())) + sum(1 << (i - 1) for i in i_set)
+
+    def masks(self, p: int) -> list:
+        if p not in self._masks:
+            self._masks[p] = [(i_set, self.key((), i_set))
+                              for i_set in combinations(range(1, self.pi.n + 1), p)]
+        return self._masks[p]
 
     def alphas(self, size: int) -> list:
         if size not in self._alphas:
-            units = [self.key((0,) * g + (1,), ()) for g in range(self.pi.n)]
+            units = self.units()
             self._alphas[size] = [(alpha, sum(map(mul, alpha, units)))
                                   for alpha in _compositions(size, self.pi.n)]
         return self._alphas[size]
@@ -307,7 +328,7 @@ class _KoszulTables:
     def _build(self, i_set):
         n, terms = self.pi.n, self.terms
         weight, base = self.pi.degree - 1, self.key((), i_set)
-        acc: dict = {}  # (g, offset) → c; g is None for the fixed terms
+        acc: dict = {}  # (g, offset) → c; g is n for the terms free of α
 
         def put(g, beta, h, target, c):  # c·z^{α+δ} dz_target, δ = beta - e_h
             delta = beta[:h - 1] + (beta[h - 1] - 1,) + beta[h:]
@@ -343,14 +364,11 @@ class _KoszulTables:
                 s_h, target = _wedge((h,), rest)
                 for beta, c in poly.items():
                     if beta[h - 1]:
-                        put(None, beta, h, target, -eps * s_h * c * beta[h - 1])
+                        put(n, beta, h, target, -eps * s_h * c * beta[h - 1])
                     if h == i or h == j:
                         put(h - 1, beta, h, target, -eps * s_h * c)
-        by_gen: dict = {}
-        for (g, offset), c in acc.items():
-            if c:
-                by_gen.setdefault(g, []).append((offset, c))
-        return [(g, t) for g, t in by_gen.items() if g is not None], by_gen.get(None, [])
+        flat = [(g, offset, c) for (g, offset), c in acc.items() if c]
+        return flat, len({offset for _, offset, _ in flat}) == len(flat)
 
 
 def _as_bivector(n: int, pi) -> PolyBivector:
@@ -409,28 +427,25 @@ def stein_complex(n: int, pi, w: int, cap: int = 8) -> Complex:
 def _slice_columns(tables: _KoszulTables, w: int, p: int, size: int, rows: dict, skip=()):
     """The column stream of d^{-p} on the weight-w slice without the columns
     in ``skip``: ``(j, line, L)`` for the columns j, α-major and I-minor,
-    line being L·delpi(z^α dz_I), rows keyed by ``rows`` (``_slice_rows``)."""
-    per_i = [(i_set, tables.key((), i_set), *tables[i_set])
-             for i_set in combinations(range(1, tables.pi.n + 1), p)]
+    line being L·delpi(z^α dz_I), rows keyed by ``rows`` (``_slice_rows``),
+    with no zero entry (see ``distinct`` in ``_KoszulTables``)."""
+    per_i = [(i_set, mask, *tables[i_set]) for i_set, mask in tables.masks(p)]
     j = -1
     try:
         for alpha, a_key in tables.alphas(size):
-            for i_set, mask, shifted, fixed in per_i:
+            factor = (*alpha, 1)
+            for i_set, mask, terms, distinct in per_i:
                 j += 1
                 if j in skip:
                     continue
                 key, line = a_key + mask, {}
-                for g, g_terms in shifted:
-                    a_g = alpha[g]
+                for g, offset, c in terms:
+                    a_g = factor[g]
                     if a_g:
-                        for offset, c in g_terms:
-                            row = rows[key + offset]
-                            line[row] = line.get(row, 0) + a_g * c
-                for offset, c in fixed:
-                    row = rows[key + offset]
-                    line[row] = line.get(row, 0) + c
-                yield (j, line if all(line.values()) else {i: v for i, v in line.items() if v},
-                       tables.scale)
+                        row = rows[key + offset]
+                        line[row] = line.get(row, 0) + a_g * c
+                yield (j, line if distinct or all(line.values()) else
+                       {i: v for i, v in line.items() if v}, tables.scale)
     except KeyError:
         raise AssertionError(f"delpi left the weight-{w} slice from {(alpha, i_set)}; "
                              "weight bookkeeping is broken") from None
@@ -439,7 +454,7 @@ def _slice_columns(tables: _KoszulTables, w: int, p: int, size: int, rows: dict,
 def _slice_rows(tables: _KoszulTables, p: int, size: int) -> dict:
     """The keys of the z^α dz_I with |α| = size and |I| = p to their indices,
     α-major and I-minor: α lex ascending, then I lex ascending."""
-    masks = [tables.key((), i) for i in combinations(range(1, tables.pi.n + 1), p)]
+    masks = [mask for _, mask in tables.masks(p)]
     keys = [a_key + mask for _, a_key in tables.alphas(size) for mask in masks]
     return dict(zip(keys, range(len(keys))))
 

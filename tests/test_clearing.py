@@ -57,6 +57,11 @@ SO3 = [(1, 2, 1, (0, 0, 1)), (2, 3, 1, (1, 0, 0)), (3, 1, 1, (0, 1, 0))]
 RATIONAL_SO3 = [(1, 2, Fraction(2, 3), (0, 0, 1)), (2, 3, Fraction(-1, 5), (1, 0, 0)),
                 (3, 1, Fraction(3, 7), (0, 1, 0))]
 QUADRATIC = [(1, 2, 1, (1, 1))]
+# z1z2 ∂1∧∂2 on C³: its tables map two terms to one offset at I = (1, 2) and (1, 2, 3)
+QUADRATIC_C3 = [(1, 2, 1, (1, 1, 0))]
+# z2 ∂1∧∂2 - z3 ∂1∧∂3, the Lie-Poisson bivector of [e1, e2] = e2, [e1, e3] = -e3:
+# two terms at one offset cancel when α_2 = α_3, so slice columns sum to zero entries
+SOL = [(1, 2, 1, (0, 1, 0)), (1, 3, -1, (0, 0, 1))]
 
 ZOO = {
     "point": point,
@@ -306,11 +311,18 @@ def test_total_sources_keep_the_stream_contract(dc):
         assert_stream(source, spaces.get(k + 1, 0), spaces[k], total.d(k))
 
 
-@pytest.mark.parametrize("terms", [SO3, RATIONAL_SO3], ids=["so3", "rational"])
-def test_slice_sources_keep_the_stream_contract(terms):
+@pytest.mark.parametrize("terms, shared", [
+    (SO3, []), (RATIONAL_SO3, []), (QUADRATIC_C3, [(1, 2), (1, 2, 3)]),
+    (SOL, [(1,), (1, 2), (1, 3), (1, 2, 3)]),
+], ids=["so3", "rational", "quadratic", "cancelling"])
+def test_slice_sources_keep_the_stream_contract(terms, shared):
     """Each slice column is yielded as L·delpi(z^α dz_I) over L; the
-    Fraction oracle builds the same d^{-p}, and so does ``stein_complex``."""
+    Fraction oracle builds the same d^{-p}, and so does ``stein_complex``.
+    The tables of the I in ``shared`` map two terms to one offset, and only
+    their columns are checked for zero entries (those of SOL have some)."""
     pi, cap = PolyBivector.from_terms(3, terms), 12
+    tables = _KoszulTables(pi, cap)
+    assert [i for p in range(4) for i, _ in tables.masks(p) if not tables[i][1]] == shared
     for w in range(7):
         spaces, sources = _slice_sources(_KoszulTables(pi, cap), w)
         c, oracle = stein_complex(3, pi, w, cap), oracle_stein_differentials(pi, w, cap)

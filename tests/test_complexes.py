@@ -178,18 +178,25 @@ def unit_square():
 
 
 @pytest.mark.parametrize("graded", [
-    lambda c, dc, f: c.diffs,
-    lambda c, dc, f: c.spaces,
-    lambda c, dc, f: dc.d1,
-    lambda c, dc, f: dc.d2,
-    lambda c, dc, f: dc.spaces,
-    lambda c, dc, f: f.blocks,
+    lambda c, dc, f: (c, "diffs"),
+    lambda c, dc, f: (c, "spaces"),
+    lambda c, dc, f: (dc, "d1"),
+    lambda c, dc, f: (dc, "d2"),
+    lambda c, dc, f: (dc, "spaces"),
+    lambda c, dc, f: (f, "blocks"),
 ], ids=["Complex.diffs", "Complex.spaces", "DoubleComplex.d1", "DoubleComplex.d2",
         "DoubleComplex.spaces", "ChainMap.blocks"])
 def test_graded_mappings_are_read_only(graded):
     # a block added after construction would skip the shape and d² checks
-    mapping = graded(*unit_square())
+    owner, name = graded(*unit_square())
+    mapping = getattr(owner, name)
     before = dict(mapping)
+    deletable = [(owner, name)] + [(mapping, "source"), (mapping, "target"),
+                                   (mapping, "degree")] * isinstance(mapping, BlockMap)
+    for value, attr in deletable:
+        with pytest.raises(AttributeError, match=f"^{type(value).__name__} is immutable$"):
+            delattr(value, attr)
+    assert getattr(owner, name) is mapping
     key = next(iter(mapping))
     with pytest.raises(TypeError):
         mapping[key] = mapping[key]

@@ -289,6 +289,23 @@ def test_a_stored_report_cannot_be_changed():
         kb_homology(broken)
 
 
+@pytest.mark.parametrize("table, name, key", [
+    (lambda: kb_homology(torus(1)), "dims", 0),
+    (lambda: hodge_diamond(torus(1)), "h", (0, 0)),
+    (lambda: hkr_hochschild(hodge_diamond(torus(1))), "dims", 0),
+], ids=["KBDims", "HodgeDiamond", "HHDims"])
+def test_dimension_tables_take_no_item_assignment(table, name, key):
+    """A table is what the CLI prints and the Künneth and blow-up rules read:
+    its dimensions cannot change after construction."""
+    dims = getattr(table(), name)
+    before = dict(dims)
+    with pytest.raises(TypeError):
+        dims[key] = 99
+    with pytest.raises(TypeError):
+        del dims[key]
+    assert dims == before
+
+
 def test_formal_model_homology_concentrates_antidiagonals():
     diamond = HodgeDiamond(2, {(0, 0): 1, (1, 1): 1, (2, 2): 1})
     m = hodge_formal(diamond)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from kbhom.complexes import ChainMap, Complex, DoubleComplex
+from kbhom.complexes import BlockMap, ChainMap, Complex, DoubleComplex
 from kbhom.linalg import Matrix, Subspace
 from kbhom.models import (
     DolbeaultPoissonModel,
@@ -163,6 +163,12 @@ def test_model_mappings_are_read_only_after_validation(field):
         del mapping[next(iter(mapping))]
     with pytest.raises(AttributeError):  # a read-only mapping has no clear()
         mapping.clear()
+    # nor can an attribute, the stored proof or a block map's shape be deleted
+    names = ["_validated"] + ([] if field == "koszul" else [field])
+    shape = [(mapping, "source"), (mapping, "degree")] * isinstance(mapping, BlockMap)
+    for owner, name in [(m, name) for name in names] + shape:
+        with pytest.raises(AttributeError, match=f"^{type(owner).__name__} is immutable$"):
+            delattr(owner, name)
     assert dict(mapping) == before
     assert validate_model(m).ok
 
@@ -208,15 +214,17 @@ def checked_value(kind: str):
     ("CheckResult", ["identity", "ok", "bidegree", "residual"]),
 ])
 def test_checked_values_cannot_be_reassigned(kind, fields):
-    """No public attribute of a checked value can be reassigned, and none
-    that is a mapping takes item assignment, so no check made on the value
-    can go stale."""
+    """No public attribute of a checked value can be reassigned or deleted,
+    and none that is a mapping takes item assignment, so no check made on
+    the value can go stale."""
     value = checked_value(kind)
     assert type(value).__name__ == kind
     for name in fields:
         before = getattr(value, name)
         with pytest.raises(AttributeError):
             setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
         assert getattr(value, name) is before
         if isinstance(before, Mapping):
             with pytest.raises(TypeError):

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from kbhom import complexes, linalg
-from kbhom.complexes import Complex, _complex_of, homology_dims
+from kbhom.complexes import Complex, _complex_of, _homology, homology_dims
 from kbhom.stein import (
     NonHomogeneousBivector,
     NotPoissonOnSlice,
@@ -335,11 +335,11 @@ def test_corrupted_tables_cannot_leave_the_slice():
         with pytest.raises(AssertionError, match=rf"shifts the weight by {shift} or can take"):
             _complex_of(*_slice_sources(tables, 5))
     tables = _KoszulTables(so3, 40)
-    shifted, fixed = tables[(1, 2)]
-    (g, [(offset, c), *rest]), *others = shifted
+    [(g, offset, c), *rest], distinct = tables[(1, 2)]
     up = tables.key((1, 0, 0), ())  # one more z_1: the target's weight is 6
-    tables._tables[(1, 2)] = ([(g, [(offset + up, c), *rest]), *others], fixed)
-    with pytest.raises(AssertionError, match=r"^delpi left the weight-5 slice from \("):
-        _complex_of(*_slice_sources(tables, 5))
+    tables._tables[(1, 2)] = ([(g, offset + up, c), *rest], distinct)
+    for build in (_complex_of, _homology):  # the matrix and the rank path
+        with pytest.raises(AssertionError, match=r"^delpi left the weight-5 slice from \("):
+            build(*_slice_sources(tables, 5))
     fresh = _complex_of(*_slice_sources(_KoszulTables(so3, 40), 5))
     assert fresh.diffs == stein_complex(3, so3, 5, 40).diffs
